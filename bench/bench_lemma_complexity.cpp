@@ -12,7 +12,7 @@
 
 #include "bench/bench_common.h"
 
-#include "core/hierarchical_merger.h"
+#include "core/merge_plan.h"
 #include "core/merge_table.h"
 #include "core/registry.h"
 #include "core/two_table_merger.h"
@@ -92,10 +92,16 @@ double TimeHierarchical(const Workload& w, const core::MultiEmConfig& config) {
   auto factory =
       core::IndexFactories().Create(config.effective_index_name(), config);
   factory.status().CheckOk();
-  core::HierarchicalMerger merger(config, &w.store, factory->get());
+  core::TwoTableMerger merger(config, &w.store, factory->get());
+  const core::MergePlan plan =
+      core::MergePlan::Build(w.store.num_sources(), config.seed);
+  std::vector<core::MergeSource> slots;
+  for (core::MergeTable& t : w.Tables()) {
+    slots.push_back(core::MergeSource::FromTable(std::move(t)));
+  }
   util::WallTimer timer;
-  core::MergeTable integrated = merger.Run(w.Tables());
-  (void)integrated;
+  core::ExecuteMergePlan(plan, slots, merger, core::MergeExecOptions::Resident())
+      .CheckOk();
   return timer.ElapsedSeconds();
 }
 

@@ -1,9 +1,9 @@
 /// \file bench_scale.cpp
 /// Million-row scale-out benchmark: streamed corpus generation
 /// (datagen::ScaleCorpusGenerator), a disk-backed end-to-end pipeline run
-/// (RunContext::merge_spill_dir -> core::ShardedMerger), artifact
+/// (RunContext::merge_spill_dir -> MergeExecOptions::Spilled), artifact
 /// save/reload, and the zero-copy serving path — the numbers behind
-/// docs/API.md "Zero-copy serving" and "Sharded merging & memory budget".
+/// docs/API.md "Zero-copy serving" and "Spilled merging & memory budget".
 ///
 /// CI gates on the emitted BENCH_scale.json:
 ///   * peak RSS within --rss_budget_mb (the sharded merge keeps only one

@@ -76,7 +76,7 @@ std::vector<MutualPair> MutualTopK(const embed::EmbeddingMatrix& left,
   // topK(e) for every left row against the right index, and vice versa. Both
   // directions are submitted under one task group so they overlap; the
   // helping Wait() makes this safe even when MutualTopK itself runs inside a
-  // pool task (a pair-merge of the parallel hierarchical merger).
+  // pool task (a pair-merge of a parallel ExecuteMergePlan level).
   std::vector<std::vector<Neighbor>> left_to_right(left.num_rows());
   std::vector<std::vector<Neighbor>> right_to_left(right.num_rows());
   auto search_left = [&](size_t i) {

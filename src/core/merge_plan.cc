@@ -9,6 +9,7 @@
 
 #include "core/checkpoint.h"
 #include "util/fault.h"
+#include "util/journal.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -20,9 +21,9 @@ MergePlan MergePlan::Build(size_t num_tables, uint64_t seed) {
   plan.nodes_.resize(num_tables);  // leaves: ids [0, num_tables)
   if (num_tables == 0) return plan;
 
-  // Exactly the draw sequence of the legacy merger loop: one shuffle of the
-  // live-table list per level, consecutive pairs, odd table carried last.
-  // Changing anything here changes every integrated table ever built.
+  // One shuffle of the live-table list per level, consecutive pairs, odd
+  // table carried last. Changing anything here changes every integrated
+  // table ever built.
   util::Rng rng(seed ^ 0x4D455247ULL);  // "MERG"
   std::vector<size_t> live(num_tables);
   std::iota(live.begin(), live.end(), size_t{0});
@@ -90,21 +91,23 @@ std::vector<size_t> MergePlan::SubtreeLeaves(size_t id) const {
   return leaves;
 }
 
-std::vector<MergeLevelStats> AggregateLevelStats(
-    const MergePlan& plan, const std::vector<MergeNodeStats>& nodes) {
-  std::vector<MergeLevelStats> levels(plan.levels().size());
-  for (size_t l = 0; l < levels.size(); ++l) {
-    levels[l].tables_in = plan.levels()[l].tables_in;
-  }
-  for (const MergeNodeStats& n : nodes) {
-    const MergePlanNode& node = plan.node(n.node);
-    if (node.is_leaf()) continue;
-    MergeLevelStats& level = levels[node.level];
-    ++level.pairs_merged;
-    level.mutual_pairs += n.mutual_pairs;
-    level.total_attempts += n.attempts;
-  }
-  return levels;
+MergeExecOptions MergeExecOptions::Resident() {
+  MergeExecOptions options;
+  options.parallel_pairs = true;
+  return options;
+}
+
+MergeExecOptions MergeExecOptions::Spilled(std::string spill_dir,
+                                           CheckpointLog* checkpoint) {
+  MergeExecOptions options;
+  options.spill_inputs = true;
+  options.spill_outputs = true;
+  options.spill_dir = std::move(spill_dir);
+  // Checkpointed outputs must keep the same file name across attempts, so
+  // name by plan node instead of by spill order.
+  options.name_by_node = checkpoint != nullptr;
+  options.checkpoint = checkpoint;
+  return options;
 }
 
 namespace {
@@ -119,17 +122,35 @@ size_t FileBytes(const std::string& path) {
 // pairs run in parallel (resident mode only).
 struct ExecState {
   std::mutex mu;
-  MergeExecStats* stats = nullptr;
+  MergeStats* stats = nullptr;
   size_t next_spill = 0;
 };
 
-std::string SpillOutputPath(const MergeExecOptions& options, size_t node,
-                            size_t spill_index) {
-  const std::string name =
-      options.name_by_node
-          ? "merge_" + std::to_string(node) + ".mem"
-          : "shard_" + std::to_string(spill_index) + ".mem";
+std::string SpillPath(const MergeExecOptions& options,
+                      const std::string& name) {
   return (std::filesystem::path(options.spill_dir) / name).string();
+}
+
+// Spilling forces sequential pairs, so the counter needs no lock.
+std::string NextShardName(ExecState& state) {
+  return "shard_" + std::to_string(state.next_spill++) + ".mem";
+}
+
+// Moves one resident input to disk and swaps in an owning spill handle; the
+// table is released as soon as it is written, so spilling a fully
+// materialized corpus never holds two copies of it.
+util::Status SpillInput(MergeSource& slot, const MergeExecOptions& options,
+                        ExecState& state) {
+  const std::string path = SpillPath(options, NextShardName(state));
+  {
+    auto table = slot.Acquire();
+    if (!table.ok()) return table.status();
+    MULTIEM_RETURN_IF_ERROR(table->Save(path));
+  }
+  ++state.stats->spill_files_written;
+  state.stats->spill_bytes_written += FileBytes(path);
+  slot = MergeSource::FromSpill(path, options.reopen, options.cleanup);
+  return util::Status::Ok();
 }
 
 // Executes one pair node: acquires both child handles, merges, and installs
@@ -167,12 +188,10 @@ util::Status ExecuteNode(const MergePlan& plan, size_t id,
 
   size_t spill_bytes = 0;
   if (options.spill_outputs) {
-    size_t spill_index;
-    {
-      std::lock_guard<std::mutex> lock(state.mu);
-      spill_index = state.next_spill++;
-    }
-    const std::string out = SpillOutputPath(options, id, spill_index);
+    const std::string out = SpillPath(
+        options, options.name_by_node
+                     ? "merge_" + std::to_string(id) + ".mem"
+                     : NextShardName(state));
     MULTIEM_FAULT_POINT("merge.node.spill");
     MULTIEM_RETURN_IF_ERROR(merged.Save(out));
     spill_bytes = FileBytes(out);
@@ -200,17 +219,49 @@ util::Status ExecuteNode(const MergePlan& plan, size_t id,
   left.RemoveBackingFile();
   right.RemoveBackingFile();
 
-  if (state.stats != nullptr) {
-    std::lock_guard<std::mutex> lock(state.mu);
-    state.stats->nodes.push_back(node_stats);
-    state.stats->peak_resident_bytes =
-        std::max(state.stats->peak_resident_bytes, resident_bytes);
-    if (options.spill_outputs) {
-      ++state.stats->spill_files_written;
-      state.stats->spill_bytes_written += spill_bytes;
-    }
+  std::lock_guard<std::mutex> lock(state.mu);
+  state.stats->nodes.push_back(node_stats);
+  state.stats->peak_resident_bytes =
+      std::max(state.stats->peak_resident_bytes, resident_bytes);
+  if (options.spill_outputs) {
+    ++state.stats->spill_files_written;
+    state.stats->spill_bytes_written += spill_bytes;
   }
   return util::Status::Ok();
+}
+
+// Executes the given pair nodes of one plan level — concurrently on the
+// pool when the options allow, otherwise in pair order.
+util::Status ExecuteLevel(const MergePlan& plan,
+                          const std::vector<size_t>& ids,
+                          std::vector<MergeSource>& slots,
+                          const TwoTableMerger& merger,
+                          const MergeExecOptions& options,
+                          util::ThreadPool* pool, ExecState& state) {
+  const bool parallel = options.parallel_pairs && !options.spill_outputs &&
+                        pool != nullptr && ids.size() > 1;
+  if (!parallel) {
+    for (size_t id : ids) {
+      MULTIEM_RETURN_IF_ERROR(
+          ExecuteNode(plan, id, slots, merger, options, pool, state));
+    }
+    return util::Status::Ok();
+  }
+  util::Status level_status = util::Status::Ok();
+  std::mutex error_mu;
+  util::TaskGroup level_group(*pool);
+  for (size_t id : ids) {
+    pool->Submit(level_group, [&, id] {
+      util::Status s =
+          ExecuteNode(plan, id, slots, merger, options, pool, state);
+      if (!s.ok()) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (level_status.ok()) level_status = std::move(s);
+      }
+    });
+  }
+  level_group.Wait();
+  return level_status;
 }
 
 /// Drops everything beneath a restored node: handles still occupying slots
@@ -225,30 +276,20 @@ void DiscardCoveredSubtree(const MergePlan& plan, size_t id,
   while (!stack.empty()) {
     const size_t n = stack.back();
     stack.pop_back();
+    const CheckpointLog::NodeEntry* entry = options.checkpoint->LookupNode(n);
     if (!slots[n].empty()) {
       if (options.cleanup) slots[n].RemoveBackingFile();
       slots[n] = MergeSource();
-    } else if (options.checkpoint != nullptr) {
-      if (const CheckpointLog::NodeEntry* entry =
-              options.checkpoint->LookupNode(n)) {
-        if (options.cleanup) {
-          std::error_code ec;
-          std::filesystem::remove(entry->spill_path, ec);
-        }
-      }
+    } else if (entry != nullptr && options.cleanup) {
+      std::error_code ec;
+      std::filesystem::remove(entry->spill_path, ec);
     }
     const MergePlanNode& node = plan.node(n);
     if (!node.is_leaf()) {
       // The covered pair's counters still happened (in the attempt that
       // journaled them) — inject them so resumed level stats match an
       // uninterrupted run's.
-      if (options.checkpoint != nullptr && state.stats != nullptr) {
-        if (const CheckpointLog::NodeEntry* entry =
-                options.checkpoint->LookupNode(n)) {
-          std::lock_guard<std::mutex> lock(state.mu);
-          state.stats->nodes.push_back(entry->stats);
-        }
-      }
+      if (entry != nullptr) state.stats->nodes.push_back(entry->stats);
       stack.push_back(node.left);
       stack.push_back(node.right);
     }
@@ -272,10 +313,7 @@ void RestoreJournaledSubtree(const MergePlan& plan, size_t target,
       slots[target] =
           MergeSource::FromSpill(entry->spill_path, options.reopen,
                                  options.cleanup);
-      if (state.stats != nullptr) {
-        std::lock_guard<std::mutex> lock(state.mu);
-        state.stats->nodes.push_back(entry->stats);
-      }
+      state.stats->nodes.push_back(entry->stats);
       DiscardCoveredSubtree(plan, node.left, slots, options, state);
       DiscardCoveredSubtree(plan, node.right, slots, options, state);
       return;
@@ -288,9 +326,23 @@ void RestoreJournaledSubtree(const MergePlan& plan, size_t target,
   RestoreJournaledSubtree(plan, node.right, slots, options, state);
 }
 
-util::Status ValidateCheckpointOptions(const MergeExecOptions& options) {
-  if (options.checkpoint == nullptr) return util::Status::Ok();
-  if (!options.spill_outputs || !options.name_by_node) {
+util::Status ValidateOptions(const MergePlan& plan,
+                             const std::vector<size_t>& targets,
+                             const MergeExecOptions& options) {
+  for (size_t t : targets) {
+    if (t >= plan.num_nodes()) {
+      return util::Status::InvalidArgument(
+          "merge target " + std::to_string(t) + " is not a node of the " +
+          std::to_string(plan.num_nodes()) + "-node plan");
+    }
+  }
+  if ((options.spill_inputs || options.spill_outputs) &&
+      options.spill_dir.empty()) {
+    return util::Status::InvalidArgument(
+        "spilled merge execution requires a spill_dir");
+  }
+  if (options.checkpoint != nullptr &&
+      (!options.spill_outputs || !options.name_by_node)) {
     return util::Status::InvalidArgument(
         "checkpointed merge execution requires spill_outputs with "
         "name_by_node (stable per-node spill files)");
@@ -298,163 +350,150 @@ util::Status ValidateCheckpointOptions(const MergeExecOptions& options) {
   return util::Status::Ok();
 }
 
-util::Status EnsureSpillDir(const MergeExecOptions& options) {
-  if (!options.spill_outputs) return util::Status::Ok();
+util::Status PrepareSpillDir(const MergeExecOptions& options) {
+  if (!options.spill_inputs && !options.spill_outputs) {
+    return util::Status::Ok();
+  }
   std::error_code ec;
   std::filesystem::create_directories(options.spill_dir, ec);
   if (ec) {
     return util::Status::Internal("cannot create spill directory '" +
                                   options.spill_dir + "': " + ec.message());
   }
+  // A crashed earlier attempt can leave half-written `<name>.mem.tmp` files
+  // behind; they are never referenced (the journal only records renamed
+  // files), so reclaim the space up front.
+  util::SweepOrphanTmpFiles(options.spill_dir);
   return util::Status::Ok();
+}
+
+// Refolds the per-level counters from every node the stats hold. Ids out of
+// the plan's range (a foreign worker's counters) are ignored.
+void FoldLevels(const MergePlan& plan, MergeStats& stats) {
+  stats.levels.assign(plan.levels().size(), MergeLevelStats{});
+  for (size_t l = 0; l < stats.levels.size(); ++l) {
+    stats.levels[l].tables_in = plan.levels()[l].tables_in;
+  }
+  stats.total_mutual_pairs = 0;
+  for (const MergeNodeStats& n : stats.nodes) {
+    if (n.node >= plan.num_nodes() || plan.node(n.node).is_leaf()) continue;
+    MergeLevelStats& level = stats.levels[plan.node(n.node).level];
+    ++level.pairs_merged;
+    level.mutual_pairs += n.mutual_pairs;
+    level.total_attempts += n.attempts;
+    stats.total_mutual_pairs += n.mutual_pairs;
+  }
 }
 
 }  // namespace
 
-util::Result<MergeTable> ExecuteMergePlan(
-    const MergePlan& plan, std::vector<MergeSource> sources,
-    const TwoTableMerger& merger, const MergeExecOptions& options,
-    util::ThreadPool* pool, MergeExecStats* stats, const RunContext& ctx) {
-  if (plan.num_leaves() == 0) return MergeTable();
-  if (sources.size() != plan.num_leaves()) {
+util::Status ExecuteMergePlan(const MergePlan& plan,
+                              std::vector<MergeSource>& slots,
+                              const TwoTableMerger& merger,
+                              const MergeExecOptions& options,
+                              util::ThreadPool* pool, MergeStats* stats,
+                              const RunContext& ctx) {
+  if (plan.num_leaves() == 0) return util::Status::Ok();
+  if (slots.size() < plan.num_leaves() || slots.size() > plan.num_nodes()) {
     return util::Status::InvalidArgument(
-        "merge plan expects " + std::to_string(plan.num_leaves()) +
-        " sources, got " + std::to_string(sources.size()));
+        "merge plan over " + std::to_string(plan.num_leaves()) +
+        " tables needs between " + std::to_string(plan.num_leaves()) +
+        " and " + std::to_string(plan.num_nodes()) + " slots, got " +
+        std::to_string(slots.size()));
   }
-  MULTIEM_RETURN_IF_ERROR(ValidateCheckpointOptions(options));
-  MULTIEM_RETURN_IF_ERROR(EnsureSpillDir(options));
-
-  // Slot i holds node i's handle; preallocated so parallel pairs write
-  // disjoint elements without reallocation.
-  std::vector<MergeSource> slots = std::move(sources);
+  const std::vector<size_t> targets =
+      options.targets.empty() ? std::vector<size_t>{plan.root()}
+                              : options.targets;
+  MULTIEM_RETURN_IF_ERROR(ValidateOptions(plan, targets, options));
+  MULTIEM_RETURN_IF_ERROR(PrepareSpillDir(options));
+  // Preallocated so parallel pairs write disjoint elements without
+  // reallocation.
   slots.resize(plan.num_nodes());
 
   // Counters are always collected (the observer needs per-level mutual-pair
   // sums even when the caller passed no stats sink).
-  MergeExecStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
+  MergeStats local_stats;
   ExecState state;
-  state.stats = stats;
-  state.next_spill = options.first_spill_index;
+  state.stats = stats != nullptr ? stats : &local_stats;
 
-  if (options.checkpoint != nullptr && plan.root() != MergePlanNode::kNone) {
-    RestoreJournaledSubtree(plan, plan.root(), slots, options, state);
+  if (options.checkpoint != nullptr) {
+    for (size_t t : targets) {
+      RestoreJournaledSubtree(plan, t, slots, options, state);
+    }
   }
 
-  std::vector<size_t> live = plan.LiveNodesAtLevel(0);
-  for (size_t l = 0; l < plan.levels().size(); ++l) {
-    // A fired cancellation token stops between levels; the partially merged
-    // first table of the current frontier is returned (legacy contract).
-    if (ctx.cancelled()) break;
+  // Walk down from the targets to the nodes still missing, stopping at
+  // filled slots — the inputs this run consumes.
+  std::vector<bool> missing(plan.num_nodes(), false);
+  std::vector<size_t> inputs;
+  std::vector<size_t> stack;
+  for (size_t t : targets) {
+    if (slots[t].empty()) stack.push_back(t);
+  }
+  while (!stack.empty()) {
+    const size_t id = stack.back();
+    stack.pop_back();
+    if (missing[id]) continue;
+    const MergePlanNode& node = plan.node(id);
+    if (node.is_leaf()) {
+      return util::Status::FailedPrecondition(
+          "merge plan leaf " + std::to_string(id) + " has no source");
+    }
+    missing[id] = true;
+    for (size_t child : {node.left, node.right}) {
+      if (slots[child].empty()) {
+        stack.push_back(child);
+      } else {
+        inputs.push_back(child);
+      }
+    }
+  }
+  if (options.spill_inputs) {
+    std::sort(inputs.begin(), inputs.end());
+    for (size_t id : inputs) {
+      if (!slots[id].resident()) continue;
+      MULTIEM_RETURN_IF_ERROR(SpillInput(slots[id], options, state));
+    }
+  }
+
+  // Node ids are topological and grouped by level, so running the missing
+  // nodes level by level, in pair order, is a deterministic schedule.
+  size_t num_levels = 0;
+  for (size_t t : targets) {
+    if (!plan.node(t).is_leaf()) {
+      num_levels = std::max(num_levels, plan.node(t).level + 1);
+    }
+  }
+  for (size_t l = 0; l < num_levels; ++l) {
+    if (ctx.cancelled()) {
+      FoldLevels(plan, *state.stats);
+      state.stats->levels.resize(l);  // only the levels that finished
+      return util::Status::Cancelled("merge cancelled before level " +
+                                     std::to_string(l));
+    }
     const MergePlanLevel& level = plan.levels()[l];
-    const std::vector<size_t>& pair_nodes = level.pair_nodes;
-
-    util::Status level_status = util::Status::Ok();
-    const bool parallel = options.parallel_pairs && !options.spill_outputs &&
-                          pool != nullptr && pair_nodes.size() > 1;
-    if (parallel) {
-      std::mutex error_mu;
-      util::TaskGroup level_group(*pool);
-      for (size_t id : pair_nodes) {
-        pool->Submit(level_group, [&, id] {
-          util::Status s =
-              ExecuteNode(plan, id, slots, merger, options, pool, state);
-          if (!s.ok()) {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (level_status.ok()) level_status = std::move(s);
-          }
-        });
-      }
-      level_group.Wait();
-    } else {
-      for (size_t id : pair_nodes) {
-        if (options.checkpoint != nullptr) {
-          // Restored by the pre-pass, or covered by a restored ancestor
-          // (consumed inputs) — either way this node's work already counts.
-          if (!slots[id].empty()) continue;
-          const MergePlanNode& pair = plan.node(id);
-          if (slots[pair.left].empty() || slots[pair.right].empty()) continue;
-        }
-        level_status = ExecuteNode(plan, id, slots, merger, options, pool,
-                                   state);
-        if (!level_status.ok()) break;
-      }
+    std::vector<size_t> ids;
+    for (size_t id : level.pair_nodes) {
+      if (missing[id]) ids.push_back(id);
     }
-    if (!level_status.ok()) return level_status;
+    MULTIEM_RETURN_IF_ERROR(
+        ExecuteLevel(plan, ids, slots, merger, options, pool, state));
 
-    live = plan.LiveNodesAtLevel(l + 1);
-    ++stats->levels_completed;
-    size_t level_mutual_pairs = 0;
-    for (const MergeNodeStats& n : stats->nodes) {
-      if (plan.node(n.node).level == l) level_mutual_pairs += n.mutual_pairs;
-    }
     if (ctx.observer != nullptr) {
       MergeLevelProgress progress;
       progress.level = l;
       progress.tables_in = level.tables_in;
-      progress.tables_out = live.size();
-      progress.pairs_merged = pair_nodes.size();
-      progress.mutual_pairs = level_mutual_pairs;
+      progress.tables_out = plan.LiveNodesAtLevel(l + 1).size();
+      progress.pairs_merged = level.pair_nodes.size();
+      for (const MergeNodeStats& n : state.stats->nodes) {
+        if (n.node < plan.num_nodes() && plan.node(n.node).level == l) {
+          progress.mutual_pairs += n.mutual_pairs;
+        }
+      }
       ctx.observer->OnMergeLevel(progress);
     }
   }
-
-  MergeSource& result = slots[live.front()];
-  auto table = result.Acquire();
-  if (!table.ok()) return table.status();
-  // Under checkpointing the root's spill is the resume point for everything
-  // after the merge phase (pruning, matcher assembly, artifact save) — keep
-  // it; the journal entry stays valid across restarts.
-  if (options.checkpoint == nullptr) result.RemoveBackingFile();
-  return table;
-}
-
-util::Status ExecuteMergeSubtree(const MergePlan& plan, size_t target,
-                                 std::vector<MergeSource>& slots,
-                                 const TwoTableMerger& merger,
-                                 const MergeExecOptions& options,
-                                 util::ThreadPool* pool, MergeExecStats* stats,
-                                 const RunContext& ctx) {
-  if (target >= plan.num_nodes() || slots.size() != plan.num_nodes()) {
-    return util::Status::InvalidArgument(
-        "merge subtree target/slots do not match the plan");
-  }
-  MULTIEM_RETURN_IF_ERROR(ValidateCheckpointOptions(options));
-  MULTIEM_RETURN_IF_ERROR(EnsureSpillDir(options));
-
-  ExecState state;
-  state.stats = stats;
-  state.next_spill = options.first_spill_index;
-  if (options.checkpoint != nullptr) {
-    // Restored slots act as pre-filled leaves for the missing-node walk.
-    RestoreJournaledSubtree(plan, target, slots, options, state);
-  }
-
-  // Nodes still missing under `target`, stopping at pre-filled slots.
-  std::vector<size_t> missing;
-  std::vector<size_t> stack = {target};
-  while (!stack.empty()) {
-    const size_t id = stack.back();
-    stack.pop_back();
-    if (!slots[id].empty()) continue;
-    const MergePlanNode& node = plan.node(id);
-    if (node.is_leaf()) {
-      return util::Status::FailedPrecondition(
-          "merge subtree leaf " + std::to_string(id) + " has no source");
-    }
-    missing.push_back(id);
-    stack.push_back(node.left);
-    stack.push_back(node.right);
-  }
-  // Node ids are topological (children < parent), so ascending id order is
-  // a valid — and deterministic — execution order.
-  std::sort(missing.begin(), missing.end());
-
-  for (size_t id : missing) {
-    if (ctx.cancelled()) return util::Status::Cancelled("merge cancelled");
-    MULTIEM_RETURN_IF_ERROR(
-        ExecuteNode(plan, id, slots, merger, options, pool, state));
-  }
+  FoldLevels(plan, *state.stats);
   return util::Status::Ok();
 }
 

@@ -1,26 +1,22 @@
 /// \file merge_plan.h
 /// The Algorithm 2 merge schedule, reified as a deterministic binary tree,
-/// plus the single executor that every merger (and the multi-process
-/// coordinator) runs on.
+/// plus its executor.
 ///
-/// HierarchicalMerger and ShardedMerger used to each carry a verbatim copy
-/// of the seeded per-level pairing loop, kept in lockstep by comment and
-/// test. MergePlan::Build replays exactly those random draws once, up
-/// front, and records the result as a tree: leaves 0..S-1 are the input
-/// tables, each internal node is the pairwise merge of two earlier nodes,
-/// appended level by level in pair order. Because every internal node's
-/// table is a pure function of its two children (TwoTableMerger::Merge
-/// consults only the two inputs and the base embedding store), *any*
-/// topological execution order of the tree produces bitwise-identical
-/// tables — which is what lets N worker processes each execute a disjoint
-/// subtree and a coordinator finish the top, with output identical to the
-/// single-process run (src/distrib/coordinator.h).
+/// MergePlan::Build draws the seeded per-level pairing once, up front, and
+/// records the result as a tree: leaves 0..S-1 are the input tables, each
+/// internal node is the pairwise merge of two earlier nodes, appended level
+/// by level in pair order. Because every internal node's table is a pure
+/// function of its two children (TwoTableMerger::Merge consults only the
+/// two inputs and the base embedding store), *any* topological execution
+/// order of the tree produces bitwise-identical tables — which is what lets
+/// N worker processes each execute a disjoint subtree and a coordinator
+/// finish the top, with output identical to the single-process run
+/// (src/distrib/coordinator.h).
 ///
-/// ExecuteMergePlan is the one schedule loop. Its options reproduce both
-/// legacy modes: resident outputs with per-level parallel pairs (the old
-/// HierarchicalMerger body) or spilled outputs with sequential pairs and at
-/// most one pair resident (the old ShardedMerger body). ExecuteMergeSubtree
-/// is the partial form used by shard workers and the coordinator.
+/// ExecuteMergePlan is the one schedule loop and the only merge entry
+/// point: the pipeline's in-memory and spilled merging phases, shard
+/// workers, and the coordinator all call it, differing only in their
+/// MergeExecOptions.
 
 #ifndef MULTIEM_CORE_MERGE_PLAN_H_
 #define MULTIEM_CORE_MERGE_PLAN_H_
@@ -41,7 +37,7 @@ namespace multiem::core {
 
 class CheckpointLog;  // core/checkpoint.h
 
-/// Per-hierarchy-level counters (reported by both mergers).
+/// Per-hierarchy-level counters.
 struct MergeLevelStats {
   size_t tables_in = 0;
   size_t pairs_merged = 0;      ///< table pairs processed at this level
@@ -69,10 +65,9 @@ struct MergePlanLevel {
   size_t carried = MergePlanNode::kNone;  ///< node carried unmerged (odd count)
 };
 
-/// Deterministic function of (num_tables, seed): replays the exact random
-/// draws of the legacy per-level loop (seed ^ "MERG", one Fisher-Yates
-/// shuffle of the live list per level, consecutive pairs, odd table carried
-/// last), so plans and the old inline schedules agree table for table.
+/// Deterministic function of (num_tables, seed): seed ^ "MERG", one
+/// Fisher-Yates shuffle of the live list per level, consecutive pairs, odd
+/// table carried last.
 class MergePlan {
  public:
   static MergePlan Build(size_t num_tables, uint64_t seed);
@@ -86,9 +81,8 @@ class MergePlan {
   const std::vector<MergePlanLevel>& levels() const { return levels_; }
 
   /// Node ids live at the start of hierarchy level `level`, in input-list
-  /// order (level 0: all leaves; levels().size(): just the root). The head
-  /// of this list is what a cancelled run returns, and a prefix cut of
-  /// these frontiers is how the coordinator partitions work.
+  /// order (level 0: all leaves; levels().size(): just the root). A prefix
+  /// cut of these frontiers is how the coordinator partitions work.
   std::vector<size_t> LiveNodesAtLevel(size_t level) const;
 
   /// Leaf ids of the subtree rooted at `id`, ascending.
@@ -113,44 +107,69 @@ struct MergeNodeStats {
   size_t attempts = 1;
 };
 
-/// Counters of one executor run. `nodes` holds every pair node this call
-/// executed, in completion order (deterministic only for sequential runs).
-struct MergeExecStats {
+/// Counters of the merging phase — the one stats type of every merge: the
+/// pipeline's PipelineResult::merge_stats, the coordinator's
+/// DistributedBuildResult::merge_stats, and what shard workers ship back.
+/// ExecuteMergePlan appends to `nodes` and the spill counters, then refolds
+/// `levels` and `total_mutual_pairs` from every node present — so a caller
+/// that pre-seeds `nodes` (the coordinator, with its workers' counters) gets
+/// the per-level shape of the whole plan.
+struct MergeStats {
+  /// One entry per plan level; a level counts only the nodes in `nodes`,
+  /// so a fully executed plan gives the complete per-level counters.
+  std::vector<MergeLevelStats> levels;
+  size_t total_mutual_pairs = 0;
+  /// Every pair node executed (or restored from a checkpoint), in
+  /// completion order — deterministic only for sequential runs.
   std::vector<MergeNodeStats> nodes;
-  size_t levels_completed = 0;      ///< fully executed plan levels (ExecuteMergePlan)
-  size_t spill_files_written = 0;   ///< MEMMERGT outputs written
-  size_t spill_bytes_written = 0;
+  size_t spill_files_written = 0;   ///< MEMMERGT files created (inputs + outputs)
+  size_t spill_bytes_written = 0;   ///< total bytes of those files
   size_t peak_resident_bytes = 0;   ///< max bytes of one pair + its output
 };
 
-/// Folds per-node counters (possibly gathered from several processes) into
-/// the per-level reporting shape. Covers every plan level; a level counts
-/// only the nodes present in `nodes`, so a fully executed plan reproduces
-/// the legacy level stats exactly.
-std::vector<MergeLevelStats> AggregateLevelStats(
-    const MergePlan& plan, const std::vector<MergeNodeStats>& nodes);
-
-/// Policy of one executor run.
+/// Policy of one ExecuteMergePlan run. The two presets are the pipeline's
+/// merging modes; shard workers and the coordinator set fields directly.
 struct MergeExecOptions {
+  /// In-memory merging: outputs stay resident, and a level's pairs merge
+  /// concurrently when a pool is given (Section III-E, "Merging in
+  /// parallel").
+  static MergeExecOptions Resident();
+
+  /// Bounded-memory merging for corpora whose merge tables do not all fit
+  /// in RAM: resident inputs are spilled first, every output is spilled to
+  /// `spill_dir`, and pairs run one at a time, so at most one pair plus its
+  /// output is resident. With `checkpoint` the run is crash-resumable
+  /// (outputs are named by plan node and journaled).
+  static MergeExecOptions Spilled(std::string spill_dir,
+                                  CheckpointLog* checkpoint = nullptr);
+
+  /// Nodes to materialize; empty means the plan root. Non-empty slots act
+  /// as leaves: their subtrees are not descended into. Shard workers name
+  /// their frontier roots here.
+  std::vector<size_t> targets;
+
+  /// Spill every resident input handle (as "shard_<n>.mem") before
+  /// merging, releasing each table as it lands on disk.
+  bool spill_inputs = false;
+
   /// Spill every merge output as a MEMMERGT file under `spill_dir` instead
-  /// of keeping it resident — the bounded-memory mode: at most one pair
-  /// plus its output resident. Spilling forces sequential pairs.
+  /// of keeping it resident. Spilling forces sequential pairs.
   bool spill_outputs = false;
   std::string spill_dir;
 
-  /// Output file naming. Sequential mode: "shard_<first_spill_index + n>.mem"
-  /// in execution order (the legacy ShardedMerger names). With name_by_node,
-  /// "merge_<node id>.mem" instead — stable across partial executions, which
-  /// is what the distrib worker/coordinator handoff keys on.
-  size_t first_spill_index = 0;
+  /// Output file naming. By default "shard_<n>.mem", numbered in spill
+  /// order after the spilled inputs. With name_by_node, "merge_<node
+  /// id>.mem" instead — stable across attempts and processes, which is what
+  /// checkpoints and the distrib worker/coordinator handoff key on.
   bool name_by_node = false;
 
-  /// Spilled outputs own their files (consumed handles delete them once the
-  /// successor table is written; the root's file is deleted after the final
-  /// load). Clear to keep every intermediate for debugging.
+  /// Spilled handles own their files: a consumed input's file is deleted
+  /// once its successor is written. Clear to keep every intermediate for
+  /// debugging. Output handles left in the slots still own theirs — call
+  /// MergeSource::RemoveBackingFile after loading a result to drop it.
   bool cleanup = true;
 
-  /// Open options applied when a spilled output is loaded back.
+  /// Open options applied when a spilled table is loaded back.
   util::ArtifactOpenOptions reopen;
 
   /// Merge a level's pairs concurrently on the pool (resident outputs
@@ -158,40 +177,40 @@ struct MergeExecOptions {
   /// same pool regardless — see TwoTableMerger::Merge.
   bool parallel_pairs = false;
 
-  /// When set (non-owning), the executor becomes crash-resumable: every
-  /// executed node is journaled (spill path + size + FNV-1a + counters,
-  /// fsynced) right after its output lands, and before executing anything a
-  /// restore pre-pass walks the plan from `target`/root downward installing
-  /// every journaled node whose spill still validates — covered subtrees
-  /// are skipped entirely, and invalid entries silently recompute. Requires
-  /// spill_outputs with name_by_node (stable per-node file names across
-  /// attempts); the root's spill file is kept, not cleaned, so a crash
-  /// after merging resumes without re-merging. See core/checkpoint.h.
+  /// When set (non-owning), execution is crash-resumable: every executed
+  /// node is journaled (spill path + size + FNV-1a + counters, fsynced)
+  /// right after its output lands, and before executing anything a restore
+  /// pre-pass walks the plan from each target downward installing every
+  /// journaled node whose spill still validates — covered subtrees are
+  /// skipped entirely, and invalid entries silently recompute. Requires
+  /// spill_outputs with name_by_node. See core/checkpoint.h.
   CheckpointLog* checkpoint = nullptr;
 };
 
-/// Runs the whole plan over the leaf handles `sources` (slot i = leaf i;
-/// consumed) and returns the integrated table. ctx.observer receives one
-/// OnMergeLevel per completed level; ctx.cancel is polled between levels —
-/// when it fires, the first remaining (partially merged) table is returned,
-/// mirroring the legacy mergers.
-util::Result<MergeTable> ExecuteMergePlan(
-    const MergePlan& plan, std::vector<MergeSource> sources,
-    const TwoTableMerger& merger, const MergeExecOptions& options,
-    util::ThreadPool* pool = nullptr, MergeExecStats* stats = nullptr,
-    const RunContext& ctx = {});
-
-/// Partial execution: computes `target`'s table given `slots` (size
-/// num_nodes) already holding handles for some nodes — non-empty slots act
-/// as leaves and their subtrees are not descended into. Executes the
-/// missing nodes sequentially in plan order and leaves the result handle in
-/// slots[target] (spilled or resident per `options`). Polls ctx.cancel
-/// between nodes and returns Status::Cancelled when it fires.
-util::Status ExecuteMergeSubtree(
-    const MergePlan& plan, size_t target, std::vector<MergeSource>& slots,
-    const TwoTableMerger& merger, const MergeExecOptions& options,
-    util::ThreadPool* pool = nullptr, MergeExecStats* stats = nullptr,
-    const RunContext& ctx = {});
+/// The one merge entry point (Algorithm 2). `slots` holds a handle per plan
+/// node: leaves 0..S-1 are the input tables, and any further non-empty
+/// slot is a pre-built node (the coordinator seeds its workers' outputs
+/// this way). It is resized to plan.num_nodes() and consumed as the plan
+/// executes; on success slots[t] holds each target's table — spilled or
+/// resident per `options` — and the caller Acquires it.
+///
+/// Missing nodes under the targets run level by level in plan order (node
+/// ids are topological, so the schedule is deterministic); with
+/// parallel_pairs a level's pairs run concurrently on `pool`. Every
+/// executed node is a pure function of its two children, so the tables are
+/// bitwise identical whichever options, process, or order produced them.
+///
+/// ctx.observer receives one OnMergeLevel per plan level up to the highest
+/// target; ctx.cancel is polled before each level, and a fired token
+/// returns Status::Cancelled with `stats->levels` cut to the levels that
+/// finished. `stats` (optional) accumulates; see MergeStats.
+util::Status ExecuteMergePlan(const MergePlan& plan,
+                              std::vector<MergeSource>& slots,
+                              const TwoTableMerger& merger,
+                              const MergeExecOptions& options,
+                              util::ThreadPool* pool = nullptr,
+                              MergeStats* stats = nullptr,
+                              const RunContext& ctx = {});
 
 }  // namespace multiem::core
 

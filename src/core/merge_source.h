@@ -1,12 +1,10 @@
 /// \file merge_source.h
 /// Artifact-handle abstraction over the inputs of the merge hierarchy.
 ///
-/// Every merger input used to be a fully materialized MergeTable, which
-/// forced two parallel implementations of Algorithm 2 — one resident
-/// (HierarchicalMerger) and one spilled (ShardedMerger). core::MergeSource
-/// collapses the difference: a handle names a table without committing to
-/// where its bytes live, and the merge plane (core/merge_plan.h) loads at
-/// most one pair of handles at a time. Three backings exist:
+/// A handle names a table of the merge hierarchy without committing to
+/// where its bytes live, so one executor (ExecuteMergePlan in
+/// core/merge_plan.h) serves resident, spilled, and multi-process merging,
+/// loading at most one pair of handles at a time. Three backings exist:
 ///
 ///   * resident      — wraps an in-memory MergeTable;
 ///   * spill         — a MEMMERGT file (MergeTable::Save), opened lazily

@@ -83,7 +83,8 @@ class MergeTable {
   static constexpr size_t kChunkItems = 4096;
 
   /// Magic + format version of a standalone merge-table artifact file
-  /// (MEMMERGT), the spill format of core::ShardedMerger.
+  /// (MEMMERGT), the spill format of spilled merge execution
+  /// (MergeExecOptions::Spilled).
   static constexpr uint64_t kArtifactMagic = util::ArtifactMagic("MEMMERGT");
   static constexpr uint32_t kArtifactVersion = 1;
 

@@ -7,15 +7,42 @@
 
 #include "core/artifact.h"
 #include "core/checkpoint.h"
+#include "core/merge_plan.h"
 #include "core/merge_source.h"
 #include "core/registry.h"
-#include "core/sharded_merger.h"
+#include "core/two_table_merger.h"
 #include "embed/serialize.h"
 #include "util/fault.h"
 #include "util/io.h"
 #include "util/logging.h"
 
 namespace multiem::core {
+
+util::Status ValidateTables(const std::vector<table::Table>& tables) {
+  if (tables.size() < 2) {
+    return util::Status::InvalidArgument(
+        "multi-table EM needs at least 2 tables, got " +
+        std::to_string(tables.size()));
+  }
+  std::unordered_set<std::string> names;
+  for (const table::Table& t : tables) {
+    if (t.num_rows() == 0) {
+      return util::Status::InvalidArgument(
+          "table '" + t.name() +
+          "' is empty: every input table needs at least one row");
+    }
+    if (!names.insert(t.name()).second) {
+      return util::Status::InvalidArgument(
+          "duplicate table name '" + t.name() +
+          "': table names identify sources and must be unique");
+    }
+    if (t.schema() != tables[0].schema()) {
+      return util::Status::InvalidArgument(
+          "table '" + t.name() + "' does not share the common schema");
+    }
+  }
+  return util::Status::Ok();
+}
 
 namespace {
 
@@ -47,34 +74,6 @@ class ScopedPhase {
 util::Status CancelledAfter(const char* phase) {
   return util::Status::Cancelled(
       std::string("pipeline run cancelled during the ") + phase + " phase");
-}
-
-/// Fail-fast input validation: enough tables, non-empty, unique names,
-/// one common schema.
-util::Status ValidateTables(const std::vector<table::Table>& tables) {
-  if (tables.size() < 2) {
-    return util::Status::InvalidArgument(
-        "multi-table EM needs at least 2 tables, got " +
-        std::to_string(tables.size()));
-  }
-  std::unordered_set<std::string> names;
-  for (const table::Table& t : tables) {
-    if (t.num_rows() == 0) {
-      return util::Status::InvalidArgument(
-          "table '" + t.name() +
-          "' is empty: every input table needs at least one row");
-    }
-    if (!names.insert(t.name()).second) {
-      return util::Status::InvalidArgument(
-          "duplicate table name '" + t.name() +
-          "': table names identify sources and must be unique");
-    }
-    if (t.schema() != tables[0].schema()) {
-      return util::Status::InvalidArgument(
-          "table '" + t.name() + "' does not share the common schema");
-    }
-  }
-  return util::Status::Ok();
 }
 
 /// Fills each unset component from its registry by config name — shared by
@@ -282,45 +281,44 @@ util::Status MultiEmPipeline::Run(const std::vector<table::Table>& tables,
   MergeTable integrated;
   {
     ScopedPhase phase(result, ctx, kPhaseMerging);
-    // Both merge policies consume the same handles (core/merge_source.h);
-    // the spill dir only flips which policy executes the shared MergePlan.
-    std::vector<MergeSource> merge_sources;
-    merge_sources.reserve(tables.size());
+    std::vector<MergeSource> slots;
+    slots.reserve(tables.size());
     size_t initial_bytes = store.SizeBytes();
     for (size_t s = 0; s < tables.size(); ++s) {
       MergeTable table =
           MergeTable::FromSource(static_cast<uint32_t>(s), store.source(s));
       initial_bytes += table.SizeBytes();
-      merge_sources.push_back(MergeSource::FromTable(std::move(table)));
+      slots.push_back(MergeSource::FromTable(std::move(table)));
     }
     result->approx_peak_bytes =
         std::max(result->approx_peak_bytes, 2 * initial_bytes);
-    // Checkpointing implies disk-backed merging: resumable progress needs
-    // durable per-node outputs.
-    if (!ctx.merge_spill_dir.empty() || checkpoint != nullptr) {
-      // Disk-backed merging: same schedule, bitwise-identical result, but
-      // only one table pair resident at a time (core/sharded_merger.h).
-      ShardedMergerOptions spill;
-      spill.spill_dir = !ctx.merge_spill_dir.empty()
-                            ? ctx.merge_spill_dir
-                            : ctx.checkpoint_dir + "/spill";
-      spill.checkpoint = checkpoint.get();
-      ShardedMerger merger(config_, &store, std::move(spill),
-                           index_factory.get());
-      ShardedMergeStats sharded_stats;
-      auto merged = merger.RunSources(std::move(merge_sources), pool.get(),
-                                      &sharded_stats, ctx);
-      if (!merged.ok()) return merged.status();
-      integrated = std::move(*merged);
-      result->merge_stats.levels = std::move(sharded_stats.levels);
-      result->merge_stats.total_mutual_pairs = sharded_stats.total_mutual_pairs;
-    } else {
-      HierarchicalMerger merger(config_, &store, index_factory.get());
-      auto merged = merger.Run(std::move(merge_sources), pool.get(),
-                               &result->merge_stats, ctx);
-      if (!merged.ok()) return merged.status();
-      integrated = std::move(*merged);
+    // A spill dir selects bounded-memory merging; checkpointing implies it,
+    // since resumable progress needs durable per-node outputs. Either way
+    // the schedule and the integrated table are the same.
+    const bool spilled = !ctx.merge_spill_dir.empty() || checkpoint != nullptr;
+    const MergeExecOptions options =
+        spilled ? MergeExecOptions::Spilled(
+                      !ctx.merge_spill_dir.empty()
+                          ? ctx.merge_spill_dir
+                          : ctx.checkpoint_dir + "/spill",
+                      checkpoint.get())
+                : MergeExecOptions::Resident();
+    const MergePlan plan = MergePlan::Build(tables.size(), config_.seed);
+    const TwoTableMerger merger(config_, &store, index_factory.get());
+    util::Status merged = ExecuteMergePlan(plan, slots, merger, options,
+                                           pool.get(), &result->merge_stats,
+                                           ctx);
+    if (!merged.ok()) {
+      return ctx.cancelled() ? CancelledAfter(kPhaseMerging) : merged;
     }
+    MergeSource& root = slots[plan.root()];
+    auto table = root.Acquire();
+    if (!table.ok()) return table.status();
+    integrated = std::move(*table);
+    // Under checkpointing the root's spill is the resume point for
+    // everything after this phase (pruning, matcher assembly, artifact
+    // save) — keep it; its journal entry stays valid across restarts.
+    if (checkpoint == nullptr) root.RemoveBackingFile();
   }
   if (ctx.cancelled()) return CancelledAfter(kPhaseMerging);
 

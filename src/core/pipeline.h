@@ -8,8 +8,9 @@
 ///      serialization + sentence embedding (embed/serialize.h,
 ///      embed/text_encoder.h).
 ///   2. Table-wise hierarchical merging (Section III-C, Algorithms 2-3, via
-///      core/hierarchical_merger.h): pairwise merges driven by the mutual
-///      top-K relation of Eq. 1 until one integrated table remains.
+///      core/merge_plan.h and core/two_table_merger.h): pairwise merges
+///      driven by the mutual top-K relation of Eq. 1 until one integrated
+///      table remains.
 ///   3. Density-based pruning (Section III-D, Definitions 3-5, via
 ///      core/density_pruner.h): drops outlier entities from candidate
 ///      tuples.
@@ -34,8 +35,8 @@
 #include "core/attribute_selector.h"
 #include "core/config.h"
 #include "core/density_pruner.h"
-#include "core/hierarchical_merger.h"
 #include "core/matcher.h"
+#include "core/merge_plan.h"
 #include "core/pruner.h"
 #include "core/run_context.h"
 #include "util/io.h"
@@ -55,6 +56,11 @@ inline constexpr const char* kPhaseRepresentation = "representation";
 inline constexpr const char* kPhaseMerging = "merging";
 inline constexpr const char* kPhasePruning = "pruning";
 
+/// The input contract of MultiEmPipeline::Run (and of the multi-process
+/// distrib::Coordinator): at least 2 tables, each non-empty, unique names,
+/// one common schema. InvalidArgument names the first violation.
+util::Status ValidateTables(const std::vector<table::Table>& tables);
+
 /// Everything MultiEM produces for one run.
 struct PipelineResult {
   /// Final matched tuples (each with >= 2 entities).
@@ -66,7 +72,7 @@ struct PipelineResult {
   /// the cancellation interrupted.
   util::PhaseTimings timings;
   /// Merging and pruning counters.
-  HierarchicalMergeStats merge_stats;
+  MergeStats merge_stats;
   PruneStats prune_stats;
   /// Approximate peak bytes of the pipeline-owned data structures
   /// (embeddings + merge tables); used by the Table VI bench.

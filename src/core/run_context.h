@@ -96,11 +96,11 @@ struct RunContext {
   /// over the final entity table, so it is opt-in.
   bool build_matcher = false;
 
-  /// When non-empty, the merging phase runs disk-backed through
-  /// core::ShardedMerger with this spill directory: merge tables are kept
-  /// as MEMMERGT files and only the pair being merged is resident, capping
-  /// the phase's memory regardless of corpus size. Results are bitwise
-  /// identical to the in-memory merge; see docs/API.md "Sharded merging &
+  /// When non-empty, the merging phase runs disk-backed
+  /// (MergeExecOptions::Spilled) with this spill directory: merge tables are
+  /// kept as MEMMERGT files and only the pair being merged is resident,
+  /// capping the phase's memory regardless of corpus size. Results are bitwise
+  /// identical to the in-memory merge; see docs/API.md "Spilled merging &
   /// memory budget".
   std::string merge_spill_dir;
 

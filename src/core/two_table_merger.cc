@@ -4,7 +4,6 @@
 
 #include "ann/mutual_topk.h"
 #include "cluster/union_find.h"
-#include "core/merge_source.h"
 #include "core/registry.h"
 
 namespace multiem::core {
@@ -99,17 +98,6 @@ MergeTable TwoTableMerger::Merge(const MergeTable& a, const MergeTable& b,
     merged.Append(std::move(item), centroid);
   }
   return merged;
-}
-
-util::Result<MergeTable> TwoTableMerger::Merge(const MergeSource& a,
-                                               const MergeSource& b,
-                                               util::ThreadPool* pool,
-                                               TwoTableMergeStats* stats) const {
-  auto table_a = a.Materialize();
-  if (!table_a.ok()) return table_a.status();
-  auto table_b = b.Materialize();
-  if (!table_b.ok()) return table_b.status();
-  return Merge(*table_a, *table_b, pool, stats);
 }
 
 }  // namespace multiem::core

@@ -12,8 +12,6 @@
 
 namespace multiem::core {
 
-class MergeSource;
-
 /// The mutual top-K options (Eq. 1 knobs) a run config implies: k, the
 /// distance cap m, the cosine metric, and the configured index backend.
 /// Shared by TwoTableMerger::Merge and Matcher::AddTable so serve-time
@@ -53,19 +51,12 @@ class TwoTableMerger {
   /// side indexes build concurrently with the pool threaded into their
   /// AddBatch (large HNSW builds insert in parallel), and the ANN queries of
   /// both search directions fan out under one util::TaskGroup. This is safe
-  /// even when the caller itself runs inside a pool task (HierarchicalMerger
-  /// submits pairs and their inner work to the same pool — Section III-E).
+  /// even when the caller itself runs inside a pool task (ExecuteMergePlan
+  /// submits a level's pairs and their inner work to the same pool —
+  /// Section III-E).
   MergeTable Merge(const MergeTable& a, const MergeTable& b,
                    util::ThreadPool* pool = nullptr,
                    TwoTableMergeStats* stats = nullptr) const;
-
-  /// Handle form: materializes `a` and `b` (loading spilled or
-  /// artifact-backed handles, chunk-sharing resident ones — see
-  /// core/merge_source.h) and merges. At most the two inputs plus the
-  /// output are resident during the call.
-  util::Result<MergeTable> Merge(const MergeSource& a, const MergeSource& b,
-                                 util::ThreadPool* pool = nullptr,
-                                 TwoTableMergeStats* stats = nullptr) const;
 
  private:
   MultiEmConfig config_;

@@ -5,12 +5,12 @@
 #include <filesystem>
 #include <optional>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "core/merge_plan.h"
 #include "core/merge_source.h"
 #include "core/merge_table.h"
+#include "core/pipeline.h"
 #include "core/registry.h"
 #include "core/two_table_merger.h"
 #include "distrib/shard_worker.h"
@@ -28,33 +28,6 @@ namespace {
 /// non-POSIX util::Subprocess fallback (where every call returns
 /// Unimplemented long before a signal is sent).
 constexpr int kSigKill = 9;
-
-/// Same input contract as MultiEmPipeline::Run.
-util::Status ValidateTables(const std::vector<table::Table>& tables) {
-  if (tables.size() < 2) {
-    return util::Status::InvalidArgument(
-        "multi-table EM needs at least 2 tables, got " +
-        std::to_string(tables.size()));
-  }
-  std::unordered_set<std::string> names;
-  for (const table::Table& t : tables) {
-    if (t.num_rows() == 0) {
-      return util::Status::InvalidArgument(
-          "table '" + t.name() +
-          "' is empty: every input table needs at least one row");
-    }
-    if (!names.insert(t.name()).second) {
-      return util::Status::InvalidArgument(
-          "duplicate table name '" + t.name() +
-          "': table names identify sources and must be unique");
-    }
-    if (t.schema() != tables[0].schema()) {
-      return util::Status::InvalidArgument(
-          "table '" + t.name() + "' does not share the common schema");
-    }
-  }
-  return util::Status::Ok();
-}
 
 std::string DescribeExit(const util::ExitStatus& ws) {
   if (ws.signaled) {
@@ -103,7 +76,7 @@ util::Result<DistributedBuildResult> Coordinator::Build(
     const std::vector<table::Table>& tables) const {
   util::WallTimer total_timer;
   MULTIEM_RETURN_IF_ERROR(config_.ValidateValues());
-  MULTIEM_RETURN_IF_ERROR(ValidateTables(tables));
+  MULTIEM_RETURN_IF_ERROR(core::ValidateTables(tables));
   if (options_.num_workers == 0) {
     return util::Status::InvalidArgument("num_workers must be >= 1");
   }
@@ -190,6 +163,13 @@ util::Result<DistributedBuildResult> Coordinator::Build(
           "worker " + std::to_string(w) +
           " disagrees with the coordinator on attribute selection — the "
           "fit is expected to be deterministic across processes");
+    }
+    for (const core::MergeNodeStats& node : shard.node_stats) {
+      if (node.node >= plan.num_nodes() || plan.node(node.node).is_leaf()) {
+        return util::Status::Internal(
+            "shard " + std::to_string(w) + " reports counters for node " +
+            std::to_string(node.node) + ", which the plan does not merge");
+      }
     }
     for (size_t root : assignments[w].roots) {
       if (!plan.node(root).is_leaf() &&
@@ -392,34 +372,26 @@ util::Result<DistributedBuildResult> Coordinator::Build(
       }
     }
   }
-  core::TwoTableMerger merger(config_, &store, index_factory.get());
-  core::MergeExecOptions top;
-  top.reopen = options_.shard_open;
-  core::MergeExecStats exec;
-  MULTIEM_RETURN_IF_ERROR(core::ExecuteMergeSubtree(
-      plan, plan.root(), slots, merger, top, pool.get(), &exec));
-  auto integrated = slots[plan.root()].Acquire();
-  if (!integrated.ok()) return integrated.status();
-  result.distrib.merge_seconds = merge_timer.ElapsedSeconds();
-
-  // Fold the workers' per-node counters and the coordinator's own into the
-  // standard per-level shape; a full plan execution reproduces the
-  // single-process HierarchicalMergeStats exactly.
-  std::vector<core::MergeNodeStats> all_nodes;
+  // Seed the stats with the workers' per-node counters, so the executor
+  // folds them with its own into the per-level shape of the whole plan —
+  // identical to the single-process run's.
   for (size_t w = 0; w < workers; ++w) {
     for (core::MergeNodeStats node : shards[w].node_stats) {
       // Surface what the worker's subtree actually cost: the fork-retry
       // count of the worker that produced it (1 for a reused shard — this
       // run spent nothing on it).
       node.attempts = std::max(node.attempts, attempts[w]);
-      all_nodes.push_back(node);
+      result.merge_stats.nodes.push_back(node);
     }
   }
-  all_nodes.insert(all_nodes.end(), exec.nodes.begin(), exec.nodes.end());
-  result.merge_stats.levels = core::AggregateLevelStats(plan, all_nodes);
-  for (const core::MergeNodeStats& node : all_nodes) {
-    result.merge_stats.total_mutual_pairs += node.mutual_pairs;
-  }
+  core::TwoTableMerger merger(config_, &store, index_factory.get());
+  core::MergeExecOptions top;
+  top.reopen = options_.shard_open;
+  MULTIEM_RETURN_IF_ERROR(core::ExecuteMergePlan(
+      plan, slots, merger, top, pool.get(), &result.merge_stats));
+  auto integrated = slots[plan.root()].Acquire();
+  if (!integrated.ok()) return integrated.status();
+  result.distrib.merge_seconds = merge_timer.ElapsedSeconds();
   result.selection = fitted->selection;
 
   // 6. Prune and (optionally) assemble the serving session, exactly as the

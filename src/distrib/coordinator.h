@@ -26,9 +26,10 @@
 ///   4. open the shard artifacts (mmap-preferred), assemble the global
 ///      embedding store from their base matrices, seed the plan slots with
 ///      handles (resident for frontier leaves, spill handles for worker
-///      roots), and execute the remaining top of the plan;
-///   5. prune, aggregate the per-node merge stats into the standard
-///      per-level shape, and optionally assemble the Matcher.
+///      roots) and the merge stats with the workers' per-node counters, and
+///      execute the remaining top of the plan (core::ExecuteMergePlan folds
+///      all counters into the per-level shape);
+///   5. prune, and optionally assemble the Matcher.
 ///
 /// Workers replay component resolution from core::Registry by config name;
 /// builder-injected component instances are not supported across processes.
@@ -44,8 +45,8 @@
 
 #include "core/attribute_selector.h"
 #include "core/config.h"
-#include "core/hierarchical_merger.h"
 #include "core/matcher.h"
+#include "core/merge_plan.h"
 #include "core/pruner.h"
 #include "eval/tuples.h"
 #include "table/table.h"
@@ -123,7 +124,7 @@ struct DistributedBuildStats {
 struct DistributedBuildResult {
   std::vector<eval::Tuple> tuples;
   core::AttributeSelection selection;
-  core::HierarchicalMergeStats merge_stats;
+  core::MergeStats merge_stats;
   core::PruneStats prune_stats;
   /// Set only with CoordinatorOptions::build_matcher.
   std::shared_ptr<core::Matcher> matcher;

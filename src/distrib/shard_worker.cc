@@ -174,16 +174,13 @@ util::Status RunShardWorker(const core::MultiEmConfig& config,
 
   core::TwoTableMerger merger(config, &store, factory->get());
   core::MergeExecOptions exec;
+  exec.targets = assignment.roots;
   exec.spill_outputs = true;
   exec.spill_dir = options.shard_dir;
   exec.name_by_node = true;
-  exec.cleanup = true;
-  core::MergeExecStats stats;
-  for (size_t root : assignment.roots) {
-    if (plan.node(root).is_leaf()) continue;  // base embeddings only
-    MULTIEM_RETURN_IF_ERROR(core::ExecuteMergeSubtree(
-        plan, root, slots, merger, exec, options.pool, &stats));
-  }
+  core::MergeStats stats;
+  MULTIEM_RETURN_IF_ERROR(core::ExecuteMergePlan(
+      plan, slots, merger, exec, options.pool, &stats));
 
   // The manifest goes last (and lands atomically): its presence certifies
   // that every merge_<node>.mem above it is complete.

@@ -1,20 +1,24 @@
 // Unit tests for src/core internals: config validation, merge tables,
 // attribute selection (Algorithm 1), two-table merging (Algorithm 3),
-// hierarchical merging (Algorithm 2), density pruning (Algorithm 4).
+// hierarchical merging (Algorithm 2, ExecuteMergePlan), density pruning
+// (Algorithm 4).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <mutex>
 #include <set>
+#include <span>
+#include <string>
 #include <thread>
 
 #include "ann/brute_force.h"
 #include "ann/index_factory.h"
 #include "core/attribute_selector.h"
 #include "core/density_pruner.h"
-#include "core/hierarchical_merger.h"
+#include "core/merge_plan.h"
 #include "core/merge_table.h"
 #include "core/two_table_merger.h"
 #include "embed/hashing_encoder.h"
@@ -359,7 +363,7 @@ TEST(TwoTableMergerTest, DistanceCapBlocksWeakMatches) {
   EXPECT_EQ(loose.Merge(a, b).num_items(), 1u);
 }
 
-// --------------------------------------------------- HierarchicalMerger --
+// ----------------------------------------------------- ExecuteMergePlan --
 
 // Builds S sources of n entities each where row i across all sources share
 // the same direction (all should merge into n tuples of size S).
@@ -371,20 +375,53 @@ EntityEmbeddingStore ManySourceStore(size_t sources, size_t n, size_t dim) {
   return store;
 }
 
-TEST(HierarchicalMergerTest, MergesAllSourcesToFullTuples) {
+// One resident handle per source of `store`, in source order.
+std::vector<MergeSource> SourceSlots(const EntityEmbeddingStore& store) {
+  std::vector<MergeSource> slots;
+  for (size_t s = 0; s < store.num_sources(); ++s) {
+    slots.push_back(MergeSource::FromTable(
+        MergeTable::FromSource(static_cast<uint32_t>(s), store.source(s))));
+  }
+  return slots;
+}
+
+// Runs the whole plan over every source of `store` and returns the
+// integrated table.
+MergeTable MergeAll(const MultiEmConfig& config,
+                    const EntityEmbeddingStore& store,
+                    const MergeExecOptions& options = {},
+                    util::ThreadPool* pool = nullptr,
+                    MergeStats* stats = nullptr,
+                    const ann::VectorIndexFactory* factory = nullptr) {
+  const MergePlan plan = MergePlan::Build(store.num_sources(), config.seed);
+  std::vector<MergeSource> slots = SourceSlots(store);
+  const TwoTableMerger merger(config, &store, factory);
+  ExecuteMergePlan(plan, slots, merger, options, pool, stats).CheckOk();
+  auto merged = slots[plan.root()].Acquire();
+  merged.status().CheckOk();
+  return std::move(*merged);
+}
+
+void ExpectSameTable(const MergeTable& a, const MergeTable& b) {
+  ASSERT_EQ(a.num_items(), b.num_items());
+  for (size_t i = 0; i < a.num_items(); ++i) {
+    EXPECT_EQ(a.item(i).members, b.item(i).members) << "item " << i;
+    std::span<const float> ra = a.Row(i);
+    std::span<const float> rb = b.Row(i);
+    EXPECT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()))
+        << "item " << i;
+  }
+}
+
+TEST(ExecuteMergePlanTest, MergesAllSourcesToFullTuples) {
   constexpr size_t kSources = 4;
   constexpr size_t kN = 5;
   EntityEmbeddingStore store = ManySourceStore(kSources, kN, 16);
-  std::vector<MergeTable> tables;
-  for (size_t s = 0; s < kSources; ++s) {
-    tables.push_back(MergeTable::FromSource(s, store.source(s)));
-  }
   MultiEmConfig config;
   config.m = 0.1f;
   config.use_exact_knn = true;
-  HierarchicalMerger merger(config, &store);
-  HierarchicalMergeStats stats;
-  MergeTable integrated = merger.Run(std::move(tables), nullptr, &stats);
+  MergeStats stats;
+  MergeTable integrated = MergeAll(config, store, {}, nullptr, &stats);
 
   EXPECT_EQ(integrated.num_items(), kN);
   for (size_t i = 0; i < integrated.num_items(); ++i) {
@@ -394,6 +431,9 @@ TEST(HierarchicalMergerTest, MergesAllSourcesToFullTuples) {
   EXPECT_EQ(stats.levels.size(), 2u);
   EXPECT_EQ(stats.levels[0].tables_in, 4u);
   EXPECT_EQ(stats.levels[0].pairs_merged, 2u);
+  EXPECT_EQ(stats.nodes.size(), 3u);
+  EXPECT_GT(stats.total_mutual_pairs, 0u);
+  EXPECT_EQ(stats.spill_files_written, 0u);  // resident run
 }
 
 // Brute-force index that records which threads ran searches, so a test can
@@ -444,7 +484,7 @@ class ThreadRecordingFactory : public ann::VectorIndexFactory {
   mutable std::set<std::thread::id> ids_;
 };
 
-TEST(HierarchicalMergerTest, TwoTableParallelModeFansOutInnerSearches) {
+TEST(ExecuteMergePlanTest, TwoTableParallelModeFansOutInnerSearches) {
   // Regression for the serial final merge levels: in parallel mode a
   // single-pair level (the 2-table case — and the last levels of every
   // hierarchy) used to hand the inner merge a nullptr pool, so the whole
@@ -463,17 +503,14 @@ TEST(HierarchicalMergerTest, TwoTableParallelModeFansOutInnerSearches) {
     }
     store.AddSource(std::move(m));
   }
-  std::vector<MergeTable> tables;
-  tables.push_back(MergeTable::FromSource(0, store.source(0)));
-  tables.push_back(MergeTable::FromSource(1, store.source(1)));
 
   MultiEmConfig config;
   config.m = 0.5f;
   config.num_threads = 4;
   ThreadRecordingFactory factory;
-  HierarchicalMerger merger(config, &store, &factory);
   util::ThreadPool pool(4);
-  MergeTable integrated = merger.Run(std::move(tables), &pool);
+  MergeTable integrated = MergeAll(config, store, MergeExecOptions::Resident(),
+                                   &pool, nullptr, &factory);
 
   EXPECT_GT(integrated.num_items(), 0u);
   // 2 x kN searches, split into blocks: more than one thread must have
@@ -481,19 +518,14 @@ TEST(HierarchicalMergerTest, TwoTableParallelModeFansOutInnerSearches) {
   EXPECT_GE(factory.NumThreadsSeen(), 2u);
 }
 
-TEST(HierarchicalMergerTest, OddTableCountCarriesLeftover) {
+TEST(ExecuteMergePlanTest, OddTableCountCarriesLeftover) {
   constexpr size_t kSources = 5;
   EntityEmbeddingStore store = ManySourceStore(kSources, 3, 16);
-  std::vector<MergeTable> tables;
-  for (size_t s = 0; s < kSources; ++s) {
-    tables.push_back(MergeTable::FromSource(s, store.source(s)));
-  }
   MultiEmConfig config;
   config.m = 0.1f;
   config.use_exact_knn = true;
-  HierarchicalMerger merger(config, &store);
-  HierarchicalMergeStats stats;
-  MergeTable integrated = merger.Run(std::move(tables), nullptr, &stats);
+  MergeStats stats;
+  MergeTable integrated = MergeAll(config, store, {}, nullptr, &stats);
   EXPECT_EQ(integrated.num_items(), 3u);
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(integrated.item(i).members.size(), kSources);
@@ -502,17 +534,12 @@ TEST(HierarchicalMergerTest, OddTableCountCarriesLeftover) {
   EXPECT_EQ(stats.levels.size(), 3u);
 }
 
-TEST(HierarchicalMergerTest, NoEntityAppearsTwice) {
+TEST(ExecuteMergePlanTest, NoEntityAppearsTwice) {
   EntityEmbeddingStore store = ManySourceStore(4, 6, 16);
-  std::vector<MergeTable> tables;
-  for (size_t s = 0; s < 4; ++s) {
-    tables.push_back(MergeTable::FromSource(s, store.source(s)));
-  }
   MultiEmConfig config;
   config.m = 0.35f;
   config.use_exact_knn = true;
-  HierarchicalMerger merger(config, &store);
-  MergeTable integrated = merger.Run(std::move(tables));
+  MergeTable integrated = MergeAll(config, store);
   std::set<uint64_t> seen;
   for (size_t i = 0; i < integrated.num_items(); ++i) {
     const MergeItem& item = integrated.item(i);
@@ -524,14 +551,121 @@ TEST(HierarchicalMergerTest, NoEntityAppearsTwice) {
   EXPECT_EQ(seen.size(), 24u);  // every input entity survives somewhere
 }
 
-TEST(HierarchicalMergerTest, TrivialInputs) {
+TEST(ExecuteMergePlanTest, TrivialInputs) {
   EntityEmbeddingStore store = ManySourceStore(1, 3, 8);
   MultiEmConfig config;
-  HierarchicalMerger merger(config, &store);
-  EXPECT_EQ(merger.Run(std::vector<MergeTable>{}).num_items(), 0u);
-  std::vector<MergeTable> one;
-  one.push_back(MergeTable::FromSource(0, store.source(0)));
-  EXPECT_EQ(merger.Run(std::move(one)).num_items(), 3u);
+  const TwoTableMerger merger(config, &store);
+  std::vector<MergeSource> none;
+  EXPECT_TRUE(
+      ExecuteMergePlan(MergePlan::Build(0, config.seed), none, merger, {})
+          .ok());
+  // One table: the root is the leaf itself, handed back untouched.
+  const MergePlan plan = MergePlan::Build(1, config.seed);
+  std::vector<MergeSource> one = SourceSlots(store);
+  ASSERT_TRUE(ExecuteMergePlan(plan, one, merger, {}).ok());
+  auto table = one[plan.root()].Acquire();
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(table->num_items(), 3u);
+}
+
+// Every option set runs the same plan: resident sequential, resident
+// parallel, and spilled execution all give the same table bit for bit.
+TEST(ExecuteMergePlanTest, OptionsDoNotChangeTheResult) {
+  EntityEmbeddingStore store = ManySourceStore(7, 12, 16);
+  MultiEmConfig config;
+  config.m = 0.35f;
+  config.use_exact_knn = true;
+  const MergeTable sequential = MergeAll(config, store);
+
+  util::ThreadPool pool(3);
+  ExpectSameTable(sequential,
+                  MergeAll(config, store, MergeExecOptions::Resident(), &pool));
+
+  const std::string dir = ::testing::TempDir() + "multiem_core_spill";
+  std::filesystem::remove_all(dir);
+  MergeStats stats;
+  ExpectSameTable(sequential, MergeAll(config, store,
+                                       MergeExecOptions::Spilled(dir),
+                                       nullptr, &stats));
+  // 7 spilled inputs plus 6 spilled merge outputs.
+  EXPECT_EQ(stats.spill_files_written, 13u);
+  EXPECT_GT(stats.spill_bytes_written, 0u);
+  EXPECT_GT(stats.peak_resident_bytes, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+// Targets stop execution at chosen nodes; a later call over the same slots
+// finishes the plan from them — the split the shard workers and the
+// coordinator make across processes.
+TEST(ExecuteMergePlanTest, TargetsSplitThePlan) {
+  EntityEmbeddingStore store = ManySourceStore(6, 8, 16);
+  MultiEmConfig config;
+  config.m = 0.35f;
+  config.use_exact_knn = true;
+  const MergeTable whole = MergeAll(config, store);
+
+  const MergePlan plan = MergePlan::Build(6, config.seed);
+  const TwoTableMerger merger(config, &store);
+  std::vector<MergeSource> slots = SourceSlots(store);
+  MergeExecOptions bottom;
+  bottom.targets = plan.levels()[0].pair_nodes;
+  MergeStats stats;
+  ASSERT_TRUE(ExecuteMergePlan(plan, slots, merger, bottom, nullptr, &stats)
+                  .ok());
+  EXPECT_EQ(stats.nodes.size(), 3u);
+  for (size_t id : bottom.targets) EXPECT_FALSE(slots[id].empty());
+  EXPECT_TRUE(slots[plan.root()].empty());
+
+  ASSERT_TRUE(ExecuteMergePlan(plan, slots, merger, {}, nullptr, &stats).ok());
+  EXPECT_EQ(stats.nodes.size(), 5u);  // 6 leaves need 5 merges in total
+  size_t pairs = 0;
+  for (const MergeLevelStats& level : stats.levels) {
+    pairs += level.pairs_merged;
+  }
+  EXPECT_EQ(pairs, 5u);
+  auto table = slots[plan.root()].Acquire();
+  ASSERT_TRUE(table.ok());
+  ExpectSameTable(whole, *table);
+}
+
+TEST(ExecuteMergePlanTest, RejectsBadSlotsAndTargets) {
+  EntityEmbeddingStore store = ManySourceStore(4, 3, 8);
+  MultiEmConfig config;
+  const TwoTableMerger merger(config, &store);
+  const MergePlan plan = MergePlan::Build(4, config.seed);
+
+  std::vector<MergeSource> too_few = SourceSlots(store);
+  too_few.pop_back();
+  EXPECT_EQ(ExecuteMergePlan(plan, too_few, merger, {}).code(),
+            util::StatusCode::kInvalidArgument);
+
+  std::vector<MergeSource> slots = SourceSlots(store);
+  MergeExecOptions options;
+  options.targets = {plan.num_nodes()};
+  EXPECT_EQ(ExecuteMergePlan(plan, slots, merger, options).code(),
+            util::StatusCode::kInvalidArgument);
+
+  slots[0] = MergeSource();  // a leaf the plan needs but nobody supplied
+  EXPECT_EQ(ExecuteMergePlan(plan, slots, merger, {}).code(),
+            util::StatusCode::kFailedPrecondition);
+}
+
+TEST(ExecuteMergePlanTest, CancellationStopsBeforeTheNextLevel) {
+  EntityEmbeddingStore store = ManySourceStore(4, 3, 8);
+  MultiEmConfig config;
+  const TwoTableMerger merger(config, &store);
+  const MergePlan plan = MergePlan::Build(4, config.seed);
+  std::vector<MergeSource> slots = SourceSlots(store);
+  CancellationToken cancel;
+  cancel.Cancel();
+  RunContext ctx;
+  ctx.cancel = &cancel;
+  MergeStats stats;
+  EXPECT_EQ(
+      ExecuteMergePlan(plan, slots, merger, {}, nullptr, &stats, ctx).code(),
+      util::StatusCode::kCancelled);
+  EXPECT_TRUE(stats.nodes.empty());
+  EXPECT_FALSE(slots[0].empty());  // nothing was consumed
 }
 
 // -------------------------------------------------------- DensityPruner --

@@ -1,6 +1,6 @@
-// Scale-out subsystem tests: the sharded (disk-backed) hierarchical merger
-// must be bitwise-equivalent to the in-memory one while keeping only one
-// table pair resident; the streaming scale corpus must drive the full
+// Scale-out subsystem tests: spilled (disk-backed) merge execution must be
+// bitwise-equivalent to the in-memory one while keeping only one table pair
+// resident; the streaming scale corpus must drive the full
 // pipeline; and the mmap zero-copy serving path must answer exactly like the
 // heap path while still rejecting corrupt or truncated artifacts as a
 // Status (never UB on mapped pages at open).
@@ -11,12 +11,12 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "core/hierarchical_merger.h"
 #include "core/matcher.h"
+#include "core/merge_plan.h"
 #include "core/pipeline.h"
-#include "core/sharded_merger.h"
 #include "datagen/scale.h"
 #include "util/mmap.h"
 #include "util/thread_pool.h"
@@ -25,15 +25,16 @@ namespace multiem {
 namespace {
 
 using core::Matcher;
+using core::MergeExecOptions;
+using core::MergePlan;
+using core::MergeSource;
+using core::MergeStats;
 using core::MergeTable;
 using core::MultiEmConfig;
 using core::MultiEmPipeline;
 using core::PipelineBuilder;
 using core::PipelineResult;
 using core::RunContext;
-using core::ShardedMerger;
-using core::ShardedMergerOptions;
-using core::ShardedMergeStats;
 
 std::string TempPath(const std::string& name) {
   std::string path = ::testing::TempDir() + "multiem_scale_" + name;
@@ -68,11 +69,11 @@ std::vector<table::Table> CorpusTables(size_t sources, size_t rows) {
   return tables;
 }
 
-// --------------------------------------------------------- ShardedMerger --
+// ---------------------------------------------------- Spilled merging ----
 
 // Same seed, same config: the disk-backed schedule must reproduce the
 // in-memory integrated table bit for bit — items, members, and embeddings.
-TEST(ShardedMergerTest, MatchesHierarchicalMergerBitwise) {
+TEST(SpilledMergeTest, MatchesResidentMergeBitwise) {
   auto tables = CorpusTables(5, 80);
   MultiEmConfig config = PipelineConfig();
   auto pipeline = PipelineBuilder(config).Build();
@@ -111,16 +112,16 @@ TEST(ShardedMergerTest, MatchesHierarchicalMergerBitwise) {
   EXPECT_EQ(leftover, 0u);
 }
 
-// Resident memory of the sharded merge is bounded by one pair plus its
+// Resident memory of the spilled merge is bounded by one pair plus its
 // output — far below the sum of all tables once there are enough sources.
-TEST(ShardedMergerTest, ResidencyIsBoundedByOnePair) {
+TEST(SpilledMergeTest, ResidencyIsBoundedByOnePair) {
   datagen::ScaleCorpusGenerator gen(CorpusConfig(8, 64));
   MultiEmConfig config = PipelineConfig();
 
   // Build the merge inputs directly (embeddings via the pipeline would do
   // the same; here the embedding content is irrelevant).
   core::EntityEmbeddingStore store;
-  std::vector<MergeTable> tables;
+  std::vector<MergeSource> slots;
   size_t total_bytes = 0;
   for (size_t s = 0; s < gen.num_sources(); ++s) {
     embed::EmbeddingMatrix m(gen.rows_per_source(), 32);
@@ -128,16 +129,20 @@ TEST(ShardedMergerTest, ResidencyIsBoundedByOnePair) {
       m.Row(r)[(s * 7 + r) % 32] = 1.0f;
     }
     store.AddSource(std::move(m));
-    tables.push_back(
-        MergeTable::FromSource(static_cast<uint32_t>(s), store.source(s)));
-    total_bytes += tables.back().SizeBytes();
+    MergeTable table =
+        MergeTable::FromSource(static_cast<uint32_t>(s), store.source(s));
+    total_bytes += table.SizeBytes();
+    slots.push_back(MergeSource::FromTable(std::move(table)));
   }
 
-  ShardedMergerOptions options;
-  options.spill_dir = TempPath("merge_bounded");
-  ShardedMerger merger(config, &store, options);
-  ShardedMergeStats stats;
-  auto integrated = merger.Run(std::move(tables), nullptr, &stats);
+  const MergePlan plan = MergePlan::Build(gen.num_sources(), config.seed);
+  const core::TwoTableMerger merger(config, &store);
+  MergeStats stats;
+  util::Status status = core::ExecuteMergePlan(
+      plan, slots, merger, MergeExecOptions::Spilled(TempPath("merge_bounded")),
+      nullptr, &stats);
+  ASSERT_TRUE(status.ok()) << status;
+  auto integrated = slots[plan.root()].Acquire();
   ASSERT_TRUE(integrated.ok()) << integrated.status();
 
   EXPECT_GT(stats.spill_files_written, gen.num_sources());
@@ -146,38 +151,42 @@ TEST(ShardedMergerTest, ResidencyIsBoundedByOnePair) {
   // of the corpus; later levels grow, but the peak pair is always at most
   // the two final half-corpus tables + the integrated table. Assert the
   // useful direction: the peak never approaches all-tables-resident plus
-  // the integrated copy (which is what the in-memory merger holds at the
+  // the integrated copy (which is what the in-memory merge holds at the
   // end of level 0).
   EXPECT_LT(stats.peak_resident_bytes, total_bytes + total_bytes / 2);
   // The total spilled volume covers at least every input once.
   EXPECT_GT(stats.spill_bytes_written, 0u);
 }
 
-// Cancellation between levels mirrors HierarchicalMerger: the first
-// remaining table comes back (partially merged), not an error.
-TEST(ShardedMergerTest, CancellationReturnsPartialTable) {
+// A run cancelled before merging reports Cancelled for the merging phase,
+// spilled or not.
+TEST(SpilledMergeTest, CancellationStopsTheMergingPhase) {
   auto tables = CorpusTables(6, 24);
-  MultiEmConfig config = PipelineConfig();
-  core::EntityEmbeddingStore store;
-  std::vector<MergeTable> merge_tables;
-  for (size_t s = 0; s < tables.size(); ++s) {
-    embed::EmbeddingMatrix m(tables[s].num_rows(), 16);
-    for (size_t r = 0; r < m.num_rows(); ++r) m.Row(r)[r % 16] = 1.0f;
-    store.AddSource(std::move(m));
-    merge_tables.push_back(
-        MergeTable::FromSource(static_cast<uint32_t>(s), store.source(s)));
+  auto pipeline = PipelineBuilder(PipelineConfig()).Build();
+  pipeline.status().CheckOk();
+
+  // Cancel from the representation phase's end, so merging sees the token
+  // fired before its first level.
+  struct CancelBeforeMerging : core::PipelineObserver {
+    core::CancellationToken* cancel = nullptr;
+    void OnPhaseStart(std::string_view phase) override {
+      if (phase == core::kPhaseMerging) cancel->Cancel();
+    }
+  };
+  for (bool spilled : {false, true}) {
+    core::CancellationToken cancel;
+    CancelBeforeMerging observer;
+    observer.cancel = &cancel;
+    RunContext ctx;
+    ctx.cancel = &cancel;
+    ctx.observer = &observer;
+    if (spilled) ctx.merge_spill_dir = TempPath("merge_cancel");
+    PipelineResult result;
+    util::Status status = pipeline->Run(tables, ctx, &result);
+    EXPECT_EQ(status.code(), util::StatusCode::kCancelled) << status;
+    EXPECT_NE(status.message().find("merging"), std::string::npos) << status;
+    EXPECT_TRUE(result.merge_stats.nodes.empty());
   }
-  core::CancellationToken cancel;
-  cancel.Cancel();
-  RunContext ctx;
-  ctx.cancel = &cancel;
-  ShardedMergerOptions options;
-  options.spill_dir = TempPath("merge_cancel");
-  ShardedMerger merger(config, &store, options);
-  auto result = merger.Run(std::move(merge_tables), nullptr, nullptr, ctx);
-  ASSERT_TRUE(result.ok()) << result.status();
-  // Nothing merged: the returned table is one untouched input.
-  EXPECT_EQ(result->num_items(), 24u);
 }
 
 // ------------------------------------------------------- mmap serving ----
