@@ -243,8 +243,7 @@ util::Result<std::unique_ptr<BruteForceIndex>> BruteForceIndex::Load(
   index->sq_norms_ = std::move(sq_norms);
   if (quantization != Quantization::kNone) {
     MULTIEM_RETURN_IF_ERROR(index->quant_.LoadSections(
-        artifact, quantization, dim, num_vectors,
-        artifact.mapped() ? artifact.backing() : nullptr));
+        artifact, quantization, dim, num_vectors));
   }
   return index;
 }

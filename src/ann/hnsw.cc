@@ -807,16 +807,14 @@ util::Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(
   index->level_rng_.set_state(
       {rng_state[0], rng_state[1], rng_state[2], rng_state[3]});
 
-  // Each slab either binds as a zero-copy view straight onto the mapped
-  // file (mmap open: the keepalive pins the mapping, reload touches no slab
-  // bytes beyond validation) or reads into its member with one memcpy out
-  // of the heap image (ByteReader::ReadArrayCow picks per slab). Either way
-  // it is validated in place; a failed check discards the half-built index.
-  const std::shared_ptr<const void> keepalive =
-      artifact.mapped() ? artifact.backing() : nullptr;
+  // Each slab binds as a zero-copy view straight onto its loaded section —
+  // the section's heap block or the mapped file, pinned by the view — or,
+  // where alignment forbids that, is copied into its member
+  // (ByteReader::ReadArrayCow picks per slab). Either way it is validated
+  // in place; a failed check discards the half-built index.
   auto vectors = artifact.Section("vectors");
   if (!vectors.ok()) return vectors.status();
-  MULTIEM_RETURN_IF_ERROR(vectors->ReadArrayCow(&index->vectors_, keepalive));
+  MULTIEM_RETURN_IF_ERROR(vectors->ReadArrayCow(&index->vectors_));
   MULTIEM_RETURN_IF_ERROR(vectors->ExpectExhausted());
   // Division form, not `num_nodes * dim`: a crafted dim near 2^64 must not
   // wrap the product into agreeing with an empty payload.
@@ -830,7 +828,7 @@ util::Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(
 
   auto levels = artifact.Section("levels");
   if (!levels.ok()) return levels.status();
-  MULTIEM_RETURN_IF_ERROR(levels->ReadArrayCow(&index->node_level_, keepalive));
+  MULTIEM_RETURN_IF_ERROR(levels->ReadArrayCow(&index->node_level_));
   MULTIEM_RETURN_IF_ERROR(levels->ExpectExhausted());
   const auto& node_levels = index->node_level_;
   if (node_levels.size() != num_nodes) {
@@ -851,7 +849,7 @@ util::Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(
 
   auto links0 = artifact.Section("links0");
   if (!links0.ok()) return links0.status();
-  MULTIEM_RETURN_IF_ERROR(links0->ReadArrayCow(&index->level0_links_, keepalive));
+  MULTIEM_RETURN_IF_ERROR(links0->ReadArrayCow(&index->level0_links_));
   MULTIEM_RETURN_IF_ERROR(links0->ExpectExhausted());
   if (index->level0_links_.size() % index->level0_stride_ != 0 ||
       index->level0_links_.size() / index->level0_stride_ != num_nodes) {
@@ -865,11 +863,11 @@ util::Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(
   auto offsets_section = artifact.Section("upper_offsets");
   if (!offsets_section.ok()) return offsets_section.status();
   MULTIEM_RETURN_IF_ERROR(
-      offsets_section->ReadArrayCow(&index->upper_offset_, keepalive));
+      offsets_section->ReadArrayCow(&index->upper_offset_));
   MULTIEM_RETURN_IF_ERROR(offsets_section->ExpectExhausted());
   auto upper_section = artifact.Section("upper_links");
   if (!upper_section.ok()) return upper_section.status();
-  MULTIEM_RETURN_IF_ERROR(upper_section->ReadArrayCow(&index->upper_links_, keepalive));
+  MULTIEM_RETURN_IF_ERROR(upper_section->ReadArrayCow(&index->upper_links_));
   MULTIEM_RETURN_IF_ERROR(upper_section->ExpectExhausted());
   const auto& upper_offsets = index->upper_offset_;
   const auto& upper_links = index->upper_links_;
@@ -981,7 +979,7 @@ util::Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(
   // store's row/dim cross-checks run against trusted values.
   if (config.quantization != Quantization::kNone) {
     MULTIEM_RETURN_IF_ERROR(index->quant_.LoadSections(
-        artifact, config.quantization, dim, num_nodes, keepalive));
+        artifact, config.quantization, dim, num_nodes));
   }
 
   index->num_nodes_ = num_nodes;

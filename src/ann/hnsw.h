@@ -287,8 +287,8 @@ class HnswIndex : public VectorIndex {
 
   size_t num_nodes_ = 0;
   // The flat slabs are copy-on-write: built in place (owned, cache-aligned)
-  // by Add/AddBatch, or bound as zero-copy views over an mmap'd artifact by
-  // Load. Any mutating entry point calls EnsureOwnedSlabs() first, so the
+  // by Add/AddBatch, or bound as zero-copy views over the loaded artifact
+  // sections (heap blocks or a mapping) by Load. Any mutating entry point calls EnsureOwnedSlabs() first, so the
   // search loops (including the MutableLinkBlock const_cast) only ever write
   // owned memory.
   util::CowSlab<float, util::AlignedAllocator<float>> vectors_;  // row-major

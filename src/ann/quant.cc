@@ -518,8 +518,7 @@ void QuantizedStore::AppendSections(util::ArtifactWriter* artifact) const {
 
 util::Status QuantizedStore::LoadSections(
     const util::ArtifactReader& artifact, Quantization expected_mode,
-    size_t expected_dim, size_t expected_rows,
-    const std::shared_ptr<const void>& keepalive) {
+    size_t expected_dim, size_t expected_rows) {
   auto meta = artifact.Section(kQuantMetaSection);
   if (!meta.ok()) return meta.status();
   uint8_t mode_byte;
@@ -549,10 +548,10 @@ util::Status QuantizedStore::LoadSections(
   if (!codes.ok()) return codes.status();
   size_t code_count = 0;
   if (mode_ == Quantization::kInt8) {
-    MULTIEM_RETURN_IF_ERROR(codes->ReadArrayCow(&i8_codes_, keepalive));
+    MULTIEM_RETURN_IF_ERROR(codes->ReadArrayCow(&i8_codes_));
     code_count = i8_codes_.size();
   } else {
-    MULTIEM_RETURN_IF_ERROR(codes->ReadArrayCow(&f16_codes_, keepalive));
+    MULTIEM_RETURN_IF_ERROR(codes->ReadArrayCow(&f16_codes_));
     code_count = f16_codes_.size();
   }
   MULTIEM_RETURN_IF_ERROR(codes->ExpectExhausted());
@@ -568,7 +567,7 @@ util::Status QuantizedStore::LoadSections(
 
   auto params = artifact.Section(kQuantParamsSection);
   if (!params.ok()) return params.status();
-  MULTIEM_RETURN_IF_ERROR(params->ReadArrayCow(&params_, keepalive));
+  MULTIEM_RETURN_IF_ERROR(params->ReadArrayCow(&params_));
   MULTIEM_RETURN_IF_ERROR(params->ExpectExhausted());
   if (params_.size() != expected_rows * kParamStride) {
     return util::Status::InvalidArgument(

@@ -165,15 +165,14 @@ class QuantizedStore {
 
   /// Loads the quant sections written by AppendSections, validating mode,
   /// dim and row count against the host index's metadata. Slabs bind
-  /// zero-copy onto `keepalive` (the reader's mapping) when non-null and
-  /// aligned, exactly like the fp32 slabs.
+  /// zero-copy onto their loaded sections when aligned, exactly like the
+  /// fp32 slabs.
   util::Status LoadSections(const util::ArtifactReader& artifact,
                             Quantization expected_mode, size_t expected_dim,
-                            size_t expected_rows,
-                            const std::shared_ptr<const void>& keepalive);
+                            size_t expected_rows);
 
-  /// Materializes owned copies of any mapped views (the index CoW path
-  /// calls this before mutating a loaded index).
+  /// Materializes owned copies of any views of a loaded artifact (the
+  /// index CoW path calls this before mutating a loaded index).
   void EnsureOwned();
 
   void clear();
@@ -183,7 +182,8 @@ class QuantizedStore {
   /// accounting reports.
   size_t CodeBytes() const;
 
-  /// Heap bytes actually owned (0 while serving views of a mapped file).
+  /// Heap bytes this store owns privately (0 while its slabs are views of
+  /// a loaded artifact's sections, which the views share).
   size_t OwnedBytes() const;
 
  private:

@@ -112,11 +112,6 @@ std::string PathIn(const std::string& dir, const char* file) {
 // (merge-plane reopen of a shard artifact).
 util::Status ReadEntityTable(util::ArtifactReader& manifest,
                              MergeTable* entities) {
-  // Zero-copy lever: with a mapped file, matrix payloads bind views over
-  // the mapped pages (keepalive = the mapping) instead of copying.
-  const std::shared_ptr<const void> keepalive =
-      manifest.mapped() ? manifest.backing() : nullptr;
-
   auto items = manifest.Section("items");
   if (!items.ok()) return items.status();
   uint64_t num_items;
@@ -126,7 +121,7 @@ util::Status ReadEntityTable(util::ArtifactReader& manifest,
   if (!centroid_section.ok()) return centroid_section.status();
   embed::EmbeddingMatrix centroids;
   MULTIEM_RETURN_IF_ERROR(
-      embed::ReadMatrix(*centroid_section, keepalive, &centroids));
+      embed::ReadMatrix(*centroid_section, &centroids));
   MULTIEM_RETURN_IF_ERROR(centroid_section->ExpectExhausted());
   if (centroids.num_rows() != num_items) {
     return util::Status::InvalidArgument(
@@ -159,7 +154,9 @@ util::Status ReadEntityTable(util::ArtifactReader& manifest,
     parsed.push_back(std::move(item));
   }
   MULTIEM_RETURN_IF_ERROR(items->ExpectExhausted());
-  // With a mapped manifest the chunks alias the centroid rows in place.
+  // The chunks alias the centroid rows in place (heap block or mapping),
+  // so a chunk AddTable never touches costs no copy, and the section is
+  // freed with the last chunk that still views it.
   *entities = MergeTable::FromParts(std::move(parsed), centroids);
   return util::Status::Ok();
 }
@@ -295,10 +292,6 @@ util::Result<Matcher> PipelineArtifact::Load(
   auto manifest = util::ArtifactReader::FromFile(
       PathIn(dir, kManifestFile), kManifestMagic, kManifestVersion, options);
   if (!manifest.ok()) return manifest.status();
-  // Zero-copy lever: with a mapped file, matrix payloads bind views over
-  // the mapped pages (keepalive = the mapping) instead of copying.
-  const std::shared_ptr<const void> keepalive =
-      manifest->mapped() ? manifest->backing() : nullptr;
 
   MultiEmConfig config;
   {
@@ -358,7 +351,7 @@ util::Result<Matcher> PipelineArtifact::Load(
     MULTIEM_RETURN_IF_ERROR(section->ReadU64(&num_sources));
     for (uint64_t s = 0; s < num_sources; ++s) {
       embed::EmbeddingMatrix source;
-      MULTIEM_RETURN_IF_ERROR(embed::ReadMatrix(*section, keepalive, &source));
+      MULTIEM_RETURN_IF_ERROR(embed::ReadMatrix(*section, &source));
       store.AddSource(std::move(source));
     }
     MULTIEM_RETURN_IF_ERROR(section->ExpectExhausted());

@@ -63,10 +63,11 @@ class PipelineArtifact {
   /// rebuild with the same backend the run used).
   static util::Result<Matcher> Load(const std::string& dir);
 
-  /// Same, with explicit open options applied to all three files: mmap-backed
-  /// zero-copy opening (embedding matrices and index slabs bind views over
-  /// the mapped pages) and the verification depth. The defaults match the
-  /// 1-arg overload — heap reads, full checksum verification.
+  /// Same, with explicit open options applied to all three files: heap or
+  /// mmap backing (either way embedding matrices and index slabs bind views
+  /// over the loaded sections; a mapping adds page sharing and lazy
+  /// faulting) and the verification depth. The defaults match the 1-arg
+  /// overload — heap reads, full checksum verification.
   static util::Result<Matcher> Load(const std::string& dir,
                                     const util::ArtifactOpenOptions& options);
 
@@ -74,9 +75,9 @@ class PipelineArtifact {
   /// the manifest under `dir`, skipping the encoder and index files — the
   /// merge-plane entry: MergeSource::FromArtifactDir materializes through
   /// this, so a finished shard artifact can re-enter the merge hierarchy
-  /// without paying for serving state. With a mapped manifest the centroid
-  /// rows alias the mapped pages. Tombstoned items are rejected: a table
-  /// going back into the hierarchy must be fully live.
+  /// without paying for serving state. The centroid rows alias the loaded
+  /// section (heap block or mapped pages). Tombstoned items are rejected: a
+  /// table going back into the hierarchy must be fully live.
   static util::Result<MergeTable> LoadEntityTable(
       const std::string& dir, const util::ArtifactOpenOptions& options = {});
 };

@@ -170,16 +170,23 @@ util::Result<MergeTable> MergeTable::Load(
   auto emb_section = reader->Section("embeddings");
   if (!emb_section.ok()) return emb_section.status();
   embed::EmbeddingMatrix embeddings;
-  MULTIEM_RETURN_IF_ERROR(embed::ReadMatrix(
-      *emb_section, reader->mapped() ? reader->backing() : nullptr,
-      &embeddings));
+  MULTIEM_RETURN_IF_ERROR(embed::ReadMatrix(*emb_section, &embeddings));
   MULTIEM_RETURN_IF_ERROR(emb_section->ExpectExhausted());
   if (embeddings.num_rows() != num_items) {
     return util::Status::InvalidArgument(
         "merge-table file holds " + std::to_string(embeddings.num_rows()) +
         " embeddings for " + std::to_string(num_items) + " items");
   }
-  return FromParts(std::move(items), embeddings);
+  MergeTable table = FromParts(std::move(items), embeddings);
+  // A spill reload feeds the next merge, which rewrites every chunk. On a
+  // heap open give the chunks their own rows now, so the section block dies
+  // with this call instead of lingering until the last chunk is written.
+  if (!reader->mapped()) {
+    for (const std::shared_ptr<Chunk>& chunk : table.chunks_) {
+      chunk->embeddings.EnsureOwned();
+    }
+  }
+  return table;
 }
 
 }  // namespace multiem::core

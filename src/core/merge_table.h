@@ -73,8 +73,9 @@ class EntityEmbeddingStore {
 /// O(num_chunks) pointer copies, and a mutation clones only the one chunk it
 /// touches — consecutive serving epochs (Matcher::AddTable) share every
 /// chunk the ingest left untouched instead of duplicating the whole table.
-/// Chunks loaded from an mmap'd artifact keep their embedding rows as views
-/// over the mapped pages until first mutated.
+/// Chunks loaded from an artifact manifest keep their embedding rows as
+/// views over the loaded section (heap block or mapped pages) until first
+/// mutated.
 class MergeTable {
  public:
   /// Items per copy-on-write chunk. At dim 64 a chunk's embedding block is
@@ -97,7 +98,7 @@ class MergeTable {
 
   /// Builds a table from parallel columns: item i gets `items[i]` and row i
   /// of `embeddings` (sizes must agree). When `embeddings` is a view (the
-  /// mmap'd-artifact load path) the chunks alias its rows — no float is
+  /// artifact load path) the chunks alias its rows — no float is
   /// copied. Empty-member items are accepted as tombstones.
   static MergeTable FromParts(std::vector<MergeItem> items,
                               const embed::EmbeddingMatrix& embeddings);
@@ -150,7 +151,7 @@ class MergeTable {
   util::Status Save(const std::string& path) const;
 
   /// Loads a MEMMERGT file. With `options` mapping the file, embedding rows
-  /// alias the mapped pages.
+  /// alias the mapped pages; a heap open copies them into the chunks.
   static util::Result<MergeTable> Load(
       const std::string& path, const util::ArtifactOpenOptions& options = {});
 

@@ -256,10 +256,9 @@ util::Result<ShardArtifact> OpenShardArtifact(
     auto base = reader->Section("base_" + std::to_string(s));
     if (!base.ok()) return base.status();
     embed::EmbeddingMatrix m;
-    MULTIEM_RETURN_IF_ERROR(embed::ReadMatrix(*base, reader->backing(), &m));
+    MULTIEM_RETURN_IF_ERROR(embed::ReadMatrix(*base, &m));
     shard.bases.push_back(std::move(m));
   }
-  shard.backing = reader->backing();
   return shard;
 }
 

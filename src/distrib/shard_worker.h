@@ -113,9 +113,9 @@ util::Status RunShardWorker(const core::MultiEmConfig& config,
                             const ShardAssignment& assignment,
                             const ShardWorkerOptions& options);
 
-/// A parsed shard.mem manifest plus the shard's base matrices. `backing`
-/// pins the underlying bytes; with a mapped open the matrices are zero-copy
-/// views over the file pages.
+/// A parsed shard.mem manifest plus the shard's base matrices. The matrices
+/// are zero-copy views over their loaded sections (heap blocks or the
+/// mapped file), each kept alive by the views themselves.
 struct ShardArtifact {
   uint64_t total_sources = 0;
   uint64_t seed = 0;
@@ -127,7 +127,6 @@ struct ShardArtifact {
   std::vector<core::MergeNodeStats> node_stats;
   /// Base embedding matrices, parallel to `covered_sources`.
   std::vector<embed::EmbeddingMatrix> bases;
-  std::shared_ptr<const void> backing;
 };
 
 /// Opens `<shard_dir>/shard.mem`. NotFound when the worker never completed

@@ -16,10 +16,10 @@ namespace multiem::embed {
 /// are exposed as std::span so no copies are made on the hot path.
 ///
 /// Storage is a util::CowSlab: a matrix either owns its floats or is a
-/// read-only *view* over externally owned bytes — typically rows of an
-/// mmap'd artifact section (the zero-copy load path). A view materializes a
+/// read-only *view* over externally owned bytes — typically rows of a
+/// loaded artifact section (the zero-copy load path). A view materializes a
 /// private owned copy on the first mutation; copying a view is O(1) and
-/// shares the backing pages.
+/// shares the backing bytes.
 class EmbeddingMatrix {
  public:
   EmbeddingMatrix() : dim_(0) {}
@@ -51,6 +51,9 @@ class EmbeddingMatrix {
   size_t num_rows() const { return dim_ == 0 ? 0 : data_.size() / dim_; }
   size_t dim() const { return dim_; }
   bool is_view() const { return data_.is_view(); }
+
+  /// Materializes an owned copy of a view (no-op when already owned).
+  void EnsureOwned() { data_.EnsureOwned(); }
 
   /// Mutable view of row `i` (materializes an owned copy of a view).
   std::span<float> Row(size_t i) {
@@ -91,8 +94,8 @@ class EmbeddingMatrix {
   /// OwnedBytes for private-heap accounting only.
   size_t SizeBytes() const { return data_.size() * sizeof(float); }
 
-  /// Private heap bytes (0 while a view — the pages belong to the mapped
-  /// file and are shared between processes).
+  /// Private heap bytes (0 while a view — the bytes belong to the loaded
+  /// artifact section, shared by every view of it).
   size_t OwnedBytes() const { return data_.OwnedBytes(); }
 
  private:

@@ -10,14 +10,12 @@ void WriteMatrix(util::ByteWriter& out, const EmbeddingMatrix& m) {
   out.WriteF32Array(m.data());
 }
 
-util::Status ReadMatrix(util::ByteReader& in,
-                        const std::shared_ptr<const void>& keepalive,
-                        EmbeddingMatrix* out) {
+util::Status ReadMatrix(util::ByteReader& in, EmbeddingMatrix* out) {
   uint64_t rows, dim;
   MULTIEM_RETURN_IF_ERROR(in.ReadU64(&rows));
   MULTIEM_RETURN_IF_ERROR(in.ReadU64(&dim));
   util::CowSlab<float> data;
-  MULTIEM_RETURN_IF_ERROR(in.ReadArrayCow(&data, keepalive));
+  MULTIEM_RETURN_IF_ERROR(in.ReadArrayCow(&data));
   // Division form (crafted counts must not wrap the product), plus a
   // plausibility cap on dim: a consistent-but-absurd dimensionality would
   // otherwise sail through every cross-check and blow up only at the first

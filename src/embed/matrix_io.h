@@ -7,8 +7,6 @@
 #ifndef MULTIEM_EMBED_MATRIX_IO_H_
 #define MULTIEM_EMBED_MATRIX_IO_H_
 
-#include <memory>
-
 #include "embed/embedding.h"
 #include "util/io.h"
 #include "util/status.h"
@@ -19,12 +17,10 @@ namespace multiem::embed {
 void WriteMatrix(util::ByteWriter& out, const EmbeddingMatrix& m);
 
 /// Reads one matrix written by WriteMatrix, validating that the header and
-/// payload agree. With a non-null `keepalive` (the section comes from an
-/// mmap'd artifact; pass ArtifactReader::backing()) the matrix binds a
-/// zero-copy view over the mapped floats instead of copying them.
-util::Status ReadMatrix(util::ByteReader& in,
-                        const std::shared_ptr<const void>& keepalive,
-                        EmbeddingMatrix* out);
+/// payload agree. When `in` carries its section's owner (any
+/// ArtifactReader::Section) and the floats are aligned, the matrix binds a
+/// zero-copy view over them instead of copying (ByteReader::ReadArrayCow).
+util::Status ReadMatrix(util::ByteReader& in, EmbeddingMatrix* out);
 
 }  // namespace multiem::embed
 

@@ -6,12 +6,18 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <new>
 #include <system_error>
 #include <utility>
 
 #include "util/fault.h"
 #include "util/mmap.h"
 #include "util/thread_pool.h"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/stat.h>
+#define MULTIEM_IO_HAS_FSTAT 1
+#endif
 
 namespace multiem::util {
 
@@ -41,6 +47,42 @@ std::string MagicToTag(uint64_t magic) {
 
 size_t AlignUp(size_t offset, size_t align) {
   return (offset + align - 1) / align * align;
+}
+
+// An uninitialized kSectionAlignBytes-aligned heap block of `size` bytes:
+// the owner of one heap-read extent. No zero fill: fread writes every byte,
+// so each page is touched once.
+std::shared_ptr<uint8_t> AlignedBlock(size_t size) {
+  static constexpr std::align_val_t kAlign{kSectionAlignBytes};
+  return std::shared_ptr<uint8_t>(
+      static_cast<uint8_t*>(::operator new(size, kAlign)),
+      [](uint8_t* p) { ::operator delete(p, kAlign); });
+}
+
+// The byte length of the open file `f` at `path`, which must be a regular
+// file: a directory opens fine and then "measures" 2^63-1 bytes through
+// fseek/ftell on ext4, which no buffer can hold.
+Status RegularFileSize(std::FILE* f, const std::string& path, size_t* size) {
+#if MULTIEM_IO_HAS_FSTAT
+  (void)path;
+  struct stat st;
+  if (::fstat(fileno(f), &st) != 0) {
+    return Status::InvalidArgument("cannot stat the artifact file");
+  }
+  const bool regular = S_ISREG(st.st_mode);
+  *size = static_cast<size_t>(st.st_size);
+#else
+  (void)f;
+  std::error_code ec;
+  const bool regular = std::filesystem::is_regular_file(path, ec);
+  *size = regular ? static_cast<size_t>(std::filesystem::file_size(path, ec))
+                  : 0;
+  if (ec) return Status::InvalidArgument("cannot stat the artifact file");
+#endif
+  if (!regular) {
+    return Status::InvalidArgument("artifact path is not a regular file");
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -313,15 +355,14 @@ Result<ArtifactReader> ArtifactReader::FromFile(
   ArtifactReader reader;
   reader.load_pool_ = options.verify_pool;
 
+  std::shared_ptr<const MmapFile> mapping;
   if (options.mapping != ArtifactOpenOptions::Mapping::kDisable) {
     auto mapped = MmapFile::Open(path);
     if (mapped.ok()) {
       // The open-time validation streams the whole file once; the serving
       // phase after it is random access over the graph.
       mapped->AdviseSequential();
-      auto holder = std::make_shared<MmapFile>(std::move(*mapped));
-      reader.data_ = holder->bytes();
-      reader.backing_ = std::move(holder);
+      mapping = std::make_shared<const MmapFile>(std::move(*mapped));
       reader.mapped_ = true;
     } else if (options.mapping == ArtifactOpenOptions::Mapping::kRequire ||
                mapped.status().code() == StatusCode::kNotFound) {
@@ -331,55 +372,72 @@ Result<ArtifactReader> ArtifactReader::FromFile(
     // kPrefer falls through to the heap read on any other mmap failure.
   }
 
-  if (!reader.mapped_) {
+  Status status;
+  if (mapping != nullptr) {
+    status = reader.Init(
+        mapping->size(),
+        [&](size_t offset, size_t, Extent* out) {
+          *out = {mapping->data() + offset, mapping};
+          return Status::Ok();
+        },
+        magic, max_version, options);
+  } else {
     std::FILE* f = std::fopen(path.c_str(), "rb");
     if (f == nullptr) {
       return Status::NotFound("artifact file '" + path + "' does not exist");
     }
-    std::fseek(f, 0, SEEK_END);
-    long size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    auto bytes = std::make_shared<std::vector<uint8_t>>(
-        size > 0 ? static_cast<size_t>(size) : 0);
-    const size_t read =
-        bytes->empty() ? 0 : std::fread(bytes->data(), 1, bytes->size(), f);
-    std::fclose(f);
-    if (read != bytes->size()) {
-      return Status::InvalidArgument("cannot read artifact file '" + path +
-                                     "'");
+    size_t file_size = 0;
+    status = RegularFileSize(f, path, &file_size);
+    // Each fetch reads its extent into a fresh aligned block that becomes
+    // the extent's owner.
+    if (status.ok()) {
+      status = reader.Init(
+          file_size,
+          [&](size_t offset, size_t size, Extent* out) {
+            *out = {};
+            if (size == 0) return Status::Ok();
+            std::shared_ptr<uint8_t> block = AlignedBlock(size);
+            if (std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0 ||
+                std::fread(block.get(), 1, size, f) != size) {
+              return Status::InvalidArgument(
+                  "cannot read " + std::to_string(size) +
+                  " bytes at offset " + std::to_string(offset) +
+                  " (file shrank while opening?)");
+            }
+            *out = {block.get(), std::move(block)};
+            return Status::Ok();
+          },
+          magic, max_version, options);
     }
-    reader.data_ = std::span<const uint8_t>(bytes->data(), bytes->size());
-    reader.backing_ = std::move(bytes);
+    std::fclose(f);
   }
-
-  Status status = reader.Init(magic, max_version, options);
   if (!status.ok()) {
     return Status(status.code(), "'" + path + "': " + status.message());
   }
-  if (reader.mapped_) {
-    // Init bounds every section extent against the *mapped* length, but the
-    // file on disk can have been truncated since the fstat inside mmap —
-    // touching a page past the new EOF would then SIGBUS instead of failing
-    // cleanly. Re-stat before handing out spans that alias the mapping.
-    std::error_code ec;
-    const auto on_disk = std::filesystem::file_size(path, ec);
-    if (ec || on_disk < reader.data_.size()) {
-      return Status::InvalidArgument(
-          "'" + path + "': file shrank to " +
-          (ec ? std::string("<unreadable>") : std::to_string(on_disk)) +
-          " bytes while opening (mapped " + std::to_string(reader.data_.size()) +
-          "); refusing to bind sections over a truncated mapping");
-    }
+  if (mapping == nullptr) return reader;
+
+  // Init bounds every section extent against the *mapped* length, but the
+  // file on disk can have been truncated since the fstat inside mmap —
+  // touching a page past the new EOF would then SIGBUS instead of failing
+  // cleanly. Re-stat before handing out spans that alias the mapping.
+  std::error_code ec;
+  const auto on_disk = std::filesystem::file_size(path, ec);
+  if (ec || on_disk < mapping->size()) {
+    return Status::InvalidArgument(
+        "'" + path + "': file shrank to " +
+        (ec ? std::string("<unreadable>") : std::to_string(on_disk)) +
+        " bytes while opening (mapped " + std::to_string(mapping->size()) +
+        "); refusing to bind sections over a truncated mapping");
   }
-  if (reader.mapped_ && options.warm_pages) {
+  if (options.warm_pages) {
     // Parallel first-touch page pass: fault the whole image in now, across
     // the pool's threads, instead of one page at a time on the first
     // queries. Reading one byte per page suffices — the kernel fills the
     // page either way — and the running sum (published through a volatile
     // sink) keeps the loop from being optimized away.
-    static_cast<const MmapFile*>(reader.backing_.get())->AdviseWillNeed();
+    mapping->AdviseWillNeed();
     constexpr size_t kPageBytes = 4096;
-    const std::span<const uint8_t> bytes = reader.data_;
+    const std::span<const uint8_t> bytes = mapping->bytes();
     const size_t pages = (bytes.size() + kPageBytes - 1) / kPageBytes;
     std::atomic<uint64_t> sink{0};
     ParallelFor(
@@ -392,9 +450,7 @@ Result<ArtifactReader> ArtifactReader::FromFile(
     warm_sink = sink.load(std::memory_order_relaxed);
     (void)warm_sink;
   }
-  if (reader.mapped_) {
-    static_cast<const MmapFile*>(reader.backing_.get())->AdviseRandom();
-  }
+  mapping->AdviseRandom();
   return reader;
 }
 
@@ -402,29 +458,35 @@ Result<ArtifactReader> ArtifactReader::FromBytes(std::vector<uint8_t> bytes,
                                                  uint64_t magic,
                                                  uint32_t max_version) {
   ArtifactReader reader;
-  auto holder = std::make_shared<std::vector<uint8_t>>(std::move(bytes));
-  reader.data_ = std::span<const uint8_t>(holder->data(), holder->size());
-  reader.backing_ = std::move(holder);
-  MULTIEM_RETURN_IF_ERROR(reader.Init(magic, max_version, {}));
+  auto image = std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
+  MULTIEM_RETURN_IF_ERROR(reader.Init(
+      image->size(),
+      [&](size_t offset, size_t, Extent* out) {
+        *out = {image->data() + offset, image};
+        return Status::Ok();
+      },
+      magic, max_version, {}));
   return reader;
 }
 
-Status ArtifactReader::Init(uint64_t magic, uint32_t max_version,
+Status ArtifactReader::Init(size_t file_size, const FetchFn& fetch,
+                            uint64_t magic, uint32_t max_version,
                             const ArtifactOpenOptions& options) {
   deep_verify_ = options.verify == ArtifactOpenOptions::Verify::kFull;
-  const std::span<const uint8_t> bytes = data_;
-  if (bytes.size() < kHeaderBytes + 8) {
+  if (file_size < kHeaderBytes + 8) {
     return Status::InvalidArgument(
-        "artifact truncated: " + std::to_string(bytes.size()) +
+        "artifact truncated: " + std::to_string(file_size) +
         " bytes is smaller than the minimal container");
   }
-  const uint64_t file_magic = LoadLe(bytes.data(), 8);
+  Extent header;
+  MULTIEM_RETURN_IF_ERROR(fetch(0, kHeaderBytes, &header));
+  const uint64_t file_magic = LoadLe(header.data, 8);
   if (file_magic != magic) {
     return Status::InvalidArgument("artifact magic mismatch: expected '" +
                                    MagicToTag(magic) + "', found '" +
                                    MagicToTag(file_magic) + "'");
   }
-  const uint32_t version = static_cast<uint32_t>(LoadLe(bytes.data() + 8, 4));
+  const uint32_t version = static_cast<uint32_t>(LoadLe(header.data + 8, 4));
   if (version == 0 || version > max_version) {
     return Status::FailedPrecondition(
         "artifact format version " + std::to_string(version) +
@@ -432,34 +494,36 @@ Status ArtifactReader::Init(uint64_t magic, uint32_t max_version,
         std::to_string(max_version) + "]; rebuild the artifact or upgrade");
   }
   const uint32_t section_count =
-      static_cast<uint32_t>(LoadLe(bytes.data() + 12, 4));
-  const uint64_t table_offset = LoadLe(bytes.data() + 16, 8);
+      static_cast<uint32_t>(LoadLe(header.data + 12, 4));
+  const uint64_t table_offset = LoadLe(header.data + 16, 8);
   // Subtraction form, not `table_offset + 8 > size`: a crafted offset near
-  // 2^64 must not wrap past the check and reach Fnv1a64 (bytes.size() >=
+  // 2^64 must not wrap past the check and reach Fnv1a64 (file_size >=
   // kHeaderBytes + 8 was established above, so the subtraction is safe).
-  if (table_offset < kHeaderBytes || table_offset > bytes.size() - 8) {
+  if (table_offset < kHeaderBytes || table_offset > file_size - 8) {
     return Status::InvalidArgument(
         "artifact truncated: section table offset " +
         std::to_string(table_offset) + " is outside the " +
-        std::to_string(bytes.size()) + "-byte file");
+        std::to_string(file_size) + "-byte file");
   }
 
   // The table's own trailing checksum first: it guards everything the
   // per-section checks rely on.
-  const size_t table_size = bytes.size() - 8 - table_offset;
-  const uint64_t table_sum =
-      Fnv1a64(bytes.data() + table_offset, table_size);
-  if (table_sum != LoadLe(bytes.data() + table_offset + table_size, 8)) {
+  const size_t table_size = file_size - 8 - table_offset;
+  Extent table_bytes;
+  MULTIEM_RETURN_IF_ERROR(fetch(table_offset, table_size + 8, &table_bytes));
+  if (Fnv1a64(table_bytes.data, table_size) !=
+      LoadLe(table_bytes.data + table_size, 8)) {
     return Status::InvalidArgument(
         "artifact section table checksum mismatch (corrupt or truncated "
         "file)");
   }
 
   version_ = version;
-  ByteReader table(std::span<const uint8_t>(bytes.data() + table_offset,
-                                            table_size));
-  std::vector<uint64_t> checksums;
-  checksums.reserve(section_count);
+  ByteReader table(std::span<const uint8_t>(table_bytes.data, table_size));
+  // Extents must come in ascending, non-overlapping order (the order every
+  // writer emits). That caps what a heap open allocates at the file size,
+  // however the table is crafted.
+  size_t payload_end = kHeaderBytes;
   for (uint32_t i = 0; i < section_count; ++i) {
     uint16_t name_len;
     MULTIEM_RETURN_IF_ERROR(table.ReadU16(&name_len));
@@ -473,10 +537,10 @@ Status ArtifactReader::Init(uint64_t magic, uint32_t max_version,
       MULTIEM_RETURN_IF_ERROR(table.ReadU8(&byte));
       entry.name[c] = static_cast<char>(byte);
     }
-    uint64_t offset, size, checksum;
+    uint64_t offset, size;
     MULTIEM_RETURN_IF_ERROR(table.ReadU64(&offset));
     MULTIEM_RETURN_IF_ERROR(table.ReadU64(&size));
-    MULTIEM_RETURN_IF_ERROR(table.ReadU64(&checksum));
+    MULTIEM_RETURN_IF_ERROR(table.ReadU64(&entry.checksum));
     // Overflow-safe extent check (`offset + size` could wrap): the offset
     // must land in [header, table) and the size fit in what remains.
     if (offset < kHeaderBytes || offset > table_offset ||
@@ -484,37 +548,45 @@ Status ArtifactReader::Init(uint64_t magic, uint32_t max_version,
       return Status::InvalidArgument("artifact section '" + entry.name +
                                      "' lies outside the payload area");
     }
+    if (offset < payload_end) {
+      return Status::InvalidArgument(
+          "artifact section '" + entry.name + "' at offset " +
+          std::to_string(offset) +
+          " overlaps or precedes the previous extent, which ends at " +
+          std::to_string(payload_end) +
+          " (sections must be in ascending, non-overlapping order)");
+    }
     entry.offset = static_cast<size_t>(offset);
     entry.size = static_cast<size_t>(size);
+    payload_end = entry.offset + entry.size;
     sections_.push_back(std::move(entry));
-    checksums.push_back(checksum);
   }
   MULTIEM_RETURN_IF_ERROR(table.ExpectExhausted());
 
   // Alignment padding is deterministic zero fill and no checksum covers it,
   // so enforce the zeros here — every byte of a valid container is then
   // either validated content or provably-zero padding, keeping the
-  // "any single-byte flip is rejected" guarantee intact.
-  {
-    size_t cursor = kHeaderBytes;
-    for (const SectionEntry& s : sections_) {
-      for (size_t b = cursor; b < s.offset && b < bytes.size(); ++b) {
-        if (bytes[b] != 0) {
-          return Status::InvalidArgument(
-              "artifact padding byte at offset " + std::to_string(b) +
-              " is non-zero (corrupt file)");
-        }
-      }
-      cursor = std::max(cursor, s.offset + s.size);
-    }
-    for (size_t b = cursor; b < table_offset; ++b) {
-      if (bytes[b] != 0) {
+  // "any single-byte flip is rejected" guarantee intact. Payloads are
+  // fetched between the gaps, in file order.
+  auto check_padding = [&](size_t begin, size_t end) -> Status {
+    Extent gap;
+    MULTIEM_RETURN_IF_ERROR(fetch(begin, end - begin, &gap));
+    for (size_t b = 0; b < end - begin; ++b) {
+      if (gap.data[b] != 0) {
         return Status::InvalidArgument(
-            "artifact padding byte at offset " + std::to_string(b) +
+            "artifact padding byte at offset " + std::to_string(begin + b) +
             " is non-zero (corrupt file)");
       }
     }
+    return Status::Ok();
+  };
+  size_t cursor = kHeaderBytes;
+  for (SectionEntry& s : sections_) {
+    MULTIEM_RETURN_IF_ERROR(check_padding(cursor, s.offset));
+    MULTIEM_RETURN_IF_ERROR(fetch(s.offset, s.size, &s.bytes));
+    cursor = s.offset + s.size;
   }
+  MULTIEM_RETURN_IF_ERROR(check_padding(cursor, table_offset));
 
   // Payload checksums last: the O(file size) part, skippable (kStructural)
   // and parallelizable across sections — the FNV-1a sweep is byte-serial
@@ -522,8 +594,8 @@ Status ArtifactReader::Init(uint64_t magic, uint32_t max_version,
   if (options.verify == ArtifactOpenOptions::Verify::kFull) {
     const size_t n = sections_.size();
     auto check_one = [&](size_t i) {
-      return Fnv1a64(bytes.data() + sections_[i].offset, sections_[i].size) ==
-             checksums[i];
+      return Fnv1a64(sections_[i].bytes.data, sections_[i].size) ==
+             sections_[i].checksum;
     };
     size_t first_bad = n;
     if (options.verify_pool != nullptr && n > 1) {
@@ -575,7 +647,8 @@ std::vector<std::string> ArtifactReader::SectionNames() const {
 Result<ByteReader> ArtifactReader::Section(std::string_view name) const {
   for (const SectionEntry& s : sections_) {
     if (s.name == name) {
-      return ByteReader(data_.subspan(s.offset, s.size));
+      return ByteReader(std::span<const uint8_t>(s.bytes.data, s.size),
+                        s.bytes.owner);
     }
   }
   std::string present;

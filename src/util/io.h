@@ -15,7 +15,9 @@
 /// re-saves. Reading is fully validated up front — ArtifactReader::FromFile
 /// verifies magic, version, table bounds, and every section checksum before
 /// returning, so corrupt or truncated files fail with a clear util::Status
-/// and never reach the typed readers.
+/// and never reach the typed readers. A heap open reads each section into
+/// its own aligned block, so the typed readers can alias its slabs in place
+/// exactly as they alias a mapping.
 
 #ifndef MULTIEM_UTIL_IO_H_
 #define MULTIEM_UTIL_IO_H_
@@ -63,16 +65,18 @@ constexpr uint64_t ArtifactMagic(const char (&tag)[9]) {
 /// the typed-array encoding (a u64 count, then the raw little-endian
 /// elements, so array data sits 8 bytes past any 8-byte-aligned point) this
 /// makes every flat slab in an artifact directly addressable in place — the
-/// alignment guarantee the mmap zero-copy load path relies on. Pre-alignment
-/// files (any artifact written before this padding existed) still load
-/// through the same readers; they just may fall back to copying slabs whose
-/// mapped address is misaligned for the element type.
+/// alignment guarantee the mmap zero-copy load path relies on. A heap open
+/// gets the same guarantee from the blocks it reads each section into,
+/// which are aligned to this boundary too. Pre-alignment files (any artifact
+/// written before this padding existed) still load through the same
+/// readers; under mmap they just may fall back to copying slabs whose mapped
+/// address is misaligned for the element type.
 inline constexpr size_t kSectionAlignBytes = 64;
 
 /// How an artifact file should be opened and verified.
 struct ArtifactOpenOptions {
   enum class Mapping {
-    kDisable,  ///< Heap read (fread the whole image). The default.
+    kDisable,  ///< Heap read, one aligned block per section. The default.
     kPrefer,   ///< mmap when the platform supports it, else heap.
     kRequire,  ///< mmap or fail (tests; "I need page sharing").
   };
@@ -144,13 +148,20 @@ class ByteWriter {
   std::vector<uint8_t> bytes_;
 };
 
-/// Bounds-checked little-endian reader over one section's bytes (a view; the
-/// owning ArtifactReader must outlive it). Every read returns OutOfRange
-/// instead of walking past the end, so a schema mismatch degrades to a
-/// Status, never UB.
+/// Bounds-checked little-endian reader over one section's bytes. Every read
+/// returns OutOfRange instead of walking past the end, so a schema mismatch
+/// degrades to a Status, never UB.
+///
+/// `owner`, when set, keeps `data` alive. Readers from
+/// ArtifactReader::Section carry their section's owner — its heap block, the
+/// mapping, or the FromBytes image — so they (and any view ReadArrayCow
+/// binds) stay valid after the ArtifactReader itself is gone. Without an
+/// owner the caller keeps the bytes alive and ReadArrayCow always copies.
 class ByteReader {
  public:
-  explicit ByteReader(std::span<const uint8_t> data) : data_(data) {}
+  explicit ByteReader(std::span<const uint8_t> data,
+                      std::shared_ptr<const void> owner = nullptr)
+      : data_(data), owner_(std::move(owner)) {}
 
   Status ReadU8(uint8_t* out);
   Status ReadU16(uint16_t* out);
@@ -201,15 +212,14 @@ class ByteReader {
   }
 
   /// Zero-copy variant: binds `out` as a *view* over the array's wire bytes
-  /// when that is sound — `keepalive` non-null (it must keep this section's
-  /// bytes alive, e.g. ArtifactReader::backing()), a little-endian host
-  /// (wire image == memory image), and the in-file address aligned for T —
-  /// and otherwise falls back to an owned copy, bit-identical either way.
-  /// This is how the flat HNSW slabs and entity-table columns serve straight
-  /// from mapped pages.
+  /// when that is sound — this reader has an owner (it becomes the view's
+  /// keepalive), the host is little-endian (wire image == memory image), and
+  /// the array's address is aligned for T — and otherwise falls back to an
+  /// owned copy, bit-identical either way. This is how the flat HNSW slabs
+  /// and entity-table columns serve straight from the loaded section, heap
+  /// block or mapped pages alike.
   template <typename T, typename Alloc>
-  Status ReadArrayCow(CowSlab<T, Alloc>* out,
-                      const std::shared_ptr<const void>& keepalive) {
+  Status ReadArrayCow(CowSlab<T, Alloc>* out) {
     static_assert(sizeof(T) == 1 || sizeof(T) == 2 || sizeof(T) == 4 ||
                       sizeof(T) == 8,
                   "arrays hold 1/2/4/8-byte elements");
@@ -223,13 +233,12 @@ class ByteReader {
     const uint8_t* p;
     MULTIEM_RETURN_IF_ERROR(Take(static_cast<size_t>(count) * sizeof(T), &p));
     const bool can_view =
-        keepalive != nullptr &&
-        std::endian::native == std::endian::little &&
+        owner_ != nullptr && std::endian::native == std::endian::little &&
         reinterpret_cast<uintptr_t>(p) % alignof(T) == 0;
     if (can_view) {
       out->BindView(std::span<const T>(reinterpret_cast<const T*>(p),
                                        static_cast<size_t>(count)),
-                    keepalive);
+                    owner_);
     } else {
       out->clear();
       out->resize(static_cast<size_t>(count));
@@ -253,6 +262,9 @@ class ByteReader {
   /// little-endian hosts, an element loop elsewhere).
   template <typename T>
   static void DecodeArray(const uint8_t* p, size_t count, T* out) {
+    // An empty vector's data() may be null, and memcpy(nullptr, p, 0) is
+    // undefined behaviour.
+    if (count == 0) return;
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(out, p, count * sizeof(T));
     } else {
@@ -278,6 +290,7 @@ class ByteReader {
   }
 
   std::span<const uint8_t> data_;
+  std::shared_ptr<const void> owner_;
   size_t pos_ = 0;
 };
 
@@ -311,15 +324,24 @@ class ArtifactWriter {
 };
 
 /// Opens and fully validates one artifact: magic, version, section-table
-/// bounds, the table's own checksum, and every section checksum. After
-/// FromFile/FromBytes succeeds, Section() lookups cannot fail for any reason
-/// other than a missing name.
+/// bounds and order, the table's own checksum, the zero padding, and every
+/// section checksum. After FromFile/FromBytes succeeds, Section() lookups
+/// cannot fail for any reason other than a missing name.
+///
+/// Each section's bytes have an owner that Section() hands to its
+/// ByteReader: on a heap open, a 64-byte-aligned block holding just that
+/// section; on a mapped open, the mapping; for FromBytes, the image. A heap
+/// section is therefore freed as soon as neither this reader nor any view
+/// bound to it is left — parse-only sections with the reader, slabs with
+/// their last view.
 class ArtifactReader {
  public:
   /// Reads `path` expecting artifact kind `magic` at a version in
   /// [1, max_version]. Distinguishes the failure classes callers branch on:
   ///  * NotFound          — the file does not exist;
-  ///  * InvalidArgument   — wrong magic, truncation, or checksum mismatch;
+  ///  * InvalidArgument   — not a regular file, wrong magic, truncation,
+  ///    out-of-bounds, overlapping or out-of-order sections, or a checksum
+  ///    mismatch;
   ///  * FailedPrecondition — a version newer than `max_version` (the file is
   ///    valid, this build is just too old to read it).
   static Result<ArtifactReader> FromFile(const std::string& path,
@@ -331,8 +353,7 @@ class ArtifactReader {
   /// `options.verify`/`options.verify_pool` control the checksum sweep (see
   /// ArtifactOpenOptions). A mapped reader shares its pages with every other
   /// process serving the same artifact, and its Section() bytes point
-  /// straight into the mapping — the zero-copy substrate for the typed
-  /// loaders.
+  /// straight into the mapping.
   static Result<ArtifactReader> FromFile(const std::string& path,
                                          uint64_t magic, uint32_t max_version,
                                          const ArtifactOpenOptions& options);
@@ -350,19 +371,13 @@ class ArtifactReader {
   /// Sorted names of all sections (diagnostics, forward-compat probing).
   std::vector<std::string> SectionNames() const;
 
-  /// A reader positioned at the start of section `name`, or NotFound listing
-  /// the sections present.
+  /// A reader positioned at the start of section `name`, carrying the
+  /// section's owner, or NotFound listing the sections present.
   Result<ByteReader> Section(std::string_view name) const;
 
-  /// True when this reader serves from an mmap'd file rather than a heap
-  /// buffer. Typed loaders use this to decide whether binding views
-  /// (ByteReader::ReadArrayCow with backing()) buys page sharing.
+  /// True when this reader serves from an mmap'd file rather than heap
+  /// blocks.
   bool mapped() const { return mapped_; }
-
-  /// Shared handle keeping the underlying bytes (heap buffer or mapping)
-  /// alive. Loaders binding zero-copy views must stash this as the views'
-  /// keepalive; it is never null after FromFile/FromBytes succeed.
-  const std::shared_ptr<const void>& backing() const { return backing_; }
 
   /// The pool FromFile was opened with (options.verify_pool), or null.
   /// Loaders may use it for their own parallel validation; it must outlive
@@ -376,21 +391,30 @@ class ArtifactReader {
   bool deep_verify() const { return deep_verify_; }
 
  private:
+  /// Container bytes in memory plus the handle keeping them alive.
+  struct Extent {
+    const uint8_t* data = nullptr;
+    std::shared_ptr<const void> owner;
+  };
+  /// Produces the `size` container bytes at file offset `offset`.
+  using FetchFn = std::function<Status(size_t offset, size_t size, Extent*)>;
+
   struct SectionEntry {
     std::string name;
-    size_t offset;
+    size_t offset;  ///< Payload offset in the file.
     size_t size;
+    uint64_t checksum;
+    Extent bytes;
   };
 
   ArtifactReader() = default;
 
-  /// Validates the container image in data_/backing_ and fills version_ and
-  /// sections_. `context` prefixes error messages (the file path).
-  Status Init(uint64_t magic, uint32_t max_version,
-              const ArtifactOpenOptions& options);
+  /// Validates the `file_size`-byte container whose bytes `fetch` produces
+  /// and fills version_ and sections_. Every fetch lies inside the file
+  /// and no two overlap, so a heap open allocates at most the file's size.
+  Status Init(size_t file_size, const FetchFn& fetch, uint64_t magic,
+              uint32_t max_version, const ArtifactOpenOptions& options);
 
-  std::span<const uint8_t> data_;
-  std::shared_ptr<const void> backing_;
   bool mapped_ = false;
   bool deep_verify_ = true;
   ThreadPool* load_pool_ = nullptr;
@@ -445,7 +469,8 @@ class ArtifactLoaderRegistry {
   /// dispatches the registered loader (unknown kinds fail with
   /// InvalidArgument listing the registered ones). `options` selects heap vs
   /// mmap backing and the verification mode (see ArtifactOpenOptions);
-  /// loaders that understand zero-copy bind their slabs onto the mapping.
+  /// loaders that understand zero-copy bind their slabs onto the loaded
+  /// sections either way.
   Result<std::unique_ptr<T>> LoadFromFile(
       const std::string& path, const ArtifactOpenOptions& options = {}) const {
     auto artifact =

@@ -69,12 +69,13 @@ template <typename T>
 using CacheAlignedVector = std::vector<T, AlignedAllocator<T>>;
 
 /// A flat array that either owns its storage (a std::vector) or is a
-/// read-only *view* over externally owned bytes — typically a section of an
-/// mmap'd artifact — kept alive by a shared keepalive handle. This is the
-/// storage type behind the zero-copy load path: `HnswIndex::Load` and the
-/// pipeline-artifact loader bind their flat slabs directly onto mapped pages
-/// instead of copying them, and the first mutation (`EnsureOwned`, or any
-/// non-const accessor) materializes a private owned copy.
+/// read-only *view* over externally owned bytes — typically a section of a
+/// loaded artifact, in its own heap block or in a mapping — kept alive by a
+/// shared keepalive handle. This is the storage type behind the zero-copy
+/// load path: `HnswIndex::Load` and the pipeline-artifact loader bind their
+/// flat slabs directly onto the loaded sections instead of copying them,
+/// and the first mutation (`EnsureOwned`, or any non-const accessor)
+/// materializes a private owned copy.
 ///
 /// Copying a CowSlab is cheap while it is a view (the copy shares the view
 /// and its keepalive — this is what lets consecutive serving epochs share
@@ -163,8 +164,8 @@ class CowSlab {
     owned_.insert(owned_.end(), first, last);
   }
 
-  /// Bytes held by the owned buffer (0 while a view — the pages belong to
-  /// the mapped file and are shared between processes).
+  /// Bytes held by the owned buffer (0 while a view — the bytes belong to
+  /// the keepalive's owner, a loaded section shared by all its views).
   size_t OwnedBytes() const { return owned_.capacity() * sizeof(T); }
 
  private:

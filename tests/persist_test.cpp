@@ -27,6 +27,7 @@
 #include "table/schema.h"
 #include "table/table.h"
 #include "util/io.h"
+#include "util/mmap.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -170,15 +171,39 @@ TEST(IoTest, RejectsNewerVersion) {
   EXPECT_EQ(reader.status().code(), util::StatusCode::kFailedPrecondition);
 }
 
+// The status of every way to open a container image: FromBytes, then from a
+// file through the heap read and, where the platform maps files, through a
+// mapping — each labelled for failure messages.
+std::vector<std::pair<std::string, util::Status>> OpenEveryWay(
+    const std::vector<uint8_t>& image) {
+  const std::string path = TempPath("open_every_way.mem");
+  WriteFileBytes(path, image);
+  std::vector<std::pair<std::string, util::Status>> opens;
+  opens.emplace_back("FromBytes",
+                     util::ArtifactReader::FromBytes(image, kTestMagic, 1)
+                         .status());
+  opens.emplace_back(
+      "heap open", util::ArtifactReader::FromFile(path, kTestMagic, 1).status());
+  if (util::MmapFile::Supported()) {
+    util::ArtifactOpenOptions options;
+    options.mapping = util::ArtifactOpenOptions::Mapping::kRequire;
+    opens.emplace_back(
+        "mapped open",
+        util::ArtifactReader::FromFile(path, kTestMagic, 1, options).status());
+  }
+  return opens;
+}
+
 TEST(IoTest, RejectsEveryTruncation) {
   util::ArtifactWriter writer(kTestMagic, 1);
   writer.AddSection("s").WriteU64(0x1122334455667788ull);
   const std::vector<uint8_t> image = writer.Serialize();
   for (size_t len = 0; len < image.size(); ++len) {
-    std::vector<uint8_t> prefix(image.begin(), image.begin() + len);
-    auto reader =
-        util::ArtifactReader::FromBytes(std::move(prefix), kTestMagic, 1);
-    EXPECT_FALSE(reader.ok()) << "prefix of " << len << " bytes accepted";
+    const std::vector<uint8_t> prefix(image.begin(), image.begin() + len);
+    for (const auto& [how, status] : OpenEveryWay(prefix)) {
+      EXPECT_FALSE(status.ok())
+          << how << ": prefix of " << len << " bytes accepted";
+    }
   }
 }
 
@@ -187,12 +212,16 @@ TEST(IoTest, RejectsEverySingleByteFlip) {
   writer.AddSection("s").WriteU64(0xA5A5A5A5A5A5A5A5ull);
   writer.AddSection("t").WriteString("guarded");
   const std::vector<uint8_t> image = writer.Serialize();
+  for (const auto& [how, status] : OpenEveryWay(image)) {
+    EXPECT_TRUE(status.ok()) << how << ": " << status;
+  }
   for (size_t pos = 0; pos < image.size(); ++pos) {
     std::vector<uint8_t> corrupt = image;
     corrupt[pos] ^= 0x01;
-    auto reader =
-        util::ArtifactReader::FromBytes(std::move(corrupt), kTestMagic, 1);
-    EXPECT_FALSE(reader.ok()) << "flip at byte " << pos << " accepted";
+    for (const auto& [how, status] : OpenEveryWay(corrupt)) {
+      EXPECT_FALSE(status.ok()) << how << ": flip at byte " << pos
+                                << " accepted";
+    }
   }
 }
 
@@ -215,6 +244,65 @@ TEST(IoTest, MissingFileIsNotFound) {
       TempPath("no_such_file.mem"), kTestMagic, 1);
   ASSERT_FALSE(reader.ok());
   EXPECT_EQ(reader.status().code(), util::StatusCode::kNotFound);
+}
+
+// One section of a hand-assembled container: `payload` lands at `offset`.
+struct RawSection {
+  std::string name;
+  size_t offset;
+  std::vector<uint8_t> payload;
+};
+
+// A container with its section table at `table_offset` that no writer would
+// produce: sections go exactly where they say (later ones overwrite earlier
+// ones where they overlap), everything else is zero, and every checksum is
+// taken over the final bytes — so only the extents themselves are wrong.
+std::vector<uint8_t> RawContainer(const std::vector<RawSection>& sections,
+                                  size_t table_offset) {
+  std::vector<uint8_t> image(table_offset, 0);
+  util::ByteWriter header;
+  header.WriteU64(kTestMagic);
+  header.WriteU32(1);
+  header.WriteU32(static_cast<uint32_t>(sections.size()));
+  header.WriteU64(table_offset);
+  std::copy(header.bytes().begin(), header.bytes().end(), image.begin());
+  for (const RawSection& s : sections) {
+    std::copy(s.payload.begin(), s.payload.end(), image.begin() + s.offset);
+  }
+  util::ByteWriter table;
+  for (const RawSection& s : sections) {
+    table.WriteU16(static_cast<uint16_t>(s.name.size()));
+    table.WriteBytes(s.name.data(), s.name.size());
+    table.WriteU64(s.offset);
+    table.WriteU64(s.payload.size());
+    table.WriteU64(util::Fnv1a64(image.data() + s.offset, s.payload.size()));
+  }
+  table.WriteU64(util::Fnv1a64(table.bytes().data(), table.size()));
+  image.insert(image.end(), table.bytes().begin(), table.bytes().end());
+  return image;
+}
+
+// Section extents must be ascending and disjoint — the rule that caps a heap
+// open's section blocks at the file size. Checked through every open.
+TEST(IoTest, RejectsOverlappingOrDescendingSections) {
+  const std::vector<uint8_t> ones(16, 0x11);
+  const std::vector<uint8_t> twos(16, 0x22);
+  const std::vector<uint8_t> zeros(8, 0);
+  const std::vector<std::vector<uint8_t>> images = {
+      // "b" starts inside "a"; both checksums hold over the shared bytes.
+      RawContainer({{"a", 64, ones}, {"b", 72, twos}}, 128),
+      // Disjoint but out of order, over zero payloads whose zero padding
+      // and checksums both pass.
+      RawContainer({{"a", 128, zeros}, {"b", 64, zeros}}, 192),
+  };
+  for (size_t i = 0; i < images.size(); ++i) {
+    for (const auto& [how, status] : OpenEveryWay(images[i])) {
+      EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+          << how << ", container " << i << ": " << status;
+      EXPECT_NE(status.message().find("ascending"), std::string::npos)
+          << how << ", container " << i << ": " << status;
+    }
+  }
 }
 
 // ----------------------------------------------------------------- hnsw --
@@ -943,6 +1031,69 @@ TEST(PipelineArtifactTest, RejectsDamagedArtifacts) {
   auto missing = MultiEmPipeline::LoadArtifact(dir);
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), util::StatusCode::kNotFound);
+}
+
+// A directory where an artifact file belongs must fail the load with a
+// Status: fseek/ftell "measures" an ext4 directory at 2^63-1 bytes, which a
+// heap read sized that way tries to allocate.
+void ExpectDirectoryAtArtifactPathRejected(const std::string& file) {
+  auto result = RunWithMatcher(ServingConfig(), ProductTables());
+  ASSERT_TRUE(result.ok()) << result.status();
+  const std::string dir = TempPath("artifact_directory_at_" + file);
+  ASSERT_TRUE(result->matcher->Save(dir).ok());
+  const std::string path = dir + "/" + file;
+  ASSERT_TRUE(std::filesystem::remove(path));
+  ASSERT_TRUE(std::filesystem::create_directory(path));
+  auto loaded = MultiEmPipeline::LoadArtifact(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
+      << loaded.status();
+}
+
+TEST(PipelineArtifactTest, RejectsDirectoryAtManifestPath) {
+  ExpectDirectoryAtArtifactPathRejected(PipelineArtifact::kManifestFile);
+}
+
+TEST(PipelineArtifactTest, RejectsDirectoryAtEncoderPath) {
+  ExpectDirectoryAtArtifactPathRejected(PipelineArtifact::kEncoderFile);
+}
+
+TEST(PipelineArtifactTest, RejectsDirectoryAtIndexPath) {
+  ExpectDirectoryAtArtifactPathRejected(PipelineArtifact::kIndexFile);
+}
+
+// Why LoadArtifact stays a heap read by default: a heap session holds every
+// byte it serves, so truncating the files under it in place changes
+// nothing, where a mapped session would take SIGBUS on its next page fault.
+TEST(PipelineArtifactTest, HeapSessionOutlivesTruncatedFiles) {
+  auto result = RunWithMatcher(ServingConfig(), ProductTables());
+  ASSERT_TRUE(result.ok()) << result.status();
+  const std::string dir = TempPath("artifact_truncated_under_session");
+  ASSERT_TRUE(result->matcher->Save(dir).ok());
+  auto session = MultiEmPipeline::LoadArtifact(dir);
+  ASSERT_TRUE(session.ok()) << session.status();
+  const Table queries = QueryTable();
+  auto before = session->MatchRecords(queries, 2);
+  ASSERT_TRUE(before.ok()) << before.status();
+
+  for (const char* file :
+       {PipelineArtifact::kManifestFile, PipelineArtifact::kEncoderFile,
+        PipelineArtifact::kIndexFile}) {
+    std::filesystem::resize_file(dir + "/" + file, 0);
+  }
+  auto after = session->MatchRecords(queries, 2);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(*before, *after);
+
+  Table t("shop_d", Schema({"title", "color"}));
+  t.AppendRow({"apple iphone 8 plus 64 gb", "silver"}).CheckOk();
+  t.AppendRow({"dyson v11 cordless vacuum", "purple"}).CheckOk();
+  ASSERT_TRUE(session->AddTable(t).ok());
+  const std::string resaved = TempPath("artifact_truncated_resave");
+  ASSERT_TRUE(session->Save(resaved).ok());
+  auto reloaded = MultiEmPipeline::LoadArtifact(resaved);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  EXPECT_EQ(reloaded->num_items(), session->num_items());
 }
 
 // Brute-force wrapper WITHOUT a Save override, to force a failure at the

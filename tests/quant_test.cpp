@@ -711,34 +711,36 @@ TEST(QuantArtifactTest, QuantizedLoadsZeroCopyUnderMmap) {
   auto index = BuildQuantizedHnsw(corpus, ann::Quantization::kInt8);
   const std::string path = TempPath("quant_mmap.mem");
   ASSERT_TRUE(index->Save(path).ok());
-
-  util::ArtifactOpenOptions options;
-  options.mapping = util::ArtifactOpenOptions::Mapping::kRequire;
-  auto mapped = ann::LoadVectorIndex(path, options);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  auto* hnsw = dynamic_cast<ann::HnswIndex*>(mapped->get());
-  ASSERT_NE(hnsw, nullptr);
-  // The code plane serves straight from the mapping: logical bytes present,
-  // zero owned heap bytes.
-  EXPECT_GT(hnsw->quantized_store().CodeBytes(), 0u);
-  EXPECT_EQ(hnsw->quantized_store().OwnedBytes(), 0u)
-      << "quant slabs were copied to the heap under an mmap open";
-
-  auto heap = ann::LoadVectorIndex(path);
-  ASSERT_TRUE(heap.ok()) << heap.status();
-  for (size_t q = 0; q < queries.num_rows(); ++q) {
-    EXPECT_EQ((*mapped)->Search(queries.Row(q), 5),
-              (*heap)->Search(queries.Row(q), 5));
-  }
-
-  // Mutating a mapped index (Add) must copy-on-write the quant plane, not
-  // scribble on the file.
   const std::vector<uint8_t> before = ReadFileBytes(path);
-  std::vector<float> extra(16, 0.5f);
-  (*mapped)->Add(extra);
-  EXPECT_GT(hnsw->quantized_store().OwnedBytes(), 0u);
-  EXPECT_EQ(hnsw->quantized_store().size(), corpus.num_rows() + 1);
-  EXPECT_EQ(ReadFileBytes(path), before);
+
+  // The default heap open binds the same views as a mapped one, over the
+  // per-section heap blocks instead of the mapping.
+  for (const bool mapped : {false, true}) {
+    SCOPED_TRACE(mapped ? "mapped open" : "heap open");
+    util::ArtifactOpenOptions options;
+    if (mapped) options.mapping = util::ArtifactOpenOptions::Mapping::kRequire;
+    auto loaded = ann::LoadVectorIndex(path, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    auto* hnsw = dynamic_cast<ann::HnswIndex*>(loaded->get());
+    ASSERT_NE(hnsw, nullptr);
+    // The code plane serves straight from the loaded sections: logical
+    // bytes present, zero owned heap bytes.
+    EXPECT_GT(hnsw->quantized_store().CodeBytes(), 0u);
+    EXPECT_EQ(hnsw->quantized_store().OwnedBytes(), 0u)
+        << "quant slabs were copied on load";
+    for (size_t q = 0; q < queries.num_rows(); ++q) {
+      EXPECT_EQ((*loaded)->Search(queries.Row(q), 5),
+                index->Search(queries.Row(q), 5));
+    }
+
+    // Mutating a loaded index (Add) must copy-on-write the quant plane, not
+    // scribble on the file.
+    std::vector<float> extra(16, 0.5f);
+    (*loaded)->Add(extra);
+    EXPECT_GT(hnsw->quantized_store().OwnedBytes(), 0u);
+    EXPECT_EQ(hnsw->quantized_store().size(), corpus.num_rows() + 1);
+    EXPECT_EQ(ReadFileBytes(path), before);
+  }
 }
 
 TEST(QuantArtifactTest, RejectsCorruptionThroughHeapAndMmap) {

@@ -275,7 +275,8 @@ TEST(MmapServingTest, PreferFallsBackWhereRequireFails) {
 }
 
 // Corrupt mapped artifacts must fail the open (or load) with a Status —
-// never reach query time, never fault on mapped pages.
+// never reach query time, never fault on mapped pages. The heap open, which
+// reads each section into its own block, must reject the same bytes.
 TEST(MmapServingTest, MappedOpenRejectsBitFlipsAsStatus) {
   const std::string dir = TempPath("corrupt_artifact");
   std::filesystem::copy(ScaleArtifactDir(), dir,
@@ -283,8 +284,6 @@ TEST(MmapServingTest, MappedOpenRejectsBitFlipsAsStatus) {
   const std::string manifest = dir + "/manifest.mem";
   const auto file_size = std::filesystem::file_size(manifest);
 
-  util::ArtifactOpenOptions options;
-  options.mapping = util::ArtifactOpenOptions::Mapping::kPrefer;
   // Flip one byte at several spread offsets (header, table, payloads).
   for (size_t numerator = 0; numerator < 8; ++numerator) {
     const auto offset =
@@ -300,8 +299,15 @@ TEST(MmapServingTest, MappedOpenRejectsBitFlipsAsStatus) {
       f.seekp(offset);
       f.write(&byte, 1);
     }
-    auto loaded = MultiEmPipeline::LoadArtifact(dir, options);
-    EXPECT_FALSE(loaded.ok()) << "flip at offset " << offset << " accepted";
+    for (auto mapping : {util::ArtifactOpenOptions::Mapping::kDisable,
+                         util::ArtifactOpenOptions::Mapping::kPrefer}) {
+      util::ArtifactOpenOptions options;
+      options.mapping = mapping;
+      auto loaded = MultiEmPipeline::LoadArtifact(dir, options);
+      EXPECT_FALSE(loaded.ok()) << "flip at offset " << offset
+                                << " accepted, mapping mode "
+                                << static_cast<int>(mapping);
+    }
     {  // restore
       std::fstream f(manifest,
                      std::ios::in | std::ios::out | std::ios::binary);
@@ -314,13 +320,16 @@ TEST(MmapServingTest, MappedOpenRejectsBitFlipsAsStatus) {
     }
   }
   // Restored file loads again.
+  util::ArtifactOpenOptions options;
+  options.mapping = util::ArtifactOpenOptions::Mapping::kPrefer;
   auto ok = MultiEmPipeline::LoadArtifact(dir, options);
   EXPECT_TRUE(ok.ok()) << ok.status();
 }
 
 // The sharpest truncation: everything past the 24-byte container header is
-// gone (a crashed copy, a torn download). Both mapped modes must degrade to
-// a clean Status — never bind section spans over the missing bytes.
+// gone (a crashed copy, a torn download). The heap read and both mapped
+// modes must degrade to a clean Status — never bind section spans over the
+// missing bytes.
 TEST(MmapServingTest, MappedOpenRejectsTruncationAfterHeader) {
   const std::string dir = TempPath("header_only_artifact");
   std::filesystem::copy(ScaleArtifactDir(), dir,
@@ -329,13 +338,15 @@ TEST(MmapServingTest, MappedOpenRejectsTruncationAfterHeader) {
 
   for (uintmax_t keep : {uintmax_t{24}, uintmax_t{40}}) {
     std::filesystem::resize_file(manifest, keep);
-    for (auto mapping : {util::ArtifactOpenOptions::Mapping::kPrefer,
+    for (auto mapping : {util::ArtifactOpenOptions::Mapping::kDisable,
+                         util::ArtifactOpenOptions::Mapping::kPrefer,
                          util::ArtifactOpenOptions::Mapping::kRequire}) {
       util::ArtifactOpenOptions options;
       options.mapping = mapping;
       auto loaded = MultiEmPipeline::LoadArtifact(dir, options);
       EXPECT_FALSE(loaded.ok())
-          << "accepted a manifest truncated to " << keep << " bytes";
+          << "accepted a manifest truncated to " << keep
+          << " bytes, mapping mode " << static_cast<int>(mapping);
     }
   }
 }
@@ -347,15 +358,19 @@ TEST(MmapServingTest, MappedOpenRejectsTruncationAsStatus) {
   const std::string manifest = dir + "/manifest.mem";
   const auto file_size = std::filesystem::file_size(manifest);
 
-  util::ArtifactOpenOptions options;
-  options.mapping = util::ArtifactOpenOptions::Mapping::kPrefer;
-  options.verify = util::ArtifactOpenOptions::Verify::kStructural;
   for (double fraction : {0.95, 0.5, 0.1, 0.001}) {
     std::filesystem::resize_file(
         manifest, static_cast<uintmax_t>(file_size * fraction));
-    auto loaded = MultiEmPipeline::LoadArtifact(dir, options);
-    EXPECT_FALSE(loaded.ok())
-        << "truncation to " << fraction << " accepted";
+    for (auto mapping : {util::ArtifactOpenOptions::Mapping::kDisable,
+                         util::ArtifactOpenOptions::Mapping::kPrefer}) {
+      util::ArtifactOpenOptions options;
+      options.mapping = mapping;
+      options.verify = util::ArtifactOpenOptions::Verify::kStructural;
+      auto loaded = MultiEmPipeline::LoadArtifact(dir, options);
+      EXPECT_FALSE(loaded.ok()) << "truncation to " << fraction
+                                << " accepted, mapping mode "
+                                << static_cast<int>(mapping);
+    }
   }
 }
 
