@@ -157,16 +157,16 @@ int Main(int argc, char** argv) {
   auto result = coordinator.Build(sources);
   double distrib_seconds = distrib_timer.ElapsedSeconds();
   result.status().CheckOk();
-  result->matcher->Save((out_dir / "artifact_distrib").string()).CheckOk();
-  DumpTuples(result->tuples, (out_dir / "tuples_distrib.txt").string());
+  result->run.matcher->Save((out_dir / "artifact_distrib").string()).CheckOk();
+  DumpTuples(result->run.tuples, (out_dir / "tuples_distrib.txt").string());
   double speedup =
       distrib_seconds > 0.0 ? single_seconds / distrib_seconds : 0.0;
   std::printf("# distributed x%zu: %.2fs (%.2fx vs single-process), "
               "%zu tuples, %zu retries\n",
               result->distrib.workers, distrib_seconds, speedup,
-              result->tuples.size(), result->distrib.retries);
+              result->run.tuples.size(), result->distrib.retries);
 
-  bool tuples_identical = single.tuples == result->tuples;
+  bool tuples_identical = single.tuples == result->run.tuples;
   std::printf("# tuples %s\n",
               tuples_identical ? "bitwise identical" : "DIFFER");
 
@@ -197,7 +197,7 @@ int Main(int argc, char** argv) {
                  gen.total_rows(), gen.num_sources(), dim,
                  result->distrib.workers, hardware, single_seconds,
                  distrib_seconds, speedup, min_speedup,
-                 result->tuples.size(),
+                 result->run.tuples.size(),
                  tuples_identical ? "true" : "false",
                  result->distrib.worker_seconds,
                  result->distrib.merge_seconds,

@@ -58,9 +58,20 @@ Workload MakeWorkload(size_t sources, size_t rows_per_source) {
   return w;
 }
 
+// The ANN backend every schedule merges with, resolved from the
+// index-factory registry so config.index_name selects HNSW vs exact KNN, as
+// in the pipeline proper.
+std::unique_ptr<ann::VectorIndexFactory> IndexFactoryFor(
+    const core::MultiEmConfig& config) {
+  auto factory = core::IndexFactories().Create(config.index_name, config);
+  factory.status().CheckOk();
+  return std::move(*factory);
+}
+
 // Pairwise schedule (Fig. 2a): run the two-table merge on every source pair.
 double TimePairwise(const Workload& w, const core::MultiEmConfig& config) {
-  core::TwoTableMerger merger(config, &w.store);
+  const auto factory = IndexFactoryFor(config);
+  core::TwoTableMerger merger(config, &w.store, *factory);
   auto tables = w.Tables();
   util::WallTimer timer;
   for (size_t i = 0; i < tables.size(); ++i) {
@@ -74,7 +85,8 @@ double TimePairwise(const Workload& w, const core::MultiEmConfig& config) {
 
 // Chain schedule (Fig. 2c): fold sources into a growing base.
 double TimeChain(const Workload& w, const core::MultiEmConfig& config) {
-  core::TwoTableMerger merger(config, &w.store);
+  const auto factory = IndexFactoryFor(config);
+  core::TwoTableMerger merger(config, &w.store, *factory);
   auto tables = w.Tables();
   util::WallTimer timer;
   core::MergeTable base = std::move(tables[0]);
@@ -84,15 +96,10 @@ double TimeChain(const Workload& w, const core::MultiEmConfig& config) {
   return timer.ElapsedSeconds();
 }
 
-// Hierarchical schedule (Fig. 2b): MultiEM's Algorithm 2. The ANN backend
-// is resolved from the index-factory registry so config.index_name (and the
-// deprecated use_exact_knn shim) select HNSW vs exact KNN, as in the
-// pipeline proper.
+// Hierarchical schedule (Fig. 2b): MultiEM's Algorithm 2.
 double TimeHierarchical(const Workload& w, const core::MultiEmConfig& config) {
-  auto factory =
-      core::IndexFactories().Create(config.effective_index_name(), config);
-  factory.status().CheckOk();
-  core::TwoTableMerger merger(config, &w.store, factory->get());
+  const auto factory = IndexFactoryFor(config);
+  core::TwoTableMerger merger(config, &w.store, *factory);
   const core::MergePlan plan =
       core::MergePlan::Build(w.store.num_sources(), config.seed);
   std::vector<core::MergeSource> slots;

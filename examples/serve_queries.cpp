@@ -136,12 +136,12 @@ int ShardBuild(const std::string& dir, size_t workers) {
                  result.status().ToString().c_str());
     return 1;
   }
-  result->matcher->Save(dir).CheckOk();
+  result->run.matcher->Save(dir).CheckOk();
   std::printf(
       "shard-built artifact at %s with %zu worker processes: %zu entity "
       "items over %zu sources, %zu matched tuples\n",
-      dir.c_str(), result->distrib.workers, result->matcher->num_items(),
-      result->matcher->source_names().size(), result->tuples.size());
+      dir.c_str(), result->distrib.workers, result->run.matcher->num_items(),
+      result->run.matcher->source_names().size(), result->run.tuples.size());
   return 0;
 }
 

@@ -17,11 +17,10 @@ namespace multiem::ann {
 /// Exact k-nearest-neighbor index by linear scan. O(n * dim) per query.
 ///
 /// Serves two purposes: the recall oracle for HNSW in tests, and the index
-/// behind the `index_name = "brute_force"` pipeline ablation (which the
-/// deprecated `use_exact_knn` flag also maps to). Cosine queries divide one
-/// dot product by cached norms in double precision, so bitwise-identical
-/// vectors get a distance of exactly 0 (they must survive a
-/// `max_distance = 0` cap in MutualTopK).
+/// behind the `index_name = "brute_force"` pipeline ablation. Cosine
+/// queries divide one dot product by cached norms in double precision, so
+/// bitwise-identical vectors get a distance of exactly 0 (they must survive
+/// a `max_distance = 0` cap in MutualTopK).
 ///
 /// AddBatch(pool) copies rows (and computes the cached norms) in parallel;
 /// the result is bit-identical to the serial build, since row i always lands

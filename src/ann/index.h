@@ -61,8 +61,7 @@ struct MemoryBreakdown {
 
 /// Common interface of the nearest-neighbor indexes (HNSW and brute force),
 /// so the merging phase can swap implementations (`index_name =
-/// "brute_force"` in MultiEmConfig selects the exact-KNN ablation; the old
-/// `use_exact_knn` flag is a deprecated shim mapping to the same name).
+/// "brute_force"` in MultiEmConfig selects the exact-KNN ablation).
 class VectorIndex {
  public:
   virtual ~VectorIndex() = default;

@@ -29,9 +29,8 @@ class VectorIndexFactory {
 };
 
 /// Factory for the exact BruteForceIndex (the `index_name = "brute_force"`
-/// ablation; also what the deprecated `use_exact_knn` flag maps to). With a
-/// quantization mode the created scans run over codes + fp32 rerank
-/// (see BruteForceIndex).
+/// ablation). With a quantization mode the created scans run over codes +
+/// fp32 rerank (see BruteForceIndex).
 class BruteForceIndexFactory final : public VectorIndexFactory {
  public:
   explicit BruteForceIndexFactory(
@@ -46,21 +45,6 @@ class BruteForceIndexFactory final : public VectorIndexFactory {
   Quantization quantization_;
   size_t rerank_factor_;
 };
-
-/// Canonical HnswConfig derivation from the four user-facing knobs —
-/// shared by the registry's "hnsw" factory and the legacy MutualTopK
-/// fallback so both paths always build identical graphs (notably the
-/// m0 = 2*m layer-0 rule).
-inline HnswConfig MakeHnswConfig(size_t m, size_t ef_construction,
-                                 size_t ef_search, uint64_t seed) {
-  HnswConfig config;
-  config.m = m;
-  config.m0 = m * 2;
-  config.ef_construction = ef_construction;
-  config.ef_search = ef_search;
-  config.seed = seed;
-  return config;
-}
 
 /// Factory for HnswIndex with fixed construction/search knobs (the default
 /// `index_name = "hnsw"`). Every created index shares the same HnswConfig,

@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <memory>
 
-#include "ann/brute_force.h"
-#include "ann/hnsw.h"
 #include "util/logging.h"
 
 namespace multiem::ann {
@@ -14,19 +12,10 @@ namespace multiem::ann {
 namespace {
 
 std::unique_ptr<VectorIndex> BuildIndex(const embed::EmbeddingMatrix& vectors,
-                                        const MutualTopKOptions& options,
+                                        const VectorIndexFactory& factory,
+                                        Metric metric,
                                         util::ThreadPool* pool) {
-  std::unique_ptr<VectorIndex> index;
-  if (options.index_factory != nullptr) {
-    index = options.index_factory->Create(vectors.dim(), options.metric);
-  } else if (options.use_exact) {
-    index = std::make_unique<BruteForceIndex>(vectors.dim(), options.metric);
-  } else {
-    HnswConfig config =
-        MakeHnswConfig(options.hnsw_m, options.hnsw_ef_construction,
-                       options.hnsw_ef_search, options.hnsw_seed);
-    index = std::make_unique<HnswIndex>(vectors.dim(), options.metric, config);
-  }
+  std::unique_ptr<VectorIndex> index = factory.Create(vectors.dim(), metric);
   index->AddBatch(vectors, pool);
   return index;
 }
@@ -35,6 +24,7 @@ std::unique_ptr<VectorIndex> BuildIndex(const embed::EmbeddingMatrix& vectors,
 
 std::vector<MutualPair> MutualTopK(const embed::EmbeddingMatrix& left,
                                    const embed::EmbeddingMatrix& right,
+                                   const VectorIndexFactory& index_factory,
                                    const MutualTopKOptions& options,
                                    util::ThreadPool* pool) {
   std::vector<MutualPair> out;
@@ -63,14 +53,16 @@ std::vector<MutualPair> MutualTopK(const embed::EmbeddingMatrix& left,
   const bool parallel = pool != nullptr && pool->num_threads() > 1;
   if (parallel) {
     util::TaskGroup build_group(*pool);
-    pool->Submit(build_group,
-                 [&] { right_index = BuildIndex(right, options, pool); });
-    pool->Submit(build_group,
-                 [&] { left_index = BuildIndex(left, options, pool); });
+    pool->Submit(build_group, [&] {
+      right_index = BuildIndex(right, index_factory, options.metric, pool);
+    });
+    pool->Submit(build_group, [&] {
+      left_index = BuildIndex(left, index_factory, options.metric, pool);
+    });
     build_group.Wait();
   } else {
-    right_index = BuildIndex(right, options, nullptr);
-    left_index = BuildIndex(left, options, nullptr);
+    right_index = BuildIndex(right, index_factory, options.metric, nullptr);
+    left_index = BuildIndex(left, index_factory, options.metric, nullptr);
   }
 
   // topK(e) for every left row against the right index, and vice versa. Both

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "ann/index.h"
 #include "ann/index_factory.h"
 #include "embed/embedding.h"
 #include "util/thread_pool.h"
@@ -23,28 +22,19 @@ struct MutualPair {
 struct MutualTopKOptions {
   /// Top-K depth (paper default k = 1).
   size_t k = 1;
-  /// Distance threshold m: pairs farther than this are discarded.
+  /// Distance threshold m: pairs farther than this are discarded. Only an
+  /// exact index (BruteForceIndexFactory) guarantees a distance of exactly
+  /// 0 for bitwise-identical vectors; HNSW's normalized fast path can
+  /// report ~1e-7 for duplicates, so a max_distance of 0 needs the exact
+  /// index.
   float max_distance = 0.35f;
   Metric metric = Metric::kCosine;
-  /// Non-owning index factory. When set, both sides' indexes come from it
-  /// and `use_exact`/`hnsw_*` below are ignored. This is how the pipeline
-  /// injects a registered or builder-supplied ann::VectorIndexFactory.
-  const VectorIndexFactory* index_factory = nullptr;
-  /// false selects HnswIndex; true selects exact BruteForceIndex (ablation).
-  /// Only the exact index guarantees a distance of exactly 0 for bitwise-
-  /// identical vectors; HNSW's normalized fast path can report ~1e-7 for
-  /// duplicates, so a max_distance of 0 requires use_exact = true.
-  bool use_exact = false;
-  /// HNSW knobs (ignored for exact search and when index_factory is set).
-  size_t hnsw_m = 16;
-  size_t hnsw_ef_construction = 200;
-  size_t hnsw_ef_search = 64;
-  uint64_t hnsw_seed = 0x48435753ULL;
 };
 
 /// Computes Eq. 1 of the paper:
 ///   P_m = { (e, e') | e' in topK(e) and e in topK(e') and dist(e, e') <= m }
-/// by building one index per side and intersecting the two top-K relations.
+/// by building one index per side with `index_factory` and intersecting the
+/// two top-K relations.
 /// With a `pool`, the two index builds run concurrently (one task each) and
 /// the pool is threaded into each build's AddBatch, so large sides insert in
 /// parallel too (HnswIndex's lock-striped protocol); the queries of both
@@ -55,6 +45,7 @@ struct MutualTopKOptions {
 /// mutuality check packs a row pair into one 64-bit key.
 std::vector<MutualPair> MutualTopK(const embed::EmbeddingMatrix& left,
                                    const embed::EmbeddingMatrix& right,
+                                   const VectorIndexFactory& index_factory,
                                    const MutualTopKOptions& options,
                                    util::ThreadPool* pool = nullptr);
 

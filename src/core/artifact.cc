@@ -47,7 +47,7 @@ void WriteConfig(util::ByteWriter& out, const MultiEmConfig& config) {
   out.WriteU64(config.k);
   out.WriteF32(config.m);
   out.WriteU8(static_cast<uint8_t>(config.merged_repr));
-  out.WriteU8(config.use_exact_knn ? 1 : 0);
+  out.WriteU8(0);  // legacy exact-KNN flag; see ReadConfig
   out.WriteU64(config.hnsw_m);
   out.WriteU64(config.hnsw_ef_construction);
   out.WriteU64(config.hnsw_ef_search);
@@ -81,8 +81,11 @@ util::Status ReadConfig(util::ByteReader& in, MultiEmConfig* config) {
         "manifest config: unknown merged_repr " + std::to_string(u8));
   }
   config->merged_repr = static_cast<MergedItemRepr>(u8);
-  MULTIEM_RETURN_IF_ERROR(in.ReadU8(&u8));
-  config->use_exact_knn = u8 != 0;
+  // Legacy exact-KNN flag: writers put 0; a 1 comes from a session saved
+  // with the since-removed exact-KNN config flag and means index_name
+  // "brute_force" (applied below, once the saved index_name is read).
+  uint8_t legacy_exact = 0;
+  MULTIEM_RETURN_IF_ERROR(in.ReadU8(&legacy_exact));
   MULTIEM_RETURN_IF_ERROR(in.ReadU64(&u64));
   config->hnsw_m = u64;
   MULTIEM_RETURN_IF_ERROR(in.ReadU64(&u64));
@@ -100,6 +103,7 @@ util::Status ReadConfig(util::ByteReader& in, MultiEmConfig* config) {
   MULTIEM_RETURN_IF_ERROR(in.ReadString(&config->encoder_name));
   MULTIEM_RETURN_IF_ERROR(in.ReadString(&config->index_name));
   MULTIEM_RETURN_IF_ERROR(in.ReadString(&config->pruner_name));
+  if (legacy_exact != 0) config->index_name = kBruteForceIndexName;
   return in.ExpectExhausted();
 }
 
@@ -108,8 +112,7 @@ std::string PathIn(const std::string& dir, const char* file) {
 }
 
 // The "items" + "centroids" sections of an open manifest, reassembled into
-// a MergeTable. Shared by Load (full serving session) and LoadEntityTable
-// (merge-plane reopen of a shard artifact).
+// a MergeTable (the integrated entity table of the serving session).
 util::Status ReadEntityTable(util::ArtifactReader& manifest,
                              MergeTable* entities) {
   auto items = manifest.Section("items");
@@ -385,8 +388,7 @@ util::Result<Matcher> PipelineArtifact::Load(
 
   // The index factory backs future AddTable rebuilds; resolve it from the
   // saved config so incremental merges use the same backend the run did.
-  auto factory =
-      IndexFactories().Create(config.effective_index_name(), config);
+  auto factory = IndexFactories().Create(config.index_name, config);
   if (!factory.ok()) return factory.status();
 
   // Matcher::Assemble revalidates the cross-file invariants (index size vs
@@ -398,22 +400,6 @@ util::Result<Matcher> PipelineArtifact::Load(
       std::shared_ptr<embed::TextEncoder>(std::move(*encoder)),
       std::shared_ptr<const ann::VectorIndexFactory>(std::move(*factory)),
       std::move(*index), /*pool=*/nullptr, std::move(slot_to_item));
-}
-
-util::Result<MergeTable> PipelineArtifact::LoadEntityTable(
-    const std::string& dir, const util::ArtifactOpenOptions& options) {
-  auto manifest = util::ArtifactReader::FromFile(
-      PathIn(dir, kManifestFile), kManifestMagic, kManifestVersion, options);
-  if (!manifest.ok()) return manifest.status();
-  MergeTable entities;
-  MULTIEM_RETURN_IF_ERROR(ReadEntityTable(*manifest, &entities));
-  if (entities.num_tombstones() > 0) {
-    return util::Status::FailedPrecondition(
-        "artifact '" + dir + "' holds " +
-        std::to_string(entities.num_tombstones()) +
-        " tombstoned items and cannot re-enter the merge hierarchy");
-  }
-  return entities;
 }
 
 }  // namespace multiem::core

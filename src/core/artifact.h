@@ -70,16 +70,6 @@ class PipelineArtifact {
   /// overload — heap reads, full checksum verification.
   static util::Result<Matcher> Load(const std::string& dir,
                                     const util::ArtifactOpenOptions& options);
-
-  /// Loads only the integrated entity table (items + centroid matrix) from
-  /// the manifest under `dir`, skipping the encoder and index files — the
-  /// merge-plane entry: MergeSource::FromArtifactDir materializes through
-  /// this, so a finished shard artifact can re-enter the merge hierarchy
-  /// without paying for serving state. The centroid rows alias the loaded
-  /// section (heap block or mapped pages). Tombstoned items are rejected: a
-  /// table going back into the hierarchy must be fully live.
-  static util::Result<MergeTable> LoadEntityTable(
-      const std::string& dir, const util::ArtifactOpenOptions& options = {});
 };
 
 }  // namespace multiem::core

@@ -65,7 +65,7 @@ uint64_t ComputeRunFingerprint(const MultiEmConfig& config,
   HashU64(config.min_pts, &state);
   HashU64(config.seed, &state);
   HashString(config.encoder_name, &state);
-  HashString(config.effective_index_name(), &state);
+  HashString(config.index_name, &state);
   HashString(config.pruner_name, &state);
   // Input shape: table identity + dimensions + schema. Cell contents are
   // not hashed (runs over million-row corpora would pay a full scan); a

@@ -62,12 +62,11 @@ util::Status MultiEmConfig::ValidateHnswKnobs() const {
 
 util::Status MultiEmConfig::Validate() const {
   MULTIEM_RETURN_IF_ERROR(ValidateValues());
-  if (effective_index_name() == kDefaultIndexName) {
+  if (index_name == kDefaultIndexName) {
     MULTIEM_RETURN_IF_ERROR(ValidateHnswKnobs());
   }
   MULTIEM_RETURN_IF_ERROR(TextEncoders().CheckRegistered(encoder_name));
-  MULTIEM_RETURN_IF_ERROR(
-      IndexFactories().CheckRegistered(effective_index_name()));
+  MULTIEM_RETURN_IF_ERROR(IndexFactories().CheckRegistered(index_name));
   MULTIEM_RETURN_IF_ERROR(Pruners().CheckRegistered(pruner_name));
   return util::Status::Ok();
 }

@@ -57,9 +57,6 @@ struct MultiEmConfig {
   float m = 0.35f;
   /// Representation of merged items across hierarchies.
   MergedItemRepr merged_repr = MergedItemRepr::kCentroid;
-  /// Deprecated shim: true maps to `index_name = "brute_force"` (the exact
-  /// brute-force KNN ablation). Prefer setting index_name directly.
-  bool use_exact_knn = false;
   /// HNSW construction/search knobs. The defaults are tuned for the mutual
   /// top-1 queries of the merging phase (k=1 with a distance cap needs far
   /// less beam width than a recall@100 workload).
@@ -104,11 +101,6 @@ struct MultiEmConfig {
   /// Pruning-phase implementation, resolved through core::Pruners(). The
   /// default "density" is the paper's Algorithm 4.
   std::string pruner_name = "density";
-
-  /// The index name after applying the deprecated `use_exact_knn` shim.
-  std::string effective_index_name() const {
-    return use_exact_knn ? "brute_force" : index_name;
-  }
 
   /// Verifies parameter ranges and that the three component names are
   /// registered; returns InvalidArgument on nonsense values (unknown names

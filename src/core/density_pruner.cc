@@ -101,21 +101,4 @@ std::vector<eval::Tuple> DensityPruner::Prune(const MergeTable& integrated,
   return tuples;
 }
 
-std::vector<eval::Tuple> DensityPruner::Prune(const MergeTable& integrated,
-                                              util::ThreadPool* pool,
-                                              PruneStats* stats) const {
-  if (bound_store_ == nullptr) {
-    // Loud failure instead of a null dereference inside the parallel loop:
-    // this overload only works with the store-binding constructor.
-    util::Status::FailedPrecondition(
-        "DensityPruner: the store-free constructor requires the "
-        "PruneContext overload of Prune (no store was bound)")
-        .CheckOk();
-  }
-  PruneContext ctx;
-  ctx.store = bound_store_;
-  ctx.pool = pool;
-  return Prune(integrated, ctx, stats);
-}
-
 }  // namespace multiem::core

@@ -31,14 +31,8 @@ namespace multiem::core {
 /// cancellation token (if any) is polled between batches.
 class DensityPruner : public Pruner {
  public:
-  /// Store-free construction: the store arrives per call via PruneContext.
-  /// This is the form the registry and the builder use.
+  /// The store (and pool, and run session) arrive per call via PruneContext.
   explicit DensityPruner(const MultiEmConfig& config) : config_(config) {}
-
-  /// Binds a store at construction so the legacy Prune overload below can be
-  /// called without a context.
-  DensityPruner(const MultiEmConfig& config, const EntityEmbeddingStore* store)
-      : config_(config), bound_store_(store) {}
 
   /// Pruner interface: prunes `integrated` against ctx.store. With
   /// config.enable_pruning == false, returns every >=2-member item as-is
@@ -47,14 +41,8 @@ class DensityPruner : public Pruner {
                                  const PruneContext& ctx,
                                  PruneStats* stats) const override;
 
-  /// Legacy convenience: prunes against the store bound at construction.
-  std::vector<eval::Tuple> Prune(const MergeTable& integrated,
-                                 util::ThreadPool* pool = nullptr,
-                                 PruneStats* stats = nullptr) const;
-
  private:
   MultiEmConfig config_;
-  const EntityEmbeddingStore* bound_store_ = nullptr;
 };
 
 }  // namespace multiem::core

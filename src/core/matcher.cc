@@ -361,10 +361,9 @@ util::Status Matcher::AddTable(const table::Table& table,
   } else {
     live = old->entities.GatherEmbeddings();
   }
-  const ann::MutualTopKOptions mutual =
-      MutualOptionsFromConfig(fixed_->config, fixed_->index_factory.get());
-  const std::vector<ann::MutualPair> matched_pairs =
-      ann::MutualTopK(live, embeddings, mutual, options.pool);
+  const std::vector<ann::MutualPair> matched_pairs = ann::MutualTopK(
+      live, embeddings, *fixed_->index_factory,
+      MutualOptionsFromConfig(fixed_->config), options.pool);
 
   auto next = std::make_shared<ServingState>();
   next->epoch = old->epoch + 1;

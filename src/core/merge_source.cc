@@ -4,8 +4,6 @@
 #include <system_error>
 #include <utility>
 
-#include "core/artifact.h"
-
 namespace multiem::core {
 
 MergeSource MergeSource::FromTable(MergeTable table) {
@@ -26,15 +24,6 @@ MergeSource MergeSource::FromSpill(std::string path,
   return source;
 }
 
-MergeSource MergeSource::FromArtifactDir(std::string dir,
-                                         util::ArtifactOpenOptions options) {
-  MergeSource source;
-  source.kind_ = Kind::kArtifactDir;
-  source.path_ = std::move(dir);
-  source.options_ = options;
-  return source;
-}
-
 util::Result<MergeTable> MergeSource::Materialize() const {
   switch (kind_) {
     case Kind::kEmpty:
@@ -46,8 +35,6 @@ util::Result<MergeTable> MergeSource::Materialize() const {
       return MergeTable(table_);
     case Kind::kSpill:
       return MergeTable::Load(path_, options_);
-    case Kind::kArtifactDir:
-      return PipelineArtifact::LoadEntityTable(path_, options_);
   }
   return util::Status::Internal("corrupt merge source kind");
 }

@@ -1,20 +1,17 @@
 /// \file merge_source.h
-/// Artifact-handle abstraction over the inputs of the merge hierarchy.
+/// Handle abstraction over the inputs of the merge hierarchy.
 ///
 /// A handle names a table of the merge hierarchy without committing to
 /// where its bytes live, so one executor (ExecuteMergePlan in
 /// core/merge_plan.h) serves resident, spilled, and multi-process merging,
-/// loading at most one pair of handles at a time. Three backings exist:
+/// loading at most one pair of handles at a time. Two backings exist:
 ///
-///   * resident      — wraps an in-memory MergeTable;
-///   * spill         — a MEMMERGT file (MergeTable::Save), opened lazily
-///                     with the handle's ArtifactOpenOptions (mmap-preferred
-///                     rows alias the mapped pages);
-///   * artifact dir  — a full pipeline artifact directory (PR 5 manifest);
-///                     materializing loads just the integrated entity table,
-///                     skipping the encoder and index files. This is how a
-///                     finished shard build re-enters the hierarchy in the
-///                     multi-process coordinator (src/distrib/).
+///   * resident — wraps an in-memory MergeTable;
+///   * spill    — a MEMMERGT file (MergeTable::Save), opened lazily with the
+///                handle's ArtifactOpenOptions (mmap-preferred rows alias
+///                the mapped pages). Spill executions write these, and the
+///                multi-process coordinator (src/distrib/) re-enters each
+///                finished shard worker's merge roots through them.
 ///
 /// Handles are cheap to copy-construct from paths and move-only-in-spirit
 /// for resident tables (copying a resident handle would duplicate chunks;
@@ -34,13 +31,6 @@ namespace multiem::core {
 /// A handle to one table of the merge hierarchy. See file comment.
 class MergeSource {
  public:
-  enum class Kind {
-    kEmpty,        ///< default-constructed or already consumed
-    kResident,     ///< in-memory MergeTable
-    kSpill,        ///< MEMMERGT file on disk
-    kArtifactDir,  ///< pipeline artifact directory (manifest.mem inside)
-  };
-
   MergeSource() = default;
 
   /// Wraps an in-memory table.
@@ -54,26 +44,15 @@ class MergeSource {
                                util::ArtifactOpenOptions options = {},
                                bool owns_file = false);
 
-  /// Names a pipeline artifact directory; materializing loads the
-  /// integrated entity table (PipelineArtifact::LoadEntityTable). Artifacts
-  /// holding tombstoned items are rejected at load time — a table
-  /// re-entering the hierarchy must be fully live.
-  static MergeSource FromArtifactDir(std::string dir,
-                                     util::ArtifactOpenOptions options = {});
-
-  Kind kind() const { return kind_; }
   bool empty() const { return kind_ == Kind::kEmpty; }
   bool resident() const { return kind_ == Kind::kResident; }
-  /// Spill-file or artifact-directory path; empty for resident handles.
-  const std::string& path() const { return path_; }
-  bool owns_file() const { return owns_file_; }
 
   /// Non-consuming load. Resident handles copy (chunk-sharing, O(chunks));
   /// disk handles open and parse their backing. The handle stays valid.
   util::Result<MergeTable> Materialize() const;
 
   /// Consuming load: resident handles move their table out, disk handles
-  /// load as Materialize. The handle is kEmpty afterwards; an owned backing
+  /// load as Materialize. The handle is empty afterwards; an owned backing
   /// file is NOT removed (call RemoveBackingFile once the data derived from
   /// it is durable).
   util::Result<MergeTable> Acquire();
@@ -84,9 +63,15 @@ class MergeSource {
   void RemoveBackingFile();
 
  private:
+  enum class Kind {
+    kEmpty,     ///< default-constructed or already consumed
+    kResident,  ///< in-memory MergeTable
+    kSpill,     ///< MEMMERGT file on disk
+  };
+
   Kind kind_ = Kind::kEmpty;
   MergeTable table_;             // kResident
-  std::string path_;             // kSpill / kArtifactDir
+  std::string path_;             // kSpill
   util::ArtifactOpenOptions options_;
   bool owns_file_ = false;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <unordered_set>
 #include <utility>
 
@@ -44,6 +45,81 @@ util::Status ValidateTables(const std::vector<table::Table>& tables) {
   return util::Status::Ok();
 }
 
+util::Status ResolveComponents(const MultiEmConfig& config,
+                               PipelineComponents* components) {
+  if (components->encoder == nullptr) {
+    auto created = TextEncoders().Create(config.encoder_name, config);
+    if (!created.ok()) return created.status();
+    components->encoder = std::move(*created);
+  }
+  if (components->index_factory == nullptr) {
+    if (config.index_name == kDefaultIndexName) {
+      MULTIEM_RETURN_IF_ERROR(config.ValidateHnswKnobs());
+    }
+    auto created = IndexFactories().Create(config.index_name, config);
+    if (!created.ok()) return created.status();
+    components->index_factory = std::move(*created);
+  }
+  if (components->pruner == nullptr) {
+    auto created = Pruners().Create(config.pruner_name, config);
+    if (!created.ok()) return created.status();
+    components->pruner = std::move(*created);
+  }
+  return util::Status::Ok();
+}
+
+util::Result<AttributeSelection> SelectAttributes(
+    const MultiEmConfig& config, const std::vector<table::Table>& tables,
+    embed::TextEncoder* encoder, util::ThreadPool* pool) {
+  // Fit corpus-dependent state (SIF frequencies for the hashing encoder) on
+  // the full-schema corpus; its only consumer is the attribute selector.
+  {
+    std::vector<std::string> corpus;
+    for (const table::Table& t : tables) {
+      std::vector<std::string> texts = embed::SerializeTable(t);
+      corpus.insert(corpus.end(), std::make_move_iterator(texts.begin()),
+                    std::make_move_iterator(texts.end()));
+    }
+    encoder->FitCorpus(corpus);
+  }
+  if (config.enable_attribute_selection) {
+    return AttributeSelector(encoder, config).Run(tables, pool);
+  }
+  AttributeSelection all;
+  for (size_t c = 0; c < tables[0].num_columns(); ++c) {
+    all.selected_columns.push_back(c);
+    all.selected_names.push_back(tables[0].schema().name(c));
+  }
+  all.shuffle_similarity.assign(tables[0].num_columns(), 0.0);
+  return all;
+}
+
+EntityEmbeddingStore EmbedSources(const std::vector<table::Table>& tables,
+                                  const AttributeSelection& selection,
+                                  const std::vector<size_t>& sources,
+                                  embed::TextEncoder* encoder,
+                                  util::ThreadPool* pool) {
+  // Refit on the selected-column corpus so corpus-dependent weighting (e.g.
+  // SIF) matches what is actually encoded.
+  std::vector<bool> listed(tables.size(), false);
+  for (size_t s : sources) listed[s] = true;
+  std::vector<std::vector<std::string>> texts(tables.size());
+  std::vector<std::string> corpus;
+  for (size_t s = 0; s < tables.size(); ++s) {
+    std::vector<std::string> serialized =
+        embed::SerializeTable(tables[s], selection.selected_columns);
+    corpus.insert(corpus.end(), serialized.begin(), serialized.end());
+    if (listed[s]) texts[s] = std::move(serialized);
+  }
+  encoder->FitCorpus(corpus);
+  EntityEmbeddingStore store;
+  for (size_t s = 0; s < tables.size(); ++s) {
+    store.AddSource(listed[s] ? encoder->EncodeBatch(texts[s], pool)
+                              : embed::EmbeddingMatrix(0, encoder->dim()));
+  }
+  return store;
+}
+
 namespace {
 
 /// RAII phase bracket: accumulates the duration into the result's timings
@@ -74,38 +150,6 @@ class ScopedPhase {
 util::Status CancelledAfter(const char* phase) {
   return util::Status::Cancelled(
       std::string("pipeline run cancelled during the ") + phase + " phase");
-}
-
-/// Fills each unset component from its registry by config name — shared by
-/// PipelineBuilder::Build (validate-once path) and MultiEmPipeline::Run
-/// (per-run path). Already-set components (builder injections) are kept and
-/// their config names are not validated. The HNSW knob coupling is checked
-/// only when the built-in "hnsw" index is actually resolved.
-util::Status ResolveComponents(
-    const MultiEmConfig& config,
-    std::shared_ptr<embed::TextEncoder>* encoder,
-    std::shared_ptr<const ann::VectorIndexFactory>* index_factory,
-    std::shared_ptr<const Pruner>* pruner) {
-  if (*encoder == nullptr) {
-    auto created = TextEncoders().Create(config.encoder_name, config);
-    if (!created.ok()) return created.status();
-    *encoder = std::move(*created);
-  }
-  if (*index_factory == nullptr) {
-    if (config.effective_index_name() == kDefaultIndexName) {
-      MULTIEM_RETURN_IF_ERROR(config.ValidateHnswKnobs());
-    }
-    auto created =
-        IndexFactories().Create(config.effective_index_name(), config);
-    if (!created.ok()) return created.status();
-    *index_factory = std::move(*created);
-  }
-  if (*pruner == nullptr) {
-    auto created = Pruners().Create(config.pruner_name, config);
-    if (!created.ok()) return created.status();
-    *pruner = std::move(*created);
-  }
-  return util::Status::Ok();
 }
 
 /// Checkpoint payload of the selection phase — the one phase whose output
@@ -188,57 +232,37 @@ util::Status MultiEmPipeline::Run(const std::vector<table::Table>& tables,
   // Assemble the components: builder-injected instances win; otherwise
   // resolve from the registries by config name. Either way this run gets a
   // private encoder — registry resolution creates a fresh one, and a
-  // builder-injected (shared across runs) encoder is cloned, because
-  // FitCorpus below mutates encoder state and Run() is documented safe for
-  // concurrent calls. The index factory and pruner are const-shared as-is.
-  std::shared_ptr<embed::TextEncoder> encoder =
-      encoder_ == nullptr ? nullptr : encoder_->Clone();
-  std::shared_ptr<const ann::VectorIndexFactory> index_factory =
-      index_factory_;
-  std::shared_ptr<const Pruner> pruner = pruner_;
-  MULTIEM_RETURN_IF_ERROR(
-      ResolveComponents(config_, &encoder, &index_factory, &pruner));
+  // builder-injected (shared across runs) encoder is cloned, because the
+  // phases below refit it and Run() is documented safe for concurrent
+  // calls. The index factory and pruner are const-shared as-is.
+  PipelineComponents components = components_;
+  if (components.encoder != nullptr) {
+    components.encoder = components.encoder->Clone();
+  }
+  MULTIEM_RETURN_IF_ERROR(ResolveComponents(config_, &components));
 
   std::unique_ptr<util::ThreadPool> pool;
   if (config_.num_threads != 1) {
     pool = std::make_unique<util::ThreadPool>(config_.num_threads);
   }
 
-  // Encoder setup: fit corpus-dependent state (SIF frequencies for the
-  // hashing encoder) on the full-schema corpus. A restored selection skips
-  // this fit entirely — its only consumer is the attribute selector (phase
-  // R refits on the selected columns regardless).
-  if (!have_restored_selection) {
-    std::vector<std::string> corpus;
-    for (const table::Table& t : tables) {
-      std::vector<std::string> texts = embed::SerializeTable(t);
-      corpus.insert(corpus.end(), std::make_move_iterator(texts.begin()),
-                    std::make_move_iterator(texts.end()));
-    }
-    encoder->FitCorpus(corpus);
-    if (checkpoint != nullptr && !checkpoint->HasPhase("encoder_fit")) {
-      MULTIEM_FAULT_POINT("pipeline.phase.commit");
-      MULTIEM_RETURN_IF_ERROR(checkpoint->RecordPhase("encoder_fit"));
-    }
-  }
-
-  // Phase S: automated attribute selection (Algorithm 1).
+  // Phase S: full-schema encoder fit + automated attribute selection
+  // (Algorithm 1). A restored selection skips both: the fit's only consumer
+  // is the selector, and phase R refits regardless.
   {
     ScopedPhase phase(result, ctx, kPhaseSelection);
     if (have_restored_selection) {
       result->selection = std::move(restored_selection);
-    } else if (config_.enable_attribute_selection) {
-      AttributeSelector selector(encoder.get(), config_);
-      auto selection = selector.Run(tables, pool.get());
+    } else {
+      auto selection = SelectAttributes(config_, tables,
+                                        components.encoder.get(), pool.get());
       if (!selection.ok()) return selection.status();
       result->selection = std::move(*selection);
-    } else {
-      for (size_t c = 0; c < tables[0].num_columns(); ++c) {
-        result->selection.selected_columns.push_back(c);
-        result->selection.selected_names.push_back(tables[0].schema().name(c));
+      // Marker only (resume never reads it): the full-schema fit ran.
+      if (checkpoint != nullptr && !checkpoint->HasPhase("encoder_fit")) {
+        MULTIEM_FAULT_POINT("pipeline.phase.commit");
+        MULTIEM_RETURN_IF_ERROR(checkpoint->RecordPhase("encoder_fit"));
       }
-      result->selection.shuffle_similarity.assign(tables[0].num_columns(),
-                                                  0.0);
     }
     if (checkpoint != nullptr && !checkpoint->HasPhase(kPhaseSelection)) {
       MULTIEM_FAULT_POINT("pipeline.phase.commit");
@@ -252,21 +276,10 @@ util::Status MultiEmPipeline::Run(const std::vector<table::Table>& tables,
   EntityEmbeddingStore store;
   {
     ScopedPhase phase(result, ctx, kPhaseRepresentation);
-    // Re-fit the encoder on the selected-column corpus so corpus-dependent
-    // weighting (e.g. SIF) matches what is actually encoded.
-    std::vector<std::vector<std::string>> texts_per_source;
-    texts_per_source.reserve(tables.size());
-    std::vector<std::string> corpus;
-    for (const table::Table& t : tables) {
-      texts_per_source.push_back(
-          embed::SerializeTable(t, result->selection.selected_columns));
-      corpus.insert(corpus.end(), texts_per_source.back().begin(),
-                    texts_per_source.back().end());
-    }
-    encoder->FitCorpus(corpus);
-    for (const auto& texts : texts_per_source) {
-      store.AddSource(encoder->EncodeBatch(texts, pool.get()));
-    }
+    std::vector<size_t> all_sources(tables.size());
+    std::iota(all_sources.begin(), all_sources.end(), size_t{0});
+    store = EmbedSources(tables, result->selection, all_sources,
+                         components.encoder.get(), pool.get());
     // Embeddings are recomputed on resume (they are deterministic and the
     // store must be resident for merging anyway); the marker records that
     // the phase completed at least once, for observability and tests.
@@ -304,7 +317,7 @@ util::Status MultiEmPipeline::Run(const std::vector<table::Table>& tables,
                       checkpoint.get())
                 : MergeExecOptions::Resident();
     const MergePlan plan = MergePlan::Build(tables.size(), config_.seed);
-    const TwoTableMerger merger(config_, &store, index_factory.get());
+    const TwoTableMerger merger(config_, &store, *components.index_factory);
     util::Status merged = ExecuteMergePlan(plan, slots, merger, options,
                                            pool.get(), &result->merge_stats,
                                            ctx);
@@ -330,7 +343,7 @@ util::Status MultiEmPipeline::Run(const std::vector<table::Table>& tables,
     prune_ctx.pool = pool.get();
     prune_ctx.run = ctx;
     result->tuples =
-        pruner->Prune(integrated, prune_ctx, &result->prune_stats);
+        components.pruner->Prune(integrated, prune_ctx, &result->prune_stats);
   }
   if (ctx.cancelled()) return CancelledAfter(kPhasePruning);
 
@@ -347,7 +360,8 @@ util::Status MultiEmPipeline::Run(const std::vector<table::Table>& tables,
     auto matcher = Matcher::Assemble(
         config_, std::move(schema_names), result->selection,
         std::move(source_names), std::move(store), std::move(integrated),
-        encoder, index_factory, /*index=*/nullptr, pool.get());
+        components.encoder, components.index_factory, /*index=*/nullptr,
+        pool.get());
     if (!matcher.ok()) return matcher.status();
     result->matcher = std::make_shared<Matcher>(std::move(*matcher));
   }
@@ -371,12 +385,8 @@ util::Result<Matcher> MultiEmPipeline::LoadArtifact(
 util::Result<MultiEmPipeline> PipelineBuilder::Build() {
   MULTIEM_RETURN_IF_ERROR(config_.ValidateValues());
   MultiEmPipeline pipeline(config_);
-  pipeline.encoder_ = std::move(encoder_);
-  pipeline.index_factory_ = std::move(index_factory_);
-  pipeline.pruner_ = std::move(pruner_);
-  MULTIEM_RETURN_IF_ERROR(ResolveComponents(config_, &pipeline.encoder_,
-                                            &pipeline.index_factory_,
-                                            &pipeline.pruner_));
+  pipeline.components_ = std::move(components_);
+  MULTIEM_RETURN_IF_ERROR(ResolveComponents(config_, &pipeline.components_));
   return pipeline;
 }
 

@@ -44,6 +44,7 @@
 #include "eval/tuples.h"
 #include "table/table.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace multiem::core {
@@ -60,6 +61,42 @@ inline constexpr const char* kPhasePruning = "pruning";
 /// distrib::Coordinator): at least 2 tables, each non-empty, unique names,
 /// one common schema. InvalidArgument names the first violation.
 util::Status ValidateTables(const std::vector<table::Table>& tables);
+
+/// The three pluggable components of a run. A null member means "resolve
+/// from the registry by config name" (see ResolveComponents).
+struct PipelineComponents {
+  std::shared_ptr<embed::TextEncoder> encoder;
+  std::shared_ptr<const ann::VectorIndexFactory> index_factory;
+  std::shared_ptr<const Pruner> pruner;
+};
+
+/// Fills each null member of `components` from its registry by the config's
+/// encoder_name / index_name / pruner_name. Members already set (builder
+/// injections) are kept and their names are not validated. The HNSW knob
+/// coupling (MultiEmConfig::ValidateHnswKnobs) is checked only when the
+/// built-in "hnsw" index is resolved. Every build path calls this —
+/// PipelineBuilder::Build, MultiEmPipeline::Run, distrib::RunShardWorker and
+/// distrib::Coordinator::Build — so all of them accept the same configs.
+util::Status ResolveComponents(const MultiEmConfig& config,
+                               PipelineComponents* components);
+
+/// Phase S (Section III-B): fits `encoder` on the full-schema corpus of
+/// `tables` (non-empty), then runs Algorithm 1 — or selects every column
+/// when config.enable_attribute_selection is off. Deterministic in
+/// (tables, config), so separate processes replay it and agree bit for bit.
+util::Result<AttributeSelection> SelectAttributes(
+    const MultiEmConfig& config, const std::vector<table::Table>& tables,
+    embed::TextEncoder* encoder, util::ThreadPool* pool);
+
+/// Phase R: refits `encoder` on the corpus serialized with the selected
+/// columns, then embeds the sources listed in `sources`. Every other source
+/// gets a 0-row placeholder, so EntityId::source keeps indexing the store
+/// globally; with `sources` empty the call only refits the encoder.
+EntityEmbeddingStore EmbedSources(const std::vector<table::Table>& tables,
+                                  const AttributeSelection& selection,
+                                  const std::vector<size_t>& sources,
+                                  embed::TextEncoder* encoder,
+                                  util::ThreadPool* pool);
 
 /// Everything MultiEM produces for one run.
 struct PipelineResult {
@@ -155,12 +192,9 @@ class MultiEmPipeline {
   friend class PipelineBuilder;
 
   MultiEmConfig config_;
-  // Builder-provided components; null means "resolve from the registry by
-  // config name at Run()". shared_ptr so Run() can hand the ownership of a
-  // per-run resolved component and a bound component through one type.
-  std::shared_ptr<embed::TextEncoder> encoder_;
-  std::shared_ptr<const ann::VectorIndexFactory> index_factory_;
-  std::shared_ptr<const Pruner> pruner_;
+  // Builder-provided components; null members are resolved from the
+  // registries by config name at Run().
+  PipelineComponents components_;
 };
 
 /// Assembles a MultiEmPipeline from a config plus optional explicit
@@ -185,20 +219,20 @@ class PipelineBuilder {
 
   /// Injects the sentence encoder instance (overrides encoder_name).
   PipelineBuilder& WithEncoder(std::unique_ptr<embed::TextEncoder> encoder) {
-    encoder_ = std::move(encoder);
+    components_.encoder = std::move(encoder);
     return *this;
   }
 
-  /// Injects the ANN index factory (overrides index_name/use_exact_knn).
+  /// Injects the ANN index factory (overrides index_name).
   PipelineBuilder& WithIndexFactory(
       std::unique_ptr<ann::VectorIndexFactory> factory) {
-    index_factory_ = std::move(factory);
+    components_.index_factory = std::move(factory);
     return *this;
   }
 
   /// Injects the pruning phase (overrides pruner_name).
   PipelineBuilder& WithPruner(std::unique_ptr<Pruner> pruner) {
-    pruner_ = std::move(pruner);
+    components_.pruner = std::move(pruner);
     return *this;
   }
 
@@ -210,9 +244,7 @@ class PipelineBuilder {
 
  private:
   MultiEmConfig config_;
-  std::shared_ptr<embed::TextEncoder> encoder_;
-  std::shared_ptr<const ann::VectorIndexFactory> index_factory_;
-  std::shared_ptr<const Pruner> pruner_;
+  PipelineComponents components_;
 };
 
 }  // namespace multiem::core

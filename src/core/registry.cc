@@ -28,9 +28,12 @@ ann::Quantization ParseQuantizationOrNone(const MultiEmConfig& config) {
 
 std::unique_ptr<ann::VectorIndexFactory> MakeHnswFactory(
     const MultiEmConfig& config) {
-  ann::HnswConfig hnsw_config = ann::MakeHnswConfig(
-      config.hnsw_m, config.hnsw_ef_construction, config.hnsw_ef_search,
-      config.seed ^ 0x484E5357ULL /* "HNSW" */);
+  ann::HnswConfig hnsw_config;
+  hnsw_config.m = config.hnsw_m;
+  hnsw_config.m0 = 2 * config.hnsw_m;  // hnswlib's layer-0 degree rule
+  hnsw_config.ef_construction = config.hnsw_ef_construction;
+  hnsw_config.ef_search = config.hnsw_ef_search;
+  hnsw_config.seed = config.seed ^ 0x484E5357ULL;  // "HNSW"
   hnsw_config.quantization = ParseQuantizationOrNone(config);
   hnsw_config.rerank_factor = config.rerank_factor;
   return std::make_unique<ann::HnswIndexFactory>(hnsw_config);

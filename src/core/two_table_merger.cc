@@ -4,26 +4,14 @@
 
 #include "ann/mutual_topk.h"
 #include "cluster/union_find.h"
-#include "core/registry.h"
 
 namespace multiem::core {
 
-ann::MutualTopKOptions MutualOptionsFromConfig(
-    const MultiEmConfig& config,
-    const ann::VectorIndexFactory* index_factory) {
+ann::MutualTopKOptions MutualOptionsFromConfig(const MultiEmConfig& config) {
   ann::MutualTopKOptions options;
   options.k = config.k;
   options.max_distance = config.m;
   options.metric = ann::Metric::kCosine;
-  options.index_factory = index_factory;
-  // Null-factory fallback: honor the configured index name (and the
-  // deprecated use_exact_knn shim behind it), not just the shim, so direct
-  // merger users asking for "brute_force" by name get the exact index.
-  options.use_exact = config.effective_index_name() == kBruteForceIndexName;
-  options.hnsw_m = config.hnsw_m;
-  options.hnsw_ef_construction = config.hnsw_ef_construction;
-  options.hnsw_ef_search = config.hnsw_ef_search;
-  options.hnsw_seed = config.seed ^ 0x484E5357ULL;
   return options;
 }
 
@@ -31,13 +19,12 @@ MergeTable TwoTableMerger::Merge(const MergeTable& a, const MergeTable& b,
                                  util::ThreadPool* pool,
                                  TwoTableMergeStats* stats) const {
   // Step 1 (Algorithm 3 lines 3-5): mutual top-K pairs under the cap m.
-  const ann::MutualTopKOptions options =
-      MutualOptionsFromConfig(config_, index_factory_);
   // MutualTopK wants contiguous matrices; the tables store their rows in
   // copy-on-write chunks, so gather once per merge (negligible next to the
   // two index builds it feeds).
-  std::vector<ann::MutualPair> matches = ann::MutualTopK(
-      a.GatherEmbeddings(), b.GatherEmbeddings(), options, pool);
+  std::vector<ann::MutualPair> matches =
+      ann::MutualTopK(a.GatherEmbeddings(), b.GatherEmbeddings(),
+                      *index_factory_, MutualOptionsFromConfig(config_), pool);
 
   // Step 2 (lines 6-10): union by transitivity. Items of `a` take union-find
   // ids [0, a.num_items()); items of `b` take [a.num_items(), ...). The

@@ -13,14 +13,10 @@
 namespace multiem::core {
 
 /// The mutual top-K options (Eq. 1 knobs) a run config implies: k, the
-/// distance cap m, the cosine metric, and the configured index backend.
-/// Shared by TwoTableMerger::Merge and Matcher::AddTable so serve-time
-/// ingestion applies exactly the matching standard the pipeline's merge
-/// levels used. `index_factory` (optional, non-owning) overrides the
-/// config-name-resolved backend, mirroring the TwoTableMerger constructor.
-ann::MutualTopKOptions MutualOptionsFromConfig(
-    const MultiEmConfig& config,
-    const ann::VectorIndexFactory* index_factory);
+/// distance cap m, and the cosine metric. Shared by TwoTableMerger::Merge
+/// and Matcher::AddTable so serve-time ingestion applies exactly the
+/// matching standard the pipeline's merge levels used.
+ann::MutualTopKOptions MutualOptionsFromConfig(const MultiEmConfig& config);
 
 /// Counters reported by one two-table merge.
 struct TwoTableMergeStats {
@@ -39,13 +35,13 @@ struct TwoTableMergeStats {
 class TwoTableMerger {
  public:
   /// `store` supplies base entity embeddings for centroid recomputation.
-  /// `index_factory` (non-owning, optional) overrides how the per-merge ANN
-  /// indexes are built; when null, the config's `use_exact_knn`/`hnsw_*`
-  /// knobs pick between the built-in HNSW and brute-force indexes.
+  /// `index_factory` builds the two per-merge ANN indexes — typically
+  /// `IndexFactories().Create(config.index_name, config)`. Both are
+  /// non-owning and must outlive the merger.
   TwoTableMerger(const MultiEmConfig& config,
                  const EntityEmbeddingStore* store,
-                 const ann::VectorIndexFactory* index_factory = nullptr)
-      : config_(config), store_(store), index_factory_(index_factory) {}
+                 const ann::VectorIndexFactory& index_factory)
+      : config_(config), store_(store), index_factory_(&index_factory) {}
 
   /// Merges `a` and `b`. `pool` parallelizes the merge end to end: the two
   /// side indexes build concurrently with the pool threaded into their

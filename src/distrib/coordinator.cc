@@ -11,7 +11,6 @@
 #include "core/merge_source.h"
 #include "core/merge_table.h"
 #include "core/pipeline.h"
-#include "core/registry.h"
 #include "core/two_table_merger.h"
 #include "distrib/shard_worker.h"
 #include "util/fault.h"
@@ -83,6 +82,11 @@ util::Result<DistributedBuildResult> Coordinator::Build(
   if (options_.work_dir.empty()) {
     return util::Status::InvalidArgument("work_dir must be set");
   }
+  // Resolved as MultiEmPipeline::Run resolves them, and before anything
+  // touches the work dir: a config any build path rejects fails here, with
+  // no worker forked and no shard directory created.
+  core::PipelineComponents components;
+  MULTIEM_RETURN_IF_ERROR(core::ResolveComponents(config_, &components));
 
   core::MergePlan plan = core::MergePlan::Build(tables.size(), config_.seed);
   std::vector<ShardAssignment> assignments =
@@ -142,23 +146,30 @@ util::Result<DistributedBuildResult> Coordinator::Build(
   }
 
   // 2. Overlap the workers with the coordinator's own deterministic
-  // replay of the representation decisions (no pool yet — see above).
-  auto fitted = FitRepresentation(config_, tables, /*pool=*/nullptr);
-  if (!fitted.ok()) return fitted.status();
+  // replay of phases S and R (no pool yet — see above). R only refits the
+  // encoder here: the embeddings come from the shards.
+  embed::TextEncoder* encoder = components.encoder.get();
+  auto selection =
+      core::SelectAttributes(config_, tables, encoder, /*pool=*/nullptr);
+  if (!selection.ok()) return selection.status();
+  result.run.selection = std::move(*selection);
+  (void)core::EmbedSources(tables, result.run.selection, /*sources=*/{},
+                           encoder, /*pool=*/nullptr);
 
   // A shard is only adopted/accepted when the worker reached the exact
   // deterministic decisions this process just replayed, and every merge
   // output its manifest promises is actually present.
   auto check_shard = [&](size_t w, const ShardArtifact& shard) -> util::Status {
     if (shard.total_sources != tables.size() || shard.seed != config_.seed ||
-        shard.dim != fitted->encoder->dim() ||
+        shard.dim != encoder->dim() ||
         shard.covered_sources != ToU64(assignments[w].sources) ||
         shard.roots != ToU64(assignments[w].roots)) {
       return util::Status::Internal(
           "shard " + std::to_string(w) +
           " does not match its assignment (stale or foreign artifact?)");
     }
-    if (shard.selected_columns != ToU64(fitted->selection.selected_columns)) {
+    if (shard.selected_columns !=
+        ToU64(result.run.selection.selected_columns)) {
       return util::Status::Internal(
           "worker " + std::to_string(w) +
           " disagrees with the coordinator on attribute selection — the "
@@ -353,12 +364,6 @@ util::Result<DistributedBuildResult> Coordinator::Build(
   // handles (not file-owning; the shard dir outlives the build) for worker
   // merge roots — and execute the remaining top of the plan.
   util::WallTimer merge_timer;
-  auto factory =
-      core::IndexFactories().Create(config_.effective_index_name(), config_);
-  if (!factory.ok()) return factory.status();
-  std::shared_ptr<const ann::VectorIndexFactory> index_factory =
-      std::move(*factory);
-
   std::vector<core::MergeSource> slots(plan.num_nodes());
   for (size_t w = 0; w < workers; ++w) {
     for (size_t root : assignments[w].roots) {
@@ -381,28 +386,25 @@ util::Result<DistributedBuildResult> Coordinator::Build(
       // count of the worker that produced it (1 for a reused shard — this
       // run spent nothing on it).
       node.attempts = std::max(node.attempts, attempts[w]);
-      result.merge_stats.nodes.push_back(node);
+      result.run.merge_stats.nodes.push_back(node);
     }
   }
-  core::TwoTableMerger merger(config_, &store, index_factory.get());
+  core::TwoTableMerger merger(config_, &store, *components.index_factory);
   core::MergeExecOptions top;
   top.reopen = options_.shard_open;
   MULTIEM_RETURN_IF_ERROR(core::ExecuteMergePlan(
-      plan, slots, merger, top, pool.get(), &result.merge_stats));
+      plan, slots, merger, top, pool.get(), &result.run.merge_stats));
   auto integrated = slots[plan.root()].Acquire();
   if (!integrated.ok()) return integrated.status();
   result.distrib.merge_seconds = merge_timer.ElapsedSeconds();
-  result.selection = fitted->selection;
 
   // 6. Prune and (optionally) assemble the serving session, exactly as the
   // single-process pipeline does.
-  auto pruner = core::Pruners().Create(config_.pruner_name, config_);
-  if (!pruner.ok()) return pruner.status();
   core::PruneContext prune_ctx;
   prune_ctx.store = &store;
   prune_ctx.pool = pool.get();
-  result.tuples =
-      (*pruner)->Prune(*integrated, prune_ctx, &result.prune_stats);
+  result.run.tuples = components.pruner->Prune(*integrated, prune_ctx,
+                                               &result.run.prune_stats);
 
   if (options_.build_matcher) {
     std::vector<std::string> schema_names = tables[0].schema().names();
@@ -410,17 +412,18 @@ util::Result<DistributedBuildResult> Coordinator::Build(
     source_names.reserve(tables.size());
     for (const table::Table& t : tables) source_names.push_back(t.name());
     auto matcher = core::Matcher::Assemble(
-        config_, std::move(schema_names), result.selection,
+        config_, std::move(schema_names), result.run.selection,
         std::move(source_names), std::move(store), std::move(*integrated),
-        fitted->encoder, index_factory, /*index=*/nullptr, pool.get());
+        components.encoder, components.index_factory, /*index=*/nullptr,
+        pool.get());
     if (!matcher.ok()) return matcher.status();
-    result.matcher = std::make_shared<core::Matcher>(std::move(*matcher));
+    result.run.matcher = std::make_shared<core::Matcher>(std::move(*matcher));
   }
 
   result.distrib.total_seconds = total_timer.ElapsedSeconds();
   MULTIEM_LOG(kDebug) << "distributed build finished: " << workers
-                      << " workers, " << result.tuples.size() << " tuples, "
-                      << result.distrib.retries << " retries, "
+                      << " workers, " << result.run.tuples.size()
+                      << " tuples, " << result.distrib.retries << " retries, "
                       << result.distrib.shards_reused << " shards reused";
   return result;
 }

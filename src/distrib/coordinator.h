@@ -14,11 +14,13 @@
 ///      worker finished) is a reuse candidate and is NOT re-forked; all
 ///      other workers fork now (before any ThreadPool exists — see
 ///      util/subprocess.h for the multithreaded-fork hazard);
-///   2. while they run, replay the deterministic encoder fit + attribute
-///      selection in-process (the coordinator needs both for the final
-///      Matcher, and uses the selection to cross-check every shard);
-///      reuse candidates are then validated against the fresh fit — a
-///      stale or foreign shard is deleted and its worker forked after all;
+///   2. while they run, replay phases S and R in-process through the
+///      pipeline's own steps (core::SelectAttributes, then
+///      core::EmbedSources with no sources: the encoder refit only) — the
+///      coordinator needs the fitted encoder for the final Matcher, and
+///      uses the selection to cross-check every shard; reuse candidates
+///      are then validated against the fresh fit — a stale or foreign
+///      shard is deleted and its worker forked after all;
 ///   3. reap each worker with a timeout; a worker that died, hung, or left
 ///      no complete shard artifact is SIGKILLed, reaped, and retried up to
 ///      `max_retries` times under `worker_retry`'s deterministic backoff —
@@ -31,24 +33,21 @@
 ///      all counters into the per-level shape);
 ///   5. prune, and optionally assemble the Matcher.
 ///
-/// Workers replay component resolution from core::Registry by config name;
-/// builder-injected component instances are not supported across processes.
+/// Before step 1, components are resolved by core::ResolveComponents from
+/// the config's names, as MultiEmPipeline::Run resolves them, so a config
+/// the pipeline rejects fails before any worker is forked. Builder-injected
+/// component instances are not supported across processes.
 
 #ifndef MULTIEM_DISTRIB_COORDINATOR_H_
 #define MULTIEM_DISTRIB_COORDINATOR_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/attribute_selector.h"
 #include "core/config.h"
-#include "core/matcher.h"
-#include "core/merge_plan.h"
-#include "core/pruner.h"
-#include "eval/tuples.h"
+#include "core/pipeline.h"
 #include "table/table.h"
 #include "util/io.h"
 #include "util/retry.h"
@@ -120,17 +119,13 @@ struct DistributedBuildStats {
   double total_seconds = 0.0;
 };
 
-/// Everything a distributed build produces; mirrors core::PipelineResult.
+/// Everything a distributed build produces: the pipeline's result (tuples,
+/// selection, merge and prune counters, optional matcher) plus the
+/// distribution counters. `run.timings` and `run.approx_peak_bytes` keep
+/// their defaults; `distrib` times a distributed build.
 struct DistributedBuildResult {
-  std::vector<eval::Tuple> tuples;
-  core::AttributeSelection selection;
-  core::MergeStats merge_stats;
-  core::PruneStats prune_stats;
-  /// Set only with CoordinatorOptions::build_matcher.
-  std::shared_ptr<core::Matcher> matcher;
+  core::PipelineResult run;
   DistributedBuildStats distrib;
-
-  eval::TupleSet ToTupleSet() const { return eval::TupleSet(tuples); }
 };
 
 /// Drives one multi-process build. Stateless across Build() calls apart

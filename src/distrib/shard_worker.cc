@@ -7,10 +7,9 @@
 
 #include "core/merge_source.h"
 #include "core/merge_table.h"
-#include "core/registry.h"
+#include "core/pipeline.h"
 #include "core/two_table_merger.h"
 #include "embed/matrix_io.h"
-#include "embed/serialize.h"
 
 namespace multiem::distrib {
 
@@ -65,61 +64,13 @@ std::vector<ShardAssignment> PartitionPlan(const core::MergePlan& plan,
   return out;
 }
 
-util::Result<FittedRepresentation> FitRepresentation(
-    const core::MultiEmConfig& config,
-    const std::vector<table::Table>& tables, util::ThreadPool* pool) {
-  if (tables.empty()) {
-    return util::Status::InvalidArgument("no tables to fit on");
-  }
-  auto created = core::TextEncoders().Create(config.encoder_name, config);
-  if (!created.ok()) return created.status();
-  FittedRepresentation fitted;
-  fitted.encoder = std::move(*created);
-
-  // Replays the representation prefix of MultiEmPipeline::Run verbatim:
-  // full-schema corpus fit, attribute selection, then the refit on the
-  // selected-column corpus. Every step is deterministic in (tables,
-  // config), which is what lets N processes run this independently and
-  // agree bit for bit.
-  {
-    std::vector<std::string> corpus;
-    for (const table::Table& t : tables) {
-      std::vector<std::string> texts = embed::SerializeTable(t);
-      corpus.insert(corpus.end(), std::make_move_iterator(texts.begin()),
-                    std::make_move_iterator(texts.end()));
-    }
-    fitted.encoder->FitCorpus(corpus);
-  }
-  if (config.enable_attribute_selection) {
-    core::AttributeSelector selector(fitted.encoder.get(), config);
-    auto selection = selector.Run(tables, pool);
-    if (!selection.ok()) return selection.status();
-    fitted.selection = std::move(*selection);
-  } else {
-    for (size_t c = 0; c < tables[0].num_columns(); ++c) {
-      fitted.selection.selected_columns.push_back(c);
-      fitted.selection.selected_names.push_back(tables[0].schema().name(c));
-    }
-    fitted.selection.shuffle_similarity.assign(tables[0].num_columns(), 0.0);
-  }
-  {
-    std::vector<std::string> corpus;
-    for (const table::Table& t : tables) {
-      std::vector<std::string> texts =
-          embed::SerializeTable(t, fitted.selection.selected_columns);
-      corpus.insert(corpus.end(), std::make_move_iterator(texts.begin()),
-                    std::make_move_iterator(texts.end()));
-    }
-    fitted.encoder->FitCorpus(corpus);
-  }
-  return fitted;
-}
-
 util::Status RunShardWorker(const core::MultiEmConfig& config,
                             const std::vector<table::Table>& tables,
                             const ShardAssignment& assignment,
                             const ShardWorkerOptions& options) {
   MULTIEM_RETURN_IF_ERROR(config.ValidateValues());
+  core::PipelineComponents components;
+  MULTIEM_RETURN_IF_ERROR(core::ResolveComponents(config, &components));
   if (options.shard_dir.empty()) {
     return util::Status::InvalidArgument("shard_dir must be set");
   }
@@ -141,28 +92,15 @@ util::Status RunShardWorker(const core::MultiEmConfig& config,
                                   options.shard_dir + "': " + ec.message());
   }
 
-  auto fitted = FitRepresentation(config, tables, options.pool);
-  if (!fitted.ok()) return fitted.status();
-  auto factory =
-      core::IndexFactories().Create(config.effective_index_name(), config);
-  if (!factory.ok()) return factory.status();
-
-  // Encode only the covered sources; uncovered slots get empty placeholder
-  // matrices so EntityId::source keeps indexing the store globally. The
-  // merges below only ever look up entities of covered sources.
-  const size_t dim = fitted->encoder->dim();
-  std::vector<bool> covered(tables.size(), false);
-  for (size_t s : assignment.sources) covered[s] = true;
-  core::EntityEmbeddingStore store;
-  for (size_t s = 0; s < tables.size(); ++s) {
-    if (covered[s]) {
-      std::vector<std::string> texts = embed::SerializeTable(
-          tables[s], fitted->selection.selected_columns);
-      store.AddSource(fitted->encoder->EncodeBatch(texts, options.pool));
-    } else {
-      store.AddSource(embed::EmbeddingMatrix(0, dim));
-    }
-  }
+  // Phases S and R over the full corpus, embedding only the covered
+  // sources; the merges below only ever look up entities of those.
+  embed::TextEncoder* encoder = components.encoder.get();
+  auto selection =
+      core::SelectAttributes(config, tables, encoder, options.pool);
+  if (!selection.ok()) return selection.status();
+  const core::EntityEmbeddingStore store = core::EmbedSources(
+      tables, *selection, assignment.sources, encoder, options.pool);
+  const size_t dim = encoder->dim();
 
   core::MergePlan plan = core::MergePlan::Build(tables.size(), config.seed);
   std::vector<core::MergeSource> slots(plan.num_nodes());
@@ -172,7 +110,7 @@ util::Status RunShardWorker(const core::MultiEmConfig& config,
                                      store.source(s)));
   }
 
-  core::TwoTableMerger merger(config, &store, factory->get());
+  core::TwoTableMerger merger(config, &store, *components.index_factory);
   core::MergeExecOptions exec;
   exec.targets = assignment.roots;
   exec.spill_outputs = true;
@@ -191,8 +129,7 @@ util::Status RunShardWorker(const core::MultiEmConfig& config,
   meta.WriteU64(dim);
   std::vector<uint64_t> sources64 = ToU64(assignment.sources);
   std::vector<uint64_t> roots64 = ToU64(assignment.roots);
-  std::vector<uint64_t> columns64 =
-      ToU64(fitted->selection.selected_columns);
+  std::vector<uint64_t> columns64 = ToU64(selection->selected_columns);
   meta.WriteU64Array(sources64);
   meta.WriteU64Array(roots64);
   meta.WriteU64Array(columns64);

@@ -13,29 +13,28 @@
 /// Correctness rests on two facts. First, every corpus-dependent decision —
 /// the encoder fit, attribute selection, the refit on the selected columns
 /// — is a deterministic function of (tables, config), so each worker
-/// replays it identically on the full corpus instead of coordinating
-/// (FitRepresentation). Second, each internal node of the MergePlan is a
-/// pure function of its two children (core/merge_plan.h), so subtrees built
-/// in different processes compose into bitwise-identical integrated tables.
+/// replays it on the full corpus through the pipeline's own phase steps
+/// (core::SelectAttributes, core::EmbedSources) instead of coordinating.
+/// Second, each internal node of the MergePlan is a pure function of its
+/// two children (core/merge_plan.h), so subtrees built in different
+/// processes compose into bitwise-identical integrated tables.
 ///
-/// Components are resolved from core::Registry by the config's names;
-/// builder-injected component instances cannot cross a process boundary and
-/// are not supported here.
+/// Components are resolved by core::ResolveComponents from the config's
+/// names, exactly as MultiEmPipeline::Run resolves them, so a worker
+/// accepts and rejects the same configs; builder-injected component
+/// instances cannot cross a process boundary and are not supported here.
 
 #ifndef MULTIEM_DISTRIB_SHARD_WORKER_H_
 #define MULTIEM_DISTRIB_SHARD_WORKER_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/attribute_selector.h"
 #include "core/config.h"
 #include "core/merge_plan.h"
 #include "embed/embedding.h"
-#include "embed/text_encoder.h"
 #include "table/table.h"
 #include "util/io.h"
 #include "util/status.h"
@@ -80,21 +79,6 @@ struct ShardAssignment {
 std::vector<ShardAssignment> PartitionPlan(const core::MergePlan& plan,
                                            size_t num_workers);
 
-/// The deterministic representation state every process replays
-/// identically: the encoder after the full-schema corpus fit, attribute
-/// selection, and the refit on the selected-column corpus.
-struct FittedRepresentation {
-  std::shared_ptr<embed::TextEncoder> encoder;
-  core::AttributeSelection selection;
-};
-
-/// Resolves the encoder by config name and replays fit -> selection ->
-/// refit over `tables` (the representation-phase prefix of
-/// MultiEmPipeline::Run). Deterministic given (tables, config).
-util::Result<FittedRepresentation> FitRepresentation(
-    const core::MultiEmConfig& config,
-    const std::vector<table::Table>& tables, util::ThreadPool* pool);
-
 struct ShardWorkerOptions {
   /// Output directory (created if missing). Also receives the worker's
   /// intermediate spill files, which are deleted as they are consumed.
@@ -107,7 +91,8 @@ struct ShardWorkerOptions {
 
 /// Runs one worker's slice end to end and writes the shard artifact.
 /// Typically called inside a forked child (util::Subprocess), but runs the
-/// same in-process (tests).
+/// same in-process (tests). A config the pipeline rejects fails with the
+/// same Status before `options.shard_dir` is created.
 util::Status RunShardWorker(const core::MultiEmConfig& config,
                             const std::vector<table::Table>& tables,
                             const ShardAssignment& assignment,

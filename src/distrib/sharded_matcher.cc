@@ -15,7 +15,7 @@ util::Result<ShardedMatcher> ShardedMatcher::Build(
     return util::Status::InvalidArgument("num_shards must be >= 1");
   }
   auto factory = core::IndexFactories().Create(
-      matcher.config().effective_index_name(), matcher.config());
+      matcher.config().index_name, matcher.config());
   if (!factory.ok()) return factory.status();
 
   core::Matcher::Snapshot snapshot = matcher.snapshot();

@@ -35,9 +35,9 @@ class ShardedMatcher {
  public:
   /// Cuts the matcher's current epoch into `num_shards` contiguous live-item
   /// ranges (clamped to the live item count) and builds one index per range
-  /// with the factory registered under the matcher's config
-  /// (`index_name`/`use_exact_knn`; builder-injected factory instances are
-  /// not visible here). `pool` parallelizes the per-shard index builds.
+  /// with the factory registered under the matcher's config `index_name`
+  /// (builder-injected factory instances are not visible here). `pool`
+  /// parallelizes the per-shard index builds.
   static util::Result<ShardedMatcher> Build(const core::Matcher& matcher,
                                             size_t num_shards,
                                             util::ThreadPool* pool = nullptr);

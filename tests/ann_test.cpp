@@ -414,8 +414,7 @@ TEST(MutualTopKTest, FindsPlantedMatchesExact) {
   MutualTopKOptions options;
   options.k = 1;
   options.max_distance = 0.05f;
-  options.use_exact = true;
-  auto pairs = MutualTopK(f.left, f.right, options);
+  auto pairs = MutualTopK(f.left, f.right, BruteForceIndexFactory{}, options);
   ASSERT_EQ(pairs.size(), 50u);
   for (const auto& p : pairs) {
     EXPECT_EQ(p.left, p.right);
@@ -426,26 +425,24 @@ TEST(MutualTopKTest, FindsPlantedMatchesExact) {
 
 TEST(MutualTopKTest, HnswAgreesWithExactOnPlanted) {
   auto f = PlantedMatches(500, 100, 22);
-  MutualTopKOptions exact_options;
-  exact_options.max_distance = 0.05f;
-  exact_options.use_exact = true;
-  MutualTopKOptions hnsw_options = exact_options;
-  hnsw_options.use_exact = false;
-  auto exact_pairs = MutualTopK(f.left, f.right, exact_options);
-  auto hnsw_pairs = MutualTopK(f.left, f.right, hnsw_options);
+  MutualTopKOptions options;
+  options.max_distance = 0.05f;
+  auto exact_pairs =
+      MutualTopK(f.left, f.right, BruteForceIndexFactory{}, options);
+  auto hnsw_pairs = MutualTopK(f.left, f.right, HnswIndexFactory{}, options);
   // HNSW may miss a few, but should recover nearly all planted pairs.
   EXPECT_GE(hnsw_pairs.size(), exact_pairs.size() * 9 / 10);
 }
 
 TEST(MutualTopKTest, DistanceCapFilters) {
   auto f = PlantedMatches(100, 30, 23);
+  const BruteForceIndexFactory exact;
   MutualTopKOptions options;
-  options.use_exact = true;
   options.max_distance = 0.0f;  // only exact duplicates survive
-  auto pairs = MutualTopK(f.left, f.right, options);
+  auto pairs = MutualTopK(f.left, f.right, exact, options);
   EXPECT_EQ(pairs.size(), 30u);
   options.max_distance = -1.0f;  // nothing can pass
-  EXPECT_TRUE(MutualTopK(f.left, f.right, options).empty());
+  EXPECT_TRUE(MutualTopK(f.left, f.right, exact, options).empty());
 }
 
 TEST(MutualTopKTest, MutualityIsRequired) {
@@ -461,9 +458,8 @@ TEST(MutualTopKTest, MutualityIsRequired) {
   right.Row(1)[1] = 0.08f;                     // closest to left1
   MutualTopKOptions options;
   options.k = 1;
-  options.use_exact = true;
   options.max_distance = 1.0f;
-  auto pairs = MutualTopK(left, right, options);
+  auto pairs = MutualTopK(left, right, BruteForceIndexFactory{}, options);
   // Every returned pair must be mutual top-1.
   for (const auto& p : pairs) {
     EXPECT_EQ(p.left, p.right);
@@ -472,14 +468,14 @@ TEST(MutualTopKTest, MutualityIsRequired) {
 
 TEST(MutualTopKTest, LargerKIsSuperset) {
   auto f = PlantedMatches(150, 40, 25);
+  const BruteForceIndexFactory exact;
   MutualTopKOptions k1;
   k1.k = 1;
-  k1.use_exact = true;
   k1.max_distance = 0.5f;
   MutualTopKOptions k3 = k1;
   k3.k = 3;
-  auto pairs1 = MutualTopK(f.left, f.right, k1);
-  auto pairs3 = MutualTopK(f.left, f.right, k3);
+  auto pairs1 = MutualTopK(f.left, f.right, exact, k1);
+  auto pairs3 = MutualTopK(f.left, f.right, exact, k3);
   EXPECT_GE(pairs3.size(), pairs1.size());
   // Every k=1 pair must appear among the k=3 pairs.
   auto key = [](const MutualPair& p) { return p.left * 1000003 + p.right; };
@@ -491,9 +487,10 @@ TEST(MutualTopKTest, LargerKIsSuperset) {
 TEST(MutualTopKTest, EmptyInputs) {
   embed::EmbeddingMatrix empty;
   auto f = PlantedMatches(10, 5, 26);
+  const HnswIndexFactory hnsw;
   MutualTopKOptions options;
-  EXPECT_TRUE(MutualTopK(empty, f.right, options).empty());
-  EXPECT_TRUE(MutualTopK(f.left, empty, options).empty());
+  EXPECT_TRUE(MutualTopK(empty, f.right, hnsw, options).empty());
+  EXPECT_TRUE(MutualTopK(f.left, empty, hnsw, options).empty());
 }
 
 TEST(MutualTopKTest, HnswParallelBuildRecoversPlanted) {
@@ -506,9 +503,9 @@ TEST(MutualTopKTest, HnswParallelBuildRecoversPlanted) {
   MutualTopKOptions options;
   options.k = 1;
   options.max_distance = 0.05f;
-  options.use_exact = false;
   util::ThreadPool pool(4);
-  auto pairs = MutualTopK(f.left, f.right, options, &pool);
+  auto pairs =
+      MutualTopK(f.left, f.right, HnswIndexFactory{}, options, &pool);
   size_t recovered = 0;
   for (const auto& p : pairs) {
     if (p.left == p.right && p.left < kPlanted) ++recovered;
@@ -520,12 +517,12 @@ TEST(MutualTopKTest, HnswParallelBuildRecoversPlanted) {
 
 TEST(MutualTopKTest, ParallelMatchesSerial) {
   auto f = PlantedMatches(400, 80, 27);
+  const BruteForceIndexFactory exact;
   MutualTopKOptions options;
   options.max_distance = 0.3f;
-  options.use_exact = true;
-  auto serial = MutualTopK(f.left, f.right, options, nullptr);
+  auto serial = MutualTopK(f.left, f.right, exact, options, nullptr);
   util::ThreadPool pool(4);
-  auto parallel = MutualTopK(f.left, f.right, options, &pool);
+  auto parallel = MutualTopK(f.left, f.right, exact, options, &pool);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].left, parallel[i].left);

@@ -250,13 +250,6 @@ TEST(ConfigValidationTest, HnswKnobsIgnoredWhenHnswNotSelected) {
   EXPECT_FALSE(PipelineBuilder(c).Build().ok());
 }
 
-TEST(ConfigValidationTest, UseExactKnnShimMapsToBruteForce) {
-  MultiEmConfig c = TinyConfig();
-  c.use_exact_knn = true;
-  EXPECT_EQ(c.effective_index_name(), std::string(kBruteForceIndexName));
-  EXPECT_TRUE(c.Validate().ok());
-}
-
 // ---------------------------------------------------------------- builder --
 
 TEST(PipelineBuilderTest, UnknownNamesFailAtBuild) {
@@ -327,23 +320,6 @@ TEST(PipelineBuilderTest, InjectedIndexFactoryAndPrunerAreUsed) {
   // KeepAllPruner reports via items_examined and removes nothing.
   EXPECT_EQ(result->prune_stats.outliers_removed, 0u);
   EXPECT_EQ(result->prune_stats.items_examined, 8u);
-}
-
-TEST(PipelineBuilderTest, ExactShimMatchesExplicitBruteForce) {
-  auto tables = SharedTitleTables(4, 8);
-  MultiEmConfig shim = TinyConfig();
-  shim.use_exact_knn = true;
-  MultiEmConfig named = TinyConfig();
-  named.index_name = "brute_force";
-  auto a = PipelineBuilder(shim).Build();
-  auto b = PipelineBuilder(named).Build();
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  auto ra = a->Run(tables);
-  auto rb = b->Run(tables);
-  ASSERT_TRUE(ra.ok());
-  ASSERT_TRUE(rb.ok());
-  EXPECT_EQ(ra->ToTupleSet().tuples(), rb->ToTupleSet().tuples());
 }
 
 // --------------------------------------------------------------- sessions --

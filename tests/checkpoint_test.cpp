@@ -52,7 +52,7 @@ MultiEmConfig PipelineConfig() {
   MultiEmConfig config;
   config.sample_ratio = 0.25;
   config.m = 0.5f;
-  config.use_exact_knn = true;  // deterministic across process/thread counts
+  config.index_name = "brute_force";  // deterministic across processes/threads
   config.seed = 5;
   return config;
 }

@@ -20,6 +20,7 @@
 #include "core/density_pruner.h"
 #include "core/merge_plan.h"
 #include "core/merge_table.h"
+#include "core/registry.h"
 #include "core/two_table_merger.h"
 #include "embed/hashing_encoder.h"
 #include "embed/serialize.h"
@@ -263,6 +264,14 @@ TEST(AttributeSelectorTest, DeterministicGivenSeed) {
   EXPECT_EQ(a->shuffle_similarity, b->shuffle_similarity);
 }
 
+// The registry's index factory for `config` — what the pipeline resolves.
+std::unique_ptr<ann::VectorIndexFactory> FactoryFor(
+    const MultiEmConfig& config) {
+  auto factory = IndexFactories().Create(config.index_name, config);
+  factory.status().CheckOk();
+  return std::move(*factory);
+}
+
 // ------------------------------------------------------- TwoTableMerger --
 
 // Store with two sources of axis-aligned vectors; rows i of both sources
@@ -283,8 +292,9 @@ TEST(TwoTableMergerTest, MergesIdenticalRowsKeepsRest) {
 
   MultiEmConfig config;
   config.m = 0.1f;
-  config.use_exact_knn = true;
-  TwoTableMerger merger(config, &store);
+  config.index_name = "brute_force";
+  const auto factory = FactoryFor(config);
+  TwoTableMerger merger(config, &store, *factory);
   TwoTableMergeStats stats;
   MergeTable merged = merger.Merge(a, b, nullptr, &stats);
 
@@ -313,8 +323,9 @@ TEST(TwoTableMergerTest, NoMatchesCarriesEverything) {
 
   MultiEmConfig config;
   config.m = 0.1f;
-  config.use_exact_knn = true;
-  TwoTableMerger merger(config, &store);
+  config.index_name = "brute_force";
+  const auto factory = FactoryFor(config);
+  TwoTableMerger merger(config, &store, *factory);
   TwoTableMergeStats stats;
   MergeTable merged = merger.Merge(a, b, nullptr, &stats);
   EXPECT_EQ(stats.mutual_pairs, 0u);
@@ -328,9 +339,10 @@ TEST(TwoTableMergerTest, CentroidIsNormalizedMeanOfMembers) {
   MergeTable b = MergeTable::FromSource(1, store.source(1));
   MultiEmConfig config;
   config.m = 0.1f;
-  config.use_exact_knn = true;
+  config.index_name = "brute_force";
   config.merged_repr = MergedItemRepr::kCentroid;
-  TwoTableMerger merger(config, &store);
+  const auto factory = FactoryFor(config);
+  TwoTableMerger merger(config, &store, *factory);
   MergeTable merged = merger.Merge(a, b);
   for (size_t i = 0; i < merged.num_items(); ++i) {
     // Members are identical vectors, so the centroid equals the member.
@@ -354,12 +366,13 @@ TEST(TwoTableMergerTest, DistanceCapBlocksWeakMatches) {
   MergeTable a = MergeTable::FromSource(0, store.source(0));
   MergeTable b = MergeTable::FromSource(1, store.source(1));
   MultiEmConfig config;
-  config.use_exact_knn = true;
+  config.index_name = "brute_force";
   config.m = 0.1f;  // cap below the 0.2 distance
-  TwoTableMerger strict(config, &store);
+  const auto factory = FactoryFor(config);
+  TwoTableMerger strict(config, &store, *factory);
   EXPECT_EQ(strict.Merge(a, b).num_items(), 2u);
   config.m = 0.35f;  // cap above
-  TwoTableMerger loose(config, &store);
+  TwoTableMerger loose(config, &store, *factory);
   EXPECT_EQ(loose.Merge(a, b).num_items(), 1u);
 }
 
@@ -386,7 +399,7 @@ std::vector<MergeSource> SourceSlots(const EntityEmbeddingStore& store) {
 }
 
 // Runs the whole plan over every source of `store` and returns the
-// integrated table.
+// integrated table. A null `factory` means the registry's for `config`.
 MergeTable MergeAll(const MultiEmConfig& config,
                     const EntityEmbeddingStore& store,
                     const MergeExecOptions& options = {},
@@ -395,7 +408,9 @@ MergeTable MergeAll(const MultiEmConfig& config,
                     const ann::VectorIndexFactory* factory = nullptr) {
   const MergePlan plan = MergePlan::Build(store.num_sources(), config.seed);
   std::vector<MergeSource> slots = SourceSlots(store);
-  const TwoTableMerger merger(config, &store, factory);
+  const std::unique_ptr<ann::VectorIndexFactory> resolved = FactoryFor(config);
+  const TwoTableMerger merger(config, &store,
+                              factory != nullptr ? *factory : *resolved);
   ExecuteMergePlan(plan, slots, merger, options, pool, stats).CheckOk();
   auto merged = slots[plan.root()].Acquire();
   merged.status().CheckOk();
@@ -419,7 +434,7 @@ TEST(ExecuteMergePlanTest, MergesAllSourcesToFullTuples) {
   EntityEmbeddingStore store = ManySourceStore(kSources, kN, 16);
   MultiEmConfig config;
   config.m = 0.1f;
-  config.use_exact_knn = true;
+  config.index_name = "brute_force";
   MergeStats stats;
   MergeTable integrated = MergeAll(config, store, {}, nullptr, &stats);
 
@@ -523,7 +538,7 @@ TEST(ExecuteMergePlanTest, OddTableCountCarriesLeftover) {
   EntityEmbeddingStore store = ManySourceStore(kSources, 3, 16);
   MultiEmConfig config;
   config.m = 0.1f;
-  config.use_exact_knn = true;
+  config.index_name = "brute_force";
   MergeStats stats;
   MergeTable integrated = MergeAll(config, store, {}, nullptr, &stats);
   EXPECT_EQ(integrated.num_items(), 3u);
@@ -538,7 +553,7 @@ TEST(ExecuteMergePlanTest, NoEntityAppearsTwice) {
   EntityEmbeddingStore store = ManySourceStore(4, 6, 16);
   MultiEmConfig config;
   config.m = 0.35f;
-  config.use_exact_knn = true;
+  config.index_name = "brute_force";
   MergeTable integrated = MergeAll(config, store);
   std::set<uint64_t> seen;
   for (size_t i = 0; i < integrated.num_items(); ++i) {
@@ -554,7 +569,8 @@ TEST(ExecuteMergePlanTest, NoEntityAppearsTwice) {
 TEST(ExecuteMergePlanTest, TrivialInputs) {
   EntityEmbeddingStore store = ManySourceStore(1, 3, 8);
   MultiEmConfig config;
-  const TwoTableMerger merger(config, &store);
+  const auto factory = FactoryFor(config);
+  const TwoTableMerger merger(config, &store, *factory);
   std::vector<MergeSource> none;
   EXPECT_TRUE(
       ExecuteMergePlan(MergePlan::Build(0, config.seed), none, merger, {})
@@ -574,7 +590,7 @@ TEST(ExecuteMergePlanTest, OptionsDoNotChangeTheResult) {
   EntityEmbeddingStore store = ManySourceStore(7, 12, 16);
   MultiEmConfig config;
   config.m = 0.35f;
-  config.use_exact_knn = true;
+  config.index_name = "brute_force";
   const MergeTable sequential = MergeAll(config, store);
 
   util::ThreadPool pool(3);
@@ -601,11 +617,12 @@ TEST(ExecuteMergePlanTest, TargetsSplitThePlan) {
   EntityEmbeddingStore store = ManySourceStore(6, 8, 16);
   MultiEmConfig config;
   config.m = 0.35f;
-  config.use_exact_knn = true;
+  config.index_name = "brute_force";
   const MergeTable whole = MergeAll(config, store);
 
   const MergePlan plan = MergePlan::Build(6, config.seed);
-  const TwoTableMerger merger(config, &store);
+  const auto factory = FactoryFor(config);
+  const TwoTableMerger merger(config, &store, *factory);
   std::vector<MergeSource> slots = SourceSlots(store);
   MergeExecOptions bottom;
   bottom.targets = plan.levels()[0].pair_nodes;
@@ -631,7 +648,8 @@ TEST(ExecuteMergePlanTest, TargetsSplitThePlan) {
 TEST(ExecuteMergePlanTest, RejectsBadSlotsAndTargets) {
   EntityEmbeddingStore store = ManySourceStore(4, 3, 8);
   MultiEmConfig config;
-  const TwoTableMerger merger(config, &store);
+  const auto factory = FactoryFor(config);
+  const TwoTableMerger merger(config, &store, *factory);
   const MergePlan plan = MergePlan::Build(4, config.seed);
 
   std::vector<MergeSource> too_few = SourceSlots(store);
@@ -653,7 +671,8 @@ TEST(ExecuteMergePlanTest, RejectsBadSlotsAndTargets) {
 TEST(ExecuteMergePlanTest, CancellationStopsBeforeTheNextLevel) {
   EntityEmbeddingStore store = ManySourceStore(4, 3, 8);
   MultiEmConfig config;
-  const TwoTableMerger merger(config, &store);
+  const auto factory = FactoryFor(config);
+  const TwoTableMerger merger(config, &store, *factory);
   const MergePlan plan = MergePlan::Build(4, config.seed);
   std::vector<MergeSource> slots = SourceSlots(store);
   CancellationToken cancel;
@@ -691,9 +710,10 @@ TEST(DensityPrunerTest, RemovesOutlierKeepsDensePart) {
   MultiEmConfig config;
   config.eps = 1.0f;
   config.min_pts = 2;
-  DensityPruner pruner(config, &store);
+  PruneContext ctx;
+  ctx.store = &store;
   PruneStats stats;
-  auto tuples = pruner.Prune(integrated, nullptr, &stats);
+  auto tuples = DensityPruner(config).Prune(integrated, ctx, &stats);
   ASSERT_EQ(tuples.size(), 1u);
   EXPECT_EQ(tuples[0].size(), 3u);
   EXPECT_EQ(stats.outliers_removed, 1u);
@@ -714,9 +734,10 @@ TEST(DensityPrunerTest, DropsItemsThatShrinkBelowTwo) {
   MultiEmConfig config;
   config.eps = 1.0f;
   config.min_pts = 2;
-  DensityPruner pruner(config, &store);
+  PruneContext ctx;
+  ctx.store = &store;
   PruneStats stats;
-  auto tuples = pruner.Prune(integrated, nullptr, &stats);
+  auto tuples = DensityPruner(config).Prune(integrated, ctx, &stats);
   EXPECT_TRUE(tuples.empty());
   EXPECT_EQ(stats.tuples_dropped, 1u);
 }
@@ -734,8 +755,9 @@ TEST(DensityPrunerTest, DisabledPruningPassesThrough) {
 
   MultiEmConfig config;
   config.enable_pruning = false;
-  DensityPruner pruner(config, &store);
-  auto tuples = pruner.Prune(integrated);
+  PruneContext ctx;
+  ctx.store = &store;
+  auto tuples = DensityPruner(config).Prune(integrated, ctx, nullptr);
   ASSERT_EQ(tuples.size(), 1u);
   EXPECT_EQ(tuples[0].size(), 2u);
 }
@@ -750,9 +772,10 @@ TEST(DensityPrunerTest, SingletonItemsIgnored) {
   item.members = {EntityId(0, 0)};
   integrated.Append(std::move(item), m.Row(0));
   MultiEmConfig config;
-  DensityPruner pruner(config, &store);
+  PruneContext ctx;
+  ctx.store = &store;
   PruneStats stats;
-  EXPECT_TRUE(pruner.Prune(integrated, nullptr, &stats).empty());
+  EXPECT_TRUE(DensityPruner(config).Prune(integrated, ctx, &stats).empty());
   EXPECT_EQ(stats.items_examined, 0u);
 }
 
@@ -773,10 +796,13 @@ TEST(DensityPrunerTest, ParallelMatchesSerial) {
   }
   MultiEmConfig config;
   config.eps = 1.0f;
-  DensityPruner pruner(config, &store);
-  auto serial = pruner.Prune(integrated, nullptr);
+  const DensityPruner pruner(config);
+  PruneContext ctx;
+  ctx.store = &store;
+  auto serial = pruner.Prune(integrated, ctx, nullptr);
   util::ThreadPool pool(4);
-  auto parallel = pruner.Prune(integrated, &pool);
+  ctx.pool = &pool;
+  auto parallel = pruner.Prune(integrated, ctx, nullptr);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i], parallel[i]);

@@ -1,13 +1,15 @@
 // Multi-process build & serve tests: an N-process coordinator build must be
-// bitwise-identical to the single-process pipeline (tuples, merge stats,
-// saved artifact bytes); MergeSource handles must be interchangeable
-// (resident == spill == artifact dir); fault injection (SIGKILL, hang) must
-// degrade to a clean Status or recover through a retry, never a zombie or a
-// hang; and shard-routed MatchRecords must equal the union-index answers.
+// bitwise-identical to the single-process pipeline (tuples, selection, merge
+// and prune stats, saved artifact bytes) and reject the configs it rejects;
+// MergeSource handles must be interchangeable (resident == spill == mapped
+// spill); fault injection (SIGKILL, hang) must degrade to a clean Status or
+// recover through a retry, never a zombie or a hang; and shard-routed
+// MatchRecords must equal the union-index answers.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -22,6 +24,7 @@
 #include "core/merge_plan.h"
 #include "core/merge_source.h"
 #include "core/pipeline.h"
+#include "core/two_table_merger.h"
 #include "datagen/scale.h"
 #include "distrib/coordinator.h"
 #include "distrib/shard_worker.h"
@@ -46,6 +49,7 @@ using distrib::CoordinatorOptions;
 using distrib::PartitionPlan;
 using distrib::ShardAssignment;
 using distrib::ShardedMatcher;
+using distrib::ShardWorkerOptions;
 
 std::string TempPath(const std::string& name) {
   std::string path = ::testing::TempDir() + "multiem_distrib_" + name;
@@ -57,7 +61,7 @@ MultiEmConfig PipelineConfig() {
   MultiEmConfig config;
   config.sample_ratio = 0.25;
   config.m = 0.5f;
-  config.use_exact_knn = true;  // deterministic across process/thread counts
+  config.index_name = "brute_force";  // deterministic across processes/threads
   config.seed = 5;
   return config;
 }
@@ -98,6 +102,12 @@ void ExpectTablesBitwise(const MergeTable& a, const MergeTable& b) {
     EXPECT_EQ(0, std::memcmp(ra.data(), rb.data(), ra.size() * sizeof(float)))
         << "item " << i;
   }
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  for (double v : values) bits.push_back(std::bit_cast<uint64_t>(v));
+  return bits;
 }
 
 std::vector<uint8_t> FileBytes(const std::string& path) {
@@ -182,51 +192,48 @@ TEST(PartitionPlanTest, CoversAllSourcesExactlyOnce) {
 
 // ------------------------------------------------- MergeSource equivalence --
 
-// The three handle kinds — resident table, MEMMERGT spill file, and full
-// pipeline artifact directory — must materialize bitwise-identical tables.
-TEST(MergeSourceTest, ResidentSpillAndArtifactDirAgree) {
-  auto tables = CorpusTables(4, 50);
-  PipelineResult run = RunSingleProcess(tables, /*build_matcher=*/true);
-  ASSERT_NE(nullptr, run.matcher);
+// Resident tables and MEMMERGT spill files, opened on the heap or mapped,
+// must materialize bitwise-identical tables.
+TEST(MergeSourceTest, ResidentSpillAndMappedSpillAgree) {
+  // A real merged table (multi-member items, centroid rows): the pipeline's
+  // phases S and R over two sources, then one two-table merge.
+  auto tables = CorpusTables(2, 50);
+  const MultiEmConfig config = PipelineConfig();
+  core::PipelineComponents components;
+  core::ResolveComponents(config, &components).CheckOk();
+  auto selection = core::SelectAttributes(config, tables,
+                                          components.encoder.get(), nullptr);
+  ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+  const core::EntityEmbeddingStore store = core::EmbedSources(
+      tables, *selection, {0, 1}, components.encoder.get(), nullptr);
+  const core::TwoTableMerger merger(config, &store,
+                                    *components.index_factory);
+  const MergeTable merged =
+      merger.Merge(MergeTable::FromSource(0, store.source(0)),
+                   MergeTable::FromSource(1, store.source(1)));
+  EXPECT_LT(merged.num_items(), tables[0].num_rows() + tables[1].num_rows());
 
-  const std::string artifact_dir = TempPath("handle_artifact");
-  run.matcher->Save(artifact_dir).CheckOk();
-
-  // Ground truth: the serving epoch's entity table.
-  auto from_dir = MergeSource::FromArtifactDir(artifact_dir);
-  auto loaded = from_dir.Materialize();
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  Matcher::Snapshot snapshot = run.matcher->snapshot();
-  ASSERT_EQ(snapshot.num_items(), loaded->num_items());
-  for (size_t i = 0; i < loaded->num_items(); ++i) {
-    EXPECT_EQ(snapshot.item_members(i), loaded->item(i).members);
-  }
-
-  // Resident vs spill round trip of that same table.
   const std::string spill = TempPath("handle_spill") + ".mem";
-  loaded->Save(spill).CheckOk();
-  auto resident = MergeSource::FromTable(MergeTable(*loaded));
-  auto from_spill = MergeSource::FromSpill(spill);
-  auto resident_table = resident.Materialize();
-  auto spill_table = from_spill.Materialize();
-  ASSERT_TRUE(resident_table.ok());
-  ASSERT_TRUE(spill_table.ok());
-  ExpectTablesBitwise(*resident_table, *spill_table);
-  ExpectTablesBitwise(*resident_table, *loaded);
-
-  // Mapped artifact-dir opens serve the same bytes.
+  merged.Save(spill).CheckOk();
   util::ArtifactOpenOptions mapped;
   mapped.mapping = util::ArtifactOpenOptions::Mapping::kPrefer;
-  auto mapped_table =
-      MergeSource::FromArtifactDir(artifact_dir, mapped).Materialize();
+  auto resident_table =
+      MergeSource::FromTable(MergeTable(merged)).Materialize();
+  auto spill_table = MergeSource::FromSpill(spill).Materialize();
+  auto mapped_table = MergeSource::FromSpill(spill, mapped).Materialize();
+  ASSERT_TRUE(resident_table.ok()) << resident_table.status().ToString();
+  ASSERT_TRUE(spill_table.ok()) << spill_table.status().ToString();
   ASSERT_TRUE(mapped_table.ok()) << mapped_table.status().ToString();
-  ExpectTablesBitwise(*loaded, *mapped_table);
+  ExpectTablesBitwise(merged, *resident_table);
+  ExpectTablesBitwise(merged, *spill_table);
+  ExpectTablesBitwise(merged, *mapped_table);
 }
 
 // --------------------------------------------------- distributed building --
 
 // N-process builds must reproduce the single-process pipeline bit for bit:
-// same tuples, same per-level merge stats, same attribute selection.
+// same tuples, same attribute selection, same per-level merge stats, same
+// prune stats.
 TEST(DistribBuildTest, MatchesSingleProcessBitwiseForOneTwoFourWorkers) {
   auto tables = CorpusTables(6, 60);
   PipelineResult single = RunSingleProcess(tables);
@@ -241,21 +248,31 @@ TEST(DistribBuildTest, MatchesSingleProcessBitwiseForOneTwoFourWorkers) {
     ASSERT_TRUE(distributed.ok())
         << workers << " workers: " << distributed.status().ToString();
 
-    EXPECT_EQ(single.tuples, distributed->tuples) << workers << " workers";
+    const PipelineResult& run = distributed->run;
+    EXPECT_EQ(single.tuples, run.tuples) << workers << " workers";
     EXPECT_EQ(single.selection.selected_columns,
-              distributed->selection.selected_columns);
+              run.selection.selected_columns);
+    EXPECT_EQ(single.selection.selected_names, run.selection.selected_names);
+    EXPECT_EQ(Bits(single.selection.shuffle_similarity),
+              Bits(run.selection.shuffle_similarity));
     EXPECT_EQ(single.merge_stats.total_mutual_pairs,
-              distributed->merge_stats.total_mutual_pairs);
+              run.merge_stats.total_mutual_pairs);
     ASSERT_EQ(single.merge_stats.levels.size(),
-              distributed->merge_stats.levels.size());
+              run.merge_stats.levels.size());
     for (size_t l = 0; l < single.merge_stats.levels.size(); ++l) {
       EXPECT_EQ(single.merge_stats.levels[l].tables_in,
-                distributed->merge_stats.levels[l].tables_in);
+                run.merge_stats.levels[l].tables_in);
       EXPECT_EQ(single.merge_stats.levels[l].pairs_merged,
-                distributed->merge_stats.levels[l].pairs_merged);
+                run.merge_stats.levels[l].pairs_merged);
       EXPECT_EQ(single.merge_stats.levels[l].mutual_pairs,
-                distributed->merge_stats.levels[l].mutual_pairs);
+                run.merge_stats.levels[l].mutual_pairs);
     }
+    EXPECT_EQ(single.prune_stats.items_examined,
+              run.prune_stats.items_examined);
+    EXPECT_EQ(single.prune_stats.outliers_removed,
+              run.prune_stats.outliers_removed);
+    EXPECT_EQ(single.prune_stats.tuples_dropped,
+              run.prune_stats.tuples_dropped);
     EXPECT_EQ(std::min<size_t>(workers, tables.size()),
               distributed->distrib.workers);
   }
@@ -277,9 +294,9 @@ TEST(DistribBuildTest, SavedArtifactBytesMatchSingleProcess) {
   Coordinator coordinator(PipelineConfig(), options);
   auto distributed = coordinator.Build(tables);
   ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
-  ASSERT_NE(nullptr, distributed->matcher);
+  ASSERT_NE(nullptr, distributed->run.matcher);
   const std::string distrib_dir = TempPath("artifact_distrib");
-  distributed->matcher->Save(distrib_dir).CheckOk();
+  distributed->run.matcher->Save(distrib_dir).CheckOk();
 
   for (const char* file : {core::PipelineArtifact::kManifestFile,
                            core::PipelineArtifact::kEncoderFile,
@@ -305,7 +322,7 @@ TEST(DistribBuildTest, KilledWorkerIsRetriedAndRecovered) {
   auto distributed = coordinator.Build(tables);
   ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
   EXPECT_GE(distributed->distrib.retries, 1u);
-  EXPECT_EQ(single.tuples, distributed->tuples);
+  EXPECT_EQ(single.tuples, distributed->run.tuples);
 }
 
 // A hung worker must be reaped at the deadline and retried; no zombie, no
@@ -324,7 +341,7 @@ TEST(DistribBuildTest, HungWorkerIsReapedAtTimeoutAndRetried) {
   auto distributed = coordinator.Build(tables);
   ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
   EXPECT_GE(distributed->distrib.retries, 1u);
-  EXPECT_EQ(single.tuples, distributed->tuples);
+  EXPECT_EQ(single.tuples, distributed->run.tuples);
 }
 
 // A worker retry must also surface in the per-level attempt counters: the
@@ -342,7 +359,8 @@ TEST(DistribBuildTest, RetriedWorkerAttemptsSurfaceInLevelStats) {
   ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
   ASSERT_GE(distributed->distrib.retries, 1u);
   size_t pairs = 0, attempts = 0;
-  for (const core::MergeLevelStats& level : distributed->merge_stats.levels) {
+  for (const core::MergeLevelStats& level :
+       distributed->run.merge_stats.levels) {
     pairs += level.pairs_merged;
     attempts += level.total_attempts;
   }
@@ -388,7 +406,7 @@ TEST(DistribBuildTest, ReusesCompletedShardsAcrossCoordinatorRestart) {
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   EXPECT_EQ(2u, rebuilt->distrib.shards_reused);
   EXPECT_EQ(0u, rebuilt->distrib.retries);
-  EXPECT_EQ(single.tuples, rebuilt->tuples);
+  EXPECT_EQ(single.tuples, rebuilt->run.tuples);
 
   // reuse_shards=false forces a cold rebuild over the same work dir.
   options.reuse_shards = false;
@@ -396,7 +414,7 @@ TEST(DistribBuildTest, ReusesCompletedShardsAcrossCoordinatorRestart) {
   auto rebuilt_cold = cold.Build(tables);
   ASSERT_TRUE(rebuilt_cold.ok()) << rebuilt_cold.status().ToString();
   EXPECT_EQ(0u, rebuilt_cold->distrib.shards_reused);
-  EXPECT_EQ(single.tuples, rebuilt_cold->tuples);
+  EXPECT_EQ(single.tuples, rebuilt_cold->run.tuples);
 }
 
 // A stale or foreign shard manifest in the work dir must be rebuilt, never
@@ -418,7 +436,45 @@ TEST(DistribBuildTest, StaleShardIsRebuiltNotTrusted) {
   auto built = coordinator.Build(tables);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   EXPECT_EQ(0u, built->distrib.shards_reused);
-  EXPECT_EQ(single.tuples, built->tuples);
+  EXPECT_EQ(single.tuples, built->run.tuples);
+}
+
+// Every build path resolves components as MultiEmPipeline::Run does, so
+// HNSW knobs the pipeline rejects are rejected by the coordinator before it
+// forks and by a worker before it creates its shard directory.
+TEST(DistribBuildTest, RejectsTheHnswKnobsThePipelineRejects) {
+  auto tables = CorpusTables(4, 40);
+  MultiEmConfig degree_one = PipelineConfig();
+  degree_one.index_name = "hnsw";
+  degree_one.hnsw_m = 1;
+  MultiEmConfig narrow_beam = PipelineConfig();
+  narrow_beam.index_name = "hnsw";
+  narrow_beam.k = 4;
+  narrow_beam.hnsw_ef_search = 2;
+  for (const MultiEmConfig& config : {degree_one, narrow_beam}) {
+    EXPECT_EQ(util::StatusCode::kInvalidArgument,
+              MultiEmPipeline(config).Run(tables).status().code());
+
+    CoordinatorOptions options;
+    options.num_workers = 2;
+    options.work_dir = TempPath("bad_knobs");
+    auto built = Coordinator(config, options).Build(tables);
+    EXPECT_EQ(util::StatusCode::kInvalidArgument, built.status().code())
+        << built.status().ToString();
+    for (size_t w = 0; w < 2; ++w) {
+      EXPECT_FALSE(std::filesystem::exists(options.work_dir + "/" +
+                                           distrib::ShardDirName(w)));
+    }
+
+    std::vector<ShardAssignment> assignments =
+        PartitionPlan(MergePlan::Build(tables.size(), config.seed), 2);
+    ShardWorkerOptions worker;
+    worker.shard_dir = TempPath("bad_knobs_worker");
+    EXPECT_EQ(util::StatusCode::kInvalidArgument,
+              distrib::RunShardWorker(config, tables, assignments[0], worker)
+                  .code());
+    EXPECT_FALSE(std::filesystem::exists(worker.shard_dir));
+  }
 }
 
 // With retries exhausted the build must fail with a clean Status (and the

@@ -21,6 +21,7 @@
 #include "core/artifact.h"
 #include "core/matcher.h"
 #include "core/pipeline.h"
+#include "core/registry.h"
 #include "embed/encoder_io.h"
 #include "embed/hashing_encoder.h"
 #include "embed/serialize.h"
@@ -746,6 +747,49 @@ TEST(PipelineArtifactTest, ResaveIsByteIdentical) {
               ReadFileBytes(dir_b + "/" + file))
         << file;
   }
+}
+
+// Sessions saved while the config had an exact-KNN flag carry it in the
+// manifest config's legacy byte: the u8 right after merged_repr, at offset
+// 46. Writers now put 0 there; a 1 must still load, as index_name
+// "brute_force".
+TEST(PipelineArtifactTest, LegacyExactFlagLoadsAsBruteForce) {
+  auto result = RunWithMatcher(ServingConfig(), ProductTables());
+  ASSERT_TRUE(result.ok()) << result.status();
+  const std::string dir = TempPath("artifact_legacy_exact");
+  ASSERT_TRUE(result->matcher->Save(dir).ok());
+
+  // Rewrite manifest.mem section by section, setting the legacy byte.
+  constexpr size_t kLegacyExactOffset = 46;
+  const std::string manifest = dir + "/" + PipelineArtifact::kManifestFile;
+  auto reader = util::ArtifactReader::FromFile(
+      manifest, PipelineArtifact::kManifestMagic,
+      PipelineArtifact::kManifestVersion);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  util::ArtifactWriter writer(PipelineArtifact::kManifestMagic,
+                              reader->version());
+  for (const std::string& name : reader->SectionNames()) {
+    auto section = reader->Section(name);
+    ASSERT_TRUE(section.ok()) << section.status();
+    std::vector<uint8_t> bytes(section->remaining());
+    for (uint8_t& byte : bytes) ASSERT_TRUE(section->ReadU8(&byte).ok());
+    if (name == "config") {
+      ASSERT_GT(bytes.size(), kLegacyExactOffset);
+      EXPECT_EQ(0, bytes[kLegacyExactOffset]);
+      bytes[kLegacyExactOffset] = 1;
+    }
+    writer.AddSection(name).WriteBytes(bytes.data(), bytes.size());
+  }
+  ASSERT_TRUE(writer.WriteFile(manifest).ok());
+
+  auto loaded = MultiEmPipeline::LoadArtifact(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(std::string(core::kBruteForceIndexName),
+            loaded->config().index_name);
+  // Only the index name moved: the neighbouring fields read back as saved.
+  EXPECT_EQ(ServingConfig().merged_repr, loaded->config().merged_repr);
+  EXPECT_EQ(ServingConfig().hnsw_m, loaded->config().hnsw_m);
+  EXPECT_EQ(ServingConfig().m, loaded->config().m);
 }
 
 TEST(PipelineArtifactTest, AddTableMergesNewSourceIncrementally) {

@@ -184,7 +184,7 @@ TEST(PipelineAblationTest, ExactKnnCloseToHnsw) {
   auto bench = SmallMusic();
   MultiEmConfig hnsw_config = TunedConfig();
   MultiEmConfig exact_config = TunedConfig();
-  exact_config.use_exact_knn = true;
+  exact_config.index_name = "brute_force";
   auto hnsw = MultiEmPipeline(hnsw_config).Run(bench.tables);
   auto exact = MultiEmPipeline(exact_config).Run(bench.tables);
   ASSERT_TRUE(hnsw.ok());

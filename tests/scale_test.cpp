@@ -17,6 +17,7 @@
 #include "core/matcher.h"
 #include "core/merge_plan.h"
 #include "core/pipeline.h"
+#include "core/registry.h"
 #include "datagen/scale.h"
 #include "util/mmap.h"
 #include "util/thread_pool.h"
@@ -55,7 +56,7 @@ MultiEmConfig PipelineConfig() {
   MultiEmConfig config;
   config.sample_ratio = 0.25;
   config.m = 0.5f;
-  config.use_exact_knn = true;  // deterministic across thread counts
+  config.index_name = "brute_force";  // deterministic across thread counts
   config.seed = 5;
   return config;
 }
@@ -136,7 +137,9 @@ TEST(SpilledMergeTest, ResidencyIsBoundedByOnePair) {
   }
 
   const MergePlan plan = MergePlan::Build(gen.num_sources(), config.seed);
-  const core::TwoTableMerger merger(config, &store);
+  auto factory = core::IndexFactories().Create(config.index_name, config);
+  ASSERT_TRUE(factory.ok()) << factory.status();
+  const core::TwoTableMerger merger(config, &store, **factory);
   MergeStats stats;
   util::Status status = core::ExecuteMergePlan(
       plan, slots, merger, MergeExecOptions::Spilled(TempPath("merge_bounded")),

@@ -560,7 +560,7 @@ TEST(ServeIngestTest, BridgingIngestTombstonesAbsorbedItem) {
   config.sample_ratio = 1.0;
   config.enable_attribute_selection = false;
   config.enable_pruning = false;
-  config.use_exact_knn = true;
+  config.index_name = "brute_force";
   config.k = 2;  // the bridge row must reach both of its neighbors
   config.m = 0.72f;
   auto pipeline = PipelineBuilder(config).Build();
