@@ -12,7 +12,10 @@
 ///     a multi-core runner — the JSON records hardware_concurrency so the
 ///     gate can refuse to lie on a single-core box), and
 ///   * mmap reload-to-first-query at least ~10x faster than the heap
-///     kFull reload, with bit-identical answers.
+///     kFull reload, with bit-identical answers, and
+///   * the RSS growth of the artifact save (save_rss_growth_mb: VmHWM
+///     reset right before Matcher::Save and read right after it) within a
+///     ratio of artifact_mb.
 ///
 /// Method: every source is rendered in --chunk_rows chunks (the corpus is
 /// counter-seeded, so chunks are order-independent); the pipeline runs once
@@ -123,6 +126,18 @@ RunOutcome RunPipeline(const core::MultiEmConfig& config,
   out.num_items = result.matcher ? result.matcher->num_items() : 0;
   out.matcher = std::move(result.matcher);
   return out;
+}
+
+constexpr double kMiB = 1024.0 * 1024.0;
+
+/// Resets this process's peak RSS (VmHWM) to its current RSS by writing 5
+/// to /proc/self/clear_refs (Linux 4.0+). False where the reset is refused
+/// or unavailable.
+bool ResetPeakRss() {
+  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
+  if (f == nullptr) return false;
+  const bool written = std::fputs("5", f) >= 0;
+  return std::fclose(f) == 0 && written;
 }
 
 size_t DirectoryBytes(const fs::path& dir) {
@@ -285,11 +300,22 @@ int Main(int argc, char** argv) {
   }
 
   // ---- artifact save + the reload-to-first-query comparison: default
-  // heap/kFull open vs the zero-copy mmap/kStructural open.
+  // heap/kFull open vs the zero-copy mmap/kStructural open. The peak so far
+  // is read before the high-water mark is reset, so peak_rss_mb still
+  // covers the whole run; the mark read after the save is the save's own.
+  const size_t peak_before_save = util::PeakRssBytes();
+  const bool save_rss_measured = ResetPeakRss();
+  const size_t rss_at_save = util::PeakRssBytes();
   util::WallTimer save_timer;
   parallel.matcher->Save(artifact_dir).CheckOk();
   double save_seconds = save_timer.ElapsedSeconds();
+  const size_t save_peak = util::PeakRssBytes();
+  const double save_rss_growth_mb =
+      save_rss_measured && save_peak > rss_at_save
+          ? static_cast<double>(save_peak - rss_at_save) / kMiB
+          : 0.0;
   size_t artifact_bytes = DirectoryBytes(artifact_dir);
+  const double artifact_mb = static_cast<double>(artifact_bytes) / kMiB;
   parallel.matcher.reset();  // reloads below must not share its pages
 
   table::Table queries("queries", gen.schema());
@@ -312,6 +338,13 @@ int Main(int argc, char** argv) {
               "heap %.4fs vs mmap %.4fs (%.1fx, answers %s)\n",
               artifact_bytes, save_seconds, heap_seconds, mmap_seconds,
               reload_speedup, answers_identical ? "identical" : "DIFFER");
+  if (save_rss_measured) {
+    std::printf("# save RSS growth: %.1f MB for a %.1f MB artifact (%.2fx)\n",
+                save_rss_growth_mb, artifact_mb,
+                artifact_mb > 0.0 ? save_rss_growth_mb / artifact_mb : 0.0);
+  } else {
+    std::printf("# save RSS growth: not measured (peak RSS reset refused)\n");
+  }
 
   // ---- warm_pages comparison (record-only, no gate): the same mmap open
   // with the parallel first-touch pass vs without. "cold" here means pages
@@ -330,8 +363,8 @@ int Main(int argc, char** argv) {
               warm.first_query_ms, lazy.first_query_ms, warm.open_seconds,
               lazy.open_seconds);
 
-  size_t peak_rss = util::PeakRssBytes();
-  double peak_rss_mb = static_cast<double>(peak_rss) / (1024.0 * 1024.0);
+  size_t peak_rss = std::max(peak_before_save, util::PeakRssBytes());
+  double peak_rss_mb = static_cast<double>(peak_rss) / kMiB;
   std::printf("# peak RSS: %.1f MB%s\n", peak_rss_mb,
               rss_budget_mb > 0.0
                   ? (peak_rss_mb <= rss_budget_mb ? " (within budget)"
@@ -363,12 +396,16 @@ int Main(int argc, char** argv) {
                  "  \"num_tuples\": %zu,\n"
                  "  \"num_items\": %zu,\n"
                  "  \"peak_rss_mb\": %.1f,\n"
-                 "  \"rss_budget_mb\": %.1f,\n",
+                 "  \"rss_budget_mb\": %.1f,\n"
+                 "  \"artifact_mb\": %.2f,\n"
+                 "  \"save_rss_growth_mb\": %.2f,\n"
+                 "  \"save_rss_measured\": %s,\n",
                  gen.total_rows(), gen.num_sources(), gen.shared_rows(), dim,
                  threads, hardware, datagen_seconds,
                  parallel.pipeline_seconds, save_seconds, end_to_end_seconds,
                  parallel.num_tuples, parallel.num_items, peak_rss_mb,
-                 rss_budget_mb);
+                 rss_budget_mb, artifact_mb, save_rss_growth_mb,
+                 save_rss_measured ? "true" : "false");
     std::fprintf(f,
                  "  \"merge\": {\"serial_seconds\": %.4f, "
                  "\"parallel_seconds\": %.4f, \"speedup\": %.3f, "

@@ -1,5 +1,6 @@
 #include "core/config.h"
 
+#include <cmath>
 #include <string>
 
 #include "ann/quant.h"
@@ -11,21 +12,23 @@ util::Status MultiEmConfig::ValidateValues() const {
   if (embedding_dim == 0) {
     return util::Status::InvalidArgument("embedding_dim must be > 0");
   }
-  if (sample_ratio <= 0.0 || sample_ratio > 1.0) {
+  // Each range check is written so that NaN fails it: every comparison
+  // with NaN is false.
+  if (!(sample_ratio > 0.0 && sample_ratio <= 1.0)) {
     return util::Status::InvalidArgument("sample_ratio must be in (0, 1]");
   }
-  if (gamma <= 0.0 || gamma > 1.0) {
+  if (!(gamma > 0.0 && gamma <= 1.0)) {
     return util::Status::InvalidArgument("gamma must be in (0, 1]");
   }
   if (k == 0) {
     return util::Status::InvalidArgument("k must be >= 1");
   }
-  if (m < 0.0f || m > 2.0f) {
+  if (!(m >= 0.0f && m <= 2.0f)) {
     return util::Status::InvalidArgument(
         "m must be in [0, 2] (cosine distance)");
   }
-  if (eps < 0.0f) {
-    return util::Status::InvalidArgument("eps must be >= 0");
+  if (!(eps >= 0.0f && std::isfinite(eps))) {
+    return util::Status::InvalidArgument("eps must be finite and >= 0");
   }
   if (min_pts == 0) {
     return util::Status::InvalidArgument("min_pts must be >= 1");

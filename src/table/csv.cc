@@ -75,6 +75,11 @@ util::Result<std::vector<std::vector<std::string>>> Tokenize(
 }  // namespace
 
 util::Result<Table> ParseCsv(std::string_view text, const CsvOptions& options) {
+  // Spreadsheet exports often start with a UTF-8 byte-order mark. Left in,
+  // it would become part of the first header name (or cell) and make the
+  // schema differ from a BOM-less source's while printing the same.
+  constexpr std::string_view kUtf8Bom = "\xEF\xBB\xBF";
+  if (text.starts_with(kUtf8Bom)) text.remove_prefix(kUtf8Bom.size());
   auto tokens = Tokenize(text, options.delimiter);
   if (!tokens.ok()) return tokens.status();
   const auto& records = *tokens;

@@ -18,7 +18,9 @@ struct CsvOptions {
 
 /// Parses CSV text into a Table. Fields may be quoted with '"'; embedded
 /// quotes are doubled; embedded newlines inside quoted fields are supported.
-/// Rows with a different width than the header produce InvalidArgument.
+/// A UTF-8 byte-order mark at the very start of `text` is dropped; the same
+/// bytes anywhere else are kept verbatim. Rows with a different width than
+/// the header produce InvalidArgument.
 util::Result<Table> ParseCsv(std::string_view text,
                              const CsvOptions& options = {});
 

@@ -264,51 +264,97 @@ ByteWriter& ArtifactWriter::AddSection(std::string name) {
   return sections_.back().second;
 }
 
-std::vector<uint8_t> ArtifactWriter::Serialize() const {
-  // Every payload starts on a kSectionAlignBytes boundary (deterministic
-  // zero fill in the gaps) so that a reader mapping the file can hand out
-  // in-place views of the flat slabs. Checksums cover payload bytes only;
-  // the padding is protected by the bounds checks (a reader never reads it).
+namespace {
+
+using Sections = std::vector<std::pair<std::string, ByteWriter>>;
+
+// Section-table bytes per entry besides the name: u16 name length, then u64
+// offset, size and checksum.
+constexpr size_t kTableEntryBytes = 2 + 3 * 8;
+
+// The file offset of each payload, then that of the section table. Every
+// payload starts on a kSectionAlignBytes boundary (deterministic zero fill
+// in the gaps) so that a reader mapping the file can hand out in-place views
+// of the flat slabs.
+std::vector<size_t> PayloadOffsets(const Sections& sections) {
   std::vector<size_t> offsets;
-  offsets.reserve(sections_.size());
+  offsets.reserve(sections.size() + 1);
   size_t cursor = kHeaderBytes;
-  for (const auto& [name, payload] : sections_) {
+  for (const auto& [name, payload] : sections) {
     cursor = AlignUp(cursor, kSectionAlignBytes);
     offsets.push_back(cursor);
     cursor += payload.size();
   }
-  const size_t table_offset = cursor;
+  offsets.push_back(cursor);
+  return offsets;
+}
 
-  // Header + padded payloads.
-  ByteWriter image;
-  image.WriteU64(magic_);
-  image.WriteU32(version_);
-  image.WriteU32(static_cast<uint32_t>(sections_.size()));
-  image.WriteU64(table_offset);
+// Passes the container image of `sections` to `sink(data, size)` piece by
+// piece, in file order: the header, each payload after its zero padding,
+// then the section table and the table's checksum. No piece is empty. Each
+// payload is hashed chunk by chunk right before the sink takes the chunk
+// (256 KiB, which fits in a core's L2 cache), so the sink reads bytes the
+// hash has just brought into cache, and the image is never assembled.
+// Returns false as soon as `sink` does. Checksums cover payload bytes only;
+// the padding is protected by the reader's zero check.
+template <typename Sink>
+bool EmitContainer(uint64_t magic, uint32_t version, const Sections& sections,
+                   Sink&& sink) {
+  auto emit = [&](const void* data, size_t size) {
+    return size == 0 || sink(static_cast<const uint8_t*>(data), size);
+  };
+  const std::vector<size_t> offsets = PayloadOffsets(sections);
+  ByteWriter header;
+  header.WriteU64(magic);
+  header.WriteU32(version);
+  header.WriteU32(static_cast<uint32_t>(sections.size()));
+  header.WriteU64(offsets.back());
+  if (!emit(header.bytes().data(), header.size())) return false;
+
   static constexpr uint8_t kZeros[kSectionAlignBytes] = {};
-  for (size_t i = 0; i < sections_.size(); ++i) {
-    image.WriteBytes(kZeros, offsets[i] - image.size());
-    const ByteWriter& payload = sections_[i].second;
-    image.WriteBytes(payload.bytes().data(), payload.size());
-  }
-
-  // Section table, then its own checksum.
+  constexpr size_t kChunkBytes = size_t{256} << 10;
   ByteWriter table;
-  for (size_t i = 0; i < sections_.size(); ++i) {
-    const auto& [name, payload] = sections_[i];
+  size_t cursor = kHeaderBytes;
+  for (size_t i = 0; i < sections.size(); ++i) {
+    const auto& [name, payload] = sections[i];
+    if (!emit(kZeros, offsets[i] - cursor)) return false;
+    const uint8_t* bytes = payload.bytes().data();
+    uint64_t checksum = kFnv1a64Offset;
+    for (size_t done = 0; done < payload.size(); done += kChunkBytes) {
+      const size_t n = std::min(kChunkBytes, payload.size() - done);
+      checksum = Fnv1a64(bytes + done, n, checksum);
+      if (!emit(bytes + done, n)) return false;
+    }
+    cursor = offsets[i] + payload.size();
     table.WriteU16(static_cast<uint16_t>(name.size()));
     table.WriteBytes(name.data(), name.size());
     table.WriteU64(offsets[i]);
     table.WriteU64(payload.size());
-    table.WriteU64(Fnv1a64(payload.bytes().data(), payload.size()));
+    table.WriteU64(checksum);
   }
-  image.WriteBytes(table.bytes().data(), table.size());
-  image.WriteU64(Fnv1a64(table.bytes().data(), table.size()));
-  return image.bytes();
+  table.WriteU64(Fnv1a64(table.bytes().data(), table.size()));
+  return emit(table.bytes().data(), table.size());
+}
+
+}  // namespace
+
+std::vector<uint8_t> ArtifactWriter::Serialize() const {
+  // The table starts at the last offset; its checksum follows it.
+  size_t size = PayloadOffsets(sections_).back() + 8;
+  for (const auto& [name, payload] : sections_) {
+    size += kTableEntryBytes + name.size();
+  }
+  std::vector<uint8_t> image;
+  image.reserve(size);
+  EmitContainer(magic_, version_, sections_,
+                [&](const uint8_t* data, size_t n) {
+                  image.insert(image.end(), data, data + n);
+                  return true;
+                });
+  return image;
 }
 
 Status ArtifactWriter::WriteFile(const std::string& path) const {
-  const std::vector<uint8_t> image = Serialize();
   const std::string tmp = path + ".tmp";
   // A crash between these two points leaves an orphaned `.tmp` (never a torn
   // destination file); SweepOrphanTmpFiles reclaims them on the next run.
@@ -317,11 +363,13 @@ Status ArtifactWriter::WriteFile(const std::string& path) const {
   if (f == nullptr) {
     return Status::NotFound("cannot open '" + tmp + "' for writing");
   }
-  const size_t written = image.empty()
-                             ? 0
-                             : std::fwrite(image.data(), 1, image.size(), f);
+  const bool written =
+      EmitContainer(magic_, version_, sections_,
+                    [f](const uint8_t* data, size_t n) {
+                      return std::fwrite(data, 1, n, f) == n;
+                    });
   const bool flushed = std::fclose(f) == 0;
-  if (written != image.size() || !flushed) {
+  if (!written || !flushed) {
     std::remove(tmp.c_str());
     return Status::Internal("short write to '" + tmp + "'");
   }

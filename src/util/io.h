@@ -297,7 +297,9 @@ class ByteReader {
 /// Assembles one artifact: named sections appended in call order, then
 /// WriteFile/Serialize emits header + payloads + checksummed section table.
 /// Section names must be unique; writers emit sections in a fixed order so
-/// equal content means equal bytes.
+/// equal content means equal bytes. WriteFile streams the image into the
+/// file piece by piece, so writing holds no copy of it beyond the section
+/// payloads themselves.
 class ArtifactWriter {
  public:
   /// `magic` identifies the artifact kind (use ArtifactMagic("MEMINDEX"));
@@ -309,12 +311,11 @@ class ArtifactWriter {
   /// payload buffer; valid until the next AddSection call.
   ByteWriter& AddSection(std::string name);
 
-  /// The complete artifact image.
+  /// The complete artifact image: the bytes WriteFile writes.
   std::vector<uint8_t> Serialize() const;
 
-  /// Serializes and writes the artifact to `path` (atomically via a
-  /// same-directory temp file + rename, so readers never observe a torn
-  /// file).
+  /// Writes the artifact to `path` (atomically via a same-directory temp
+  /// file + rename, so readers never observe a torn file).
   Status WriteFile(const std::string& path) const;
 
  private:

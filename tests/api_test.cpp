@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -248,6 +249,41 @@ TEST(ConfigValidationTest, HnswKnobsIgnoredWhenHnswNotSelected) {
   c.index_name = "hnsw";
   EXPECT_FALSE(c.Validate().ok());
   EXPECT_FALSE(PipelineBuilder(c).Build().ok());
+}
+
+// Every comparison with NaN is false, so a range check of the form
+// `x < lo || x > hi` lets NaN through. Both validators must name the field.
+void ExpectRejected(const MultiEmConfig& c, const std::string& field) {
+  for (const util::Status& status : {c.ValidateValues(), c.Validate()}) {
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument) << status;
+    EXPECT_EQ(status.message().rfind(field + " must", 0), 0u) << status;
+  }
+}
+
+TEST(ConfigValidationTest, RejectsNanSampleRatio) {
+  MultiEmConfig c = TinyConfig();
+  c.sample_ratio = std::numeric_limits<double>::quiet_NaN();
+  ExpectRejected(c, "sample_ratio");
+}
+
+TEST(ConfigValidationTest, RejectsNanGamma) {
+  MultiEmConfig c = TinyConfig();
+  c.gamma = std::numeric_limits<double>::quiet_NaN();
+  ExpectRejected(c, "gamma");
+}
+
+TEST(ConfigValidationTest, RejectsNanM) {
+  MultiEmConfig c = TinyConfig();
+  c.m = std::numeric_limits<float>::quiet_NaN();
+  ExpectRejected(c, "m");
+}
+
+TEST(ConfigValidationTest, RejectsNonFiniteEps) {
+  MultiEmConfig c = TinyConfig();
+  c.eps = std::numeric_limits<float>::quiet_NaN();
+  ExpectRejected(c, "eps");
+  c.eps = std::numeric_limits<float>::infinity();
+  ExpectRejected(c, "eps");
 }
 
 // ---------------------------------------------------------------- builder --

@@ -8,12 +8,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/resource.h>
+#endif
 
 #include "ann/brute_force.h"
 #include "ann/hnsw.h"
@@ -305,6 +313,98 @@ TEST(IoTest, RejectsOverlappingOrDescendingSections) {
     }
   }
 }
+
+// Every payload byte of section `name`, or an empty vector after a failed
+// assertion.
+std::vector<uint8_t> SectionBytes(const util::ArtifactReader& reader,
+                                  const std::string& name) {
+  auto section = reader.Section(name);
+  EXPECT_TRUE(section.ok()) << section.status();
+  if (!section.ok()) return {};
+  std::vector<uint8_t> bytes(section->remaining());
+  for (uint8_t& byte : bytes) EXPECT_TRUE(section->ReadU8(&byte).ok());
+  return bytes;
+}
+
+// WriteFile streams the image it writes piece by piece; Serialize assembles
+// the same pieces in memory. The byte-identical re-save gates rest on the
+// two agreeing for every padding case: no section at all, empty payloads,
+// and payload sizes of 0, 1 and 63 mod 64, one of them spanning several
+// streamed chunks.
+TEST(IoTest, WriteFileWritesSerializeBytes) {
+  const std::vector<std::vector<size_t>> layouts = {
+      {}, {0, 0}, {64, 1, 63}, {0, 130, (size_t{1} << 20) + 1, 127}};
+  const std::string path = TempPath("streamed.mem");
+  for (const std::vector<size_t>& sizes : layouts) {
+    SCOPED_TRACE("payload sizes: " + ::testing::PrintToString(sizes));
+    util::ArtifactWriter writer(kTestMagic, 1);
+    std::vector<std::vector<uint8_t>> payloads;
+    std::vector<std::string> names;
+    for (size_t s = 0; s < sizes.size(); ++s) {
+      std::vector<uint8_t> payload(sizes[s]);
+      for (size_t b = 0; b < payload.size(); ++b) {
+        payload[b] = static_cast<uint8_t>(b * 131 + s);
+      }
+      names.push_back("section" + std::to_string(s));
+      writer.AddSection(names.back()).WriteBytes(payload.data(),
+                                                 payload.size());
+      payloads.push_back(std::move(payload));
+    }
+    ASSERT_TRUE(writer.WriteFile(path).ok());
+    EXPECT_EQ(ReadFileBytes(path), writer.Serialize());
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+    std::vector<util::ArtifactOpenOptions::Mapping> mappings = {
+        util::ArtifactOpenOptions::Mapping::kDisable};
+    if (util::MmapFile::Supported()) {
+      mappings.push_back(util::ArtifactOpenOptions::Mapping::kRequire);
+    }
+    for (const auto mapping : mappings) {
+      util::ArtifactOpenOptions options;
+      options.mapping = mapping;
+      auto reader =
+          util::ArtifactReader::FromFile(path, kTestMagic, 1, options);
+      ASSERT_TRUE(reader.ok()) << reader.status();
+      EXPECT_EQ(reader->SectionNames(), names);
+      for (size_t s = 0; s < names.size(); ++s) {
+        EXPECT_EQ(SectionBytes(*reader, names[s]), payloads[s])
+            << names[s] << (reader->mapped() ? " mapped" : " heap");
+      }
+    }
+  }
+}
+
+#if defined(__unix__) || defined(__APPLE__)
+// Writes `writer` to `path` with the process's file-size limit at 64 KiB
+// and SIGXFSZ ignored, so the kernel refuses the write partway through any
+// larger image (EFBIG). Prints the status and exits 0 when the write failed
+// and left neither `path` nor its staged `.tmp`. For a death-test child.
+[[noreturn]] void WriteUnderFileSizeLimit(const util::ArtifactWriter& writer,
+                                          const std::string& path) {
+  std::signal(SIGXFSZ, SIG_IGN);
+  constexpr rlim_t kMaxBytes = 64 << 10;
+  const struct rlimit limit = {kMaxBytes, kMaxBytes};
+  if (setrlimit(RLIMIT_FSIZE, &limit) != 0) std::_Exit(2);
+  const util::Status status = writer.WriteFile(path);
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  const bool left_nothing = !std::filesystem::exists(path) &&
+                            !std::filesystem::exists(path + ".tmp");
+  std::_Exit(!status.ok() && left_nothing ? 0 : 1);
+}
+
+// A write that fails in the middle of a payload returns an error and leaves
+// neither the file nor its staged `.tmp`. Only the child process takes the
+// file-size limit; the 1 MiB payload crosses it.
+TEST(IoTest, FailedWriteMidPayloadLeavesNoFile) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  util::ArtifactWriter writer(kTestMagic, 1);
+  const std::vector<uint8_t> payload(size_t{1} << 20, 0x5A);
+  writer.AddSection("big").WriteBytes(payload.data(), payload.size());
+  const std::string path = TempPath("fsize_limited.mem");
+  EXPECT_EXIT(WriteUnderFileSizeLimit(writer, path),
+              ::testing::ExitedWithCode(0), "short write");
+}
+#endif
 
 // ----------------------------------------------------------------- hnsw --
 
@@ -749,6 +849,26 @@ TEST(PipelineArtifactTest, ResaveIsByteIdentical) {
   }
 }
 
+// Rewrites the manifest.mem of the artifact in `dir` section by section,
+// passing the config section's bytes through `edit` on the way.
+void EditManifestConfig(
+    const std::string& dir,
+    const std::function<void(std::vector<uint8_t>&)>& edit) {
+  const std::string manifest = dir + "/" + PipelineArtifact::kManifestFile;
+  auto reader = util::ArtifactReader::FromFile(
+      manifest, PipelineArtifact::kManifestMagic,
+      PipelineArtifact::kManifestVersion);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  util::ArtifactWriter writer(PipelineArtifact::kManifestMagic,
+                              reader->version());
+  for (const std::string& name : reader->SectionNames()) {
+    std::vector<uint8_t> bytes = SectionBytes(*reader, name);
+    if (name == "config") edit(bytes);
+    writer.AddSection(name).WriteBytes(bytes.data(), bytes.size());
+  }
+  ASSERT_TRUE(writer.WriteFile(manifest).ok());
+}
+
 // Sessions saved while the config had an exact-KNN flag carry it in the
 // manifest config's legacy byte: the u8 right after merged_repr, at offset
 // 46. Writers now put 0 there; a 1 must still load, as index_name
@@ -759,28 +879,13 @@ TEST(PipelineArtifactTest, LegacyExactFlagLoadsAsBruteForce) {
   const std::string dir = TempPath("artifact_legacy_exact");
   ASSERT_TRUE(result->matcher->Save(dir).ok());
 
-  // Rewrite manifest.mem section by section, setting the legacy byte.
   constexpr size_t kLegacyExactOffset = 46;
-  const std::string manifest = dir + "/" + PipelineArtifact::kManifestFile;
-  auto reader = util::ArtifactReader::FromFile(
-      manifest, PipelineArtifact::kManifestMagic,
-      PipelineArtifact::kManifestVersion);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  util::ArtifactWriter writer(PipelineArtifact::kManifestMagic,
-                              reader->version());
-  for (const std::string& name : reader->SectionNames()) {
-    auto section = reader->Section(name);
-    ASSERT_TRUE(section.ok()) << section.status();
-    std::vector<uint8_t> bytes(section->remaining());
-    for (uint8_t& byte : bytes) ASSERT_TRUE(section->ReadU8(&byte).ok());
-    if (name == "config") {
-      ASSERT_GT(bytes.size(), kLegacyExactOffset);
-      EXPECT_EQ(0, bytes[kLegacyExactOffset]);
-      bytes[kLegacyExactOffset] = 1;
-    }
-    writer.AddSection(name).WriteBytes(bytes.data(), bytes.size());
-  }
-  ASSERT_TRUE(writer.WriteFile(manifest).ok());
+  ASSERT_NO_FATAL_FAILURE(
+      EditManifestConfig(dir, [&](std::vector<uint8_t>& bytes) {
+        ASSERT_GT(bytes.size(), kLegacyExactOffset);
+        EXPECT_EQ(0, bytes[kLegacyExactOffset]);
+        bytes[kLegacyExactOffset] = 1;
+      }));
 
   auto loaded = MultiEmPipeline::LoadArtifact(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -790,6 +895,37 @@ TEST(PipelineArtifactTest, LegacyExactFlagLoadsAsBruteForce) {
   EXPECT_EQ(ServingConfig().merged_repr, loaded->config().merged_repr);
   EXPECT_EQ(ServingConfig().hnsw_m, loaded->config().hnsw_m);
   EXPECT_EQ(ServingConfig().m, loaded->config().m);
+}
+
+// LoadArtifact range-checks the config it reads from disk like one built in
+// memory: a NaN m, which would turn off Eq. 1's distance cap, is refused.
+// m is the little-endian f32 at offset 41 of the manifest config.
+TEST(PipelineArtifactTest, RejectsNanConfigValue) {
+  auto result = RunWithMatcher(ServingConfig(), ProductTables());
+  ASSERT_TRUE(result.ok()) << result.status();
+  const std::string dir = TempPath("artifact_nan_m");
+  ASSERT_TRUE(result->matcher->Save(dir).ok());
+
+  constexpr size_t kMOffset = 41;
+  ASSERT_NO_FATAL_FAILURE(
+      EditManifestConfig(dir, [&](std::vector<uint8_t>& bytes) {
+        ASSERT_GE(bytes.size(), kMOffset + sizeof(float));
+        util::ByteReader saved(
+            std::span<const uint8_t>(bytes).subspan(kMOffset));
+        float m = 0.0f;
+        ASSERT_TRUE(saved.ReadF32(&m).ok());
+        EXPECT_EQ(ServingConfig().m, m);
+        util::ByteWriter nan;
+        nan.WriteF32(std::numeric_limits<float>::quiet_NaN());
+        std::copy(nan.bytes().begin(), nan.bytes().end(),
+                  bytes.begin() + kMOffset);
+      }));
+
+  auto loaded = MultiEmPipeline::LoadArtifact(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("m must be"), std::string::npos)
+      << loaded.status();
 }
 
 TEST(PipelineArtifactTest, AddTableMergesNewSourceIncrementally) {

@@ -225,6 +225,32 @@ TEST(CsvTest, ParseNoHeader) {
   EXPECT_EQ(t->schema().name(0), "col0");
 }
 
+// A spreadsheet export's leading byte-order mark must not reach the first
+// header name, or the source no longer shares the schema of BOM-less ones.
+TEST(CsvTest, DropsLeadingUtf8Bom) {
+  auto t = ParseCsv("\xEF\xBB\xBF" "a,b\n1,2\n");
+  ASSERT_TRUE(t.ok()) << t.status();
+  EXPECT_EQ(t->schema().name(0), "a");
+  EXPECT_EQ(t->schema().names(), ParseCsv("a,b\n1,2\n")->schema().names());
+  EXPECT_EQ(t->cell(0, 0), "1");
+}
+
+TEST(CsvTest, DropsLeadingUtf8BomWithoutHeader) {
+  CsvOptions options;
+  options.has_header = false;
+  auto t = ParseCsv("\xEF\xBB\xBF" "1,2\n3,4\n", options);
+  ASSERT_TRUE(t.ok()) << t.status();
+  EXPECT_EQ(t->num_rows(), 2u);
+  EXPECT_EQ(t->cell(0, 0), "1");
+}
+
+TEST(CsvTest, KeepsBomBytesInsideFields) {
+  auto t = ParseCsv("a,b\n\xEF\xBB\xBF" "x,y\xEF\xBB\xBF\n");
+  ASSERT_TRUE(t.ok()) << t.status();
+  EXPECT_EQ(t->cell(0, 0), "\xEF\xBB\xBF" "x");
+  EXPECT_EQ(t->cell(0, 1), "y\xEF\xBB\xBF");
+}
+
 TEST(CsvTest, CustomDelimiter) {
   CsvOptions options;
   options.delimiter = '\t';
