@@ -146,7 +146,7 @@ class VectorIndex {
 
   /// Stable artifact tag of this implementation ("hnsw", "brute_force");
   /// empty for implementations without a persistence story. The tag is
-  /// written into saved artifacts and selects the registered loader when
+  /// written into saved artifacts and selects the built-in loader when
   /// ann::LoadVectorIndex reopens one (see index_io.h).
   virtual std::string_view kind() const { return {}; }
 

@@ -9,46 +9,32 @@ namespace multiem::ann {
 
 namespace {
 
-// Accessor-registered built-ins (never torn down), mirroring the lazy
-// registration of core/registry.cc so "hnsw"/"brute_force" artifacts load
-// without any user-side setup.
-util::ArtifactLoaderRegistry<VectorIndex>& Registry() {
-  static auto* registry = [] {
-    auto* r = new util::ArtifactLoaderRegistry<VectorIndex>(
-        "index", kIndexArtifactMagic, kIndexArtifactVersion,
-        kIndexMetaSection);
-    r->Register(std::string(HnswIndex::kKind),
-                [](const util::ArtifactReader& artifact)
-                    -> util::Result<std::unique_ptr<VectorIndex>> {
-                  auto index = HnswIndex::Load(artifact);
-                  if (!index.ok()) return index.status();
-                  return std::unique_ptr<VectorIndex>(std::move(*index));
-                });
-    r->Register(std::string(BruteForceIndex::kKind),
-                [](const util::ArtifactReader& artifact)
-                    -> util::Result<std::unique_ptr<VectorIndex>> {
-                  auto index = BruteForceIndex::Load(artifact);
-                  if (!index.ok()) return index.status();
-                  return std::unique_ptr<VectorIndex>(std::move(*index));
-                });
-    return r;
-  }();
-  return *registry;
+template <typename Index>
+util::Result<std::unique_ptr<VectorIndex>> AsVectorIndex(
+    util::Result<std::unique_ptr<Index>> loaded) {
+  if (!loaded.ok()) return loaded.status();
+  return std::unique_ptr<VectorIndex>(std::move(*loaded));
 }
 
 }  // namespace
 
-bool RegisterIndexLoader(std::string kind, IndexLoader loader) {
-  return Registry().Register(std::move(kind), std::move(loader));
-}
-
-std::vector<std::string> RegisteredIndexLoaderKinds() {
-  return Registry().Kinds();
-}
-
 util::Result<std::unique_ptr<VectorIndex>> LoadVectorIndex(
     const std::string& path, const util::ArtifactOpenOptions& options) {
-  return Registry().LoadFromFile(path, options);
+  auto artifact = util::ArtifactReader::FromFile(
+      path, kIndexArtifactMagic, kIndexArtifactVersion, options);
+  if (!artifact.ok()) return artifact.status();
+  auto meta = artifact->Section(kIndexMetaSection);
+  if (!meta.ok()) return meta.status();
+  std::string kind;
+  MULTIEM_RETURN_IF_ERROR(meta->ReadString(&kind));
+  if (kind == HnswIndex::kKind) {
+    return AsVectorIndex(HnswIndex::Load(*artifact));
+  }
+  if (kind == BruteForceIndex::kKind) {
+    return AsVectorIndex(BruteForceIndex::Load(*artifact));
+  }
+  return util::Status::InvalidArgument("unknown index kind '" + kind +
+                                       "' (built-in: hnsw, brute_force)");
 }
 
 }  // namespace multiem::ann

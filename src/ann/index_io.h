@@ -3,27 +3,14 @@
 /// MEMINDEX artifact (util/io.h container; spec in docs/FORMATS.md) whose
 /// "meta" section starts with the implementation's kind tag
 /// (VectorIndex::kind). LoadVectorIndex reads that tag and dispatches to the
-/// loader registered for it, so third-party index backends gain persistence
-/// by registering a loader from their own translation unit — exactly like
-/// the component registries of core/registry.h:
-///
-///   namespace {
-///   const bool registered = multiem::ann::RegisterIndexLoader(
-///       "my-index", [](const multiem::util::ArtifactReader& artifact) {
-///         return MyIndex::Load(artifact);
-///       });
-///   }  // namespace
-///
-/// The built-in loaders ("hnsw", "brute_force") are registered lazily on
-/// first use, so they are always available regardless of static-init order.
+/// built-in loader for it ("hnsw", "brute_force"); any other tag fails with
+/// InvalidArgument.
 
 #ifndef MULTIEM_ANN_INDEX_IO_H_
 #define MULTIEM_ANN_INDEX_IO_H_
 
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "ann/index.h"
 #include "util/io.h"
@@ -47,19 +34,9 @@ inline constexpr uint32_t kIndexArtifactVersionFp32 = 1;
 /// the remaining meta fields are implementation-defined.
 inline constexpr const char* kIndexMetaSection = "meta";
 
-/// Reconstructs one index from an already-opened-and-validated artifact.
-using IndexLoader = std::function<util::Result<std::unique_ptr<VectorIndex>>(
-    const util::ArtifactReader& artifact)>;
-
-/// Registers `loader` for saved indexes whose kind tag is `kind`. Returns
-/// false (keeping the existing entry) when the kind is already taken.
-bool RegisterIndexLoader(std::string kind, IndexLoader loader);
-
-/// Kind tags with a registered loader, sorted (error messages, diagnostics).
-std::vector<std::string> RegisteredIndexLoaderKinds();
-
 /// Opens the MEMINDEX artifact at `path`, validates it (magic, version,
-/// checksums), reads the kind tag, and dispatches the registered loader.
+/// checksums), reads the kind tag, and dispatches the built-in loader for
+/// it; an unknown tag fails with InvalidArgument naming it.
 /// The returned index answers Search immediately; see the implementation's
 /// Save contract for what state round-trips. `options` selects mmap-backed
 /// zero-copy opening and the verification depth (util::ArtifactOpenOptions);

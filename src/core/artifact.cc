@@ -46,7 +46,7 @@ void WriteConfig(util::ByteWriter& out, const MultiEmConfig& config) {
   out.WriteF64(config.gamma);
   out.WriteU64(config.k);
   out.WriteF32(config.m);
-  out.WriteU8(static_cast<uint8_t>(config.merged_repr));
+  out.WriteU8(0);  // retired merged_repr byte; see ReadConfig
   out.WriteU8(0);  // legacy exact-KNN flag; see ReadConfig
   out.WriteU64(config.hnsw_m);
   out.WriteU64(config.hnsw_ef_construction);
@@ -75,12 +75,15 @@ util::Status ReadConfig(util::ByteReader& in, MultiEmConfig* config) {
   MULTIEM_RETURN_IF_ERROR(in.ReadU64(&u64));
   config->k = u64;
   MULTIEM_RETURN_IF_ERROR(in.ReadF32(&config->m));
+  // Retired merged_repr byte: 0 meant the member centroid, the only
+  // merged-item representation left; the removed first-member mode (1) and
+  // anything else cannot be served as saved.
   MULTIEM_RETURN_IF_ERROR(in.ReadU8(&u8));
-  if (u8 > static_cast<uint8_t>(MergedItemRepr::kFirstMember)) {
+  if (u8 != 0) {
     return util::Status::InvalidArgument(
-        "manifest config: unknown merged_repr " + std::to_string(u8));
+        "manifest config: unsupported merged-item representation " +
+        std::to_string(u8) + " (only 0, the member centroid, is served)");
   }
-  config->merged_repr = static_cast<MergedItemRepr>(u8);
   // Legacy exact-KNN flag: writers put 0; a 1 comes from a session saved
   // with the since-removed exact-KNN config flag and means index_name
   // "brute_force" (applied below, once the saved index_name is read).

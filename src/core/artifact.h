@@ -58,7 +58,8 @@ class PipelineArtifact {
   static util::Status Save(const Matcher& matcher, const std::string& dir);
 
   /// Restores a ready serving session from `dir`. The encoder and index are
-  /// reloaded through their registered loaders; the index factory is
+  /// reloaded by kind tag (built-in kinds only: a session saved with a
+  /// custom component fails with InvalidArgument); the index factory is
   /// resolved from the saved config's index name (so future AddTable calls
   /// rebuild with the same backend the run used).
   static util::Result<Matcher> Load(const std::string& dir);

@@ -56,7 +56,7 @@ uint64_t ComputeRunFingerprint(const MultiEmConfig& config,
   HashDouble(config.gamma, &state);
   HashU64(config.k, &state);
   HashDouble(static_cast<double>(config.m), &state);
-  HashU64(static_cast<uint64_t>(config.merged_repr), &state);
+  HashU64(0, &state);  // retired merged_repr slot (always the centroid)
   HashU64(config.hnsw_m, &state);
   HashU64(config.hnsw_ef_construction, &state);
   HashU64(config.hnsw_ef_search, &state);
@@ -67,6 +67,14 @@ uint64_t ComputeRunFingerprint(const MultiEmConfig& config,
   HashString(config.encoder_name, &state);
   HashString(config.index_name, &state);
   HashString(config.pruner_name, &state);
+  // Quantization joined the config after this fingerprint's layout was
+  // fixed; hashing it only when enabled keeps every unquantized fingerprint
+  // (and so every existing fp32 checkpoint directory) valid, as the
+  // manifest's optional "quant" section does for artifacts.
+  if (config.quantization != "none") {
+    HashString(config.quantization, &state);
+    HashU64(config.rerank_factor, &state);
+  }
   // Input shape: table identity + dimensions + schema. Cell contents are
   // not hashed (runs over million-row corpora would pay a full scan); a
   // caller mutating rows in place between attempts is out of contract.

@@ -19,16 +19,6 @@
 
 namespace multiem::core {
 
-/// How a merged item (a candidate tuple holding several entities) is
-/// re-embedded for the next merging hierarchy.
-enum class MergedItemRepr {
-  /// L2-normalized mean of the member entities' embeddings (default; the
-  /// natural "representation of the item" for Algorithm 3 line 1).
-  kCentroid,
-  /// Embedding of the first (lowest-id) member; cheaper, noisier.
-  kFirstMember,
-};
-
 /// All knobs of the MultiEM pipeline. Defaults follow Section IV-A of the
 /// paper (k=1, MinPts=2, r=0.2, max sequence length 64; m, eps, gamma from
 /// the middle of the published grids).
@@ -55,8 +45,6 @@ struct MultiEmConfig {
   size_t k = 1;
   /// Distance threshold m on cosine distance, grid {0.05, 0.2, 0.35, 0.5}.
   float m = 0.35f;
-  /// Representation of merged items across hierarchies.
-  MergedItemRepr merged_repr = MergedItemRepr::kCentroid;
   /// HNSW construction/search knobs. The defaults are tuned for the mutual
   /// top-1 queries of the merging phase (k=1 with a distance cap needs far
   /// less beam width than a recall@100 workload).

@@ -390,9 +390,8 @@ util::Status Matcher::AddTable(const table::Table& table,
   // at its smallest old item id with the other old participants tombstoned;
   // unmatched new rows append at the end. Every union edge crosses into the
   // new source, so a group is unchanged iff it is exactly one old item.
-  // Merged representations recompute with the same member order and
-  // arithmetic as TwoTableMerger::Merge so the two paths stay bitwise
-  // equal.
+  // Merged representations come from EntityEmbeddingStore::Centroid, as in
+  // TwoTableMerger::Merge, so the two paths stay bitwise equal.
   next->entities = old->entities;  // O(num_chunks) pointer copies
   std::vector<uint32_t> inserted_items;  // items the index must (re)learn
   embed::EmbeddingMatrix inserted(0, dim);  // their vectors, in order
@@ -439,22 +438,7 @@ util::Status Matcher::AddTable(const table::Table& table,
     // the recomputed vector is inserted under a fresh slot.
     retired_items.push_back(static_cast<uint32_t>(target));
     inserted_items.push_back(static_cast<uint32_t>(target));
-    if (fixed_->config.merged_repr == MergedItemRepr::kFirstMember) {
-      std::span<const float> first = next->store.Row(item.members.front());
-      inserted.AppendRow(first);
-      next->entities.ReplaceItem(target, std::move(item), first);
-      continue;
-    }
-    // Centroid of the base entity embeddings of this group only,
-    // re-normalized (members are sorted, so the sum order is deterministic).
-    std::fill(centroid.begin(), centroid.end(), 0.0f);
-    for (table::EntityId member : item.members) {
-      std::span<const float> row = next->store.Row(member);
-      for (size_t d = 0; d < dim; ++d) centroid[d] += row[d];
-    }
-    const float inv = 1.0f / static_cast<float>(item.members.size());
-    for (float& x : centroid) x *= inv;
-    embed::L2NormalizeInPlace(centroid);
+    next->store.Centroid(item.members, centroid);
     inserted.AppendRow(centroid);
     next->entities.ReplaceItem(target, std::move(item), centroid);
   }

@@ -178,11 +178,7 @@ util::Status ExecuteNode(const MergePlan& plan, size_t id,
     if (!a.ok()) return a.status();
     auto b = right.Acquire();
     if (!b.ok()) return b.status();
-    TwoTableMergeStats pair_stats;
-    merged = merger.Merge(*a, *b, pool, &pair_stats);
-    node_stats.mutual_pairs = pair_stats.mutual_pairs;
-    node_stats.merged_items = pair_stats.merged_items;
-    node_stats.carried_items = pair_stats.carried_items;
+    merged = merger.Merge(*a, *b, pool, &node_stats);
     resident_bytes = a->SizeBytes() + b->SizeBytes() + merged.SizeBytes();
   }  // both inputs leave residency before the output is spilled
 

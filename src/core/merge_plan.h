@@ -95,18 +95,6 @@ class MergePlan {
   std::vector<MergePlanLevel> levels_;
 };
 
-/// Counters of one executed merge node — the aggregation unit shipped back
-/// from worker processes (MEMSHARD "stats" section).
-struct MergeNodeStats {
-  size_t node = 0;
-  size_t mutual_pairs = 0;
-  size_t merged_items = 0;
-  size_t carried_items = 0;
-  /// Execution attempts this node's result cost (util::Retry attempt counts
-  /// for distributed workers; 1 for a first-try in-process execution).
-  size_t attempts = 1;
-};
-
 /// Counters of the merging phase — the one stats type of every merge: the
 /// pipeline's PipelineResult::merge_stats, the coordinator's
 /// DistributedBuildResult::merge_stats, and what shard workers ship back.

@@ -7,6 +7,18 @@
 
 namespace multiem::core {
 
+void EntityEmbeddingStore::Centroid(std::span<const table::EntityId> members,
+                                    std::span<float> out) const {
+  std::fill(out.begin(), out.end(), 0.0f);
+  for (table::EntityId member : members) {
+    std::span<const float> row = Row(member);
+    for (size_t d = 0; d < out.size(); ++d) out[d] += row[d];
+  }
+  const float inv = 1.0f / static_cast<float>(members.size());
+  for (float& x : out) x *= inv;
+  embed::L2NormalizeInPlace(out);
+}
+
 MergeTable MergeTable::FromSource(uint32_t source,
                                   const embed::EmbeddingMatrix& embeddings) {
   MergeTable out;

@@ -54,6 +54,15 @@ class EntityEmbeddingStore {
   /// Embedding dimensionality (0 when empty).
   size_t dim() const { return sources_.empty() ? 0 : sources_[0]->dim(); }
 
+  /// Writes the representation of a merged item (Algorithm 3) into `out`
+  /// (dim() floats): the L2-normalized mean of its members' embeddings.
+  /// `members` must be sorted, so the summation order — and every bit of
+  /// the result — depends on the member set alone. TwoTableMerger::Merge
+  /// and Matcher::AddTable both call this, which keeps the pipeline's and
+  /// the serving path's merged vectors bitwise equal.
+  void Centroid(std::span<const table::EntityId> members,
+                std::span<float> out) const;
+
   /// Total payload bytes (memory accounting).
   size_t SizeBytes() const {
     size_t total = 0;

@@ -211,12 +211,6 @@ class PipelineBuilder {
   explicit PipelineBuilder(MultiEmConfig config = {})
       : config_(std::move(config)) {}
 
-  /// Replaces the config assembled so far.
-  PipelineBuilder& WithConfig(MultiEmConfig config) {
-    config_ = std::move(config);
-    return *this;
-  }
-
   /// Injects the sentence encoder instance (overrides encoder_name).
   PipelineBuilder& WithEncoder(std::unique_ptr<embed::TextEncoder> encoder) {
     components_.encoder = std::move(encoder);

@@ -17,7 +17,7 @@ ann::MutualTopKOptions MutualOptionsFromConfig(const MultiEmConfig& config) {
 
 MergeTable TwoTableMerger::Merge(const MergeTable& a, const MergeTable& b,
                                  util::ThreadPool* pool,
-                                 TwoTableMergeStats* stats) const {
+                                 MergeNodeStats* stats) const {
   // Step 1 (Algorithm 3 lines 3-5): mutual top-K pairs under the cap m.
   // MutualTopK wants contiguous matrices; the tables store their rows in
   // copy-on-write chunks, so gather once per merge (negligible next to the
@@ -68,20 +68,7 @@ MergeTable TwoTableMerger::Merge(const MergeTable& a, const MergeTable& b,
       continue;
     }
     if (stats != nullptr) ++stats->merged_items;
-    if (config_.merged_repr == MergedItemRepr::kFirstMember) {
-      std::span<const float> first = store_->Row(item.members.front());
-      merged.Append(std::move(item), first);
-      continue;
-    }
-    // Centroid of the base entity embeddings, re-normalized.
-    std::fill(centroid.begin(), centroid.end(), 0.0f);
-    for (table::EntityId member : item.members) {
-      std::span<const float> row = store_->Row(member);
-      for (size_t d = 0; d < dim; ++d) centroid[d] += row[d];
-    }
-    float inv = 1.0f / static_cast<float>(item.members.size());
-    for (float& x : centroid) x *= inv;
-    embed::L2NormalizeInPlace(centroid);
+    store_->Centroid(item.members, centroid);
     merged.Append(std::move(item), centroid);
   }
   return merged;

@@ -18,11 +18,17 @@ namespace multiem::core {
 /// matching standard the pipeline's merge levels used.
 ann::MutualTopKOptions MutualOptionsFromConfig(const MultiEmConfig& config);
 
-/// Counters reported by one two-table merge.
-struct TwoTableMergeStats {
+/// Counters of one executed merge node — TwoTableMerger::Merge fills the
+/// three merge counters; ExecuteMergePlan sets `node` and gathers them into
+/// MergeStats, which shard workers ship back (MEMSHARD "stats" section).
+struct MergeNodeStats {
+  size_t node = 0;
   size_t mutual_pairs = 0;    ///< |P_m| of Eq. 1 after the distance cap.
   size_t merged_items = 0;    ///< items of the output that absorbed a match
   size_t carried_items = 0;   ///< items carried over unmatched
+  /// Execution attempts this node's result cost (util::Retry attempt counts
+  /// for distributed workers; 1 for a first-try in-process execution).
+  size_t attempts = 1;
 };
 
 /// Algorithm 3 of the paper: merges two merge tables into one.
@@ -52,7 +58,7 @@ class TwoTableMerger {
   /// Section III-E).
   MergeTable Merge(const MergeTable& a, const MergeTable& b,
                    util::ThreadPool* pool = nullptr,
-                   TwoTableMergeStats* stats = nullptr) const;
+                   MergeNodeStats* stats = nullptr) const;
 
  private:
   MultiEmConfig config_;

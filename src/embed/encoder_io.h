@@ -3,10 +3,8 @@
 /// every saved encoder is one MEMENCDR artifact (util/io.h container; spec
 /// in docs/FORMATS.md) whose "meta" section starts with the
 /// implementation's kind tag (TextEncoder::kind). LoadTextEncoder reads
-/// that tag and dispatches the loader registered for it, so third-party
-/// encoders gain persistence by registering a loader from their own
-/// translation unit. The built-in "hashing" loader is registered lazily on
-/// first use, so it is always available regardless of static-init order.
+/// that tag and dispatches to the built-in loader for it ("hashing"); any
+/// other tag fails with InvalidArgument.
 ///
 /// Kept separate from text_encoder.h so that widely-included header stays
 /// free of the artifact-container machinery.
@@ -14,10 +12,8 @@
 #ifndef MULTIEM_EMBED_ENCODER_IO_H_
 #define MULTIEM_EMBED_ENCODER_IO_H_
 
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "embed/text_encoder.h"
 #include "util/io.h"
@@ -35,20 +31,9 @@ inline constexpr uint32_t kEncoderArtifactVersion = 1;
 /// Every encoder artifact's "meta" section begins with the kind tag string.
 inline constexpr const char* kEncoderMetaSection = "meta";
 
-/// Reconstructs one encoder from an opened, checksum-validated artifact.
-using TextEncoderLoader =
-    std::function<util::Result<std::unique_ptr<TextEncoder>>(
-        const util::ArtifactReader& artifact)>;
-
-/// Registers `loader` for saved encoders whose kind tag is `kind`. Returns
-/// false (keeping the existing entry) when the kind is already taken.
-bool RegisterTextEncoderLoader(std::string kind, TextEncoderLoader loader);
-
-/// Kind tags with a registered loader, sorted.
-std::vector<std::string> RegisteredTextEncoderLoaderKinds();
-
 /// Opens the MEMENCDR artifact at `path`, validates it, reads the kind tag,
-/// and dispatches the registered loader. The returned encoder is ready to
+/// and dispatches the built-in loader for it (an unknown tag fails with
+/// InvalidArgument naming it). The returned encoder is ready to
 /// EncodeInto — its fitted state round-tripped; do not call FitCorpus again
 /// unless you mean to refit on a new corpus. `options` selects mmap-backed
 /// opening and the verification depth (util::ArtifactOpenOptions).

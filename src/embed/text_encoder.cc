@@ -19,40 +19,22 @@ EmbeddingMatrix TextEncoder::EncodeBatch(const std::vector<std::string>& texts,
   return out;
 }
 
-namespace {
-
-// Accessor-registered built-in (never torn down), so "hashing" artifacts
-// load without any user-side setup regardless of static-init order.
-util::ArtifactLoaderRegistry<TextEncoder>& Registry() {
-  static auto* registry = [] {
-    auto* r = new util::ArtifactLoaderRegistry<TextEncoder>(
-        "encoder", kEncoderArtifactMagic, kEncoderArtifactVersion,
-        kEncoderMetaSection);
-    r->Register(std::string(HashingSentenceEncoder::kKind),
-                [](const util::ArtifactReader& artifact)
-                    -> util::Result<std::unique_ptr<TextEncoder>> {
-                  auto encoder = HashingSentenceEncoder::Load(artifact);
-                  if (!encoder.ok()) return encoder.status();
-                  return std::unique_ptr<TextEncoder>(std::move(*encoder));
-                });
-    return r;
-  }();
-  return *registry;
-}
-
-}  // namespace
-
-bool RegisterTextEncoderLoader(std::string kind, TextEncoderLoader loader) {
-  return Registry().Register(std::move(kind), std::move(loader));
-}
-
-std::vector<std::string> RegisteredTextEncoderLoaderKinds() {
-  return Registry().Kinds();
-}
-
 util::Result<std::unique_ptr<TextEncoder>> LoadTextEncoder(
     const std::string& path, const util::ArtifactOpenOptions& options) {
-  return Registry().LoadFromFile(path, options);
+  auto artifact = util::ArtifactReader::FromFile(
+      path, kEncoderArtifactMagic, kEncoderArtifactVersion, options);
+  if (!artifact.ok()) return artifact.status();
+  auto meta = artifact->Section(kEncoderMetaSection);
+  if (!meta.ok()) return meta.status();
+  std::string kind;
+  MULTIEM_RETURN_IF_ERROR(meta->ReadString(&kind));
+  if (kind != HashingSentenceEncoder::kKind) {
+    return util::Status::InvalidArgument("unknown encoder kind '" + kind +
+                                         "' (built-in: hashing)");
+  }
+  auto encoder = HashingSentenceEncoder::Load(*artifact);
+  if (!encoder.ok()) return encoder.status();
+  return std::unique_ptr<TextEncoder>(std::move(*encoder));
 }
 
 }  // namespace multiem::embed

@@ -57,7 +57,7 @@ class TextEncoder {
 
   /// Stable artifact tag of this implementation ("hashing"); empty for
   /// encoders without a persistence story. The tag is written into saved
-  /// artifacts and selects the registered loader in LoadTextEncoder below.
+  /// artifacts and selects the loader in LoadTextEncoder (encoder_io.h).
   virtual std::string_view kind() const { return {}; }
 
   /// Persists the encoder — configuration plus any corpus-fitted state — to

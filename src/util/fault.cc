@@ -161,11 +161,6 @@ Status FaultInjector::ArmFromString(std::string_view text) {
   return Status::Ok();
 }
 
-void FaultInjector::Disarm(std::string_view site) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (auto it = armed_.find(site); it != armed_.end()) armed_.erase(it);
-}
-
 void FaultInjector::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   armed_.clear();
@@ -176,14 +171,6 @@ uint64_t FaultInjector::HitCount(std::string_view site) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = hits_.find(site);
   return it == hits_.end() ? 0 : it->second;
-}
-
-std::vector<std::string> FaultInjector::SitesHit() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> sites;
-  sites.reserve(hits_.size());
-  for (const auto& [site, count] : hits_) sites.push_back(site);
-  return sites;
 }
 
 }  // namespace multiem::util

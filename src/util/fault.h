@@ -63,18 +63,11 @@ class FaultInjector {
   /// and arm nothing.
   Status ArmFromString(std::string_view spec);
 
-  /// Disarms every spec for `site`; hit counters are kept.
-  void Disarm(std::string_view site);
-
   /// Disarms everything and zeroes all hit counters.
   void Reset();
 
   /// Times execution has passed through `site` (armed or not).
   uint64_t HitCount(std::string_view site) const;
-
-  /// Every site name that has been hit at least once, sorted. For tests and
-  /// for building random crash schedules over the real site inventory.
-  std::vector<std::string> SitesHit() const;
 
  private:
   FaultInjector() = default;

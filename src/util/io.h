@@ -27,9 +27,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -421,99 +419,6 @@ class ArtifactReader {
   ThreadPool* load_pool_ = nullptr;
   uint32_t version_ = 0;
   std::vector<SectionEntry> sections_;
-};
-
-/// Kind-dispatched loader registry, shared by every artifact family that
-/// stores one of several polymorphic implementations (vector indexes, text
-/// encoders): the family's meta section starts with a kind tag string, and
-/// LoadFromFile opens + validates the container, reads the tag, and
-/// dispatches the loader registered for it. Thread-safe; built-in loaders
-/// are installed by the family's accessor function, third-party ones via
-/// Register from any translation unit.
-template <typename T>
-class ArtifactLoaderRegistry {
- public:
-  /// Reconstructs one implementation from an opened, validated artifact.
-  using Loader =
-      std::function<Result<std::unique_ptr<T>>(const ArtifactReader&)>;
-
-  /// `what` names the family in error messages ("index", "encoder");
-  /// `magic`/`max_version` validate the container; `meta_section` is the
-  /// section whose first field is the kind tag.
-  ArtifactLoaderRegistry(std::string what, uint64_t magic,
-                         uint32_t max_version, std::string meta_section)
-      : what_(std::move(what)),
-        meta_section_(std::move(meta_section)),
-        magic_(magic),
-        max_version_(max_version) {}
-
-  ArtifactLoaderRegistry(const ArtifactLoaderRegistry&) = delete;
-  ArtifactLoaderRegistry& operator=(const ArtifactLoaderRegistry&) = delete;
-
-  /// Registers `loader` under `kind`. Returns false (keeping the existing
-  /// entry) when the kind is already taken.
-  bool Register(std::string kind, Loader loader) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return loaders_.emplace(std::move(kind), std::move(loader)).second;
-  }
-
-  /// Kind tags with a registered loader, sorted.
-  std::vector<std::string> Kinds() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::string> kinds;
-    kinds.reserve(loaders_.size());
-    for (const auto& [kind, loader] : loaders_) kinds.push_back(kind);
-    return kinds;
-  }
-
-  /// Opens the artifact at `path`, validates it, reads the kind tag, and
-  /// dispatches the registered loader (unknown kinds fail with
-  /// InvalidArgument listing the registered ones). `options` selects heap vs
-  /// mmap backing and the verification mode (see ArtifactOpenOptions);
-  /// loaders that understand zero-copy bind their slabs onto the loaded
-  /// sections either way.
-  Result<std::unique_ptr<T>> LoadFromFile(
-      const std::string& path, const ArtifactOpenOptions& options = {}) const {
-    auto artifact =
-        ArtifactReader::FromFile(path, magic_, max_version_, options);
-    if (!artifact.ok()) return artifact.status();
-
-    auto meta = artifact->Section(meta_section_);
-    if (!meta.ok()) return meta.status();
-    std::string kind;
-    MULTIEM_RETURN_IF_ERROR(meta->ReadString(&kind));
-
-    Loader loader;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = loaders_.find(kind);
-      if (it != loaders_.end()) loader = it->second;
-    }
-    if (!loader) {
-      std::string kinds;
-      for (const std::string& k : Kinds()) {
-        if (!kinds.empty()) kinds += ", ";
-        kinds += k;
-      }
-      return Status::InvalidArgument("no loader registered for " + what_ +
-                                     " kind '" + kind +
-                                     "' (registered: " + kinds + ")");
-    }
-    auto loaded = loader(*artifact);
-    if (loaded.ok() && *loaded == nullptr) {
-      return Status::Internal(what_ + " loader for kind '" + kind +
-                              "' returned null");
-    }
-    return loaded;
-  }
-
- private:
-  std::string what_;
-  std::string meta_section_;
-  uint64_t magic_;
-  uint32_t max_version_;
-  mutable std::mutex mu_;
-  std::map<std::string, Loader> loaders_;
 };
 
 }  // namespace multiem::util

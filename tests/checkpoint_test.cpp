@@ -402,6 +402,9 @@ TEST(CheckpointLogTest, RunFingerprintTracksConfigAndInputs) {
   MultiEmConfig config = PipelineConfig();
   const uint64_t base = ComputeRunFingerprint(config, tables);
   EXPECT_EQ(base, ComputeRunFingerprint(config, tables));
+  // Pinned: checkpoint directories written by earlier builds must still
+  // resume, so an unquantized fingerprint never changes value.
+  EXPECT_EQ(0xf6a290ec1d541c0bULL, base);
 
   MultiEmConfig reseeded = config;
   reseeded.seed = config.seed + 1;
@@ -410,6 +413,21 @@ TEST(CheckpointLogTest, RunFingerprintTracksConfigAndInputs) {
   MultiEmConfig threaded = config;
   threaded.num_threads = 8;
   EXPECT_EQ(base, ComputeRunFingerprint(threaded, tables));
+
+  // Quantization changes the merge tuples, so a resume under another mode
+  // must not adopt journaled nodes. rerank_factor only counts when some
+  // quantization reads it.
+  MultiEmConfig int8 = config;
+  int8.quantization = "int8";
+  int8.rerank_factor = 4;
+  EXPECT_NE(base, ComputeRunFingerprint(int8, tables));
+  MultiEmConfig int8_rerank8 = int8;
+  int8_rerank8.rerank_factor = 8;
+  EXPECT_NE(ComputeRunFingerprint(int8, tables),
+            ComputeRunFingerprint(int8_rerank8, tables));
+  MultiEmConfig fp32_rerank8 = config;
+  fp32_rerank8.rerank_factor = 8;
+  EXPECT_EQ(base, ComputeRunFingerprint(fp32_rerank8, tables));
 
   auto fewer = CorpusTables(2, 20);
   EXPECT_NE(base, ComputeRunFingerprint(config, fewer));

@@ -295,7 +295,7 @@ TEST(TwoTableMergerTest, MergesIdenticalRowsKeepsRest) {
   config.index_name = "brute_force";
   const auto factory = FactoryFor(config);
   TwoTableMerger merger(config, &store, *factory);
-  TwoTableMergeStats stats;
+  MergeNodeStats stats;
   MergeTable merged = merger.Merge(a, b, nullptr, &stats);
 
   // All kN rows match pairwise: kN merged items, none carried.
@@ -326,7 +326,7 @@ TEST(TwoTableMergerTest, NoMatchesCarriesEverything) {
   config.index_name = "brute_force";
   const auto factory = FactoryFor(config);
   TwoTableMerger merger(config, &store, *factory);
-  TwoTableMergeStats stats;
+  MergeNodeStats stats;
   MergeTable merged = merger.Merge(a, b, nullptr, &stats);
   EXPECT_EQ(stats.mutual_pairs, 0u);
   EXPECT_EQ(merged.num_items(), 6u);
@@ -340,7 +340,6 @@ TEST(TwoTableMergerTest, CentroidIsNormalizedMeanOfMembers) {
   MultiEmConfig config;
   config.m = 0.1f;
   config.index_name = "brute_force";
-  config.merged_repr = MergedItemRepr::kCentroid;
   const auto factory = FactoryFor(config);
   TwoTableMerger merger(config, &store, *factory);
   MergeTable merged = merger.Merge(a, b);

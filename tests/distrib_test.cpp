@@ -1,10 +1,9 @@
-// Multi-process build & serve tests: an N-process coordinator build must be
+// Multi-process build tests: an N-process coordinator build must be
 // bitwise-identical to the single-process pipeline (tuples, selection, merge
 // and prune stats, saved artifact bytes) and reject the configs it rejects;
 // MergeSource handles must be interchangeable (resident == spill == mapped
-// spill); fault injection (SIGKILL, hang) must degrade to a clean Status or
-// recover through a retry, never a zombie or a hang; and shard-routed
-// MatchRecords must equal the union-index answers.
+// spill); and fault injection (SIGKILL, hang) must degrade to a clean Status
+// or recover through a retry, never a zombie or a hang.
 
 #include <gtest/gtest.h>
 
@@ -28,14 +27,12 @@
 #include "datagen/scale.h"
 #include "distrib/coordinator.h"
 #include "distrib/shard_worker.h"
-#include "distrib/sharded_matcher.h"
 #include "util/fault.h"
 #include "util/subprocess.h"
 
 namespace multiem {
 namespace {
 
-using core::Matcher;
 using core::MergePlan;
 using core::MergeSource;
 using core::MergeTable;
@@ -48,7 +45,6 @@ using distrib::Coordinator;
 using distrib::CoordinatorOptions;
 using distrib::PartitionPlan;
 using distrib::ShardAssignment;
-using distrib::ShardedMatcher;
 using distrib::ShardWorkerOptions;
 
 std::string TempPath(const std::string& name) {
@@ -493,49 +489,6 @@ TEST(DistribBuildTest, ExhaustedRetriesFailWithCleanStatus) {
   EXPECT_NE(std::string::npos,
             distributed.status().message().find("attempt"))
       << distributed.status().ToString();
-}
-
-// ------------------------------------------------------- sharded serving --
-
-// Under an exact index, scatter-gather answers across shards must equal the
-// union (single-index) answers hit for hit.
-TEST(ShardedMatcherTest, ShardRoutedAnswersEqualUnionIndex) {
-  auto tables = CorpusTables(5, 50);
-  PipelineResult run = RunSingleProcess(tables, /*build_matcher=*/true);
-  ASSERT_NE(nullptr, run.matcher);
-
-  const table::Table& queries = tables[2];
-  const size_t k = 3;
-  auto union_hits = run.matcher->MatchRecords(queries, k);
-  ASSERT_TRUE(union_hits.ok()) << union_hits.status().ToString();
-
-  for (size_t shards : {1u, 2u, 4u}) {
-    auto sharded = ShardedMatcher::Build(*run.matcher, shards);
-    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-    EXPECT_EQ(std::min<size_t>(shards, sharded->num_items()),
-              sharded->num_shards());
-    EXPECT_EQ(run.matcher->snapshot().num_live_items(),
-              sharded->num_items());
-    auto routed = sharded->MatchRecords(queries, k);
-    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
-    ASSERT_EQ(union_hits->size(), routed->size());
-    for (size_t row = 0; row < union_hits->size(); ++row) {
-      EXPECT_EQ((*union_hits)[row], (*routed)[row])
-          << shards << " shards, row " << row;
-    }
-  }
-}
-
-TEST(ShardedMatcherTest, RejectsWrongSchema) {
-  auto tables = CorpusTables(3, 30);
-  PipelineResult run = RunSingleProcess(tables, /*build_matcher=*/true);
-  auto sharded = ShardedMatcher::Build(*run.matcher, 2);
-  ASSERT_TRUE(sharded.ok());
-
-  table::Table wrong("wrong", table::Schema({"only_one"}));
-  auto hits = sharded->MatchRecords(wrong, 1);
-  ASSERT_FALSE(hits.ok());
-  EXPECT_EQ(util::StatusCode::kInvalidArgument, hits.status().code());
 }
 
 }  // namespace

@@ -733,6 +733,19 @@ TEST(EncoderPersistTest, RejectsIndexArtifact) {
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
 }
 
+TEST(EncoderPersistTest, RejectsUnknownKind) {
+  // A checksum-valid MEMENCDR artifact whose kind tag has no loader.
+  util::ArtifactWriter writer(embed::kEncoderArtifactMagic,
+                              embed::kEncoderArtifactVersion);
+  writer.AddSection(embed::kEncoderMetaSection).WriteString("martian");
+  const std::string path = TempPath("unknown_encoder_kind.mem");
+  ASSERT_TRUE(writer.WriteFile(path).ok());
+  auto loaded = embed::LoadTextEncoder(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("martian"), std::string::npos);
+}
+
 // ----------------------------------------------------- pipeline artifact --
 
 std::vector<Table> ProductTables() {
@@ -870,9 +883,9 @@ void EditManifestConfig(
 }
 
 // Sessions saved while the config had an exact-KNN flag carry it in the
-// manifest config's legacy byte: the u8 right after merged_repr, at offset
-// 46. Writers now put 0 there; a 1 must still load, as index_name
-// "brute_force".
+// manifest config's legacy byte: the u8 right after the retired merged_repr
+// byte, at offset 46. Writers now put 0 there; a 1 must still load, as
+// index_name "brute_force".
 TEST(PipelineArtifactTest, LegacyExactFlagLoadsAsBruteForce) {
   auto result = RunWithMatcher(ServingConfig(), ProductTables());
   ASSERT_TRUE(result.ok()) << result.status();
@@ -892,9 +905,37 @@ TEST(PipelineArtifactTest, LegacyExactFlagLoadsAsBruteForce) {
   EXPECT_EQ(std::string(core::kBruteForceIndexName),
             loaded->config().index_name);
   // Only the index name moved: the neighbouring fields read back as saved.
-  EXPECT_EQ(ServingConfig().merged_repr, loaded->config().merged_repr);
   EXPECT_EQ(ServingConfig().hnsw_m, loaded->config().hnsw_m);
   EXPECT_EQ(ServingConfig().m, loaded->config().m);
+}
+
+// The manifest config keeps the retired merged_repr byte at offset 45, and
+// writers put 0 (the member centroid) there. The first-member
+// representation, once stored as 1, is gone: a session saved with it, or
+// with any other nonzero value, is refused rather than served with merged
+// vectors it was not built with.
+TEST(PipelineArtifactTest, RejectsRemovedFirstMemberRepr) {
+  auto result = RunWithMatcher(ServingConfig(), ProductTables());
+  ASSERT_TRUE(result.ok()) << result.status();
+  const std::string dir = TempPath("artifact_first_member");
+  ASSERT_TRUE(result->matcher->Save(dir).ok());
+
+  constexpr size_t kMergedReprOffset = 45;
+  uint8_t previous = 0;
+  for (uint8_t stored : {1, 2}) {
+    ASSERT_NO_FATAL_FAILURE(
+        EditManifestConfig(dir, [&](std::vector<uint8_t>& bytes) {
+          ASSERT_GT(bytes.size(), kMergedReprOffset);
+          EXPECT_EQ(previous, bytes[kMergedReprOffset]);
+          bytes[kMergedReprOffset] = stored;
+        }));
+    previous = stored;
+
+    auto loaded = MultiEmPipeline::LoadArtifact(dir);
+    ASSERT_FALSE(loaded.ok()) << "stored byte " << int{stored};
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
+        << loaded.status();
+  }
 }
 
 // LoadArtifact range-checks the config it reads from disk like one built in
