@@ -335,9 +335,10 @@ int Main(int argc, char** argv) {
   double reload_speedup =
       mmap_seconds > 0.0 ? heap_seconds / mmap_seconds : 0.0;
   std::printf("# artifact: %zu bytes (save %.2fs); reload-to-first-query "
-              "heap %.4fs vs mmap %.4fs (%.1fx, answers %s)\n",
+              "heap %.4fs vs mmap %.4fs (%.1fx, answers %s, checksum %s)\n",
               artifact_bytes, save_seconds, heap_seconds, mmap_seconds,
-              reload_speedup, answers_identical ? "identical" : "DIFFER");
+              reload_speedup, answers_identical ? "identical" : "DIFFER",
+              util::Fnv1a64SimdEnabled() ? "AVX-512 kernel" : "byte loop");
   if (save_rss_measured) {
     std::printf("# save RSS growth: %.1f MB for a %.1f MB artifact (%.2fx)\n",
                 save_rss_growth_mb, artifact_mb,
@@ -419,9 +420,10 @@ int Main(int argc, char** argv) {
                  "  \"reload\": {\"artifact_bytes\": %zu, "
                  "\"heap_seconds\": %.6f, \"mmap_seconds\": %.6f, "
                  "\"speedup\": %.3f, \"queries\": %zu, "
-                 "\"answers_identical\": %s},\n",
+                 "\"answers_identical\": %s, \"checksum_simd\": %s},\n",
                  artifact_bytes, heap_seconds, mmap_seconds, reload_speedup,
-                 queries.num_rows(), answers_identical ? "true" : "false");
+                 queries.num_rows(), answers_identical ? "true" : "false",
+                 util::Fnv1a64SimdEnabled() ? "true" : "false");
     std::fprintf(f,
                  "  \"warm_pages\": {\"lazy_open_seconds\": %.6f, "
                  "\"lazy_first_query_ms\": %.4f, "

@@ -19,6 +19,16 @@
 #define MULTIEM_IO_HAS_FSTAT 1
 #endif
 
+// The blockwise checksum kernel compiles in where the build targets a CPU
+// with AVX-512 BW + VBMI and PCLMUL (MULTIEM_NATIVE_ARCH=ON on such a host);
+// every other build runs the byte loop.
+#if defined(__AVX512BW__) && defined(__AVX512VBMI__) && defined(__PCLMUL__)
+#include <immintrin.h>
+#define MULTIEM_FNV1A_SIMD 1
+#else
+#define MULTIEM_FNV1A_SIMD 0
+#endif
+
 namespace multiem::util {
 
 namespace {
@@ -85,16 +95,188 @@ Status RegularFileSize(std::FILE* f, const std::string& path, size_t* size) {
   return Status::Ok();
 }
 
+constexpr uint64_t kFnv1a64Prime = 0x100000001b3ULL;  // 2^40 + 0x1b3
+
+#if MULTIEM_FNV1A_SIMD
+// Blockwise FNV-1a-64, bit-identical to the byte loop in Fnv1a64.
+//
+// The byte step s' = (s ^ b) * P only looks serial. Because b < 256,
+// s ^ b = s + d with d = (l ^ b) - l, where l is the low byte of s, so over
+// n bytes
+//
+//   s_n = s_0 * P^n + sum_i d_i * P^(n-i)   (mod 2^64),
+//
+// a sum of independent products once every l_i is known. The low bytes
+// follow their own 8-bit recurrence l' = 179 * (l ^ b) mod 256 (179 = P mod
+// 256). Since 179 is odd, bit j of 179 * y is bit j of y XOR a function of
+// y's lower bits, so bit plane j of the l sequence is a prefix XOR of
+// "flip" bits that depend only on planes below j. One 64-byte block is one
+// AVX-512 vector: each plane costs a table lookup, a byte-to-bit mask, and
+// a carry-less multiply by all-ones (the prefix XOR of the 64 flips). The
+// only state crossing a block is one carry bit per plane, so eight blocks
+// are solved side by side, plane by plane, to keep the core busy.
+//
+// The sum runs per 4,096-byte superblock: the weight P^(4096-i) of byte i
+// is split into four signed 16-bit limbs and d held as int16, so vpmaddwd
+// accumulates exact int32 partial sums (even and odd bytes apart: no lane
+// adds more than 64 pair products, |sum| < 2^30), folded into s once per
+// superblock. A shorter run of whole 512-byte groups takes the weights of a
+// superblock's last groups; the bytes after the last whole group go through
+// the byte loop.
+constexpr size_t kFnvBlockBytes = 64;
+constexpr size_t kFnvGroupBlocks = 8;  // blocks solved side by side
+constexpr size_t kFnvGroupBytes = kFnvBlockBytes * kFnvGroupBlocks;
+constexpr size_t kFnvSuperGroups = 8;  // groups per superblock
+constexpr size_t kFnvSuperBlocks = kFnvGroupBlocks * kFnvSuperGroups;
+constexpr size_t kFnvSuperBytes = kFnvBlockBytes * kFnvSuperBlocks;  // 4096
+
+struct FnvTables {
+  // weight[k][m][e][w]: limb m of P^(4096 - i) for superblock byte
+  // i = 64k + 2w + e, so that limb m of the weight of every even (e = 0)
+  // or odd (e = 1) byte of block k sits in one vector.
+  alignas(64) int16_t weight[kFnvSuperBlocks][4][2][32] = {};
+  // low_step[y] = 179 * y mod 256: the low-byte step for y < 64.
+  alignas(64) uint8_t low_step[64] = {};
+  // group_power[g] = P^(512 g), g = 1..8: the state's factor over g groups.
+  uint64_t group_power[kFnvSuperGroups + 1] = {};
+};
+
+constexpr FnvTables MakeFnvTables() {
+  FnvTables t;
+  uint64_t power = 1;
+  for (size_t n = 1; n <= kFnvSuperBytes; ++n) {
+    power *= kFnv1a64Prime;
+    const size_t i = kFnvSuperBytes - n;
+    uint64_t rest = power;
+    for (int m = 0; m < 4; ++m) {
+      const int16_t limb = static_cast<int16_t>(static_cast<uint16_t>(rest));
+      t.weight[i / kFnvBlockBytes][m][i % 2][i % kFnvBlockBytes / 2] = limb;
+      rest = (rest - static_cast<uint64_t>(int64_t{limb})) >> 16;
+    }
+    if (n % kFnvGroupBytes == 0) t.group_power[n / kFnvGroupBytes] = power;
+  }
+  for (int y = 0; y < 64; ++y) t.low_step[y] = static_cast<uint8_t>(y * 179);
+  return t;
+}
+
+constexpr FnvTables kFnvTables = MakeFnvTables();
+
+// Bit i of the result is the XOR of bits 0..i of `bits`.
+inline uint64_t PrefixXor(uint64_t bits) {
+  const __m128i product = _mm_clmulepi64_si128(
+      _mm_cvtsi64_si128(static_cast<long long>(bits)), _mm_set1_epi64x(-1), 0);
+  return static_cast<uint64_t>(_mm_cvtsi128_si64(product));
+}
+
+// Advances `state` over the `groups` * 512 bytes at `p`, 1 <= groups <= 8.
+// The bytes take the last `groups` groups' weights of a superblock, which
+// are exactly their powers of P counted from the end of the run.
+uint64_t Fnv1a64Groups(const uint8_t* p, size_t groups, uint64_t state) {
+  const FnvTables& t = kFnvTables;
+  const size_t first_block = kFnvSuperBlocks - groups * kFnvGroupBlocks;
+  const __m512i low_step = _mm512_load_si512(t.low_step);
+  const __m512i low_bytes = _mm512_set1_epi16(0x00ff);
+  __m512i acc[4][2];
+  for (auto& limb : acc) limb[0] = limb[1] = _mm512_setzero_si512();
+  // carry[j]: bit j of the low byte entering the next block, as 0 or ~0.
+  uint64_t carry[8];
+  for (int j = 0; j < 8; ++j) carry[j] = 0 - ((state >> j) & 1);
+
+  for (size_t g = 0; g < groups; ++g) {
+    const uint8_t* group = p + g * kFnvGroupBytes;
+    __m512i b[kFnvGroupBlocks], l[kFnvGroupBlocks];
+    for (size_t k = 0; k < kFnvGroupBlocks; ++k) {
+      b[k] = _mm512_loadu_si512(group + k * kFnvBlockBytes);
+      l[k] = _mm512_setzero_si512();
+    }
+    for (int j = 0; j < 8; ++j) {
+      const __m512i bit = _mm512_set1_epi8(static_cast<char>(1 << j));
+      for (size_t k = 0; k < kFnvGroupBlocks; ++k) {
+        // Bit i of flips: whether bit j changes from l_i to l_(i+1). It is
+        // bit j of 179 * y for y = l_i ^ b_i taken with l's planes >= j
+        // still zero, as bit j of 179 * y reads only y's bits 0..j.
+        // a = 179 * (y mod 64) gives it for j < 6; y's bits 6 and 7 add
+        // to bits 6 and 7.
+        uint64_t flips;
+        if (j == 0) {
+          flips = _mm512_test_epi8_mask(b[k], bit);
+        } else {
+          const __m512i y = _mm512_xor_si512(l[k], b[k]);
+          // The all-ones maskz form is plain vpermb; GCC 12 flags the
+          // unmasked intrinsic with a spurious -Wuninitialized.
+          const __m512i a =
+              _mm512_maskz_permutexvar_epi8(~__mmask64{0}, y, low_step);
+          if (j < 6) {
+            flips = _mm512_test_epi8_mask(a, bit);
+          } else if (j == 6) {
+            flips = _mm512_test_epi8_mask(_mm512_xor_si512(a, b[k]), bit);
+          } else {
+            // 179 * 64 * y6 = 192 * y6 (mod 256), so bit 7 of 179 * y is
+            // a7 ^ y7 ^ y6 ^ (a6 & y6) = a7 ^ b7 ^ (y6 & ~a6).
+            const __m512i bit6 = _mm512_set1_epi8(0x40);
+            flips = _mm512_movepi8_mask(_mm512_xor_si512(a, b[k])) ^
+                    _mm512_mask_testn_epi8_mask(
+                        _mm512_test_epi8_mask(y, bit6), a, bit6);
+          }
+        }
+        const uint64_t inclusive = PrefixXor(flips);
+        const uint64_t plane = (inclusive << 1) ^ carry[j];
+        carry[j] ^= 0 - (inclusive >> 63);
+        l[k] = _mm512_mask_add_epi8(l[k], plane, l[k], bit);
+      }
+    }
+    for (size_t k = 0; k < kFnvGroupBlocks; ++k) {
+      // d = (l ^ b) - l, widened to int16 as even and odd bytes.
+      const __m512i x = _mm512_xor_si512(l[k], b[k]);
+      const __m512i d_even =
+          _mm512_sub_epi16(_mm512_and_si512(x, low_bytes),
+                           _mm512_and_si512(l[k], low_bytes));
+      const __m512i d_odd = _mm512_sub_epi16(_mm512_srli_epi16(x, 8),
+                                             _mm512_srli_epi16(l[k], 8));
+      const auto& w = t.weight[first_block + g * kFnvGroupBlocks + k];
+      for (int m = 0; m < 4; ++m) {
+        acc[m][0] = _mm512_add_epi32(
+            acc[m][0], _mm512_madd_epi16(d_even, _mm512_load_si512(w[m][0])));
+        acc[m][1] = _mm512_add_epi32(
+            acc[m][1], _mm512_madd_epi16(d_odd, _mm512_load_si512(w[m][1])));
+      }
+    }
+  }
+
+  // Each lane of acc[m][0] + acc[m][1] still fits int32 (|lane| < 2^31);
+  // the sum over lanes may not.
+  uint64_t sum = 0;
+  alignas(64) int32_t lanes[16];
+  for (int m = 0; m < 4; ++m) {
+    _mm512_store_si512(lanes, _mm512_add_epi32(acc[m][0], acc[m][1]));
+    int64_t limb_sum = 0;
+    for (const int32_t lane : lanes) limb_sum += lane;
+    sum += static_cast<uint64_t>(limb_sum) << (16 * m);
+  }
+  return state * t.group_power[groups] + sum;
+}
+#endif  // MULTIEM_FNV1A_SIMD
+
 }  // namespace
 
 uint64_t Fnv1a64(const void* data, size_t size, uint64_t state) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
+#if MULTIEM_FNV1A_SIMD
+  while (size >= kFnvGroupBytes) {
+    const size_t groups = std::min(size / kFnvGroupBytes, kFnvSuperGroups);
+    state = Fnv1a64Groups(p, groups, state);
+    p += groups * kFnvGroupBytes;
+    size -= groups * kFnvGroupBytes;
+  }
+#endif
   for (size_t i = 0; i < size; ++i) {
     state ^= p[i];
-    state *= 0x100000001b3ULL;
+    state *= kFnv1a64Prime;
   }
   return state;
 }
+
+bool Fnv1a64SimdEnabled() { return MULTIEM_FNV1A_SIMD != 0; }
 
 // ---------------------------------------------------------------------------
 // ByteWriter
@@ -637,8 +819,8 @@ Status ArtifactReader::Init(size_t file_size, const FetchFn& fetch,
   MULTIEM_RETURN_IF_ERROR(check_padding(cursor, table_offset));
 
   // Payload checksums last: the O(file size) part, skippable (kStructural)
-  // and parallelizable across sections — the FNV-1a sweep is byte-serial
-  // within one section but sections are independent.
+  // and parallelizable across sections — one section's FNV-1a sweep runs on
+  // one thread, but sections are independent.
   if (options.verify == ArtifactOpenOptions::Verify::kFull) {
     const size_t n = sections_.size();
     auto check_one = [&](size_t i) {

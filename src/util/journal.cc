@@ -74,7 +74,16 @@ Status Journal::Open(const std::string& path,
   if (replayed != nullptr) replayed->clear();
 
   size_t good_end = kHeaderBytes;
-  bool existed = std::filesystem::exists(path);
+  std::error_code stat_ec;
+  const std::filesystem::file_status status =
+      std::filesystem::status(path, stat_ec);
+  bool existed = std::filesystem::exists(status);
+  // A directory opens fine and then "measures" 2^63-1 bytes through
+  // fseek/ftell on ext4, which no buffer can hold.
+  if (existed && !std::filesystem::is_regular_file(status)) {
+    return Status::InvalidArgument("journal path '" + path +
+                                   "' is not a regular file");
+  }
   if (existed) {
     std::vector<uint8_t> bytes;
     MULTIEM_RETURN_IF_ERROR(ReadWholeFile(path, &bytes));

@@ -41,7 +41,8 @@ class Journal {
   /// Opens (creating if absent) the journal at `path` for appending, after
   /// replaying every complete record into `replayed` (cleared first). A torn
   /// final record is truncated off; a checksum-mismatched complete record
-  /// fails with InvalidArgument and leaves the file untouched.
+  /// fails with InvalidArgument and leaves the file untouched, as does a
+  /// path that exists but is not a regular file.
   Status Open(const std::string& path, std::vector<std::string>* replayed);
 
   /// Appends one record and flushes it to disk (fflush + fsync) so it

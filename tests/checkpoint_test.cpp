@@ -166,6 +166,20 @@ TEST(JournalTest, BitFlippedRecordIsRejected) {
   EXPECT_EQ(util::StatusCode::kInvalidArgument, opened.code());
 }
 
+// A directory opens like a file and then "measures" 2^63-1 bytes through
+// fseek/ftell on ext4; Open must refuse it rather than size a buffer by it.
+TEST(JournalTest, RejectsDirectoryAtPath) {
+  const std::string path = TempPath("checkpoint.jrnl");
+  std::filesystem::create_directories(path);
+  Journal journal;
+  std::vector<std::string> replayed;
+  util::Status opened = journal.Open(path, &replayed);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(util::StatusCode::kInvalidArgument, opened.code());
+  EXPECT_FALSE(journal.is_open());
+  EXPECT_TRUE(std::filesystem::is_directory(path));
+}
+
 TEST(JournalTest, ForeignFileIsRejected) {
   const std::string path = TempPath("journal_foreign.jrnl");
   std::ofstream(path, std::ios::binary) << "this is not a MEMJRNL container";

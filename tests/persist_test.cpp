@@ -374,6 +374,127 @@ TEST(IoTest, WriteFileWritesSerializeBytes) {
   }
 }
 
+// The FNV-1a-64 byte loop that defines the container checksum: the
+// reference util::Fnv1a64 must match whichever way it computes the hash.
+uint64_t Fnv1a64ByteLoop(const uint8_t* p, size_t size, uint64_t state) {
+  for (size_t i = 0; i < size; ++i) {
+    state ^= p[i];
+    state *= 0x100000001b3ULL;
+  }
+  return state;
+}
+
+TEST(IoTest, Fnv1a64MatchesByteLoop) {
+  std::printf("[ checksum ] Fnv1a64 path: %s\n",
+              util::Fnv1a64SimdEnabled() ? "AVX-512 blockwise kernel"
+                                         : "byte loop");
+  // Published FNV-1a-64 test vectors.
+  EXPECT_EQ(util::Fnv1a64("", 0), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(util::Fnv1a64("a", 1), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(util::Fnv1a64("foobar", 6), 0x85944171f73967e8ULL);
+
+  // Every length up to two groups, each length around the block (64 B),
+  // group (512 B) and superblock (4 KiB) edges up to 16 KiB, then random
+  // lengths up to 20,000 bytes.
+  constexpr size_t kMaxLength = 20000;
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 1024; ++n) lengths.push_back(n);
+  for (size_t edge = 1024; edge <= 16384; edge += 64) {
+    for (size_t n = edge - 2; n <= edge + 2; ++n) lengths.push_back(n);
+  }
+  util::Rng rng(17);
+  for (int i = 0; i < 400; ++i) {
+    lengths.push_back(static_cast<size_t>(rng.NextBounded(kMaxLength + 1)));
+  }
+
+  // Random, all-zero, all-0xFF and low-entropy (mostly zero) content, at a
+  // random start offset within a cache line.
+  std::vector<uint8_t> buffer(kMaxLength + 64);
+  for (size_t c = 0; c < lengths.size(); ++c) {
+    const size_t n = lengths[c];
+    const int kind = static_cast<int>(c % 4);
+    for (uint8_t& byte : buffer) {
+      switch (kind) {
+        case 0: byte = static_cast<uint8_t>(rng.Next()); break;
+        case 1: byte = 0x00; break;
+        case 2: byte = 0xFF; break;
+        default:
+          byte = rng.NextBounded(16) == 0
+                     ? static_cast<uint8_t>(rng.NextBounded(4))
+                     : 0;
+      }
+    }
+    const size_t offset = static_cast<size_t>(rng.NextBounded(64));
+    const uint8_t* p = buffer.data() + offset;
+    const uint64_t state = c % 3 == 0 ? util::kFnv1a64Offset : rng.Next();
+    SCOPED_TRACE("length " + std::to_string(n) + ", kind " +
+                 std::to_string(kind) + ", offset " + std::to_string(offset));
+    const uint64_t expected = Fnv1a64ByteLoop(p, n, state);
+    ASSERT_EQ(util::Fnv1a64(p, n, state), expected);
+
+    // Continuing from hash(A) over B equals hashing A‖B, for a random split
+    // and a split on a block edge (how chunked writers and readers call it).
+    const size_t splits[] = {static_cast<size_t>(rng.NextBounded(n + 1)),
+                             n / 64 / 2 * 64};
+    for (const size_t split : splits) {
+      EXPECT_EQ(util::Fnv1a64(p + split, n - split,
+                              util::Fnv1a64(p, split, state)),
+                expected)
+          << "split at " << split;
+    }
+  }
+}
+
+// A multi-megabyte section is hashed over many whole superblocks (the v1
+// goldens, all under 5 KB, are not). Its stored checksum is the byte loop's,
+// it loads heap and mapped, and one byte flipped in the middle of a
+// superblock still fails the checksum.
+TEST(IoTest, MultiMegabyteSectionChecksum) {
+  std::vector<uint8_t> payload((size_t{3} << 20) + 777);
+  util::Rng rng(23);
+  for (uint8_t& byte : payload) byte = static_cast<uint8_t>(rng.Next());
+  util::ArtifactWriter writer(kTestMagic, 1);
+  writer.AddSection("big").WriteBytes(payload.data(), payload.size());
+  const std::string path = TempPath("multi_mb.mem");
+  ASSERT_TRUE(writer.WriteFile(path).ok());
+
+  // The only table entry ends with the section's checksum, followed by the
+  // table's own checksum.
+  std::vector<uint8_t> image = ReadFileBytes(path);
+  const uint8_t* entry_checksum = image.data() + image.size() - 16;
+  uint64_t stored = 0;
+  for (int b = 7; b >= 0; --b) stored = (stored << 8) | entry_checksum[b];
+  EXPECT_EQ(stored, Fnv1a64ByteLoop(payload.data(), payload.size(),
+                                    util::kFnv1a64Offset));
+
+  std::vector<util::ArtifactOpenOptions::Mapping> mappings = {
+      util::ArtifactOpenOptions::Mapping::kDisable};
+  if (util::MmapFile::Supported()) {
+    mappings.push_back(util::ArtifactOpenOptions::Mapping::kRequire);
+  }
+  util::ArtifactOpenOptions options;
+  for (const auto mapping : mappings) {
+    options.mapping = mapping;
+    auto reader = util::ArtifactReader::FromFile(path, kTestMagic, 1, options);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    EXPECT_EQ(SectionBytes(*reader, "big"), payload);
+  }
+
+  // The payload starts at the first 64-byte boundary past the 24-byte
+  // header; flip byte 2,000 of its 300th superblock.
+  image[64 + 300 * 4096 + 2000] ^= 0x10;
+  WriteFileBytes(path, image);
+  for (const auto mapping : mappings) {
+    options.mapping = mapping;
+    auto reader = util::ArtifactReader::FromFile(path, kTestMagic, 1, options);
+    ASSERT_FALSE(reader.ok());
+    EXPECT_EQ(reader.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(reader.status().message().find("checksum mismatch"),
+              std::string::npos)
+        << reader.status();
+  }
+}
+
 #if defined(__unix__) || defined(__APPLE__)
 // Writes `writer` to `path` with the process's file-size limit at 64 KiB
 // and SIGXFSZ ignored, so the kernel refuses the write partway through any
