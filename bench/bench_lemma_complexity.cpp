@@ -107,8 +107,7 @@ double TimeHierarchical(const Workload& w, const core::MultiEmConfig& config) {
     slots.push_back(core::MergeSource::FromTable(std::move(t)));
   }
   util::WallTimer timer;
-  core::ExecuteMergePlan(plan, slots, merger, core::MergeExecOptions::Resident())
-      .CheckOk();
+  core::ExecuteMergePlan(plan, slots, merger, {}).CheckOk();
   return timer.ElapsedSeconds();
 }
 

@@ -14,30 +14,6 @@ namespace multiem::core {
 
 namespace {
 
-void WriteStringArray(util::ByteWriter& out,
-                      const std::vector<std::string>& values) {
-  out.WriteU64(values.size());
-  for (const std::string& v : values) out.WriteString(v);
-}
-
-util::Status ReadStringArray(util::ByteReader& in,
-                             std::vector<std::string>* out) {
-  uint64_t count;
-  MULTIEM_RETURN_IF_ERROR(in.ReadU64(&count));
-  if (count > in.remaining() / 4) {  // each entry costs >= its u32 length
-    return util::Status::InvalidArgument(
-        "manifest string array count exceeds the section payload");
-  }
-  out->clear();
-  out->reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string s;
-    MULTIEM_RETURN_IF_ERROR(in.ReadString(&s));
-    out->push_back(std::move(s));
-  }
-  return util::Status::Ok();
-}
-
 void WriteConfig(util::ByteWriter& out, const MultiEmConfig& config) {
   out.WriteU64(config.embedding_dim);
   out.WriteU64(config.max_tokens);
@@ -114,59 +90,6 @@ std::string PathIn(const std::string& dir, const char* file) {
   return (std::filesystem::path(dir) / file).string();
 }
 
-// The "items" + "centroids" sections of an open manifest, reassembled into
-// a MergeTable (the integrated entity table of the serving session).
-util::Status ReadEntityTable(util::ArtifactReader& manifest,
-                             MergeTable* entities) {
-  auto items = manifest.Section("items");
-  if (!items.ok()) return items.status();
-  uint64_t num_items;
-  MULTIEM_RETURN_IF_ERROR(items->ReadU64(&num_items));
-
-  auto centroid_section = manifest.Section("centroids");
-  if (!centroid_section.ok()) return centroid_section.status();
-  embed::EmbeddingMatrix centroids;
-  MULTIEM_RETURN_IF_ERROR(
-      embed::ReadMatrix(*centroid_section, &centroids));
-  MULTIEM_RETURN_IF_ERROR(centroid_section->ExpectExhausted());
-  if (centroids.num_rows() != num_items) {
-    return util::Status::InvalidArgument(
-        "manifest holds " + std::to_string(centroids.num_rows()) +
-        " centroids for " + std::to_string(num_items) + " items");
-  }
-
-  std::vector<MergeItem> parsed;
-  parsed.reserve(static_cast<size_t>(num_items));
-  for (uint64_t i = 0; i < num_items; ++i) {
-    uint64_t member_count;
-    MULTIEM_RETURN_IF_ERROR(items->ReadU64(&member_count));
-    // Zero members is a tombstone, legal since format v3 (older files
-    // never carry one — keep rejecting it there, a v1/v2 writer could
-    // only produce it by corruption the checksums happened to miss).
-    const bool tombstones_legal = manifest.version() >= 3;
-    if ((member_count == 0 && !tombstones_legal) ||
-        member_count > items->remaining() / 8) {
-      return util::Status::InvalidArgument(
-          "manifest item " + std::to_string(i) + " claims " +
-          std::to_string(member_count) + " members");
-    }
-    MergeItem item;
-    item.members.reserve(static_cast<size_t>(member_count));
-    for (uint64_t j = 0; j < member_count; ++j) {
-      uint64_t packed;
-      MULTIEM_RETURN_IF_ERROR(items->ReadU64(&packed));
-      item.members.push_back(table::EntityId::FromPacked(packed));
-    }
-    parsed.push_back(std::move(item));
-  }
-  MULTIEM_RETURN_IF_ERROR(items->ExpectExhausted());
-  // The chunks alias the centroid rows in place (heap block or mapping),
-  // so a chunk AddTable never touches costs no copy, and the section is
-  // freed with the last chunk that still views it.
-  *entities = MergeTable::FromParts(std::move(parsed), centroids);
-  return util::Status::Ok();
-}
-
 }  // namespace
 
 util::Status PipelineArtifact::Save(const Matcher& matcher,
@@ -186,33 +109,14 @@ util::Status PipelineArtifact::Save(const Matcher& matcher,
 
   util::ArtifactWriter manifest(kManifestMagic, kManifestVersion);
   WriteConfig(manifest.AddSection("config"), matcher.fixed_->config);
-  WriteStringArray(manifest.AddSection("schema"), matcher.fixed_->schema_names);
-
-  util::ByteWriter& selection = manifest.AddSection("selection");
-  {
-    const AttributeSelection& sel = matcher.fixed_->selection;
-    std::vector<uint64_t> columns(sel.selected_columns.begin(),
-                                  sel.selected_columns.end());
-    selection.WriteU64Array(columns);
-    selection.WriteF64Array(sel.shuffle_similarity);
-    WriteStringArray(selection, sel.selected_names);
-  }
-
-  WriteStringArray(manifest.AddSection("sources"), state->source_names);
+  manifest.AddSection("schema").WriteStringArray(matcher.fixed_->schema_names);
+  WriteSelection(manifest.AddSection("selection"), matcher.fixed_->selection);
+  manifest.AddSection("sources").WriteStringArray(state->source_names);
 
   // Format v3: an item with zero members is a tombstone — a retired entry
   // that keeps later items' ids stable across ingest epochs. It must have
   // no live slot in the "slots" section (Matcher::Assemble enforces this).
-  util::ByteWriter& items = manifest.AddSection("items");
-  items.WriteU64(state->entities.num_items());
-  for (size_t i = 0; i < state->entities.num_items(); ++i) {
-    const MergeItem& item = state->entities.item(i);
-    items.WriteU64(item.members.size());
-    for (table::EntityId id : item.members) items.WriteU64(id.packed());
-  }
-
-  embed::WriteMatrix(manifest.AddSection("centroids"),
-                     state->entities.GatherEmbeddings());
+  state->entities.WriteSections(manifest, "centroids");
 
   util::ByteWriter& base = manifest.AddSection("base");
   base.WriteU64(state->store.num_sources());
@@ -322,32 +226,31 @@ util::Result<Matcher> PipelineArtifact::Load(
   {
     auto section = manifest->Section("schema");
     if (!section.ok()) return section.status();
-    MULTIEM_RETURN_IF_ERROR(ReadStringArray(*section, &schema_names));
+    MULTIEM_RETURN_IF_ERROR(section->ReadStringArray(&schema_names));
   }
 
   AttributeSelection selection;
   {
     auto section = manifest->Section("selection");
     if (!section.ok()) return section.status();
-    std::vector<uint64_t> columns;
-    MULTIEM_RETURN_IF_ERROR(section->ReadU64Array(&columns));
-    selection.selected_columns.assign(columns.begin(), columns.end());
-    MULTIEM_RETURN_IF_ERROR(
-        section->ReadF64Array(&selection.shuffle_similarity));
-    MULTIEM_RETURN_IF_ERROR(
-        ReadStringArray(*section, &selection.selected_names));
-    MULTIEM_RETURN_IF_ERROR(section->ExpectExhausted());
+    MULTIEM_RETURN_IF_ERROR(ReadSelection(*section, &selection));
   }
 
   std::vector<std::string> source_names;
   {
     auto section = manifest->Section("sources");
     if (!section.ok()) return section.status();
-    MULTIEM_RETURN_IF_ERROR(ReadStringArray(*section, &source_names));
+    MULTIEM_RETURN_IF_ERROR(section->ReadStringArray(&source_names));
   }
 
-  MergeTable entities;
-  MULTIEM_RETURN_IF_ERROR(ReadEntityTable(*manifest, &entities));
+  // Tombstones are legal since format v3; older files never carry one, so
+  // there a zero-member item is corruption the checksums happened to miss.
+  // The chunks alias the centroid rows in place (heap block or mapping),
+  // so a chunk AddTable never touches costs no copy, and the section is
+  // freed with the last chunk that still views it.
+  auto entities = MergeTable::ReadSections(
+      *manifest, "centroids", /*allow_tombstones=*/manifest->version() >= 3);
+  if (!entities.ok()) return entities.status();
 
   EntityEmbeddingStore store;
   {
@@ -399,7 +302,7 @@ util::Result<Matcher> PipelineArtifact::Load(
   // dimensionalities).
   return Matcher::Assemble(
       std::move(config), std::move(schema_names), std::move(selection),
-      std::move(source_names), std::move(store), std::move(entities),
+      std::move(source_names), std::move(store), std::move(*entities),
       std::shared_ptr<embed::TextEncoder>(std::move(*encoder)),
       std::shared_ptr<const ann::VectorIndexFactory>(std::move(*factory)),
       std::move(*index), /*pool=*/nullptr, std::move(slot_to_item));

@@ -5,6 +5,24 @@
 
 namespace multiem::core {
 
+void WriteSelection(util::ByteWriter& out,
+                    const AttributeSelection& selection) {
+  const std::vector<uint64_t> columns(selection.selected_columns.begin(),
+                                      selection.selected_columns.end());
+  out.WriteU64Array(columns);
+  out.WriteF64Array(selection.shuffle_similarity);
+  out.WriteStringArray(selection.selected_names);
+}
+
+util::Status ReadSelection(util::ByteReader& in, AttributeSelection* out) {
+  std::vector<uint64_t> columns;
+  MULTIEM_RETURN_IF_ERROR(in.ReadU64Array(&columns));
+  out->selected_columns.assign(columns.begin(), columns.end());
+  MULTIEM_RETURN_IF_ERROR(in.ReadF64Array(&out->shuffle_similarity));
+  MULTIEM_RETURN_IF_ERROR(in.ReadStringArray(&out->selected_names));
+  return in.ExpectExhausted();
+}
+
 util::Result<AttributeSelection> AttributeSelector::Run(
     const std::vector<table::Table>& tables, util::ThreadPool* pool) const {
   // Line 1: concatenate all tables into one.

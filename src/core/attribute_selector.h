@@ -15,6 +15,7 @@
 #include "core/config.h"
 #include "embed/text_encoder.h"
 #include "table/table.h"
+#include "util/io.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -32,6 +33,16 @@ struct AttributeSelection {
   /// Names of the selected attributes (Table VII reporting).
   std::vector<std::string> selected_names;
 };
+
+/// The one codec of an AttributeSelection: the u64 array of selected
+/// columns, the f64 array of shuffle similarities, then the string array
+/// of selected names. The manifest's "selection" section and the
+/// checkpoint journal's selection payload are both exactly these bytes.
+void WriteSelection(util::ByteWriter& out, const AttributeSelection& selection);
+
+/// Reads what WriteSelection wrote; `in` must hold nothing else. Every
+/// count is bounded by the bytes left before anything is reserved.
+util::Status ReadSelection(util::ByteReader& in, AttributeSelection* out);
 
 /// Implements Algorithm 1: for each attribute, shuffle its values across the
 /// (sampled) concatenated table, re-embed, and measure how far embeddings

@@ -142,18 +142,10 @@ util::Result<std::unique_ptr<CheckpointLog>> CheckpointLog::Open(
       }
     } else if (tag == kTagNode) {
       NodeEntry entry;
-      uint64_t node = 0, mutual = 0, merged = 0, carried = 0, attempts = 0;
-      if (reader.ReadU64(&node).ok() && reader.ReadU64(&mutual).ok() &&
-          reader.ReadU64(&merged).ok() && reader.ReadU64(&carried).ok() &&
-          reader.ReadU64(&attempts).ok() &&
+      if (ReadNodeStats(reader, /*has_attempts=*/true, &entry.stats).ok() &&
           reader.ReadString(&entry.spill_path).ok() &&
           reader.ReadU64(&entry.file_bytes).ok() &&
           reader.ReadU64(&entry.file_checksum).ok()) {
-        entry.stats.node = static_cast<size_t>(node);
-        entry.stats.mutual_pairs = static_cast<size_t>(mutual);
-        entry.stats.merged_items = static_cast<size_t>(merged);
-        entry.stats.carried_items = static_cast<size_t>(carried);
-        entry.stats.attempts = static_cast<size_t>(attempts);
         log->nodes_[entry.stats.node] = std::move(entry);
       }
     }
@@ -216,11 +208,7 @@ const CheckpointLog::NodeEntry* CheckpointLog::LookupNode(size_t node) const {
 util::Status CheckpointLog::RecordNode(const NodeEntry& entry) {
   util::ByteWriter writer;
   writer.WriteU8(kTagNode);
-  writer.WriteU64(entry.stats.node);
-  writer.WriteU64(entry.stats.mutual_pairs);
-  writer.WriteU64(entry.stats.merged_items);
-  writer.WriteU64(entry.stats.carried_items);
-  writer.WriteU64(entry.stats.attempts);
+  WriteNodeStats(writer, entry.stats);
   writer.WriteString(entry.spill_path);
   writer.WriteU64(entry.file_bytes);
   writer.WriteU64(entry.file_checksum);

@@ -91,21 +91,15 @@ std::vector<size_t> MergePlan::SubtreeLeaves(size_t id) const {
   return leaves;
 }
 
-MergeExecOptions MergeExecOptions::Resident() {
-  MergeExecOptions options;
-  options.parallel_pairs = true;
-  return options;
+std::string SpillFileName(size_t node) {
+  return "merge_" + std::to_string(node) + ".mem";
 }
 
 MergeExecOptions MergeExecOptions::Spilled(std::string spill_dir,
                                            CheckpointLog* checkpoint) {
   MergeExecOptions options;
-  options.spill_inputs = true;
-  options.spill_outputs = true;
   options.spill_dir = std::move(spill_dir);
-  // Checkpointed outputs must keep the same file name across attempts, so
-  // name by plan node instead of by spill order.
-  options.name_by_node = checkpoint != nullptr;
+  options.spill_inputs = true;
   options.checkpoint = checkpoint;
   return options;
 }
@@ -123,33 +117,27 @@ size_t FileBytes(const std::string& path) {
 struct ExecState {
   std::mutex mu;
   MergeStats* stats = nullptr;
-  size_t next_spill = 0;
 };
 
-std::string SpillPath(const MergeExecOptions& options,
-                      const std::string& name) {
-  return (std::filesystem::path(options.spill_dir) / name).string();
+std::string SpillPath(const MergeExecOptions& options, size_t node) {
+  return (std::filesystem::path(options.spill_dir) / SpillFileName(node))
+      .string();
 }
 
-// Spilling forces sequential pairs, so the counter needs no lock.
-std::string NextShardName(ExecState& state) {
-  return "shard_" + std::to_string(state.next_spill++) + ".mem";
-}
-
-// Moves one resident input to disk and swaps in an owning spill handle; the
-// table is released as soon as it is written, so spilling a fully
-// materialized corpus never holds two copies of it.
-util::Status SpillInput(MergeSource& slot, const MergeExecOptions& options,
-                        ExecState& state) {
-  const std::string path = SpillPath(options, NextShardName(state));
+// Moves node `id`'s resident input to disk and swaps in an owning spill
+// handle; the table is released as soon as it is written, so spilling a
+// fully materialized corpus never holds two copies of it.
+util::Status SpillInput(std::vector<MergeSource>& slots, size_t id,
+                        const MergeExecOptions& options, ExecState& state) {
+  const std::string path = SpillPath(options, id);
   {
-    auto table = slot.Acquire();
+    auto table = slots[id].Acquire();
     if (!table.ok()) return table.status();
     MULTIEM_RETURN_IF_ERROR(table->Save(path));
   }
   ++state.stats->spill_files_written;
   state.stats->spill_bytes_written += FileBytes(path);
-  slot = MergeSource::FromSpill(path, options.reopen, options.cleanup);
+  slots[id] = MergeSource::FromSpill(path, {}, /*owns_file=*/true);
   return util::Status::Ok();
 }
 
@@ -183,16 +171,13 @@ util::Status ExecuteNode(const MergePlan& plan, size_t id,
   }  // both inputs leave residency before the output is spilled
 
   size_t spill_bytes = 0;
-  if (options.spill_outputs) {
-    const std::string out = SpillPath(
-        options, options.name_by_node
-                     ? "merge_" + std::to_string(id) + ".mem"
-                     : NextShardName(state));
+  if (!options.spill_dir.empty()) {
+    const std::string out = SpillPath(options, id);
     MULTIEM_FAULT_POINT("merge.node.spill");
     MULTIEM_RETURN_IF_ERROR(merged.Save(out));
     spill_bytes = FileBytes(out);
     merged = MergeTable();  // release before anything else loads
-    slots[id] = MergeSource::FromSpill(out, options.reopen, options.cleanup);
+    slots[id] = MergeSource::FromSpill(out, {}, /*owns_file=*/true);
     if (options.checkpoint != nullptr) {
       // Journal the node only once its output is durable; a crash between
       // Save and Append recomputes the node from its (still present)
@@ -219,7 +204,7 @@ util::Status ExecuteNode(const MergePlan& plan, size_t id,
   state.stats->nodes.push_back(node_stats);
   state.stats->peak_resident_bytes =
       std::max(state.stats->peak_resident_bytes, resident_bytes);
-  if (options.spill_outputs) {
+  if (!options.spill_dir.empty()) {
     ++state.stats->spill_files_written;
     state.stats->spill_bytes_written += spill_bytes;
   }
@@ -227,15 +212,17 @@ util::Status ExecuteNode(const MergePlan& plan, size_t id,
 }
 
 // Executes the given pair nodes of one plan level — concurrently on the
-// pool when the options allow, otherwise in pair order.
+// pool when outputs stay resident, otherwise in pair order (spilling keeps
+// one pair resident at a time). Each pair's inner index builds and ANN
+// searches fan out on the same pool either way (TwoTableMerger::Merge).
 util::Status ExecuteLevel(const MergePlan& plan,
                           const std::vector<size_t>& ids,
                           std::vector<MergeSource>& slots,
                           const TwoTableMerger& merger,
                           const MergeExecOptions& options,
                           util::ThreadPool* pool, ExecState& state) {
-  const bool parallel = options.parallel_pairs && !options.spill_outputs &&
-                        pool != nullptr && ids.size() > 1;
+  const bool parallel =
+      options.spill_dir.empty() && pool != nullptr && ids.size() > 1;
   if (!parallel) {
     for (size_t id : ids) {
       MULTIEM_RETURN_IF_ERROR(
@@ -261,10 +248,10 @@ util::Status ExecuteLevel(const MergePlan& plan,
 }
 
 /// Drops everything beneath a restored node: handles still occupying slots
-/// (spilled leaves, previously restored descendants) lose their backing
-/// files, and journaled descendant spills that were never re-installed are
-/// removed by path. Their bytes are already folded into the restored
-/// ancestor's table.
+/// (resident leaves, previously restored descendants) are released, and
+/// every covered node's spill file — a leaf or merge output an earlier
+/// attempt wrote — is removed by name. Their bytes are already folded into
+/// the restored ancestor's table.
 void DiscardCoveredSubtree(const MergePlan& plan, size_t id,
                            std::vector<MergeSource>& slots,
                            const MergeExecOptions& options, ExecState& state) {
@@ -272,20 +259,19 @@ void DiscardCoveredSubtree(const MergePlan& plan, size_t id,
   while (!stack.empty()) {
     const size_t n = stack.back();
     stack.pop_back();
-    const CheckpointLog::NodeEntry* entry = options.checkpoint->LookupNode(n);
-    if (!slots[n].empty()) {
-      if (options.cleanup) slots[n].RemoveBackingFile();
-      slots[n] = MergeSource();
-    } else if (entry != nullptr && options.cleanup) {
-      std::error_code ec;
-      std::filesystem::remove(entry->spill_path, ec);
-    }
+    slots[n].RemoveBackingFile();
+    slots[n] = MergeSource();
+    std::error_code ec;
+    std::filesystem::remove(SpillPath(options, n), ec);
     const MergePlanNode& node = plan.node(n);
     if (!node.is_leaf()) {
       // The covered pair's counters still happened (in the attempt that
       // journaled them) — inject them so resumed level stats match an
       // uninterrupted run's.
-      if (entry != nullptr) state.stats->nodes.push_back(entry->stats);
+      if (const CheckpointLog::NodeEntry* entry =
+              options.checkpoint->LookupNode(n)) {
+        state.stats->nodes.push_back(entry->stats);
+      }
       stack.push_back(node.left);
       stack.push_back(node.right);
     }
@@ -307,8 +293,7 @@ void RestoreJournaledSubtree(const MergePlan& plan, size_t target,
           options.checkpoint->LookupNode(target)) {
     if (CheckpointLog::ValidateSpill(*entry)) {
       slots[target] =
-          MergeSource::FromSpill(entry->spill_path, options.reopen,
-                                 options.cleanup);
+          MergeSource::FromSpill(entry->spill_path, {}, /*owns_file=*/true);
       state.stats->nodes.push_back(entry->stats);
       DiscardCoveredSubtree(plan, node.left, slots, options, state);
       DiscardCoveredSubtree(plan, node.right, slots, options, state);
@@ -332,24 +317,16 @@ util::Status ValidateOptions(const MergePlan& plan,
           std::to_string(plan.num_nodes()) + "-node plan");
     }
   }
-  if ((options.spill_inputs || options.spill_outputs) &&
+  if ((options.spill_inputs || options.checkpoint != nullptr) &&
       options.spill_dir.empty()) {
     return util::Status::InvalidArgument(
-        "spilled merge execution requires a spill_dir");
-  }
-  if (options.checkpoint != nullptr &&
-      (!options.spill_outputs || !options.name_by_node)) {
-    return util::Status::InvalidArgument(
-        "checkpointed merge execution requires spill_outputs with "
-        "name_by_node (stable per-node spill files)");
+        "spilled and checkpointed merge execution require a spill_dir");
   }
   return util::Status::Ok();
 }
 
 util::Status PrepareSpillDir(const MergeExecOptions& options) {
-  if (!options.spill_inputs && !options.spill_outputs) {
-    return util::Status::Ok();
-  }
+  if (options.spill_dir.empty()) return util::Status::Ok();
   std::error_code ec;
   std::filesystem::create_directories(options.spill_dir, ec);
   if (ec) {
@@ -448,7 +425,7 @@ util::Status ExecuteMergePlan(const MergePlan& plan,
     std::sort(inputs.begin(), inputs.end());
     for (size_t id : inputs) {
       if (!slots[id].resident()) continue;
-      MULTIEM_RETURN_IF_ERROR(SpillInput(slots[id], options, state));
+      MULTIEM_RETURN_IF_ERROR(SpillInput(slots, id, options, state));
     }
   }
 

@@ -16,7 +16,8 @@
 /// ExecuteMergePlan is the one schedule loop and the only merge entry
 /// point: the pipeline's in-memory and spilled merging phases, shard
 /// workers, and the coordinator all call it, differing only in their
-/// MergeExecOptions.
+/// MergeExecOptions. Whichever of them spills plan node n writes it to one
+/// file name, SpillFileName(n).
 
 #ifndef MULTIEM_CORE_MERGE_PLAN_H_
 #define MULTIEM_CORE_MERGE_PLAN_H_
@@ -115,19 +116,21 @@ struct MergeStats {
   size_t peak_resident_bytes = 0;   ///< max bytes of one pair + its output
 };
 
-/// Policy of one ExecuteMergePlan run. The two presets are the pipeline's
-/// merging modes; shard workers and the coordinator set fields directly.
-struct MergeExecOptions {
-  /// In-memory merging: outputs stay resident, and a level's pairs merge
-  /// concurrently when a pool is given (Section III-E, "Merging in
-  /// parallel").
-  static MergeExecOptions Resident();
+/// "merge_<node>.mem": the one name of plan node `node`'s spill file under
+/// MergeExecOptions::spill_dir, whether the node is a spilled leaf or a
+/// merge output. It is stable across attempts and processes, which is what
+/// checkpoints and the shard worker/coordinator handoff key on.
+std::string SpillFileName(size_t node);
 
+/// Policy of one ExecuteMergePlan run. The default is in-memory merging:
+/// outputs stay resident, and a level's pairs merge concurrently when a
+/// pool is given (Section III-E, "Merging in parallel"). Shard workers set
+/// `targets` and `spill_dir` directly.
+struct MergeExecOptions {
   /// Bounded-memory merging for corpora whose merge tables do not all fit
   /// in RAM: resident inputs are spilled first, every output is spilled to
   /// `spill_dir`, and pairs run one at a time, so at most one pair plus its
-  /// output is resident. With `checkpoint` the run is crash-resumable
-  /// (outputs are named by plan node and journaled).
+  /// output is resident. With `checkpoint` the run is crash-resumable.
   static MergeExecOptions Spilled(std::string spill_dir,
                                   CheckpointLog* checkpoint = nullptr);
 
@@ -136,42 +139,25 @@ struct MergeExecOptions {
   /// their frontier roots here.
   std::vector<size_t> targets;
 
-  /// Spill every resident input handle (as "shard_<n>.mem") before
-  /// merging, releasing each table as it lands on disk.
-  bool spill_inputs = false;
-
-  /// Spill every merge output as a MEMMERGT file under `spill_dir` instead
-  /// of keeping it resident. Spilling forces sequential pairs.
-  bool spill_outputs = false;
+  /// When set, every merge output is written to
+  /// `spill_dir`/SpillFileName(node) instead of kept resident, and pairs
+  /// run one at a time. A spilled handle owns its file: a consumed input's
+  /// file is deleted once its successor is written. Output handles left in
+  /// the slots still own theirs — call MergeSource::RemoveBackingFile after
+  /// loading a result to drop it.
   std::string spill_dir;
 
-  /// Output file naming. By default "shard_<n>.mem", numbered in spill
-  /// order after the spilled inputs. With name_by_node, "merge_<node
-  /// id>.mem" instead — stable across attempts and processes, which is what
-  /// checkpoints and the distrib worker/coordinator handoff key on.
-  bool name_by_node = false;
-
-  /// Spilled handles own their files: a consumed input's file is deleted
-  /// once its successor is written. Clear to keep every intermediate for
-  /// debugging. Output handles left in the slots still own theirs — call
-  /// MergeSource::RemoveBackingFile after loading a result to drop it.
-  bool cleanup = true;
-
-  /// Open options applied when a spilled table is loaded back.
-  util::ArtifactOpenOptions reopen;
-
-  /// Merge a level's pairs concurrently on the pool (resident outputs
-  /// only). Each pair's inner index builds and ANN searches fan out on the
-  /// same pool regardless — see TwoTableMerger::Merge.
-  bool parallel_pairs = false;
+  /// Also spill every resident input handle before merging (requires
+  /// `spill_dir`), releasing each table as it lands on disk.
+  bool spill_inputs = false;
 
   /// When set (non-owning), execution is crash-resumable: every executed
   /// node is journaled (spill path + size + FNV-1a + counters, fsynced)
   /// right after its output lands, and before executing anything a restore
   /// pre-pass walks the plan from each target downward installing every
   /// journaled node whose spill still validates — covered subtrees are
-  /// skipped entirely, and invalid entries silently recompute. Requires
-  /// spill_outputs with name_by_node. See core/checkpoint.h.
+  /// skipped entirely and their files removed, and invalid entries silently
+  /// recompute. Requires `spill_dir`. See core/checkpoint.h.
   CheckpointLog* checkpoint = nullptr;
 };
 
@@ -183,8 +169,8 @@ struct MergeExecOptions {
 /// resident per `options` — and the caller Acquires it.
 ///
 /// Missing nodes under the targets run level by level in plan order (node
-/// ids are topological, so the schedule is deterministic); with
-/// parallel_pairs a level's pairs run concurrently on `pool`. Every
+/// ids are topological, so the schedule is deterministic); with resident
+/// outputs a level's pairs run concurrently on `pool`. Every
 /// executed node is a pure function of its two children, so the tables are
 /// bitwise identical whichever options, process, or order produced them.
 ///

@@ -128,13 +128,8 @@ size_t MergeTable::SizeBytes() const {
   return bytes;
 }
 
-util::Status MergeTable::Save(const std::string& path) const {
-  if (num_tombstones_ != 0) {
-    return util::Status::InvalidArgument(
-        "merge-table files do not carry tombstones (" +
-        std::to_string(num_tombstones_) + " present)");
-  }
-  util::ArtifactWriter writer(kArtifactMagic, kArtifactVersion);
+void MergeTable::WriteSections(util::ArtifactWriter& writer,
+                               std::string_view rows_section) const {
   util::ByteWriter& items = writer.AddSection("items");
   items.WriteU64(num_items_);
   for (size_t i = 0; i < num_items_; ++i) {
@@ -142,8 +137,64 @@ util::Status MergeTable::Save(const std::string& path) const {
     items.WriteU64(it.members.size());
     for (table::EntityId id : it.members) items.WriteU64(id.packed());
   }
-  util::ByteWriter& emb = writer.AddSection("embeddings");
-  embed::WriteMatrix(emb, GatherEmbeddings());
+  embed::WriteMatrix(writer.AddSection(std::string(rows_section)),
+                     GatherEmbeddings());
+}
+
+util::Result<MergeTable> MergeTable::ReadSections(
+    const util::ArtifactReader& reader, std::string_view rows_section,
+    bool allow_tombstones) {
+  auto items_section = reader.Section("items");
+  if (!items_section.ok()) return items_section.status();
+  uint64_t num_items;
+  MULTIEM_RETURN_IF_ERROR(items_section->ReadU64(&num_items));
+  // Every item costs at least its u64 member count.
+  if (num_items > items_section->remaining() / 8) {
+    return util::Status::InvalidArgument(
+        "merge table claims " + std::to_string(num_items) + " items in " +
+        std::to_string(items_section->remaining()) + " section bytes");
+  }
+  std::vector<MergeItem> items(static_cast<size_t>(num_items));
+  for (size_t i = 0; i < items.size(); ++i) {
+    uint64_t member_count;
+    MULTIEM_RETURN_IF_ERROR(items_section->ReadU64(&member_count));
+    if ((member_count == 0 && !allow_tombstones) ||
+        member_count > items_section->remaining() / 8) {
+      return util::Status::InvalidArgument(
+          "merge table item " + std::to_string(i) + " claims " +
+          std::to_string(member_count) + " members");
+    }
+    std::vector<table::EntityId>& members = items[i].members;
+    members.reserve(static_cast<size_t>(member_count));
+    for (uint64_t j = 0; j < member_count; ++j) {
+      uint64_t packed;
+      MULTIEM_RETURN_IF_ERROR(items_section->ReadU64(&packed));
+      members.push_back(table::EntityId::FromPacked(packed));
+    }
+  }
+  MULTIEM_RETURN_IF_ERROR(items_section->ExpectExhausted());
+
+  auto rows = reader.Section(rows_section);
+  if (!rows.ok()) return rows.status();
+  embed::EmbeddingMatrix embeddings;
+  MULTIEM_RETURN_IF_ERROR(embed::ReadMatrix(*rows, &embeddings));
+  MULTIEM_RETURN_IF_ERROR(rows->ExpectExhausted());
+  if (embeddings.num_rows() != num_items) {
+    return util::Status::InvalidArgument(
+        "merge table holds " + std::to_string(embeddings.num_rows()) +
+        " rows for " + std::to_string(num_items) + " items");
+  }
+  return FromParts(std::move(items), embeddings);
+}
+
+util::Status MergeTable::Save(const std::string& path) const {
+  if (num_tombstones_ != 0) {
+    return util::Status::InvalidArgument(
+        "merge-table files do not carry tombstones (" +
+        std::to_string(num_tombstones_) + " present)");
+  }
+  util::ArtifactWriter writer(kArtifactMagic, kArtifactVersion);
+  WriteSections(writer, "embeddings");
   return writer.WriteFile(path);
 }
 
@@ -152,49 +203,13 @@ util::Result<MergeTable> MergeTable::Load(
   auto reader = util::ArtifactReader::FromFile(path, kArtifactMagic,
                                                kArtifactVersion, options);
   if (!reader.ok()) return reader.status();
-
-  auto items_section = reader->Section("items");
-  if (!items_section.ok()) return items_section.status();
-  uint64_t num_items;
-  MULTIEM_RETURN_IF_ERROR(items_section->ReadU64(&num_items));
-  std::vector<MergeItem> items;
-  items.reserve(static_cast<size_t>(num_items));
-  for (uint64_t i = 0; i < num_items; ++i) {
-    uint64_t member_count;
-    MULTIEM_RETURN_IF_ERROR(items_section->ReadU64(&member_count));
-    if (member_count == 0 ||
-        member_count > items_section->remaining() / 8) {
-      return util::Status::InvalidArgument(
-          "merge-table item " + std::to_string(i) + " claims " +
-          std::to_string(member_count) + " members");
-    }
-    MergeItem item;
-    item.members.reserve(static_cast<size_t>(member_count));
-    for (uint64_t j = 0; j < member_count; ++j) {
-      uint64_t packed;
-      MULTIEM_RETURN_IF_ERROR(items_section->ReadU64(&packed));
-      item.members.push_back(table::EntityId::FromPacked(packed));
-    }
-    items.push_back(std::move(item));
-  }
-  MULTIEM_RETURN_IF_ERROR(items_section->ExpectExhausted());
-
-  auto emb_section = reader->Section("embeddings");
-  if (!emb_section.ok()) return emb_section.status();
-  embed::EmbeddingMatrix embeddings;
-  MULTIEM_RETURN_IF_ERROR(embed::ReadMatrix(*emb_section, &embeddings));
-  MULTIEM_RETURN_IF_ERROR(emb_section->ExpectExhausted());
-  if (embeddings.num_rows() != num_items) {
-    return util::Status::InvalidArgument(
-        "merge-table file holds " + std::to_string(embeddings.num_rows()) +
-        " embeddings for " + std::to_string(num_items) + " items");
-  }
-  MergeTable table = FromParts(std::move(items), embeddings);
+  auto table = ReadSections(*reader, "embeddings", /*allow_tombstones=*/false);
+  if (!table.ok()) return table.status();
   // A spill reload feeds the next merge, which rewrites every chunk. On a
   // heap open give the chunks their own rows now, so the section block dies
   // with this call instead of lingering until the last chunk is written.
   if (!reader->mapped()) {
-    for (const std::shared_ptr<Chunk>& chunk : table.chunks_) {
+    for (const std::shared_ptr<Chunk>& chunk : table->chunks_) {
       chunk->embeddings.EnsureOwned();
     }
   }

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -153,6 +154,21 @@ class MergeTable {
   /// Approximate heap bytes reachable through this table (shared chunks are
   /// counted in full; mapped view rows count their mapped bytes).
   size_t SizeBytes() const;
+
+  /// The one codec of a merge table: appends the "items" section (u64 item
+  /// count, then per item a u64 member count and the packed member ids)
+  /// and the `rows_section` matrix, one row per item. MEMMERGT files name
+  /// the rows "embeddings", the serving manifest "centroids".
+  void WriteSections(util::ArtifactWriter& writer,
+                     std::string_view rows_section) const;
+
+  /// Reads what WriteSections wrote. Zero-member items (tombstones) load
+  /// only with `allow_tombstones`. Every count is bounded by the bytes left
+  /// before anything is reserved. The chunks alias the rows in place (heap
+  /// block or mapping).
+  static util::Result<MergeTable> ReadSections(
+      const util::ArtifactReader& reader, std::string_view rows_section,
+      bool allow_tombstones);
 
   /// Writes this table to `path` as a standalone MEMMERGT artifact file
   /// (items + embeddings; docs/FORMATS.md). Tombstones are not allowed —

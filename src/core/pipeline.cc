@@ -120,6 +120,22 @@ EntityEmbeddingStore EmbedSources(const std::vector<table::Table>& tables,
   return store;
 }
 
+util::Result<std::shared_ptr<Matcher>> BuildMatcher(
+    const MultiEmConfig& config, const std::vector<table::Table>& tables,
+    const AttributeSelection& selection, EntityEmbeddingStore store,
+    MergeTable integrated, const PipelineComponents& components,
+    util::ThreadPool* pool) {
+  std::vector<std::string> source_names;
+  source_names.reserve(tables.size());
+  for (const table::Table& t : tables) source_names.push_back(t.name());
+  auto matcher = Matcher::Assemble(
+      config, tables[0].schema().names(), selection, std::move(source_names),
+      std::move(store), std::move(integrated), components.encoder,
+      components.index_factory, /*index=*/nullptr, pool);
+  if (!matcher.ok()) return matcher.status();
+  return std::make_shared<Matcher>(std::move(*matcher));
+}
+
 namespace {
 
 /// RAII phase bracket: accumulates the duration into the result's timings
@@ -150,40 +166,6 @@ class ScopedPhase {
 util::Status CancelledAfter(const char* phase) {
   return util::Status::Cancelled(
       std::string("pipeline run cancelled during the ") + phase + " phase");
-}
-
-/// Checkpoint payload of the selection phase — the one phase whose output
-/// is cheap to journal whole, so resume restores it instead of re-running
-/// Algorithm 1 over the sampled corpus.
-std::string EncodeSelection(const AttributeSelection& selection) {
-  util::ByteWriter writer;
-  std::vector<uint64_t> columns(selection.selected_columns.begin(),
-                                selection.selected_columns.end());
-  writer.WriteU64Array(columns);
-  writer.WriteF64Array(selection.shuffle_similarity);
-  writer.WriteU64(selection.selected_names.size());
-  for (const std::string& name : selection.selected_names) {
-    writer.WriteString(name);
-  }
-  return std::string(reinterpret_cast<const char*>(writer.bytes().data()),
-                     writer.size());
-}
-
-util::Status DecodeSelection(const std::string& payload,
-                             AttributeSelection* out) {
-  util::ByteReader reader(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(payload.data()), payload.size()));
-  std::vector<uint64_t> columns;
-  MULTIEM_RETURN_IF_ERROR(reader.ReadU64Array(&columns));
-  out->selected_columns.assign(columns.begin(), columns.end());
-  MULTIEM_RETURN_IF_ERROR(reader.ReadF64Array(&out->shuffle_similarity));
-  uint64_t names = 0;
-  MULTIEM_RETURN_IF_ERROR(reader.ReadU64(&names));
-  out->selected_names.resize(static_cast<size_t>(names));
-  for (std::string& name : out->selected_names) {
-    MULTIEM_RETURN_IF_ERROR(reader.ReadString(&name));
-  }
-  return reader.ExpectExhausted();
 }
 
 }  // namespace
@@ -219,13 +201,18 @@ util::Status MultiEmPipeline::Run(const std::vector<table::Table>& tables,
     if (!opened.ok()) return opened.status();
     checkpoint = std::move(*opened);
   }
+  // The selection is the one phase output cheap to journal whole, so a
+  // resume restores it instead of re-running Algorithm 1. A payload that
+  // does not decode is recomputed.
   AttributeSelection restored_selection;
   bool have_restored_selection = false;
   if (checkpoint != nullptr) {
     if (const std::string* payload =
             checkpoint->PhasePayload(kPhaseSelection)) {
+      util::ByteReader reader(std::span<const uint8_t>(
+          reinterpret_cast<const uint8_t*>(payload->data()), payload->size()));
       have_restored_selection =
-          DecodeSelection(*payload, &restored_selection).ok();
+          ReadSelection(reader, &restored_selection).ok();
     }
   }
 
@@ -265,9 +252,12 @@ util::Status MultiEmPipeline::Run(const std::vector<table::Table>& tables,
       }
     }
     if (checkpoint != nullptr && !checkpoint->HasPhase(kPhaseSelection)) {
+      util::ByteWriter payload;
+      WriteSelection(payload, result->selection);
       MULTIEM_FAULT_POINT("pipeline.phase.commit");
       MULTIEM_RETURN_IF_ERROR(checkpoint->RecordPhase(
-          kPhaseSelection, EncodeSelection(result->selection)));
+          kPhaseSelection,
+          std::string(payload.bytes().begin(), payload.bytes().end())));
     }
   }
   if (ctx.cancelled()) return CancelledAfter(kPhaseSelection);
@@ -315,7 +305,7 @@ util::Status MultiEmPipeline::Run(const std::vector<table::Table>& tables,
                           ? ctx.merge_spill_dir
                           : ctx.checkpoint_dir + "/spill",
                       checkpoint.get())
-                : MergeExecOptions::Resident();
+                : MergeExecOptions{};
     const MergePlan plan = MergePlan::Build(tables.size(), config_.seed);
     const TwoTableMerger merger(config_, &store, *components.index_factory);
     util::Status merged = ExecuteMergePlan(plan, slots, merger, options,
@@ -347,23 +337,14 @@ util::Status MultiEmPipeline::Run(const std::vector<table::Table>& tables,
   }
   if (ctx.cancelled()) return CancelledAfter(kPhasePruning);
 
-  // Optional serving session: hand the run's fitted state — the encoder
-  // (post both FitCorpus passes), the base embeddings, and the integrated
-  // entity table — to a Matcher, which builds one serving index over the
-  // final item representations. The locals are dead after this point, so
+  // Optional serving session. The locals are dead after this point, so
   // everything moves.
   if (ctx.build_matcher) {
-    std::vector<std::string> schema_names = tables[0].schema().names();
-    std::vector<std::string> source_names;
-    source_names.reserve(tables.size());
-    for (const table::Table& t : tables) source_names.push_back(t.name());
-    auto matcher = Matcher::Assemble(
-        config_, std::move(schema_names), result->selection,
-        std::move(source_names), std::move(store), std::move(integrated),
-        components.encoder, components.index_factory, /*index=*/nullptr,
-        pool.get());
+    auto matcher =
+        BuildMatcher(config_, tables, result->selection, std::move(store),
+                     std::move(integrated), components, pool.get());
     if (!matcher.ok()) return matcher.status();
-    result->matcher = std::make_shared<Matcher>(std::move(*matcher));
+    result->matcher = std::move(*matcher);
   }
 
   MULTIEM_LOG(kDebug) << "MultiEM finished: " << result->tuples.size()

@@ -98,6 +98,18 @@ EntityEmbeddingStore EmbedSources(const std::vector<table::Table>& tables,
                                   embed::TextEncoder* encoder,
                                   util::ThreadPool* pool);
 
+/// The serving session of a finished run: hands the run's fitted encoder
+/// (after both FitCorpus passes), index factory, base embeddings, and
+/// integrated entity table to Matcher::Assemble, which builds one serving
+/// index over the final item representations. `tables` supply the schema
+/// and source names. MultiEmPipeline::Run and distrib::Coordinator::Build
+/// both end with it when asked for a matcher.
+util::Result<std::shared_ptr<Matcher>> BuildMatcher(
+    const MultiEmConfig& config, const std::vector<table::Table>& tables,
+    const AttributeSelection& selection, EntityEmbeddingStore store,
+    MergeTable integrated, const PipelineComponents& components,
+    util::ThreadPool* pool);
+
 /// Everything MultiEM produces for one run.
 struct PipelineResult {
   /// Final matched tuples (each with >= 2 entities).

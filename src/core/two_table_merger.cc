@@ -15,6 +15,28 @@ ann::MutualTopKOptions MutualOptionsFromConfig(const MultiEmConfig& config) {
   return options;
 }
 
+void WriteNodeStats(util::ByteWriter& out, const MergeNodeStats& stats) {
+  out.WriteU64(stats.node);
+  out.WriteU64(stats.mutual_pairs);
+  out.WriteU64(stats.merged_items);
+  out.WriteU64(stats.carried_items);
+  out.WriteU64(stats.attempts);
+}
+
+util::Status ReadNodeStats(util::ByteReader& in, bool has_attempts,
+                           MergeNodeStats* out) {
+  uint64_t fields[5] = {0, 0, 0, 0, 1};
+  for (size_t f = 0; f < (has_attempts ? 5u : 4u); ++f) {
+    MULTIEM_RETURN_IF_ERROR(in.ReadU64(&fields[f]));
+  }
+  *out = MergeNodeStats{static_cast<size_t>(fields[0]),
+                        static_cast<size_t>(fields[1]),
+                        static_cast<size_t>(fields[2]),
+                        static_cast<size_t>(fields[3]),
+                        static_cast<size_t>(fields[4])};
+  return util::Status::Ok();
+}
+
 MergeTable TwoTableMerger::Merge(const MergeTable& a, const MergeTable& b,
                                  util::ThreadPool* pool,
                                  MergeNodeStats* stats) const {

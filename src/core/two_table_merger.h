@@ -7,6 +7,7 @@
 #include "ann/mutual_topk.h"
 #include "core/config.h"
 #include "core/merge_table.h"
+#include "util/io.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -30,6 +31,16 @@ struct MergeNodeStats {
   /// for distributed workers; 1 for a first-try in-process execution).
   size_t attempts = 1;
 };
+
+/// The one codec of a MergeNodeStats row: its five fields as u64, in field
+/// order. A MEMSHARD "stats" row and the head of a checkpoint journal node
+/// record are exactly these bytes.
+void WriteNodeStats(util::ByteWriter& out, const MergeNodeStats& stats);
+
+/// Reads one row written by WriteNodeStats. Without `has_attempts` it reads
+/// the four-column row of MEMSHARD v1, and `attempts` stays 1.
+util::Status ReadNodeStats(util::ByteReader& in, bool has_attempts,
+                           MergeNodeStats* out);
 
 /// Algorithm 3 of the paper: merges two merge tables into one.
 ///

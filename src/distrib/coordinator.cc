@@ -185,10 +185,10 @@ util::Result<DistributedBuildResult> Coordinator::Build(
     for (size_t root : assignments[w].roots) {
       if (!plan.node(root).is_leaf() &&
           !std::filesystem::exists(shard_dirs[w] + "/" +
-                                   MergeOutputName(root))) {
+                                   core::SpillFileName(root))) {
         return util::Status::Internal(
             "shard " + std::to_string(w) + " is missing merge output '" +
-            MergeOutputName(root) + "'");
+            core::SpillFileName(root) + "'");
       }
     }
     return util::Status::Ok();
@@ -372,8 +372,8 @@ util::Result<DistributedBuildResult> Coordinator::Build(
             static_cast<uint32_t>(root), store.source(root)));
       } else {
         slots[root] = core::MergeSource::FromSpill(
-            shard_dirs[w] + "/" + MergeOutputName(root), options_.shard_open,
-            /*owns_file=*/false);
+            shard_dirs[w] + "/" + core::SpillFileName(root),
+            options_.shard_open, /*owns_file=*/false);
       }
     }
   }
@@ -390,10 +390,8 @@ util::Result<DistributedBuildResult> Coordinator::Build(
     }
   }
   core::TwoTableMerger merger(config_, &store, *components.index_factory);
-  core::MergeExecOptions top;
-  top.reopen = options_.shard_open;
   MULTIEM_RETURN_IF_ERROR(core::ExecuteMergePlan(
-      plan, slots, merger, top, pool.get(), &result.run.merge_stats));
+      plan, slots, merger, {}, pool.get(), &result.run.merge_stats));
   auto integrated = slots[plan.root()].Acquire();
   if (!integrated.ok()) return integrated.status();
   result.distrib.merge_seconds = merge_timer.ElapsedSeconds();
@@ -407,17 +405,11 @@ util::Result<DistributedBuildResult> Coordinator::Build(
                                                &result.run.prune_stats);
 
   if (options_.build_matcher) {
-    std::vector<std::string> schema_names = tables[0].schema().names();
-    std::vector<std::string> source_names;
-    source_names.reserve(tables.size());
-    for (const table::Table& t : tables) source_names.push_back(t.name());
-    auto matcher = core::Matcher::Assemble(
-        config_, std::move(schema_names), result.run.selection,
-        std::move(source_names), std::move(store), std::move(*integrated),
-        components.encoder, components.index_factory, /*index=*/nullptr,
-        pool.get());
+    auto matcher = core::BuildMatcher(
+        config_, tables, result.run.selection, std::move(store),
+        std::move(*integrated), components, pool.get());
     if (!matcher.ok()) return matcher.status();
-    result.run.matcher = std::make_shared<core::Matcher>(std::move(*matcher));
+    result.run.matcher = std::move(*matcher);
   }
 
   result.distrib.total_seconds = total_timer.ElapsedSeconds();

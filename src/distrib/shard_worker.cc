@@ -27,10 +27,6 @@ std::string ShardDirName(size_t worker) {
 
 std::string ShardManifestName() { return "shard.mem"; }
 
-std::string MergeOutputName(size_t node) {
-  return "merge_" + std::to_string(node) + ".mem";
-}
-
 std::vector<ShardAssignment> PartitionPlan(const core::MergePlan& plan,
                                            size_t num_workers) {
   if (plan.num_leaves() == 0) return {};
@@ -113,15 +109,13 @@ util::Status RunShardWorker(const core::MultiEmConfig& config,
   core::TwoTableMerger merger(config, &store, *components.index_factory);
   core::MergeExecOptions exec;
   exec.targets = assignment.roots;
-  exec.spill_outputs = true;
   exec.spill_dir = options.shard_dir;
-  exec.name_by_node = true;
   core::MergeStats stats;
   MULTIEM_RETURN_IF_ERROR(core::ExecuteMergePlan(
       plan, slots, merger, exec, options.pool, &stats));
 
   // The manifest goes last (and lands atomically): its presence certifies
-  // that every merge_<node>.mem above it is complete.
+  // that every merge output spilled above it is complete.
   util::ArtifactWriter manifest(kShardMagic, kShardVersion);
   util::ByteWriter& meta = manifest.AddSection("meta");
   meta.WriteU64(tables.size());
@@ -136,11 +130,7 @@ util::Status RunShardWorker(const core::MultiEmConfig& config,
   util::ByteWriter& stats_out = manifest.AddSection("stats");
   stats_out.WriteU64(stats.nodes.size());
   for (const core::MergeNodeStats& node : stats.nodes) {
-    stats_out.WriteU64(node.node);
-    stats_out.WriteU64(node.mutual_pairs);
-    stats_out.WriteU64(node.merged_items);
-    stats_out.WriteU64(node.carried_items);
-    stats_out.WriteU64(node.attempts);
+    core::WriteNodeStats(stats_out, node);
   }
   for (size_t s : assignment.sources) {
     util::ByteWriter& base =
@@ -171,21 +161,16 @@ util::Result<ShardArtifact> OpenShardArtifact(
   if (!stats.ok()) return stats.status();
   uint64_t count = 0;
   MULTIEM_RETURN_IF_ERROR(stats->ReadU64(&count));
-  shard.node_stats.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t node = 0, mutual = 0, merged = 0, carried = 0;
-    uint64_t attempts = 1;  // v1 rows have no attempts column
-    MULTIEM_RETURN_IF_ERROR(stats->ReadU64(&node));
-    MULTIEM_RETURN_IF_ERROR(stats->ReadU64(&mutual));
-    MULTIEM_RETURN_IF_ERROR(stats->ReadU64(&merged));
-    MULTIEM_RETURN_IF_ERROR(stats->ReadU64(&carried));
-    if (reader->version() >= 2) {
-      MULTIEM_RETURN_IF_ERROR(stats->ReadU64(&attempts));
-    }
-    shard.node_stats.push_back(core::MergeNodeStats{
-        static_cast<size_t>(node), static_cast<size_t>(mutual),
-        static_cast<size_t>(merged), static_cast<size_t>(carried),
-        static_cast<size_t>(attempts)});
+  // v1 rows have no attempts column.
+  const bool has_attempts = reader->version() >= 2;
+  if (count > stats->remaining() / ((has_attempts ? 5 : 4) * 8)) {
+    return util::Status::InvalidArgument(
+        "shard manifest claims " + std::to_string(count) + " stats rows in " +
+        std::to_string(stats->remaining()) + " section bytes");
+  }
+  shard.node_stats.resize(static_cast<size_t>(count));
+  for (core::MergeNodeStats& node : shard.node_stats) {
+    MULTIEM_RETURN_IF_ERROR(core::ReadNodeStats(*stats, has_attempts, &node));
   }
 
   shard.bases.reserve(shard.covered_sources.size());

@@ -6,7 +6,8 @@
 /// coordinator to pick up:
 ///
 ///   <shard_dir>/merge_<node>.mem   one MEMMERGT table per assigned
-///                                  non-leaf frontier root
+///                                  non-leaf frontier root, named by
+///                                  core::SpillFileName(node)
 ///   <shard_dir>/shard.mem          the MEMSHARD manifest, written LAST
 ///                                  (atomically) as the completion marker
 ///
@@ -55,10 +56,6 @@ std::string ShardDirName(size_t worker);
 
 /// "shard.mem" — the manifest file inside a shard directory.
 std::string ShardManifestName();
-
-/// "merge_<node>.mem" — a spilled merge output keyed by plan node id
-/// (MergeExecOptions::name_by_node).
-std::string MergeOutputName(size_t node);
 
 /// The slice of the merge plan one worker builds.
 struct ShardAssignment {

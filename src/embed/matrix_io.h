@@ -1,7 +1,9 @@
 /// \file matrix_io.h
-/// EmbeddingMatrix <-> artifact-section serialization, shared by the
-/// pipeline manifest (core/artifact.cc) and the standalone merge-table spill
-/// files (core/merge_table.cc). The wire form is u64 rows, u64 dim, then the
+/// EmbeddingMatrix <-> artifact-section serialization: the rows of every
+/// merge table (core::MergeTable::WriteSections, for MEMMERGT spills and
+/// the manifest's "centroids"), the manifest's "base" matrices
+/// (core/artifact.cc), and the MEMSHARD base sections
+/// (distrib/shard_worker.cc). The wire form is u64 rows, u64 dim, then the
 /// count-prefixed f32 row-major payload.
 
 #ifndef MULTIEM_EMBED_MATRIX_IO_H_

@@ -352,6 +352,11 @@ void ByteWriter::WriteF64Array(std::span<const double> values) {
   WriteArrayImpl(*this, values, [&](double v) { WriteF64(v); });
 }
 
+void ByteWriter::WriteStringArray(std::span<const std::string> values) {
+  WriteU64(values.size());
+  for (const std::string& v : values) WriteString(v);
+}
+
 // ---------------------------------------------------------------------------
 // ByteReader
 // ---------------------------------------------------------------------------
@@ -422,6 +427,20 @@ Status ByteReader::ReadString(std::string* out) {
   const uint8_t* p;
   MULTIEM_RETURN_IF_ERROR(Take(size, &p));
   out->assign(reinterpret_cast<const char*>(p), size);
+  return Status::Ok();
+}
+
+Status ByteReader::ReadStringArray(std::vector<std::string>* out) {
+  uint64_t count;
+  MULTIEM_RETURN_IF_ERROR(ReadU64(&count));
+  if (count > remaining() / 4) {
+    return Status::InvalidArgument(
+        "string array count " + std::to_string(count) + " exceeds the " +
+        std::to_string(remaining()) + " remaining section bytes");
+  }
+  out->clear();
+  out->resize(static_cast<size_t>(count));
+  for (std::string& s : *out) MULTIEM_RETURN_IF_ERROR(ReadString(&s));
   return Status::Ok();
 }
 

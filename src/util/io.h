@@ -143,6 +143,9 @@ class ByteWriter {
   void WriteF32Array(std::span<const float> values);
   void WriteF64Array(std::span<const double> values);
 
+  /// u64 element count + each element as WriteString writes it.
+  void WriteStringArray(std::span<const std::string> values);
+
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   size_t size() const { return bytes_.size(); }
 
@@ -254,6 +257,11 @@ class ByteReader {
     }
     return Status::Ok();
   }
+
+  /// The WriteStringArray counterpart. Each element costs at least its u32
+  /// length, so a count larger than a quarter of the remaining bytes is
+  /// InvalidArgument before anything is reserved.
+  Status ReadStringArray(std::vector<std::string>* out);
 
   /// Bytes not yet consumed.
   size_t remaining() const { return data_.size() - pos_; }

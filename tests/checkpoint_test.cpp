@@ -21,6 +21,7 @@
 #include "core/pipeline.h"
 #include "datagen/scale.h"
 #include "util/fault.h"
+#include "util/io.h"
 #include "util/journal.h"
 #include "util/retry.h"
 #include "util/subprocess.h"
@@ -502,6 +503,45 @@ TEST(CheckpointPipelineTest, ResumeAfterInjectedFailureIsBitwiseIdentical) {
     EXPECT_EQ(baseline.merge_stats.levels[l].mutual_pairs,
               resumed.merge_stats.levels[l].mutual_pairs) << "level " << l;
   }
+
+  // The resume consumed or removed every spill the failed attempt left,
+  // leaves included: only the root's, the resume point, remains.
+  const MergePlan plan = MergePlan::Build(tables.size(), PipelineConfig().seed);
+  std::vector<std::string> spills;
+  for (const auto& file :
+       std::filesystem::directory_iterator(ckpt + "/spill")) {
+    spills.push_back(file.path().filename().string());
+  }
+  EXPECT_EQ(std::vector<std::string>{core::SpillFileName(plan.root())},
+            spills);
+}
+
+// A journaled selection record that does not decode — here a checksum-valid
+// record whose name count its bytes cannot hold — is recomputed, never
+// trusted and never fatal.
+TEST(CheckpointPipelineTest, OversizedSelectionRecordIsRecomputed) {
+  auto tables = CorpusTables(4, 30);
+  PipelineResult baseline = RunPipeline(tables);
+
+  const std::string ckpt = TempPath("oversized_selection");
+  {
+    auto log = CheckpointLog::Open(
+        ckpt, ComputeRunFingerprint(PipelineConfig(), tables));
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    util::ByteWriter record;
+    record.WriteU64Array(std::vector<uint64_t>{0});
+    record.WriteF64Array(std::vector<double>{0.5});
+    record.WriteU64(uint64_t{1} << 40);  // selected-name count
+    const std::string payload(record.bytes().begin(), record.bytes().end());
+    (*log)->RecordPhase(core::kPhaseSelection, payload).CheckOk();
+  }
+
+  PipelineResult resumed = RunPipeline(tables, ckpt);
+  EXPECT_EQ(baseline.tuples, resumed.tuples);
+  EXPECT_EQ(baseline.selection.selected_columns,
+            resumed.selection.selected_columns);
+  EXPECT_EQ(baseline.selection.selected_names,
+            resumed.selection.selected_names);
 }
 
 // Rerunning a *completed* checkpointed run must reuse the journal (the root

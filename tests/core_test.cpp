@@ -23,6 +23,7 @@
 #include "core/registry.h"
 #include "core/two_table_merger.h"
 #include "embed/hashing_encoder.h"
+#include "embed/matrix_io.h"
 #include "embed/serialize.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -149,6 +150,26 @@ TEST(MergeTableTest, FromPartsAndSpillRoundTrip) {
   // The spill format carries pipeline tables only — never tombstones.
   t.TombstoneItem(0);
   EXPECT_FALSE(t.Save(path).ok());
+}
+
+// A checksum-valid MEMMERGT file whose "items" count its section cannot
+// hold fails with a Status before anything is reserved for the items.
+TEST(MergeTableTest, RejectsItemCountBeyondItsSection) {
+  util::ArtifactWriter writer(MergeTable::kArtifactMagic,
+                              MergeTable::kArtifactVersion);
+  util::ByteWriter& items = writer.AddSection("items");
+  items.WriteU64(uint64_t{1} << 40);
+  items.WriteU64(1);  // one member of a first item, then nothing more
+  items.WriteU64(EntityId(0, 0).packed());
+  embed::WriteMatrix(writer.AddSection("embeddings"), UnitAxisVectors(1, 4));
+  const std::string path =
+      ::testing::TempDir() + "multiem_core_oversized_items.mem";
+  ASSERT_TRUE(writer.WriteFile(path).ok());
+
+  auto loaded = MergeTable::Load(path);
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
+      << loaded.status();
+  std::filesystem::remove(path);
 }
 
 TEST(EntityEmbeddingStoreTest, RowLookupAcrossSources) {
@@ -523,8 +544,8 @@ TEST(ExecuteMergePlanTest, TwoTableParallelModeFansOutInnerSearches) {
   config.num_threads = 4;
   ThreadRecordingFactory factory;
   util::ThreadPool pool(4);
-  MergeTable integrated = MergeAll(config, store, MergeExecOptions::Resident(),
-                                   &pool, nullptr, &factory);
+  MergeTable integrated =
+      MergeAll(config, store, {}, &pool, nullptr, &factory);
 
   EXPECT_GT(integrated.num_items(), 0u);
   // 2 x kN searches, split into blocks: more than one thread must have
@@ -593,8 +614,7 @@ TEST(ExecuteMergePlanTest, OptionsDoNotChangeTheResult) {
   const MergeTable sequential = MergeAll(config, store);
 
   util::ThreadPool pool(3);
-  ExpectSameTable(sequential,
-                  MergeAll(config, store, MergeExecOptions::Resident(), &pool));
+  ExpectSameTable(sequential, MergeAll(config, store, {}, &pool));
 
   const std::string dir = ::testing::TempDir() + "multiem_core_spill";
   std::filesystem::remove_all(dir);

@@ -17,6 +17,7 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/artifact.h"
@@ -229,23 +230,29 @@ TEST(MergeSourceTest, ResidentSpillAndMappedSpillAgree) {
 
 // N-process builds must reproduce the single-process pipeline bit for bit:
 // same tuples, same attribute selection, same per-level merge stats, same
-// prune stats.
+// prune stats. Four workers over six sources leave the coordinator all
+// three level-0 pairs; with a pool it merges them concurrently.
 TEST(DistribBuildTest, MatchesSingleProcessBitwiseForOneTwoFourWorkers) {
   auto tables = CorpusTables(6, 60);
   PipelineResult single = RunSingleProcess(tables);
 
-  for (size_t workers : {1u, 2u, 4u}) {
+  const std::pair<size_t, size_t> runs[] = {{1, 1}, {2, 1}, {4, 1}, {4, 3}};
+  for (const auto& [workers, threads] : runs) {
     CoordinatorOptions options;
     options.num_workers = workers;
-    options.work_dir =
-        TempPath("build_w" + std::to_string(workers));
-    Coordinator coordinator(PipelineConfig(), options);
+    options.work_dir = TempPath("build_w" + std::to_string(workers) + "_t" +
+                                std::to_string(threads));
+    MultiEmConfig config = PipelineConfig();
+    config.num_threads = threads;
+    Coordinator coordinator(config, options);
     auto distributed = coordinator.Build(tables);
     ASSERT_TRUE(distributed.ok())
-        << workers << " workers: " << distributed.status().ToString();
+        << workers << " workers, " << threads
+        << " threads: " << distributed.status().ToString();
 
     const PipelineResult& run = distributed->run;
-    EXPECT_EQ(single.tuples, run.tuples) << workers << " workers";
+    EXPECT_EQ(single.tuples, run.tuples)
+        << workers << " workers, " << threads << " threads";
     EXPECT_EQ(single.selection.selected_columns,
               run.selection.selected_columns);
     EXPECT_EQ(single.selection.selected_names, run.selection.selected_names);
@@ -414,7 +421,8 @@ TEST(DistribBuildTest, ReusesCompletedShardsAcrossCoordinatorRestart) {
 }
 
 // A stale or foreign shard manifest in the work dir must be rebuilt, never
-// trusted and never fatal.
+// trusted and never fatal: neither bytes that are no manifest at all, nor a
+// checksum-valid manifest whose "stats" count its section cannot hold.
 TEST(DistribBuildTest, StaleShardIsRebuiltNotTrusted) {
   auto tables = CorpusTables(4, 40);
   PipelineResult single = RunSingleProcess(tables);
@@ -424,6 +432,17 @@ TEST(DistribBuildTest, StaleShardIsRebuiltNotTrusted) {
   std::filesystem::create_directories(shard0);
   std::ofstream(shard0 + "/" + distrib::ShardManifestName(), std::ios::binary)
       << "not a MEMSHARD manifest";
+
+  const std::string shard1 = work_dir + "/" + distrib::ShardDirName(1);
+  std::filesystem::create_directories(shard1);
+  util::ArtifactWriter oversized(distrib::kShardMagic, distrib::kShardVersion);
+  util::ByteWriter& meta = oversized.AddSection("meta");
+  meta.WriteU64(tables.size());
+  meta.WriteU64(PipelineConfig().seed);
+  meta.WriteU64(PipelineConfig().embedding_dim);
+  for (int array = 0; array < 3; ++array) meta.WriteU64Array({});
+  oversized.AddSection("stats").WriteU64(uint64_t{1} << 40);
+  oversized.WriteFile(shard1 + "/" + distrib::ShardManifestName()).CheckOk();
 
   CoordinatorOptions options;
   options.num_workers = 2;
