@@ -29,6 +29,17 @@
 // comparison firmly past any runner's LLC while the thread-scaling section
 // keeps the quick 20k corpus.
 //
+// A third section calibrates the per-merge route choice of the default
+// "hybrid" index (core::MutualOptionsFromConfig): square merges of n x n
+// rows, n from --calibrate, at 64-d with lean HNSW knobs (8 / 40, ef_search
+// 32) and at 384-d with the default knobs (16 / 100, ef_search 48). Each
+// shape times ann::MutualTopK through the exact scan and through two HNSW
+// builds, at every --threads count, and records which route the rule picks
+// and the rule's ratio n_l * n_r / ((n_l + n_r) * ef_construction * m),
+// which it compares with kHybridScanFactor. Half of the right rows are
+// perturbed copies of left rows, as in a merge of overlapping sources.
+// CI prints the "calibration" JSON keys and gates nothing on them.
+//
 // The corpus is clustered — duplicate groups of `cluster_size` perturbed
 // copies around random unit centers — because that is what the merging
 // phase actually searches (near-duplicate entity embeddings), and queries
@@ -49,6 +60,8 @@
 //        --quant_n=N        corpus size for the quantization section
 //                           (default: --n; CI uses 300000, see above)
 //        --rerank_factor=4  fp32 rerank width multiplier for quantized runs
+//        --calibrate=500,1000,2000,4000,8000,12000  merge sizes n of the
+//                           route calibration ("none" disables)
 //        --json=PATH      output JSON path ("-" disables)
 
 #include <algorithm>
@@ -61,8 +74,11 @@
 #include "ann/brute_force.h"
 #include "ann/hnsw.h"
 #include "ann/index_io.h"
+#include "ann/mutual_topk.h"
 #include "ann/quant.h"
 #include "bench/bench_common.h"
+#include "core/registry.h"
+#include "core/two_table_merger.h"
 #include "util/thread_pool.h"
 
 namespace multiem::bench {
@@ -191,6 +207,108 @@ struct AnnRun {
   double load_mb_per_sec = 0.0;
   double reload_first_query_ms = 0.0;
 };
+
+// One timed merge shape of the route calibration.
+struct CalibrationRun {
+  size_t dim = 0;
+  size_t hnsw_m = 0;
+  size_t ef_construction = 0;
+  size_t n = 0;
+  size_t num_threads = 1;
+  bool rule_scans = false;
+  double rule_ratio = 0.0;
+  double exact_seconds = 0.0;
+  double hnsw_seconds = 0.0;
+  size_t exact_pairs = 0;
+  size_t hnsw_pairs = 0;
+};
+
+// Seconds per MutualTopK call, repeated until 0.3 s have passed.
+double TimeMutualTopK(const embed::EmbeddingMatrix& left,
+                      const embed::EmbeddingMatrix& right,
+                      const ann::VectorIndexFactory& factory,
+                      const ann::MutualTopKOptions& options,
+                      util::ThreadPool* pool, size_t* pairs) {
+  size_t calls = 0;
+  util::WallTimer timer;
+  do {
+    *pairs = ann::MutualTopK(left, right, factory, options, pool).size();
+    ++calls;
+  } while (timer.ElapsedSeconds() < 0.3);
+  return timer.ElapsedSeconds() / static_cast<double>(calls);
+}
+
+// The route calibration of the "hybrid" index (see the file comment).
+std::vector<CalibrationRun> RunCalibration(
+    const std::vector<size_t>& sizes, const std::vector<size_t>& thread_counts) {
+  struct Knobs {
+    size_t dim, m, ef_construction, ef_search;
+  };
+  const Knobs kKnobs[] = {{64, 8, 40, 32}, {384, 16, 100, 48}};
+  std::vector<CalibrationRun> runs;
+  std::printf(
+      "\n=== merge route calibration (hybrid scan factor %.1f, k=1, "
+      "m=0.5) ===\n",
+      core::kHybridScanFactor);
+  std::printf("%6s %6s %7s %8s %8s %12s %12s %8s %10s %10s\n", "dim",
+              "knobs", "n", "threads", "rule", "rule_ratio", "exact_s",
+              "hnsw_s", "exact_prs", "hnsw_prs");
+  for (const Knobs& knobs : kKnobs) {
+    core::MultiEmConfig config;
+    config.index_name = core::kHybridIndexName;
+    config.m = 0.5f;
+    config.hnsw_m = knobs.m;
+    config.hnsw_ef_construction = knobs.ef_construction;
+    config.hnsw_ef_search = knobs.ef_search;
+    auto hnsw = core::IndexFactories().Create(core::kHnswIndexName, config);
+    if (!hnsw.ok()) std::abort();
+    const ann::MutualTopKOptions rule = core::MutualOptionsFromConfig(config);
+    ann::MutualTopKOptions exact = rule;
+    exact.exact_scan_budget = ann::kAlwaysScan;
+    ann::MutualTopKOptions indexed = rule;
+    indexed.exact_scan_budget = 0.0;
+    for (size_t n : sizes) {
+      util::Rng rng(n * 31 + knobs.dim);
+      embed::EmbeddingMatrix left(n, knobs.dim);
+      embed::EmbeddingMatrix right(n, knobs.dim);
+      for (size_t i = 0; i < n; ++i) FillUnitNormal(left.Row(i), rng);
+      for (size_t i = 0; i < n; ++i) {
+        if (i % 2 == 0) {
+          FillPerturbed(right.Row(i), left.Row(i), 0.3, rng);
+        } else {
+          FillUnitNormal(right.Row(i), rng);
+        }
+      }
+      for (size_t t : thread_counts) {
+        std::unique_ptr<util::ThreadPool> pool;
+        if (t > 1) pool = std::make_unique<util::ThreadPool>(t);
+        CalibrationRun run;
+        run.dim = knobs.dim;
+        run.hnsw_m = knobs.m;
+        run.ef_construction = knobs.ef_construction;
+        run.n = n;
+        run.num_threads = t;
+        run.rule_scans = ann::ScansExactly(rule, n, n);
+        run.rule_ratio =
+            static_cast<double>(n) * static_cast<double>(n) /
+            (2.0 * static_cast<double>(n) *
+             static_cast<double>(knobs.ef_construction * knobs.m));
+        run.exact_seconds = TimeMutualTopK(left, right, **hnsw, exact,
+                                           pool.get(), &run.exact_pairs);
+        run.hnsw_seconds = TimeMutualTopK(left, right, **hnsw, indexed,
+                                          pool.get(), &run.hnsw_pairs);
+        std::printf("%6zu %3zu/%-3zu %7zu %8zu %8s %12.2f %12.4f %8.4f %10zu "
+                    "%10zu\n",
+                    run.dim, run.hnsw_m, run.ef_construction, run.n,
+                    run.num_threads, run.rule_scans ? "exact" : "hnsw",
+                    run.rule_ratio, run.exact_seconds, run.hnsw_seconds,
+                    run.exact_pairs, run.hnsw_pairs);
+        runs.push_back(run);
+      }
+    }
+  }
+  return runs;
+}
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
@@ -467,6 +585,25 @@ int Main(int argc, char** argv) {
     }
   }
 
+  std::vector<size_t> calibration_sizes;
+  for (const std::string& raw :
+       util::Split(flags.Get("calibrate", "500,1000,2000,4000,8000,12000"),
+                   ',')) {
+    const std::string t(util::Trim(raw));
+    if (t.empty() || t == "none") continue;
+    if (t.find_first_not_of("0123456789") != std::string::npos ||
+        t.size() > 6 || std::stoul(t) == 0) {
+      std::fprintf(stderr,
+                   "[ann] bad --calibrate entry \"%s\" (want sizes >= 1, "
+                   "or none)\n",
+                   t.c_str());
+      return 1;
+    }
+    calibration_sizes.push_back(std::stoul(t));
+  }
+  const std::vector<CalibrationRun> calibration =
+      RunCalibration(calibration_sizes, thread_counts);
+
   if (json_path != "-" && !json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
     if (f == nullptr) {
@@ -513,6 +650,28 @@ int Main(int argc, char** argv) {
                      r.recall_at10, r.fp32_bytes, r.quantized_bytes,
                      r.graph_bytes, r.hot_bytes,
                      i + 1 < quant_runs.size() ? "," : "");
+      }
+      std::fprintf(f, "    ]\n  }");
+    }
+    if (!calibration.empty()) {
+      std::fprintf(f,
+                   ",\n  \"calibration\": {\n    \"scan_factor\": %.1f,\n"
+                   "    \"k\": 1,\n    \"max_distance\": 0.5,\n"
+                   "    \"runs\": [\n",
+                   core::kHybridScanFactor);
+      for (size_t i = 0; i < calibration.size(); ++i) {
+        const CalibrationRun& r = calibration[i];
+        std::fprintf(f,
+                     "      {\"dim\": %zu, \"hnsw_m\": %zu, "
+                     "\"ef_construction\": %zu, \"n\": %zu, "
+                     "\"num_threads\": %zu, \"rule\": \"%s\", "
+                     "\"rule_ratio\": %.3f, \"exact_seconds\": %.6f, "
+                     "\"hnsw_seconds\": %.6f, \"exact_pairs\": %zu, "
+                     "\"hnsw_pairs\": %zu}%s\n",
+                     r.dim, r.hnsw_m, r.ef_construction, r.n, r.num_threads,
+                     r.rule_scans ? "exact" : "hnsw", r.rule_ratio,
+                     r.exact_seconds, r.hnsw_seconds, r.exact_pairs,
+                     r.hnsw_pairs, i + 1 < calibration.size() ? "," : "");
       }
       std::fprintf(f, "    ]\n  }");
     }

@@ -16,7 +16,8 @@
 ///        --sources=4         number of source tables
 ///        --overlap=0.3       shared-entity fraction per source
 ///        --workers=4         worker processes for the distributed build
-///        --dim=48            embedding dimensionality (hashing encoder)
+///        --dim=48            embedding dimensionality (the hashing encoder
+///                            rounds it up to a multiple of 64: 48 runs 64-d)
 ///        --chunk_rows=65536  datagen streaming chunk size
 ///        --min_speedup=0     fail (exit 1) unless single/distrib wall
 ///                            clock ratio >= this; 0 = record only

@@ -32,7 +32,8 @@
 ///        --sources=4         number of source tables
 ///        --overlap=0.3       shared-entity fraction per source
 ///        --threads=4         workers of the parallel run
-///        --dim=48            embedding dimensionality (hashing encoder)
+///        --dim=48            embedding dimensionality (the hashing encoder
+///                            rounds it up to a multiple of 64: 48 runs 64-d)
 ///        --chunk_rows=65536  datagen streaming chunk size
 ///        --queries=32        rows of the reload-to-first-query batch
 ///        --reload_repeat=3   best-of-N for both reload timings

@@ -71,7 +71,7 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
 /// corpora, with the thread count pinned by the caller.
 MultiEmConfig Config(size_t threads) {
   MultiEmConfig config;
-  config.embedding_dim = 48;
+  config.embedding_dim = 48;  // the hashing encoder runs it at 64
   config.sample_ratio = 0.05;
   config.m = 0.5f;
   config.hnsw_m = 8;

@@ -8,8 +8,8 @@
 // Shows the full feature surface: automated attribute selection report,
 // serial vs parallel run, per-phase timing, accuracy against ground truth,
 // the ablation switches, and component swapping through the registries
-// (index_name = "brute_force" replaces HNSW with the exact-KNN backend
-// without touching the pipeline).
+// (index_name = "brute_force" replaces the default "hybrid" index with the
+// exact-KNN backend without touching the pipeline).
 
 #include <cstdio>
 #include <utility>
@@ -90,7 +90,8 @@ int main() {
   Report("w/o pruning", RunVariant(no_dp, bench), bench);
 
   // Component swap through the registry: the exact brute-force KNN backend
-  // replaces HNSW by name — no pipeline changes, same tuples expected.
+  // replaces the default "hybrid" index by name — no pipeline changes. The
+  // hybrid already scans this corpus's merges exactly, so the tuples agree.
   core::MultiEmConfig exact = config;
   exact.index_name = "brute_force";
   Report("exact KNN index", RunVariant(exact, bench), bench);

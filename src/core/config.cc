@@ -65,7 +65,7 @@ util::Status MultiEmConfig::ValidateHnswKnobs() const {
 
 util::Status MultiEmConfig::Validate() const {
   MULTIEM_RETURN_IF_ERROR(ValidateValues());
-  if (index_name == kDefaultIndexName) {
+  if (BuildsHnsw(index_name)) {
     MULTIEM_RETURN_IF_ERROR(ValidateHnswKnobs());
   }
   MULTIEM_RETURN_IF_ERROR(TextEncoders().CheckRegistered(encoder_name));

@@ -47,7 +47,9 @@ struct MultiEmConfig {
   float m = 0.35f;
   /// HNSW construction/search knobs. The defaults are tuned for the mutual
   /// top-1 queries of the merging phase (k=1 with a distance cap needs far
-  /// less beam width than a recall@100 workload).
+  /// less beam width than a recall@100 workload). Under "hybrid",
+  /// hnsw_ef_construction * hnsw_m also prices an index build in the
+  /// per-merge choice (see index_name).
   size_t hnsw_m = 16;
   size_t hnsw_ef_construction = 100;
   size_t hnsw_ef_search = 48;
@@ -56,7 +58,8 @@ struct MultiEmConfig {
   /// keep the fp32 originals for graph construction and re-score the top
   /// `rerank_factor * k` candidates exactly, so recall stays >= 0.95 at a
   /// fraction of the hot bytes; see docs/API.md, "Quantized vectors".
-  /// Applies to both the hnsw and brute_force built-ins.
+  /// Applies to every built-in index; a quantized config never takes the
+  /// exact fp32 scan.
   std::string quantization = "none";
   /// Exact-rerank pool multiplier for quantized searches (ignored when
   /// quantization is "none").
@@ -83,9 +86,20 @@ struct MultiEmConfig {
   /// Sentence encoder, resolved through core::TextEncoders(). The default
   /// "hashing" is the deterministic MiniLM stand-in.
   std::string encoder_name = "hashing";
-  /// ANN index factory for the merging phase, resolved through
-  /// core::IndexFactories(). Built-ins: "hnsw" (default), "brute_force".
-  std::string index_name = "hnsw";
+  /// ANN index for the merging phase and the serving session, resolved
+  /// through core::IndexFactories(). Built-ins:
+  ///  - "hybrid" (default): a merge of n_l x n_r items is scanned exactly
+  ///    (ann::ExactMutualTopK) when n_l * n_r <= kHybridScanFactor *
+  ///    (n_l + n_r) * hnsw_ef_construction * hnsw_m, and matched through two
+  ///    HNSW indexes otherwise; the serving index is HNSW. Quantized configs
+  ///    build HNSW for every merge.
+  ///  - "hnsw": two HNSW indexes per merge, and an HNSW serving index.
+  ///  - "brute_force": exact. fp32 scans every merge; with quantization
+  ///    each merge builds two quantized BruteForceIndexes.
+  /// The choice depends only on this config and the two row counts, so every
+  /// build path and Matcher::AddTable choose alike (docs/API.md, "Merge
+  /// index choice").
+  std::string index_name = "hybrid";
   /// Pruning-phase implementation, resolved through core::Pruners(). The
   /// default "density" is the paper's Algorithm 4.
   std::string pruner_name = "density";
@@ -102,8 +116,8 @@ struct MultiEmConfig {
 
   /// Verifies the HNSW construction/search knobs (hnsw_m >= 2,
   /// hnsw_ef_construction >= 1, hnsw_ef_search >= k). Only applied when the
-  /// built-in "hnsw" index is actually selected — a brute-force or custom
-  /// index assembly must not be rejected over unused HNSW knobs.
+  /// built-in "hybrid" or "hnsw" index is actually selected — a brute-force
+  /// or custom index assembly must not be rejected over unused HNSW knobs.
   util::Status ValidateHnswKnobs() const;
 };
 

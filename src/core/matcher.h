@@ -225,18 +225,20 @@ class Matcher {
   /// Merges `table` into the session as a new source: rows are encoded with
   /// the fitted encoder (no refit), matched against the entity table through
   /// the same mutual top-K relation (Eq. 1, ann::MutualTopK) a pipeline
-  /// merge level uses, and unioned into the existing items. Centroid updates
-  /// are incremental — unchanged items keep their stored representation
-  /// verbatim; only items the new source touched recompute from base
-  /// embeddings — and so is the serving index: the current index is cloned,
-  /// vectors of new/changed items are inserted into the clone (slots of
-  /// absorbed items are retired via the slot map), and the new state is
-  /// published atomically, so concurrent MatchRecords readers never block
-  /// and never observe a torn table. When retired slots exceed 25% of the
-  /// index — or the index kind cannot Clone — the index is compacted by a
-  /// full rebuild instead. Unmatched rows become new single-member items.
-  /// The table must use the session's schema and a source name not seen
-  /// before. Writers serialize on an internal mutex.
+  /// merge level uses — by an exact scan or two indexes, chosen from the
+  /// session's config and the two row counts as a pipeline merge chooses
+  /// (MutualOptionsFromConfig) — and unioned into the existing items.
+  /// Centroid updates are incremental — unchanged items keep their stored
+  /// representation verbatim; only items the new source touched recompute
+  /// from base embeddings — and so is the serving index: the current index
+  /// is cloned, vectors of new/changed items are inserted into the clone
+  /// (slots of absorbed items are retired via the slot map), and the new
+  /// state is published atomically, so concurrent MatchRecords readers
+  /// never block and never observe a torn table. When retired slots exceed
+  /// 25% of the index — or the index kind cannot Clone — the index is
+  /// compacted by a full rebuild instead. Unmatched rows become new
+  /// single-member items. The table must use the session's schema and a
+  /// source name not seen before. Writers serialize on an internal mutex.
   util::Status AddTable(const table::Table& table,
                         const AddTableOptions& options);
 

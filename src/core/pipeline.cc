@@ -53,7 +53,7 @@ util::Status ResolveComponents(const MultiEmConfig& config,
     components->encoder = std::move(*created);
   }
   if (components->index_factory == nullptr) {
-    if (config.index_name == kDefaultIndexName) {
+    if (BuildsHnsw(config.index_name)) {
       MULTIEM_RETURN_IF_ERROR(config.ValidateHnswKnobs());
     }
     auto created = IndexFactories().Create(config.index_name, config);

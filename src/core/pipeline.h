@@ -74,9 +74,10 @@ struct PipelineComponents {
 /// encoder_name / index_name / pruner_name. Members already set (builder
 /// injections) are kept and their names are not validated. The HNSW knob
 /// coupling (MultiEmConfig::ValidateHnswKnobs) is checked only when the
-/// built-in "hnsw" index is resolved. Every build path calls this —
-/// PipelineBuilder::Build, MultiEmPipeline::Run, distrib::RunShardWorker and
-/// distrib::Coordinator::Build — so all of them accept the same configs.
+/// built-in "hybrid" or "hnsw" index is resolved. Every build path calls
+/// this — PipelineBuilder::Build, MultiEmPipeline::Run,
+/// distrib::RunShardWorker and distrib::Coordinator::Build — so all of them
+/// accept the same configs.
 util::Status ResolveComponents(const MultiEmConfig& config,
                                PipelineComponents* components);
 
@@ -229,7 +230,11 @@ class PipelineBuilder {
     return *this;
   }
 
-  /// Injects the ANN index factory (overrides index_name).
+  /// Injects the ANN index factory. It replaces the factory index_name
+  /// names, but index_name still decides which merges scan exactly without
+  /// any factory (docs/API.md, "Merge index choice"); under the default
+  /// "hybrid" the injected factory serves only the merges above the cost
+  /// rule and the serving index.
   PipelineBuilder& WithIndexFactory(
       std::unique_ptr<ann::VectorIndexFactory> factory) {
     components_.index_factory = std::move(factory);

@@ -63,7 +63,8 @@ ComponentRegistry<embed::TextEncoder>& TextEncoders() {
 ComponentRegistry<ann::VectorIndexFactory>& IndexFactories() {
   static ComponentRegistry<ann::VectorIndexFactory>* registry = [] {
     auto* r = new ComponentRegistry<ann::VectorIndexFactory>("index_name");
-    r->Register(kDefaultIndexName, MakeHnswFactory);
+    r->Register(kHybridIndexName, MakeHnswFactory);
+    r->Register(kHnswIndexName, MakeHnswFactory);
     r->Register(kBruteForceIndexName, MakeBruteForceFactory);
     return r;
   }();

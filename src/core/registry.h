@@ -15,9 +15,9 @@
 ///
 /// and are then selected via `config.encoder_name = "my-encoder"` (or the
 /// MULTIEM_REGISTER_COMPONENT convenience macro below). The built-in
-/// components ("hashing"; "hnsw" and "brute_force"; "density") are
-/// registered lazily by the accessor functions, so they are always present
-/// regardless of static-initialization order.
+/// components ("hashing"; "hybrid", "hnsw" and "brute_force"; "density")
+/// are registered lazily by the accessor functions, so they are always
+/// present regardless of static-initialization order.
 
 #ifndef MULTIEM_CORE_REGISTRY_H_
 #define MULTIEM_CORE_REGISTRY_H_
@@ -112,11 +112,27 @@ class ComponentRegistry {
   std::map<std::string, Factory> factories_;
 };
 
+/// The built-in index names. Each names an HNSW or BruteForceIndex factory,
+/// and the name alone also decides which merges skip the factory and scan
+/// exactly (core::MutualOptionsFromConfig; docs/API.md, "Merge index
+/// choice"): "hybrid" scans the merges its cost rule finds cheaper to scan
+/// and builds HNSW for the rest and for the serving index, "hnsw" builds
+/// HNSW everywhere, and fp32 "brute_force" scans every merge.
+inline constexpr const char* kHybridIndexName = "hybrid";
+inline constexpr const char* kHnswIndexName = "hnsw";
+inline constexpr const char* kBruteForceIndexName = "brute_force";
+
 /// Default component names (what a default MultiEmConfig selects).
 inline constexpr const char* kDefaultEncoderName = "hashing";
-inline constexpr const char* kDefaultIndexName = "hnsw";
-inline constexpr const char* kBruteForceIndexName = "brute_force";
+inline constexpr const char* kDefaultIndexName = kHybridIndexName;
 inline constexpr const char* kDefaultPrunerName = "density";
+
+/// True for the built-in index names that build HNSW with the config's
+/// hnsw_* knobs ("hybrid" and "hnsw"), so MultiEmConfig::ValidateHnswKnobs
+/// applies to them.
+inline bool BuildsHnsw(const std::string& index_name) {
+  return index_name == kHybridIndexName || index_name == kHnswIndexName;
+}
 
 /// Process-wide registries. The first call registers the built-ins, so the
 /// defaults are available before any user code runs.

@@ -3,7 +3,9 @@
 #include <algorithm>
 
 #include "ann/mutual_topk.h"
+#include "ann/quant.h"
 #include "cluster/union_find.h"
+#include "core/registry.h"
 
 namespace multiem::core {
 
@@ -12,6 +14,20 @@ ann::MutualTopKOptions MutualOptionsFromConfig(const MultiEmConfig& config) {
   options.k = config.k;
   options.max_distance = config.m;
   options.metric = ann::Metric::kCosine;
+  // The exact scan is fp32 only: a quantized config keeps the index route.
+  ann::Quantization quantization;
+  if (!ann::ParseQuantization(config.quantization, &quantization) ||
+      quantization != ann::Quantization::kNone) {
+    return options;
+  }
+  if (config.index_name == kBruteForceIndexName) {
+    options.exact_scan_budget = ann::kAlwaysScan;
+  } else if (config.index_name == kHybridIndexName) {
+    options.exact_scan_budget =
+        kHybridScanFactor *
+        static_cast<double>(config.hnsw_ef_construction) *
+        static_cast<double>(config.hnsw_m);
+  }
   return options;
 }
 
@@ -42,8 +58,8 @@ MergeTable TwoTableMerger::Merge(const MergeTable& a, const MergeTable& b,
                                  MergeNodeStats* stats) const {
   // Step 1 (Algorithm 3 lines 3-5): mutual top-K pairs under the cap m.
   // MutualTopK wants contiguous matrices; the tables store their rows in
-  // copy-on-write chunks, so gather once per merge (negligible next to the
-  // two index builds it feeds).
+  // copy-on-write chunks, so gather once per merge (a linear copy of each
+  // side, small next to the scan or the index builds it feeds).
   std::vector<ann::MutualPair> matches =
       ann::MutualTopK(a.GatherEmbeddings(), b.GatherEmbeddings(),
                       *index_factory_, MutualOptionsFromConfig(config_), pool);

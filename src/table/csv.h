@@ -24,7 +24,10 @@ struct CsvOptions {
 util::Result<Table> ParseCsv(std::string_view text,
                              const CsvOptions& options = {});
 
-/// Reads and parses a CSV file from disk.
+/// Reads and parses a CSV file from disk: a regular file in one read at its
+/// size, a pipe or other stream to EOF. A path that cannot be opened is
+/// NotFound, a directory is InvalidArgument naming the path, and a read
+/// error is Internal (never a table parsed from a prefix).
 util::Result<Table> ReadCsvFile(const std::string& path,
                                 const CsvOptions& options = {});
 

@@ -4,8 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "ann/brute_force.h"
 #include "ann/hnsw.h"
@@ -528,6 +534,277 @@ TEST(MutualTopKTest, ParallelMatchesSerial) {
     EXPECT_EQ(serial[i].left, parallel[i].left);
     EXPECT_EQ(serial[i].right, parallel[i].right);
   }
+}
+
+// ------------------------------------------------------ ExactMutualTopK --
+
+// The cosine distance of two rows with BruteForceIndex::Search's arithmetic.
+float ExactCosineDistance(std::span<const float> a, std::span<const float> b) {
+  return 1.0f - embed::CosineSimilarityFromParts(
+                    embed::Dot(a, b), embed::Dot(a, a), embed::Dot(b, b));
+}
+
+// Eq. 1 the naive way: the full n_l x n_r distance table, every row and
+// every column sorted under (distance, id), then the intersection of the
+// two top-k relations under the cap m.
+std::vector<MutualPair> NaiveMutualTopK(const embed::EmbeddingMatrix& left,
+                                        const embed::EmbeddingMatrix& right,
+                                        size_t k, float m) {
+  const size_t nl = left.num_rows();
+  const size_t nr = right.num_rows();
+  std::vector<float> table(nl * nr);
+  for (size_t i = 0; i < nl; ++i) {
+    for (size_t j = 0; j < nr; ++j) {
+      table[i * nr + j] = ExactCosineDistance(left.Row(i), right.Row(j));
+    }
+  }
+  auto top_k = [k](std::vector<std::pair<float, size_t>> ranked) {
+    std::sort(ranked.begin(), ranked.end());  // (distance, id)
+    std::vector<size_t> ids;
+    for (size_t r = 0; r < std::min(k, ranked.size()); ++r) {
+      ids.push_back(ranked[r].second);
+    }
+    return ids;
+  };
+  std::vector<std::vector<size_t>> col_top(nr);
+  for (size_t j = 0; j < nr; ++j) {
+    std::vector<std::pair<float, size_t>> ranked;
+    for (size_t i = 0; i < nl; ++i) ranked.emplace_back(table[i * nr + j], i);
+    col_top[j] = top_k(std::move(ranked));
+  }
+  std::vector<MutualPair> out;
+  for (size_t i = 0; i < nl; ++i) {
+    std::vector<std::pair<float, size_t>> ranked;
+    for (size_t j = 0; j < nr; ++j) ranked.emplace_back(table[i * nr + j], j);
+    for (size_t j : top_k(std::move(ranked))) {
+      const float d = table[i * nr + j];
+      const auto& col = col_top[j];
+      if (d <= m && std::find(col.begin(), col.end(), i) != col.end()) {
+        out.push_back({i, j, d});
+      }
+    }
+  }
+  std::sort(out.begin(), out.end(), [](const MutualPair& a, const MutualPair& b) {
+    return std::make_pair(a.left, a.right) < std::make_pair(b.left, b.right);
+  });
+  return out;
+}
+
+// The two-pass route the exact scan retired: an fp32 BruteForceIndex per
+// side, one Search per row in each direction, then the intersection.
+std::vector<MutualPair> TwoPassBruteForce(const embed::EmbeddingMatrix& left,
+                                          const embed::EmbeddingMatrix& right,
+                                          size_t k, float m) {
+  std::vector<MutualPair> out;
+  if (left.num_rows() == 0 || right.num_rows() == 0) return out;
+  BruteForceIndex left_index(left.dim(), Metric::kCosine);
+  BruteForceIndex right_index(right.dim(), Metric::kCosine);
+  left_index.AddBatch(left);
+  right_index.AddBatch(right);
+  for (size_t i = 0; i < left.num_rows(); ++i) {
+    for (const Neighbor& n : right_index.Search(left.Row(i), k)) {
+      if (n.distance > m) continue;
+      for (const Neighbor& back : left_index.Search(right.Row(n.id), k)) {
+        if (back.id == i) out.push_back({i, n.id, n.distance});
+      }
+    }
+  }
+  std::sort(out.begin(), out.end(), [](const MutualPair& a, const MutualPair& b) {
+    return std::make_pair(a.left, a.right) < std::make_pair(b.left, b.right);
+  });
+  return out;
+}
+
+// The pairs as plain words (MutualPair has tail padding), so two pair lists
+// compare with memcmp, distance bits included.
+std::vector<uint64_t> PairWords(const std::vector<MutualPair>& pairs) {
+  std::vector<uint64_t> words;
+  for (const MutualPair& p : pairs) {
+    words.push_back(p.left);
+    words.push_back(p.right);
+    words.push_back(std::bit_cast<uint32_t>(p.distance));
+  }
+  return words;
+}
+
+void ExpectSamePairs(const std::vector<MutualPair>& got,
+                     const std::vector<MutualPair>& want,
+                     const std::string& what) {
+  const std::vector<uint64_t> a = PairWords(got);
+  const std::vector<uint64_t> b = PairWords(want);
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(0, a.empty() ? 0 : std::memcmp(a.data(), b.data(),
+                                          a.size() * sizeof(uint64_t)))
+      << what;
+}
+
+// Rows on a coarse grid {-1, 0, 1}^dim, normalized: many distinct rows share
+// a distance, so the (distance, id) tie-break decides most top-k lists.
+embed::EmbeddingMatrix GridVectors(size_t n, size_t dim, uint64_t seed) {
+  util::Rng rng(seed);
+  embed::EmbeddingMatrix m(n, dim);
+  for (size_t i = 0; i < n; ++i) {
+    auto row = m.Row(i);
+    for (auto& x : row) x = static_cast<float>(rng.NextBounded(3)) - 1.0f;
+    row[i % dim] = 1.0f;  // never all-zero
+    embed::L2NormalizeInPlace(row);
+  }
+  return m;
+}
+
+// One oracle input: the two sides and the cap.
+struct OracleCase {
+  std::string name;
+  embed::EmbeddingMatrix left;
+  embed::EmbeddingMatrix right;
+  float max_distance;
+};
+
+// Right row 11 is left row 7 nudged, so the two are mutual nearest at a
+// small nonzero distance, and the cap is set to exactly that distance.
+OracleCase AtCapCase() {
+  OracleCase c{"at_cap", RandomVectors(45, 12, 109),
+               RandomVectors(59, 12, 110), 0.0f};
+  auto near = c.right.Row(11);
+  std::copy(c.left.Row(7).begin(), c.left.Row(7).end(), near.begin());
+  near[0] += 0.05f;
+  embed::L2NormalizeInPlace(near);
+  c.max_distance = ExactCosineDistance(c.left.Row(7), c.right.Row(11));
+  return c;
+}
+
+// Seeded inputs covering what the (distance, id) order and the cap must
+// get right. Row counts avoid multiples of the 32 x 256 tile.
+std::vector<OracleCase> OracleCases() {
+  std::vector<OracleCase> cases;
+  cases.push_back({"random", RandomVectors(77, 24, 101),
+                   RandomVectors(300, 24, 102), 0.9f});
+  cases.push_back({"random_wide", RandomVectors(290, 40, 103),
+                   RandomVectors(531, 40, 104), 2.0f});
+
+  // Duplicates at distance exactly 0: right holds copies of left rows, some
+  // twice (equal distances broken by id), and left repeats a row too.
+  {
+    OracleCase c{"duplicates", RandomVectors(65, 16, 105),
+                 RandomVectors(97, 16, 106), 0.0f};
+    for (size_t i = 0; i < 40; ++i) {
+      auto src = c.left.Row(i % 33);
+      auto dst = c.right.Row(i * 2);
+      std::copy(src.begin(), src.end(), dst.begin());
+    }
+    auto src = c.left.Row(3);
+    auto dst = c.left.Row(64);
+    std::copy(src.begin(), src.end(), dst.begin());
+    cases.push_back(std::move(c));
+  }
+  cases.push_back({"ties", GridVectors(70, 6, 107), GridVectors(261, 6, 108),
+                   0.6f});
+
+  cases.push_back(AtCapCase());
+  cases.push_back({"empty_left", embed::EmbeddingMatrix(0, 8),
+                   RandomVectors(10, 8, 111), 2.0f});
+  cases.push_back({"empty_right", RandomVectors(10, 8, 112),
+                   embed::EmbeddingMatrix(0, 8), 2.0f});
+  cases.push_back({"one_row", RandomVectors(1, 8, 113),
+                   RandomVectors(33, 8, 114), 2.0f});
+  return cases;
+}
+
+void CheckAgainstOracles(util::ThreadPool* pool) {
+  for (const OracleCase& c : OracleCases()) {
+    for (size_t k : {1u, 3u}) {
+      const std::string what = c.name + " k=" + std::to_string(k) +
+                               " threads=" +
+                               std::to_string(pool ? pool->num_threads() : 0);
+      MutualTopKOptions options;
+      options.k = k;
+      options.max_distance = c.max_distance;
+      const std::vector<MutualPair> got =
+          ExactMutualTopK(c.left, c.right, options, pool);
+      if (c.left.num_rows() > 0 && c.right.num_rows() > 0) {
+        EXPECT_FALSE(got.empty()) << what << ": the case tests nothing";
+      }
+      ExpectSamePairs(got, NaiveMutualTopK(c.left, c.right, k, c.max_distance),
+                      what + " vs naive");
+      ExpectSamePairs(got,
+                      TwoPassBruteForce(c.left, c.right, k, c.max_distance),
+                      what + " vs two-pass");
+      // MutualTopK takes the same kernel when the budget says scan.
+      options.exact_scan_budget = kAlwaysScan;
+      ExpectSamePairs(MutualTopK(c.left, c.right, HnswIndexFactory{}, options,
+                                 pool),
+                      got, what + " via MutualTopK");
+    }
+  }
+}
+
+TEST(ExactMutualTopKTest, MatchesNaiveAndTwoPassOracles) {
+  CheckAgainstOracles(nullptr);
+}
+
+TEST(ExactMutualTopKTest, ParallelMatchesOraclesOnOneTwoFourThreads) {
+  for (size_t threads : {1u, 2u, 4u}) {
+    util::ThreadPool pool(threads);
+    CheckAgainstOracles(&pool);
+  }
+}
+
+TEST(ExactMutualTopKTest, CapHoldsExactDuplicatesAndPairsAtM) {
+  auto f = PlantedMatches(100, 30, 23);
+  MutualTopKOptions options;
+  options.max_distance = 0.0f;  // only exact duplicates survive
+  EXPECT_EQ(ExactMutualTopK(f.left, f.right, options).size(), 30u);
+  options.max_distance = -1.0f;  // nothing can pass
+  EXPECT_TRUE(ExactMutualTopK(f.left, f.right, options).empty());
+
+  const OracleCase c = AtCapCase();
+  ASSERT_GT(c.max_distance, 0.0f);
+  options.max_distance = c.max_distance;
+  auto has_pair = [&] {
+    for (const MutualPair& p : ExactMutualTopK(c.left, c.right, options)) {
+      if (p.left == 7 && p.right == 11) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(has_pair()) << "a pair exactly at m is kept";
+  options.max_distance = std::nextafter(c.max_distance, -1.0f);
+  EXPECT_FALSE(has_pair()) << "a pair just past m is dropped";
+}
+
+TEST(ScansExactlyTest, BudgetRule) {
+  MutualTopKOptions options;
+  EXPECT_FALSE(ScansExactly(options, 1, 1));  // budget 0: never
+  options.exact_scan_budget = kAlwaysScan;
+  EXPECT_TRUE(ScansExactly(options, size_t{1} << 32, size_t{1} << 32));
+  options.exact_scan_budget = 10.0;  // n_l * n_r <= 10 * (n_l + n_r)
+  EXPECT_TRUE(ScansExactly(options, 20, 20));   // 400 <= 400
+  EXPECT_FALSE(ScansExactly(options, 21, 20));  // 420 > 410
+  EXPECT_TRUE(ScansExactly(options, 1000, 5));  // 5000 <= 10050
+  options.metric = Metric::kEuclidean;  // the kernel is cosine only
+  EXPECT_FALSE(ScansExactly(options, 1, 1));
+}
+
+TEST(MutualTopKTest, ScanBudgetDecidesWhetherTheFactoryIsAsked) {
+  class CountingFactory : public VectorIndexFactory {
+   public:
+    std::unique_ptr<VectorIndex> Create(size_t dim,
+                                        Metric metric) const override {
+      ++creations;
+      return std::make_unique<BruteForceIndex>(dim, metric);
+    }
+    mutable size_t creations = 0;
+  };
+  auto f = PlantedMatches(60, 20, 31);
+  MutualTopKOptions options;
+  options.max_distance = 0.5f;
+  CountingFactory factory;
+  options.exact_scan_budget = 30.0;  // 3600 <= 30 * 120: scan
+  auto scanned = MutualTopK(f.left, f.right, factory, options);
+  EXPECT_EQ(factory.creations, 0u);
+  options.exact_scan_budget = 29.0;  // 3600 > 29 * 120: two indexes
+  auto indexed = MutualTopK(f.left, f.right, factory, options);
+  EXPECT_EQ(factory.creations, 2u);
+  ExpectSamePairs(scanned, indexed, "scan vs fp32 index route");
 }
 
 }  // namespace

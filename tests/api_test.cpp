@@ -345,7 +345,11 @@ TEST(PipelineBuilderTest, RegisteredIndexFactorySelectedByName) {
 
 TEST(PipelineBuilderTest, InjectedIndexFactoryAndPrunerAreUsed) {
   size_t before = CountingIndexFactory::Creations().load();
-  auto pipeline = PipelineBuilder(TinyConfig())
+  // Under the default "hybrid" these small merges scan exactly and the
+  // factory is never asked; "hnsw" builds two indexes per merge.
+  MultiEmConfig config = TinyConfig();
+  config.index_name = "hnsw";
+  auto pipeline = PipelineBuilder(config)
                       .WithIndexFactory(std::make_unique<CountingIndexFactory>())
                       .WithPruner(std::make_unique<KeepAllPruner>())
                       .Build();
@@ -356,6 +360,59 @@ TEST(PipelineBuilderTest, InjectedIndexFactoryAndPrunerAreUsed) {
   // KeepAllPruner reports via items_examined and removes nothing.
   EXPECT_EQ(result->prune_stats.outliers_removed, 0u);
   EXPECT_EQ(result->prune_stats.items_examined, 8u);
+}
+
+// Wraps a factory and forwards nothing but Create, as an outside
+// instrument does (the perf ledger's traced rep wraps the registry's).
+class ForwardingIndexFactory : public ann::VectorIndexFactory {
+ public:
+  ForwardingIndexFactory(std::unique_ptr<ann::VectorIndexFactory> inner,
+                         std::atomic<size_t>* creations)
+      : inner_(std::move(inner)), creations_(creations) {}
+  std::unique_ptr<ann::VectorIndex> Create(size_t dim,
+                                           ann::Metric metric) const override {
+    creations_->fetch_add(1);
+    return inner_->Create(dim, metric);
+  }
+
+ private:
+  std::unique_ptr<ann::VectorIndexFactory> inner_;
+  std::atomic<size_t>* creations_;
+};
+
+TEST(PipelineBuilderTest, HybridInjectedForwardingFactoryKeepsTheTuples) {
+  auto bench = datagen::MakeDataset("person", /*scale=*/0.05);
+  ASSERT_TRUE(bench.ok()) << bench.status();
+  // Lean knobs price an index build low enough that the rule scans the
+  // first merges of this corpus and sends the larger later ones to HNSW.
+  MultiEmConfig config;
+  config.hnsw_m = 2;
+  config.hnsw_ef_construction = 20;
+  config.hnsw_ef_search = 8;
+  ASSERT_EQ(config.index_name, "hybrid");
+
+  auto plain = PipelineBuilder(config).Build();
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  auto inner = IndexFactories().Create(config.index_name, config);
+  ASSERT_TRUE(inner.ok()) << inner.status();
+  std::atomic<size_t> creations{0};
+  auto wrapped =
+      PipelineBuilder(config)
+          .WithIndexFactory(std::make_unique<ForwardingIndexFactory>(
+              std::move(*inner), &creations))
+          .Build();
+  ASSERT_TRUE(wrapped.ok()) << wrapped.status();
+
+  auto expected = plain->Run(bench->tables);
+  auto got = wrapped->Run(bench->tables);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->ToTupleSet().tuples(), expected->ToTupleSet().tuples());
+  // Both routes ran: some merge asked the factory for its two indexes, and
+  // some merge of the four scanned without it.
+  const size_t merges = bench->tables.size() - 1;
+  EXPECT_GT(creations.load(), 0u);
+  EXPECT_LT(creations.load(), 2 * merges);
 }
 
 // --------------------------------------------------------------- sessions --

@@ -332,6 +332,58 @@ TEST(TwoTableMergerTest, MergesIdenticalRowsKeepsRest) {
   }
 }
 
+// Counts the indexes it creates; each is an exact BruteForceIndex.
+class CountingFactory : public ann::VectorIndexFactory {
+ public:
+  std::unique_ptr<ann::VectorIndex> Create(size_t dim,
+                                           ann::Metric metric) const override {
+    ++creations;
+    return std::make_unique<ann::BruteForceIndex>(dim, metric);
+  }
+  mutable size_t creations = 0;
+};
+
+TEST(TwoTableMergerTest, HybridScansBelowTheRuleAndBuildsIndexesAbove) {
+  // hnsw_m 2 and ef_construction 1 price an index build at
+  // kHybridScanFactor * 2 = 8 distances per row: an n x n merge scans iff
+  // n * n <= 8 * 2n, that is n <= 16.
+  MultiEmConfig config;
+  config.m = 0.1f;
+  config.hnsw_m = 2;
+  config.hnsw_ef_construction = 1;
+  ASSERT_EQ(config.index_name, "hybrid");
+  ASSERT_EQ(MutualOptionsFromConfig(config).exact_scan_budget,
+            kHybridScanFactor * 2.0);
+  for (size_t n : {16u, 17u}) {
+    EntityEmbeddingStore store = PairedStore(n, 32);
+    MergeTable a = MergeTable::FromSource(0, store.source(0));
+    MergeTable b = MergeTable::FromSource(1, store.source(1));
+    CountingFactory factory;
+    MergeNodeStats stats;
+    TwoTableMerger(config, &store, factory).Merge(a, b, nullptr, &stats);
+    EXPECT_EQ(factory.creations, n <= 16 ? 0u : 2u) << n << " x " << n;
+    EXPECT_EQ(stats.mutual_pairs, n) << "both routes are exact here";
+  }
+}
+
+TEST(TwoTableMergerTest, IndexNameDecidesTheRoute) {
+  MultiEmConfig config;
+  EXPECT_EQ(config.index_name, kDefaultIndexName);
+  EXPECT_GT(MutualOptionsFromConfig(config).exact_scan_budget, 0.0);
+  config.index_name = kHnswIndexName;
+  EXPECT_EQ(MutualOptionsFromConfig(config).exact_scan_budget, 0.0);
+  config.index_name = kBruteForceIndexName;
+  EXPECT_EQ(MutualOptionsFromConfig(config).exact_scan_budget,
+            ann::kAlwaysScan);
+  config.quantization = "int8";  // the scan is fp32 only
+  EXPECT_EQ(MutualOptionsFromConfig(config).exact_scan_budget, 0.0);
+  config.index_name = kHybridIndexName;
+  EXPECT_EQ(MutualOptionsFromConfig(config).exact_scan_budget, 0.0);
+  config.quantization = "none";
+  config.index_name = "a-registered-custom-index";
+  EXPECT_EQ(MutualOptionsFromConfig(config).exact_scan_budget, 0.0);
+}
+
 TEST(TwoTableMergerTest, NoMatchesCarriesEverything) {
   EntityEmbeddingStore store;
   store.AddSource(UnitAxisVectors(3, 16));
@@ -542,6 +594,9 @@ TEST(ExecuteMergePlanTest, TwoTableParallelModeFansOutInnerSearches) {
   MultiEmConfig config;
   config.m = 0.5f;
   config.num_threads = 4;
+  // The subject is the index route: under the default "hybrid" a merge this
+  // small scans exactly and never calls the factory.
+  config.index_name = "hnsw";
   ThreadRecordingFactory factory;
   util::ThreadPool pool(4);
   MergeTable integrated =

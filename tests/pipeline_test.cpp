@@ -124,6 +124,26 @@ TEST(PipelineTest, ParallelMatchesSerialTuples) {
   EXPECT_EQ(serial->ToTupleSet().tuples(), parallel->ToTupleSet().tuples());
 }
 
+// Under the default "hybrid" index the merges of a small corpus fall under
+// the cost rule and scan exactly, and the scan's pairs do not depend on the
+// thread count: the tuples are identical at 1, 2 and 4 threads.
+TEST(PipelineTest, HybridParallelTuplesMatchSerialOnPerson) {
+  auto bench = datagen::MakeDataset("person", /*scale=*/0.05);
+  ASSERT_TRUE(bench.ok()) << bench.status();
+  MultiEmConfig config = TunedConfig();
+  ASSERT_EQ(config.index_name, "hybrid");
+  std::vector<std::vector<std::vector<table::EntityId>>> per_threads;
+  for (size_t threads : {1u, 2u, 4u}) {
+    config.num_threads = threads;
+    auto result = MultiEmPipeline(config).Run(bench->tables);
+    ASSERT_TRUE(result.ok()) << result.status();
+    per_threads.push_back(result->ToTupleSet().tuples());
+  }
+  ASSERT_FALSE(per_threads[0].empty());
+  EXPECT_EQ(per_threads[0], per_threads[1]) << "2 threads";
+  EXPECT_EQ(per_threads[0], per_threads[2]) << "4 threads";
+}
+
 TEST(PipelineTest, NoEntityInTwoPredictedTuples) {
   auto bench = SmallMusic();
   MultiEmPipeline pipeline(TunedConfig());
@@ -183,6 +203,7 @@ TEST(PipelineAblationTest, RemovingModulesDegradesOrKeepsF1) {
 TEST(PipelineAblationTest, ExactKnnCloseToHnsw) {
   auto bench = SmallMusic();
   MultiEmConfig hnsw_config = TunedConfig();
+  hnsw_config.index_name = "hnsw";  // the default "hybrid" scans these merges
   MultiEmConfig exact_config = TunedConfig();
   exact_config.index_name = "brute_force";
   auto hnsw = MultiEmPipeline(hnsw_config).Run(bench.tables);

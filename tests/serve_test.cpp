@@ -646,6 +646,51 @@ TEST(ServeIngestTest, BridgingIngestTombstonesAbsorbedItem) {
   EXPECT_EQ(*replay_matches, *matches);
 }
 
+// Under the default "hybrid" index, AddTable scans its merge exactly (a few
+// live items against a few new rows is far below the cost rule), and a
+// reloaded session, whose index factory comes from the saved index_name,
+// chooses exactly as the session that saved it.
+TEST(ServeIngestTest, HybridAddTableOnReloadedSessionEqualsInMemory) {
+  const MultiEmConfig config = ServingConfig();
+  ASSERT_EQ(config.index_name, "hybrid");
+  auto pipeline = PipelineBuilder(config).Build();
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+  RunContext ctx;
+  ctx.build_matcher = true;
+  PipelineResult result;
+  ASSERT_TRUE(pipeline->Run(BaseTables(), ctx, &result).ok());
+  Matcher& live = *result.matcher;
+  const std::string dir = TempPath("hybrid_reload");
+  ASSERT_TRUE(live.Save(dir).ok());
+  auto reloaded = MultiEmPipeline::LoadArtifact(dir);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  EXPECT_EQ(reloaded->config().index_name, "hybrid");
+
+  const Table queries = QueryTable();
+  MatchOptions options;
+  options.k = 2;
+  const size_t items_before = live.snapshot().num_items();
+  size_t rows_added = 0;
+  for (const Table& t : IngestTables()) {
+    rows_added += t.num_rows();
+    ASSERT_TRUE(live.AddTable(t).ok());
+    ASSERT_TRUE(reloaded->AddTable(t).ok());
+    const Matcher::Snapshot a = live.snapshot();
+    const Matcher::Snapshot b = reloaded->snapshot();
+    ASSERT_EQ(a.num_items(), b.num_items()) << "after " << t.name();
+    EXPECT_EQ(a.num_tombstones(), b.num_tombstones()) << "after " << t.name();
+    for (size_t i = 0; i < a.num_items(); ++i) {
+      EXPECT_EQ(a.item_members(i), b.item_members(i)) << "item " << i;
+    }
+    const EpochAnswers want = AnswersOf(a, queries, options);
+    const EpochAnswers got = AnswersOf(b, queries, options);
+    EXPECT_EQ(got.matches, want.matches) << "after " << t.name();
+    EXPECT_EQ(got.members, want.members) << "after " << t.name();
+  }
+  EXPECT_LT(live.snapshot().num_items(), items_before + rows_added)
+      << "no ingested row merged into an existing item";
+}
+
 TEST(ServeIngestTest, EpochCountsAndSourceNamesAdvance) {
   Matcher matcher = LoadSession();
   EXPECT_EQ(matcher.epoch(), 0u);

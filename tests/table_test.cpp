@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <string>
+#include <thread>
 
 #include "table/csv.h"
 #include "table/entity_id.h"
 #include "table/schema.h"
 #include "table/table.h"
+#include "util/rng.h"
 
 namespace multiem::table {
 namespace {
@@ -214,6 +220,10 @@ TEST(CsvTest, ParseRejectsRaggedRows) {
 
 TEST(CsvTest, ParseRejectsUnterminatedQuote) {
   EXPECT_FALSE(ParseCsv("a\n\"oops\n").ok());
+  // The unterminated quote wins over the ragged record before it.
+  auto ragged_first = ParseCsv("a,b\n1\n\"oops\n");
+  ASSERT_FALSE(ragged_first.ok());
+  EXPECT_EQ(ragged_first.status().message(), "CSV: unterminated quoted field");
 }
 
 TEST(CsvTest, ParseNoHeader) {
@@ -287,6 +297,175 @@ TEST(CsvTest, FileRoundTrip) {
 TEST(CsvTest, ReadMissingFileIsNotFound) {
   EXPECT_EQ(ReadCsvFile("/nonexistent/path.csv").status().code(),
             util::StatusCode::kNotFound);
+}
+
+TEST(CsvTest, ReadDirectoryIsInvalidArgumentNamingThePath) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "multiem_csv_dir_test";
+  std::filesystem::create_directories(dir);
+  auto read = ReadCsvFile(dir.string());
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(read.status().message().find(dir.string()), std::string::npos)
+      << read.status();
+  std::filesystem::remove(dir);
+}
+
+TEST(CsvTest, ReadsANonRegularFileToEof) {
+  // A FIFO fed by a writer thread: the reader cannot size it up front.
+  const std::filesystem::path fifo =
+      std::filesystem::temp_directory_path() / "multiem_csv_fifo_test";
+  std::filesystem::remove(fifo);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::string text = "a,b\n";
+  for (int r = 0; r < 20000; ++r) text += "x" + std::to_string(r) + ",y\n";
+  std::thread writer([&] {
+    std::ofstream out(fifo, std::ios::binary);
+    out << text;
+  });
+  auto read = ReadCsvFile(fifo.string());
+  writer.join();
+  std::filesystem::remove(fifo);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read->num_rows(), 20000u);
+  EXPECT_EQ(read->cell(19999, 0), "x19999");
+}
+
+// The tokenizer ReadCsvFile used before its one-pass rewrite, kept as the
+// reference: a char-by-char state machine into a vector of records, then
+// the header and width checks over the finished vector.
+util::Result<Table> ReferenceParseCsv(std::string_view text,
+                                      const CsvOptions& options) {
+  constexpr std::string_view kUtf8Bom = "\xEF\xBB\xBF";
+  if (text.starts_with(kUtf8Bom)) text.remove_prefix(kUtf8Bom.size());
+  const char delim = options.delimiter;
+  std::vector<std::vector<std::string>> records;
+  std::vector<std::string> current_record;
+  std::string field;
+  bool in_quotes = false;
+  bool field_started = false;
+  size_t i = 0;
+  auto end_field = [&] {
+    current_record.push_back(std::move(field));
+    field.clear();
+    field_started = false;
+  };
+  auto end_record = [&] {
+    end_field();
+    records.push_back(std::move(current_record));
+    current_record.clear();
+  };
+  while (i < text.size()) {
+    char c = text[i];
+    if (in_quotes) {
+      if (c == '"') {
+        if (i + 1 < text.size() && text[i + 1] == '"') {
+          field += '"';
+          i += 2;
+        } else {
+          in_quotes = false;
+          ++i;
+        }
+      } else {
+        field += c;
+        ++i;
+      }
+      continue;
+    }
+    if (c == '"' && !field_started) {
+      in_quotes = true;
+      field_started = true;
+      ++i;
+    } else if (c == delim) {
+      end_field();
+      ++i;
+    } else if (c == '\r') {
+      ++i;
+    } else if (c == '\n') {
+      end_record();
+      ++i;
+    } else {
+      field += c;
+      field_started = true;
+      ++i;
+    }
+  }
+  if (in_quotes) {
+    return util::Status::InvalidArgument("CSV: unterminated quoted field");
+  }
+  if (!field.empty() || !current_record.empty() || field_started) {
+    end_record();
+  }
+  if (records.empty()) {
+    return util::Status::InvalidArgument("CSV: empty input");
+  }
+  size_t first_data_row = 0;
+  Schema schema;
+  if (options.has_header) {
+    schema = Schema(records[0]);
+    first_data_row = 1;
+  } else {
+    std::vector<std::string> names;
+    for (size_t c = 0; c < records[0].size(); ++c) {
+      names.push_back("col" + std::to_string(c));
+    }
+    schema = Schema(std::move(names));
+  }
+  Table out("csv", schema);
+  for (size_t r = first_data_row; r < records.size(); ++r) {
+    if (records[r].size() != schema.num_attributes()) {
+      return util::Status::InvalidArgument(
+          "CSV: record " + std::to_string(r) + " has " +
+          std::to_string(records[r].size()) + " fields, expected " +
+          std::to_string(schema.num_attributes()));
+    }
+    MULTIEM_RETURN_IF_ERROR(out.AppendRow(records[r]));
+  }
+  return out;
+}
+
+TEST(CsvTest, OnePassParserMatchesReferenceOnRandomInputs) {
+  // Short strings over the bytes every branch of the tokenizer looks at,
+  // plus the BOM's bytes, for both delimiters and both header modes.
+  const std::string alphabet = "ab,;\"\r\n \xEF\xBB\xBF";
+  util::Rng rng(2024);
+  size_t cases = 0;
+  size_t accepted = 0;
+  for (int iter = 0; iter < 30000; ++iter) {
+    std::string text;
+    const size_t length = rng.NextBounded(14);
+    if (rng.NextBounded(8) == 0) text = "\xEF\xBB\xBF";
+    for (size_t c = 0; c < length; ++c) {
+      text += alphabet[rng.NextBounded(alphabet.size())];
+    }
+    for (char delim : {',', ';'}) {
+      for (bool has_header : {true, false}) {
+        CsvOptions options;
+        options.delimiter = delim;
+        options.has_header = has_header;
+        auto got = ParseCsv(text, options);
+        auto want = ReferenceParseCsv(text, options);
+        ++cases;
+        ASSERT_EQ(got.ok(), want.ok()) << "input: " << testing::PrintToString(text);
+        if (!want.ok()) {
+          ASSERT_EQ(got.status().code(), want.status().code());
+          ASSERT_EQ(got.status().message(), want.status().message())
+              << "input: " << testing::PrintToString(text);
+          continue;
+        }
+        ++accepted;
+        ASSERT_EQ(got->schema(), want->schema())
+            << "input: " << testing::PrintToString(text);
+        ASSERT_EQ(got->num_rows(), want->num_rows());
+        for (size_t r = 0; r < want->num_rows(); ++r) {
+          ASSERT_EQ(got->row(r), want->row(r))
+              << "input: " << testing::PrintToString(text);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 120000u);
+  EXPECT_GT(accepted, cases / 10) << "too few inputs parse to say much";
 }
 
 }  // namespace
