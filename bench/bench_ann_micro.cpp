@@ -31,13 +31,14 @@
 //
 // A third section calibrates the per-merge route choice of the default
 // "hybrid" index (core::MutualOptionsFromConfig): square merges of n x n
-// rows, n from --calibrate, at 64-d with lean HNSW knobs (8 / 40, ef_search
-// 32) and at 384-d with the default knobs (16 / 100, ef_search 48). Each
-// shape times ann::MutualTopK through the exact scan and through two HNSW
-// builds, at every --threads count, and records which route the rule picks
-// and the rule's ratio n_l * n_r / ((n_l + n_r) * ef_construction * m),
-// which it compares with kHybridScanFactor. Half of the right rows are
-// perturbed copies of left rows, as in a merge of overlapping sources.
+// rows, n in kCalibrationSizes, at 64-d with lean HNSW knobs (8 / 40,
+// ef_search 32) and at 384-d with the default knobs (16 / 100, ef_search
+// 48). Each shape times ann::MutualTopK through the exact scan and through
+// two HNSW builds, at every --threads count, and records which route the
+// rule picks and the rule's ratio n_l * n_r / ((n_l + n_r) *
+// ef_construction * m), which it compares with kHybridScanFactor. Half of
+// the right rows are perturbed copies of left rows, as in a merge of
+// overlapping sources.
 // CI prints the "calibration" JSON keys and gates nothing on them.
 //
 // The corpus is clustered — duplicate groups of `cluster_size` perturbed
@@ -60,8 +61,6 @@
 //        --quant_n=N        corpus size for the quantization section
 //                           (default: --n; CI uses 300000, see above)
 //        --rerank_factor=4  fp32 rerank width multiplier for quantized runs
-//        --calibrate=500,1000,2000,4000,8000,12000  merge sizes n of the
-//                           route calibration ("none" disables)
 //        --json=PATH      output JSON path ("-" disables)
 
 #include <algorithm>
@@ -208,6 +207,9 @@ struct AnnRun {
   double reload_first_query_ms = 0.0;
 };
 
+// The merge sizes n of the route calibration's n x n shapes.
+constexpr size_t kCalibrationSizes[] = {500, 1000, 2000, 4000, 8000, 12000};
+
 // One timed merge shape of the route calibration.
 struct CalibrationRun {
   size_t dim = 0;
@@ -240,7 +242,7 @@ double TimeMutualTopK(const embed::EmbeddingMatrix& left,
 
 // The route calibration of the "hybrid" index (see the file comment).
 std::vector<CalibrationRun> RunCalibration(
-    const std::vector<size_t>& sizes, const std::vector<size_t>& thread_counts) {
+    const std::vector<size_t>& thread_counts) {
   struct Knobs {
     size_t dim, m, ef_construction, ef_search;
   };
@@ -267,7 +269,7 @@ std::vector<CalibrationRun> RunCalibration(
     exact.exact_scan_budget = ann::kAlwaysScan;
     ann::MutualTopKOptions indexed = rule;
     indexed.exact_scan_budget = 0.0;
-    for (size_t n : sizes) {
+    for (size_t n : kCalibrationSizes) {
       util::Rng rng(n * 31 + knobs.dim);
       embed::EmbeddingMatrix left(n, knobs.dim);
       embed::EmbeddingMatrix right(n, knobs.dim);
@@ -585,24 +587,8 @@ int Main(int argc, char** argv) {
     }
   }
 
-  std::vector<size_t> calibration_sizes;
-  for (const std::string& raw :
-       util::Split(flags.Get("calibrate", "500,1000,2000,4000,8000,12000"),
-                   ',')) {
-    const std::string t(util::Trim(raw));
-    if (t.empty() || t == "none") continue;
-    if (t.find_first_not_of("0123456789") != std::string::npos ||
-        t.size() > 6 || std::stoul(t) == 0) {
-      std::fprintf(stderr,
-                   "[ann] bad --calibrate entry \"%s\" (want sizes >= 1, "
-                   "or none)\n",
-                   t.c_str());
-      return 1;
-    }
-    calibration_sizes.push_back(std::stoul(t));
-  }
   const std::vector<CalibrationRun> calibration =
-      RunCalibration(calibration_sizes, thread_counts);
+      RunCalibration(thread_counts);
 
   if (json_path != "-" && !json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -653,28 +639,26 @@ int Main(int argc, char** argv) {
       }
       std::fprintf(f, "    ]\n  }");
     }
-    if (!calibration.empty()) {
+    std::fprintf(f,
+                 ",\n  \"calibration\": {\n    \"scan_factor\": %.1f,\n"
+                 "    \"k\": 1,\n    \"max_distance\": 0.5,\n"
+                 "    \"runs\": [\n",
+                 core::kHybridScanFactor);
+    for (size_t i = 0; i < calibration.size(); ++i) {
+      const CalibrationRun& r = calibration[i];
       std::fprintf(f,
-                   ",\n  \"calibration\": {\n    \"scan_factor\": %.1f,\n"
-                   "    \"k\": 1,\n    \"max_distance\": 0.5,\n"
-                   "    \"runs\": [\n",
-                   core::kHybridScanFactor);
-      for (size_t i = 0; i < calibration.size(); ++i) {
-        const CalibrationRun& r = calibration[i];
-        std::fprintf(f,
-                     "      {\"dim\": %zu, \"hnsw_m\": %zu, "
-                     "\"ef_construction\": %zu, \"n\": %zu, "
-                     "\"num_threads\": %zu, \"rule\": \"%s\", "
-                     "\"rule_ratio\": %.3f, \"exact_seconds\": %.6f, "
-                     "\"hnsw_seconds\": %.6f, \"exact_pairs\": %zu, "
-                     "\"hnsw_pairs\": %zu}%s\n",
-                     r.dim, r.hnsw_m, r.ef_construction, r.n, r.num_threads,
-                     r.rule_scans ? "exact" : "hnsw", r.rule_ratio,
-                     r.exact_seconds, r.hnsw_seconds, r.exact_pairs,
-                     r.hnsw_pairs, i + 1 < calibration.size() ? "," : "");
-      }
-      std::fprintf(f, "    ]\n  }");
+                   "      {\"dim\": %zu, \"hnsw_m\": %zu, "
+                   "\"ef_construction\": %zu, \"n\": %zu, "
+                   "\"num_threads\": %zu, \"rule\": \"%s\", "
+                   "\"rule_ratio\": %.3f, \"exact_seconds\": %.6f, "
+                   "\"hnsw_seconds\": %.6f, \"exact_pairs\": %zu, "
+                   "\"hnsw_pairs\": %zu}%s\n",
+                   r.dim, r.hnsw_m, r.ef_construction, r.n, r.num_threads,
+                   r.rule_scans ? "exact" : "hnsw", r.rule_ratio,
+                   r.exact_seconds, r.hnsw_seconds, r.exact_pairs,
+                   r.hnsw_pairs, i + 1 < calibration.size() ? "," : "");
     }
+    std::fprintf(f, "    ]\n  }");
     std::fprintf(f, "\n}\n");
     std::fclose(f);
     std::printf("JSON written to %s\n", json_path.c_str());
