@@ -544,11 +544,6 @@ std::vector<Neighbor> HnswIndex::Search(std::span<const float> query,
   return SearchWithStats(query, k, /*ef=*/0, /*stats=*/nullptr);
 }
 
-std::vector<Neighbor> HnswIndex::SearchEf(std::span<const float> query,
-                                          size_t k, size_t ef) const {
-  return SearchWithStats(query, k, ef, /*stats=*/nullptr);
-}
-
 std::vector<Neighbor> HnswIndex::SearchWithStats(std::span<const float> query,
                                                  size_t k, size_t ef,
                                                  SearchStats* stats) const {

@@ -101,10 +101,6 @@ class HnswIndex : public VectorIndex {
   std::vector<Neighbor> Search(std::span<const float> query,
                                size_t k) const override;
 
-  /// Search with an explicit beam width (ef >= k recommended).
-  std::vector<Neighbor> SearchEf(std::span<const float> query, size_t k,
-                                 size_t ef) const;
-
   /// Instrumented search: `ef` = 0 uses config().ef_search (always raised to
   /// k); `stats` (optional) receives how many nodes this query expanded and
   /// how many distances it computed. The counters cost two increments per

@@ -126,13 +126,18 @@ util::Status PipelineArtifact::Save(const Matcher& matcher,
 
   // Format v2: the slot->item map of an incrementally grown index, so a
   // reloaded session filters retired slots exactly like the original. The
-  // section is written only when the map is non-trivial — identity-mapped
-  // sessions (fresh Assemble, or AddTable epochs that never merged) stay
-  // byte-compatible with what they would have produced before, and resaving
-  // a loaded artifact reproduces the section verbatim.
-  if (!state->slot_to_item.empty()) {
-    std::vector<uint64_t> slots(state->slot_to_item.begin(),
-                                state->slot_to_item.end());
+  // section is written only when the map is not the identity over the
+  // items — identity-mapped sessions (fresh Assemble, compactions without
+  // tombstones, AddTable epochs that never merged) stay byte-compatible
+  // with what they would have produced before, and load back as the
+  // identity.
+  const std::vector<uint32_t>& slot_to_item = state->slot_to_item;
+  bool identity = slot_to_item.size() == state->entities.num_items();
+  for (size_t slot = 0; identity && slot < slot_to_item.size(); ++slot) {
+    identity = slot_to_item[slot] == slot;
+  }
+  if (!identity) {
+    std::vector<uint64_t> slots(slot_to_item.begin(), slot_to_item.end());
     manifest.AddSection("slots").WriteU64Array(slots);
   }
 
@@ -267,8 +272,8 @@ util::Result<Matcher> PipelineArtifact::Load(
   }
 
   // Optional since v2: the slot->item map of an incrementally grown serving
-  // index. Absent (every v1 artifact, and v2 identity-mapped sessions) means
-  // slot i holds item i's vector.
+  // index. Absent (every v1 artifact, and identity-mapped sessions) means
+  // slot i holds item i's vector; Matcher::Assemble reads an empty map so.
   std::vector<uint32_t> slot_to_item;
   if (manifest->HasSection("slots")) {
     auto section = manifest->Section("slots");

@@ -1,6 +1,7 @@
 #include "core/matcher.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "ann/mutual_topk.h"
@@ -11,6 +12,60 @@
 #include "util/timer.h"
 
 namespace multiem::core {
+namespace {
+
+// The live (untombstoned) items of an entity table, in item order: their
+// ids and their rows.
+struct LiveItems {
+  std::vector<uint32_t> ids;
+  embed::EmbeddingMatrix rows;
+};
+
+LiveItems GatherLiveItems(const MergeTable& entities) {
+  LiveItems live{{}, embed::EmbeddingMatrix(0, entities.dim())};
+  live.ids.reserve(entities.num_live_items());
+  live.rows.ReserveRows(entities.num_live_items());
+  for (size_t i = 0; i < entities.num_items(); ++i) {
+    if (entities.item(i).members.empty()) continue;
+    live.ids.push_back(static_cast<uint32_t>(i));
+    live.rows.AppendRow(entities.Row(i));
+  }
+  return live;
+}
+
+// A fresh serving index over the live items of `entities`, slot s holding
+// item (*slot_to_item)[s]: Assemble's build and AddTable's compaction.
+std::unique_ptr<ann::VectorIndex> BuildServingIndex(
+    const ann::VectorIndexFactory& factory, const MergeTable& entities,
+    util::ThreadPool* pool, std::vector<uint32_t>* slot_to_item) {
+  LiveItems live = GatherLiveItems(entities);
+  std::unique_ptr<ann::VectorIndex> index =
+      factory.Create(entities.dim(), ann::Metric::kCosine);
+  index->AddBatch(live.rows, pool);
+  *slot_to_item = std::move(live.ids);
+  return index;
+}
+
+util::Status CheckSchema(const std::vector<std::string>& schema_names,
+                         const table::Table& t) {
+  if (t.schema().names() != schema_names) {
+    return util::Status::InvalidArgument(
+        "table '" + t.name() +
+        "' does not carry the session schema this matcher was built on");
+  }
+  return util::Status::Ok();
+}
+
+// Serializes the selected columns of every row of `t` and encodes them.
+embed::EmbeddingMatrix EncodeTable(const embed::TextEncoder& encoder,
+                                   const AttributeSelection& selection,
+                                   const table::Table& t,
+                                   util::ThreadPool* pool) {
+  return encoder.EncodeBatch(
+      embed::SerializeTable(t, selection.selected_columns), pool);
+}
+
+}  // namespace
 
 util::Result<Matcher> Matcher::Assemble(
     MultiEmConfig config, std::vector<std::string> schema_names,
@@ -74,7 +129,14 @@ util::Result<Matcher> Matcher::Assemble(
   state->store = std::move(store);
   state->entities = std::move(entities);
 
-  if (index != nullptr) {
+  if (index == nullptr) {
+    if (!slot_to_item.empty() || state->entities.num_tombstones() > 0) {
+      return util::Status::InvalidArgument(
+          "a fresh serving index takes no slot map and no tombstones");
+    }
+    index = BuildServingIndex(*index_factory, state->entities, pool,
+                              &slot_to_item);
+  } else {
     // Artifact-load path: the persisted index is the serving index,
     // verbatim — that is what makes reloaded search results identical.
     if (index->metric() != ann::Metric::kCosine) {
@@ -89,83 +151,55 @@ util::Result<Matcher> Matcher::Assemble(
           "serving index is " + std::to_string(index->dim()) +
           "-dimensional, entity embeddings are " + std::to_string(dim));
     }
+    // An artifact without a "slots" section: slot i holds item i.
     if (slot_to_item.empty()) {
-      if (state->entities.num_tombstones() > 0) {
-        return util::Status::InvalidArgument(
-            "entity table carries " +
-            std::to_string(state->entities.num_tombstones()) +
-            " tombstones but no slot map says which index slots are live");
-      }
-      if (index->size() != num_items) {
-        return util::Status::InvalidArgument(
-            "serving index holds " + std::to_string(index->size()) +
-            " vectors, entity table has " + std::to_string(num_items) +
-            " items");
-      }
-    } else {
-      // Incrementally grown index: the slot map must be a bijection between
-      // live slots and items — every item findable through exactly one
-      // slot, every other slot explicitly retired.
-      if (slot_to_item.size() > UINT32_MAX ||
-          index->size() != slot_to_item.size()) {
-        return util::Status::InvalidArgument(
-            "serving index holds " + std::to_string(index->size()) +
-            " vectors, slot map covers " +
-            std::to_string(slot_to_item.size()) + " slots");
-      }
-      std::vector<uint32_t> item_to_slot(num_items, kDeadSlot);
-      size_t dead = 0;
-      for (size_t slot = 0; slot < slot_to_item.size(); ++slot) {
-        const uint32_t item = slot_to_item[slot];
-        if (item == kDeadSlot) {
-          ++dead;
-          continue;
-        }
-        if (item >= num_items) {
-          return util::Status::InvalidArgument(
-              "slot map references item " + std::to_string(item) + " of a " +
-              std::to_string(num_items) + "-item entity table");
-        }
-        if (item_to_slot[item] != kDeadSlot) {
-          return util::Status::InvalidArgument(
-              "slot map holds item " + std::to_string(item) + " twice");
-        }
-        item_to_slot[item] = static_cast<uint32_t>(slot);
-      }
-      // Tombstoned items (empty members) are the one exception: they are
-      // retired table entries and must NOT be findable through any slot.
-      for (size_t i = 0; i < num_items; ++i) {
-        const bool tombstone = state->entities.item(i).members.empty();
-        if (!tombstone && item_to_slot[i] == kDeadSlot) {
-          return util::Status::InvalidArgument(
-              "item " + std::to_string(i) + " has no live index slot");
-        }
-        if (tombstone && item_to_slot[i] != kDeadSlot) {
-          return util::Status::InvalidArgument(
-              "tombstoned item " + std::to_string(i) + " holds live slot " +
-              std::to_string(item_to_slot[i]));
-        }
-      }
-      state->slot_to_item = std::move(slot_to_item);
-      state->item_to_slot = std::move(item_to_slot);
-      state->dead_slots = dead;
+      slot_to_item.resize(num_items);
+      std::iota(slot_to_item.begin(), slot_to_item.end(), uint32_t{0});
     }
-    state->index = std::shared_ptr<const ann::VectorIndex>(std::move(index));
-  } else {
-    if (!slot_to_item.empty()) {
-      return util::Status::InvalidArgument(
-          "a slot map is only meaningful with an explicit index");
-    }
-    if (state->entities.num_tombstones() > 0) {
-      return util::Status::InvalidArgument(
-          "building a fresh index over a table with tombstones needs an "
-          "explicit index and slot map");
-    }
-    std::unique_ptr<ann::VectorIndex> built =
-        index_factory->Create(dim, ann::Metric::kCosine);
-    built->AddBatch(state->entities.GatherEmbeddings(), pool);
-    state->index = std::move(built);
   }
+
+  // The slot map must be a bijection between live slots and live items:
+  // every item findable through exactly one slot, every other slot
+  // explicitly retired, and no tombstone findable at all.
+  if (slot_to_item.size() > UINT32_MAX ||
+      index->size() != slot_to_item.size()) {
+    return util::Status::InvalidArgument(
+        "serving index holds " + std::to_string(index->size()) +
+        " vectors, slot map covers " + std::to_string(slot_to_item.size()) +
+        " slots");
+  }
+  std::vector<uint32_t> slot_of_item(num_items, kDeadSlot);
+  for (size_t slot = 0; slot < slot_to_item.size(); ++slot) {
+    const uint32_t item = slot_to_item[slot];
+    if (item == kDeadSlot) {
+      ++state->dead_slots;
+      continue;
+    }
+    if (item >= num_items) {
+      return util::Status::InvalidArgument(
+          "slot map references item " + std::to_string(item) + " of a " +
+          std::to_string(num_items) + "-item entity table");
+    }
+    if (slot_of_item[item] != kDeadSlot) {
+      return util::Status::InvalidArgument("slot map holds item " +
+                                           std::to_string(item) + " twice");
+    }
+    slot_of_item[item] = static_cast<uint32_t>(slot);
+  }
+  for (size_t i = 0; i < num_items; ++i) {
+    const bool tombstone = state->entities.item(i).members.empty();
+    if (!tombstone && slot_of_item[i] == kDeadSlot) {
+      return util::Status::InvalidArgument(
+          "item " + std::to_string(i) + " has no live index slot");
+    }
+    if (tombstone && slot_of_item[i] != kDeadSlot) {
+      return util::Status::InvalidArgument(
+          "tombstoned item " + std::to_string(i) + " holds live slot " +
+          std::to_string(slot_of_item[i]));
+    }
+  }
+  state->slot_to_item = std::move(slot_to_item);
+  state->index = std::shared_ptr<const ann::VectorIndex>(std::move(index));
 
   Matcher matcher;
   auto fixed = std::make_shared<Fixed>();
@@ -178,22 +212,6 @@ util::Result<Matcher> Matcher::Assemble(
   matcher.shared_ = std::make_unique<Shared>();
   matcher.shared_->state.store(std::move(state), std::memory_order_release);
   return matcher;
-}
-
-util::Status Matcher::CheckSchema(const table::Table& t) const {
-  if (t.schema().names() != fixed_->schema_names) {
-    return util::Status::InvalidArgument(
-        "table '" + t.name() +
-        "' does not carry the session schema this matcher was built on");
-  }
-  return util::Status::Ok();
-}
-
-embed::EmbeddingMatrix Matcher::EncodeTable(const table::Table& t,
-                                            util::ThreadPool* pool) const {
-  const std::vector<std::string> texts =
-      embed::SerializeTable(t, fixed_->selection.selected_columns);
-  return fixed_->encoder->EncodeBatch(texts, pool);
 }
 
 Matcher::Snapshot Matcher::snapshot() const { return Snapshot(fixed_, state()); }
@@ -237,23 +255,16 @@ Matcher::Snapshot::MatchRecords(const table::Table& records, size_t k,
 util::Result<std::vector<std::vector<RecordMatch>>>
 Matcher::Snapshot::MatchRecords(const table::Table& records,
                                 const MatchOptions& options) const {
-  if (records.schema().names() != fixed_->schema_names) {
-    return util::Status::InvalidArgument(
-        "table '" + records.name() +
-        "' does not carry the session schema this matcher was built on");
-  }
+  MULTIEM_RETURN_IF_ERROR(CheckSchema(fixed_->schema_names, records));
   if (options.k == 0) {
     return util::Status::InvalidArgument("MatchRecords needs k >= 1");
   }
   util::WallTimer timer;
-  const std::vector<std::string> texts =
-      embed::SerializeTable(records, fixed_->selection.selected_columns);
-  const embed::EmbeddingMatrix queries =
-      fixed_->encoder->EncodeBatch(texts, options.pool);
+  const embed::EmbeddingMatrix queries = EncodeTable(
+      *fixed_->encoder, fixed_->selection, records, options.pool);
 
   const ServingState& s = *state_;
   const ann::VectorIndex& index = *s.index;
-  const bool mapped = !s.slot_to_item.empty();
   // Oversample by the retired-slot count so k live hits survive the filter
   // (AddTable compacts before dead slots exceed 25%, so this stays small).
   const size_t want = std::min(options.k + s.dead_slots, index.size());
@@ -272,25 +283,19 @@ Matcher::Snapshot::MatchRecords(const table::Table& records,
         out.reserve(std::min(options.k, hits.size()));
         for (const ann::Neighbor& hit : hits) {
           if (out.size() == options.k) break;
-          size_t item = hit.id;
-          if (mapped) {
-            const uint32_t live = s.slot_to_item[hit.id];
-            if (live == kDeadSlot) continue;  // retired slot: centroid moved
-            item = live;
-          }
+          const uint32_t item = s.slot_to_item[hit.id];
+          if (item == kDeadSlot) continue;  // retired slot: centroid moved
           out.push_back({item, hit.distance});
         }
         // Slot->item remapping can permute ties; restore the documented
         // (distance, item) order.
-        if (mapped) {
-          std::sort(out.begin(), out.end(),
-                    [](const RecordMatch& a, const RecordMatch& b) {
-                      if (a.distance != b.distance) {
-                        return a.distance < b.distance;
-                      }
-                      return a.item < b.item;
-                    });
-        }
+        std::sort(out.begin(), out.end(),
+                  [](const RecordMatch& a, const RecordMatch& b) {
+                    if (a.distance != b.distance) {
+                      return a.distance < b.distance;
+                    }
+                    return a.item < b.item;
+                  });
         if (collect) {
           stats[row] = {search_stats.visited, search_stats.distance_evals,
                         out.size()};
@@ -317,7 +322,7 @@ util::Status Matcher::AddTable(const table::Table& table,
 
 util::Status Matcher::AddTable(const table::Table& table,
                                const AddTableOptions& options) {
-  MULTIEM_RETURN_IF_ERROR(CheckSchema(table));
+  MULTIEM_RETURN_IF_ERROR(CheckSchema(fixed_->schema_names, table));
   if (table.num_rows() == 0) {
     return util::Status::InvalidArgument(
         "table '" + table.name() + "' is empty: nothing to merge");
@@ -340,29 +345,17 @@ util::Status Matcher::AddTable(const table::Table& table,
 
   const uint32_t source = static_cast<uint32_t>(old->source_names.size());
   const size_t dim = old->store.dim();
-  embed::EmbeddingMatrix embeddings = EncodeTable(table, options.pool);
+  embed::EmbeddingMatrix embeddings = EncodeTable(
+      *fixed_->encoder, fixed_->selection, table, options.pool);
 
   // One pairwise match (Algorithm 3 step 1) between the existing entity
   // table's *live* items and the new rows — the same mutual top-K standard
-  // a pipeline merge level applies. Tombstoned items are retired entries
+  // a pipeline merge level uses. Tombstoned items are retired entries
   // whose rows are stale; they must not attract matches.
   const size_t n_old = old->entities.num_items();
-  const bool has_tombstones = old->entities.num_tombstones() > 0;
-  std::vector<uint32_t> live_of_row;  // live-matrix row -> item id
-  embed::EmbeddingMatrix live(0, dim);
-  if (has_tombstones) {
-    live_of_row.reserve(old->entities.num_live_items());
-    live.ReserveRows(old->entities.num_live_items());
-    for (size_t i = 0; i < n_old; ++i) {
-      if (old->entities.item(i).members.empty()) continue;
-      live_of_row.push_back(static_cast<uint32_t>(i));
-      live.AppendRow(old->entities.Row(i));
-    }
-  } else {
-    live = old->entities.GatherEmbeddings();
-  }
+  const LiveItems live = GatherLiveItems(old->entities);
   const std::vector<ann::MutualPair> matched_pairs = ann::MutualTopK(
-      live, embeddings, *fixed_->index_factory,
+      live.rows, embeddings, *fixed_->index_factory,
       MutualOptionsFromConfig(fixed_->config), options.pool);
 
   auto next = std::make_shared<ServingState>();
@@ -378,9 +371,7 @@ util::Status Matcher::AddTable(const table::Table& table,
   const size_t n_new = table.num_rows();
   cluster::UnionFind uf(n_old + n_new);
   for (const ann::MutualPair& match : matched_pairs) {
-    const size_t left =
-        has_tombstones ? live_of_row[match.left] : match.left;
-    uf.Union(left, n_old + match.right);
+    uf.Union(live.ids[match.left], n_old + match.right);
   }
 
   // Update the entity table in place. Item ids are stable across epochs by
@@ -395,7 +386,8 @@ util::Status Matcher::AddTable(const table::Table& table,
   next->entities = old->entities;  // O(num_chunks) pointer copies
   std::vector<uint32_t> inserted_items;  // items the index must (re)learn
   embed::EmbeddingMatrix inserted(0, dim);  // their vectors, in order
-  std::vector<uint32_t> retired_items;  // old items whose slots retire
+  std::vector<bool> retired(n_old, false);  // old items whose slots retire
+  size_t num_retired = 0;
   std::vector<float> centroid(dim);
   for (const std::vector<size_t>& group : uf.Groups()) {
     if (group.size() == 1 && group[0] < n_old) continue;  // untouched
@@ -428,107 +420,52 @@ util::Status Matcher::AddTable(const table::Table& table,
     std::sort(item.members.begin(), item.members.end());
     item.members.erase(std::unique(item.members.begin(), item.members.end()),
                        item.members.end());
+    // Every old participant's slot retires: the absorbed items become
+    // tombstones, and the target's representation moved, so its recomputed
+    // vector is inserted under a fresh slot.
     for (size_t uf_id : group) {
-      if (uf_id < n_old && uf_id != target) {
-        next->entities.TombstoneItem(uf_id);
-        retired_items.push_back(static_cast<uint32_t>(uf_id));
-      }
+      if (uf_id >= n_old) continue;
+      retired[uf_id] = true;
+      ++num_retired;
+      if (uf_id != target) next->entities.TombstoneItem(uf_id);
     }
-    // The target item's representation moved, so its old slot retires and
-    // the recomputed vector is inserted under a fresh slot.
-    retired_items.push_back(static_cast<uint32_t>(target));
     inserted_items.push_back(static_cast<uint32_t>(target));
     next->store.Centroid(item.members, centroid);
     inserted.AppendRow(centroid);
     next->entities.ReplaceItem(target, std::move(item), centroid);
   }
-  const size_t new_items = next->entities.num_items();
 
   // Extend the serving index. Preferred path: clone the published graph
   // (readers searching it are never raced — the insert-under-readers
   // contract of index.h), insert only the new/changed vectors into the
-  // private clone, and retire the slots of absorbed items via the slot
-  // map. Compact with a full rebuild when the index kind cannot clone,
-  // retired slots would exceed 25%, or the caller forces the reference
-  // rebuild path.
-  bool incremental = !options.rebuild_index;
-  std::vector<uint32_t> slot_to_item;
-  size_t dead_slots = 0;
-  if (incremental) {
-    const size_t old_slots = old->index->size();
-    const size_t total_slots = old_slots + inserted_items.size();
-    dead_slots = old->dead_slots + retired_items.size();
-    if (total_slots > UINT32_MAX || dead_slots * 4 > total_slots) {
-      incremental = false;
-    } else if (dead_slots > 0 || !old->slot_to_item.empty()) {
-      slot_to_item.resize(total_slots, kDeadSlot);
-      if (old->slot_to_item.empty()) {
-        for (size_t i = 0; i < old_slots; ++i) {
-          slot_to_item[i] = static_cast<uint32_t>(i);
-        }
-      } else {
-        std::copy(old->slot_to_item.begin(), old->slot_to_item.end(),
-                  slot_to_item.begin());
-      }
-      for (uint32_t item : retired_items) {
-        const uint32_t slot =
-            old->slot_to_item.empty() ? item : old->item_to_slot[item];
-        slot_to_item[slot] = kDeadSlot;
-      }
-      for (size_t j = 0; j < inserted_items.size(); ++j) {
-        slot_to_item[old_slots + j] = inserted_items[j];
-      }
-    }
-    // dead_slots == 0 with an identity-mapped predecessor means nothing
-    // merged: the mapping is the identity and the maps stay empty.
-  }
+  // private clone, and retire the slots of absorbed items in the slot map.
+  // Compact with a full rebuild when retired slots would exceed 25%, the
+  // index kind cannot clone, or the caller forces the reference rebuild
+  // path.
+  const size_t total_slots = old->slot_to_item.size() + inserted_items.size();
+  const size_t dead_slots = old->dead_slots + num_retired;
   std::unique_ptr<ann::VectorIndex> clone;
-  if (incremental) {
+  if (!options.rebuild_index && total_slots <= UINT32_MAX &&
+      dead_slots * 4 <= total_slots) {
     clone = old->index->Clone();
-    if (clone == nullptr) incremental = false;  // kind without a clone path
   }
-  if (incremental) {
+  if (clone != nullptr) {
     clone->AddBatch(inserted, options.pool);
     next->index = std::move(clone);
-    if (!slot_to_item.empty()) {
-      std::vector<uint32_t> item_to_slot(new_items, kDeadSlot);
-      for (size_t slot = 0; slot < slot_to_item.size(); ++slot) {
-        if (slot_to_item[slot] != kDeadSlot) {
-          item_to_slot[slot_to_item[slot]] = static_cast<uint32_t>(slot);
-        }
-      }
-      next->slot_to_item = std::move(slot_to_item);
-      next->item_to_slot = std::move(item_to_slot);
-      next->dead_slots = dead_slots;
+    next->slot_to_item.reserve(total_slots);
+    for (uint32_t item : old->slot_to_item) {
+      next->slot_to_item.push_back(
+          item != kDeadSlot && retired[item] ? kDeadSlot : item);
     }
+    next->slot_to_item.insert(next->slot_to_item.end(),
+                              inserted_items.begin(), inserted_items.end());
+    next->dead_slots = dead_slots;
   } else {
-    // Compaction: a fresh index over the live rows only. Item ids still do
+    // Compaction: a fresh index over the live items only. Item ids still do
     // not move — tombstones keep their (slotless) table entries; only the
     // retired index slots are dropped.
-    std::unique_ptr<ann::VectorIndex> rebuilt =
-        fixed_->index_factory->Create(dim, ann::Metric::kCosine);
-    if (next->entities.num_tombstones() == 0) {
-      rebuilt->AddBatch(next->entities.GatherEmbeddings(), options.pool);
-    } else {
-      std::vector<uint32_t> live_map;
-      live_map.reserve(next->entities.num_live_items());
-      embed::EmbeddingMatrix live_rows(0, dim);
-      live_rows.ReserveRows(next->entities.num_live_items());
-      for (size_t i = 0; i < new_items; ++i) {
-        if (next->entities.item(i).members.empty()) continue;
-        live_map.push_back(static_cast<uint32_t>(i));
-        live_rows.AppendRow(next->entities.Row(i));
-      }
-      rebuilt->AddBatch(live_rows, options.pool);
-      std::vector<uint32_t> item_to_slot(new_items, kDeadSlot);
-      for (size_t slot = 0; slot < live_map.size(); ++slot) {
-        item_to_slot[live_map[slot]] = static_cast<uint32_t>(slot);
-      }
-      next->slot_to_item = std::move(live_map);
-      next->item_to_slot = std::move(item_to_slot);
-      next->dead_slots = 0;
-    }
-    next->index = std::move(rebuilt);
+    next->index = BuildServingIndex(*fixed_->index_factory, next->entities,
+                                    options.pool, &next->slot_to_item);
   }
 
   // Publish: the release store pairs with every reader's acquire load, so

@@ -185,14 +185,15 @@ class Matcher {
 
   /// Builds a session from a finished run's state. `index` may be null, in
   /// which case one is created from `index_factory` over the entity table's
-  /// embeddings (`pool`, optional, parallelizes that build); a non-null
+  /// embeddings (`pool`, optional, parallelizes that build); the table must
+  /// then carry no tombstones and `slot_to_item` must be empty. A non-null
   /// `index` (the artifact-load path) is taken as-is and must be under the
-  /// cosine metric. `slot_to_item` (optional) maps index slots to entity
-  /// items for an incrementally grown index (kDeadSlot marks retired
-  /// slots); empty means the identity mapping, in which case the index must
-  /// hold exactly one vector per item. `encoder` must be fitted;
-  /// `selection` and `schema_names` must describe the run that produced
-  /// `store`/`entities`.
+  /// cosine metric; `slot_to_item` maps its slots to entity items
+  /// (kDeadSlot marks retired slots), and an empty map, from an artifact
+  /// without a "slots" section, stands for the identity. The map must be a
+  /// bijection between live slots and untombstoned items. `encoder` must be
+  /// fitted; `selection` and `schema_names` must describe the run that
+  /// produced `store`/`entities`.
   static util::Result<Matcher> Assemble(
       MultiEmConfig config, std::vector<std::string> schema_names,
       AttributeSelection selection, std::vector<std::string> source_names,
@@ -273,15 +274,7 @@ class Matcher {
   /// canonical form — the unpruned counterpart of PipelineResult::tuples.
   /// One consistent epoch. (Header-inline like PipelineResult::ToTupleSet,
   /// so multiem_core does not itself depend on the eval library.)
-  eval::TupleSet Tuples() const {
-    std::shared_ptr<const ServingState> s = state();
-    std::vector<eval::Tuple> tuples;
-    for (size_t i = 0; i < s->entities.num_items(); ++i) {
-      const MergeItem& item = s->entities.item(i);
-      if (item.members.size() >= 2) tuples.push_back(item.members);
-    }
-    return eval::TupleSet(std::move(tuples));
-  }
+  eval::TupleSet Tuples() const;
 
   /// Source-table names in id order (EntityId::source indexes this). By
   /// value: AddTable appends to this list across epochs.
@@ -324,13 +317,11 @@ class Matcher {
     EntityEmbeddingStore store;  // cheap copy: shared_ptr source matrices
     MergeTable entities;
     std::shared_ptr<const ann::VectorIndex> index;
-    /// Index slot -> item id; empty = identity (slot i holds item i's
-    /// vector and nothing is retired). kDeadSlot entries are retired slots
-    /// whose vectors MatchRecords filters out.
+    /// Index slot -> item id, one entry per slot of `index`. kDeadSlot
+    /// entries are retired slots whose vectors MatchRecords filters out;
+    /// every untombstoned item has exactly one live slot.
     std::vector<uint32_t> slot_to_item;
-    /// Inverse map (item id -> live slot); empty when slot_to_item is.
-    std::vector<uint32_t> item_to_slot;
-    size_t dead_slots = 0;
+    size_t dead_slots = 0;  ///< kDeadSlot entries of slot_to_item
     uint64_t epoch = 0;
   };
 
@@ -349,13 +340,6 @@ class Matcher {
     MULTIEM_TSAN_RELEASE(&shared_->state);  // see the shim note at the top
     return s;
   }
-
-  /// InvalidArgument unless `t` carries exactly the session schema.
-  util::Status CheckSchema(const table::Table& t) const;
-
-  /// Serializes (selected columns) and encodes every row of `t`.
-  embed::EmbeddingMatrix EncodeTable(const table::Table& t,
-                                     util::ThreadPool* pool) const;
 
   std::shared_ptr<const Fixed> fixed_;
   std::unique_ptr<Shared> shared_;
@@ -435,6 +419,8 @@ class Matcher::Snapshot {
   std::shared_ptr<const Fixed> fixed_;
   std::shared_ptr<const ServingState> state_;
 };
+
+inline eval::TupleSet Matcher::Tuples() const { return snapshot().Tuples(); }
 
 }  // namespace multiem::core
 

@@ -343,14 +343,16 @@ util::Status PrepareSpillDir(const MergeExecOptions& options) {
 // Refolds the per-level counters from every node the stats hold. Ids out of
 // the plan's range (a foreign worker's counters) are ignored.
 void FoldLevels(const MergePlan& plan, MergeStats& stats) {
-  stats.levels.assign(plan.levels().size(), MergeLevelStats{});
+  stats.levels.assign(plan.levels().size(), MergeLevelProgress{});
   for (size_t l = 0; l < stats.levels.size(); ++l) {
+    stats.levels[l].level = l;
     stats.levels[l].tables_in = plan.levels()[l].tables_in;
+    stats.levels[l].tables_out = plan.LiveNodesAtLevel(l + 1).size();
   }
   stats.total_mutual_pairs = 0;
   for (const MergeNodeStats& n : stats.nodes) {
     if (n.node >= plan.num_nodes() || plan.node(n.node).is_leaf()) continue;
-    MergeLevelStats& level = stats.levels[plan.node(n.node).level];
+    MergeLevelProgress& level = stats.levels[plan.node(n.node).level];
     ++level.pairs_merged;
     level.mutual_pairs += n.mutual_pairs;
     level.total_attempts += n.attempts;
@@ -453,17 +455,8 @@ util::Status ExecuteMergePlan(const MergePlan& plan,
         ExecuteLevel(plan, ids, slots, merger, options, pool, state));
 
     if (ctx.observer != nullptr) {
-      MergeLevelProgress progress;
-      progress.level = l;
-      progress.tables_in = level.tables_in;
-      progress.tables_out = plan.LiveNodesAtLevel(l + 1).size();
-      progress.pairs_merged = level.pair_nodes.size();
-      for (const MergeNodeStats& n : state.stats->nodes) {
-        if (n.node < plan.num_nodes() && plan.node(n.node).level == l) {
-          progress.mutual_pairs += n.mutual_pairs;
-        }
-      }
-      ctx.observer->OnMergeLevel(progress);
+      FoldLevels(plan, *state.stats);
+      ctx.observer->OnMergeLevel(state.stats->levels[l]);
     }
   }
   FoldLevels(plan, *state.stats);

@@ -38,16 +38,6 @@ namespace multiem::core {
 
 class CheckpointLog;  // core/checkpoint.h
 
-/// Per-hierarchy-level counters.
-struct MergeLevelStats {
-  size_t tables_in = 0;
-  size_t pairs_merged = 0;      ///< table pairs processed at this level
-  size_t mutual_pairs = 0;      ///< sum of |P_m| across the level's merges
-  /// Sum of MergeNodeStats::attempts at this level; equals pairs_merged for
-  /// a first-try run, and exceeds it when distributed workers were retried.
-  size_t total_attempts = 0;
-};
-
 /// One node of a merge plan: a leaf (input table) or the pairwise merge of
 /// two earlier nodes. Node ids order topologically: children always have
 /// smaller ids than their parent, and within a level ids follow pair order.
@@ -104,9 +94,10 @@ class MergePlan {
 /// that pre-seeds `nodes` (the coordinator, with its workers' counters) gets
 /// the per-level shape of the whole plan.
 struct MergeStats {
-  /// One entry per plan level; a level counts only the nodes in `nodes`,
-  /// so a fully executed plan gives the complete per-level counters.
-  std::vector<MergeLevelStats> levels;
+  /// One entry per plan level — the record PipelineObserver::OnMergeLevel
+  /// receives; a level counts only the nodes in `nodes`, so a fully
+  /// executed plan gives the complete per-level counters.
+  std::vector<MergeLevelProgress> levels;
   size_t total_mutual_pairs = 0;
   /// Every pair node executed (or restored from a checkpoint), in
   /// completion order — deterministic only for sequential runs.

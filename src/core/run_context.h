@@ -38,13 +38,18 @@ class CancellationToken {
   std::atomic<bool> cancelled_{false};
 };
 
-/// Progress of one hierarchy level of the merging phase (Algorithm 2).
+/// Counters of one hierarchy level of the merging phase (Algorithm 2):
+/// what OnMergeLevel reports as a level completes, and one entry of
+/// MergeStats::levels.
 struct MergeLevelProgress {
-  size_t level = 0;             ///< 0-based hierarchy level just completed
+  size_t level = 0;             ///< 0-based hierarchy level
   size_t tables_in = 0;         ///< merge tables entering the level
   size_t tables_out = 0;        ///< merge tables remaining after the level
   size_t pairs_merged = 0;      ///< table pairs processed at the level
   size_t mutual_pairs = 0;      ///< sum of |P_m| across the level's merges
+  /// Sum of MergeNodeStats::attempts at this level; equals pairs_merged for
+  /// a first-try run, and exceeds it when distributed workers were retried.
+  size_t total_attempts = 0;
 };
 
 /// Receives progress events from a pipeline run. All callbacks fire on the

@@ -14,6 +14,7 @@
 #include "core/two_table_merger.h"
 #include "distrib/shard_worker.h"
 #include "util/fault.h"
+#include "util/io.h"
 #include "util/logging.h"
 #include "util/retry.h"
 #include "util/subprocess.h"
@@ -27,6 +28,13 @@ namespace {
 /// non-POSIX util::Subprocess fallback (where every call returns
 /// Unimplemented long before a signal is sent).
 constexpr int kSigKill = 9;
+
+/// How shard manifests are opened. mmap-preferred: the base matrices then
+/// serve zero-copy from the page cache across the coordinator and any other
+/// process holding the same shard.
+constexpr util::ArtifactOpenOptions kShardOpen = {
+    .mapping = util::ArtifactOpenOptions::Mapping::kPrefer,
+    .verify = util::ArtifactOpenOptions::Verify::kFull};
 
 std::string DescribeExit(const util::ExitStatus& ws) {
   if (ws.signaled) {
@@ -199,12 +207,10 @@ util::Result<DistributedBuildResult> Coordinator::Build(
   // forking must stay single-threaded.
   std::vector<ShardArtifact> shards(workers);
   std::vector<bool> have_shard(workers, false);
-  util::ArtifactOpenOptions serial_open = options_.shard_open;
-  serial_open.verify_pool = nullptr;
   for (size_t w = 0; w < workers; ++w) {
     if (!reuse_candidate[w]) continue;
     util::Status usable;
-    auto shard = OpenShardArtifact(shard_dirs[w], serial_open);
+    auto shard = OpenShardArtifact(shard_dirs[w], kShardOpen);
     if (shard.ok()) {
       usable = check_shard(w, *shard);
     } else {
@@ -233,11 +239,9 @@ util::Result<DistributedBuildResult> Coordinator::Build(
   // through here, and the Subprocess destructors SIGKILL and reap whatever
   // is still running — no zombies, no hangs.
   MULTIEM_FAULT_POINT("coordinator.reap");
-  util::RetryPolicy base_policy = options_.worker_retry;
-  base_policy.max_attempts = options_.max_retries + 1;
   for (size_t w = 0; w < workers; ++w) {
     if (!procs[w].has_value()) continue;  // reused shard, nothing to reap
-    util::RetryPolicy policy = base_policy;
+    util::RetryPolicy policy = options_.worker_retry;
     policy.jitter_seed ^= static_cast<uint64_t>(w);
     util::Status last_failure;
     size_t made = 1;
@@ -307,8 +311,8 @@ util::Result<DistributedBuildResult> Coordinator::Build(
   if (config_.num_threads != 1) {
     pool = std::make_unique<util::ThreadPool>(config_.num_threads);
   }
-  util::ArtifactOpenOptions open = options_.shard_open;
-  if (open.verify_pool == nullptr) open.verify_pool = pool.get();
+  util::ArtifactOpenOptions open = kShardOpen;
+  open.verify_pool = pool.get();
 
   // 4. Open the freshly built shards and cross-check that every worker
   // reached the same deterministic decisions this process did (reused
@@ -373,7 +377,7 @@ util::Result<DistributedBuildResult> Coordinator::Build(
       } else {
         slots[root] = core::MergeSource::FromSpill(
             shard_dirs[w] + "/" + core::SpillFileName(root),
-            options_.shard_open, /*owns_file=*/false);
+            kShardOpen, /*owns_file=*/false);
       }
     }
   }

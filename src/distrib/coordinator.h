@@ -23,8 +23,9 @@
 ///      shard is deleted and its worker forked after all;
 ///   3. reap each worker with a timeout; a worker that died, hung, or left
 ///      no complete shard artifact is SIGKILLed, reaped, and retried up to
-///      `max_retries` times under `worker_retry`'s deterministic backoff —
-///      failures degrade to a clean Status, never a zombie or a hang;
+///      `worker_retry.max_attempts` attempts in all under its deterministic
+///      backoff — failures degrade to a clean Status, never a zombie or a
+///      hang;
 ///   4. open the shard artifacts (mmap-preferred), assemble the global
 ///      embedding store from their base matrices, seed the plan slots with
 ///      handles (resident for frontier leaves, spill handles for worker
@@ -49,7 +50,6 @@
 #include "core/config.h"
 #include "core/pipeline.h"
 #include "table/table.h"
-#include "util/io.h"
 #include "util/retry.h"
 #include "util/status.h"
 
@@ -69,13 +69,12 @@ struct CoordinatorOptions {
   /// Per-worker reap deadline. A worker still running when it expires is
   /// SIGKILLed and counts as a failed attempt. < 0 waits forever.
   int64_t worker_timeout_ms = 10 * 60 * 1000;
-  /// Re-forks granted per worker after a crash/timeout/incomplete shard.
-  size_t max_retries = 1;
-  /// Backoff between a worker's failed attempt and its re-fork
-  /// (util/retry.h). `max_attempts` is ignored — `max_retries` above is the
-  /// attempt budget; the seed is mixed with the worker index so retry
-  /// timing is deterministic per worker yet decorrelated across workers.
-  util::RetryPolicy worker_retry = {.max_attempts = 1,
+  /// Attempts per worker (`max_attempts`: the first fork plus one re-fork
+  /// after a crash, timeout or incomplete shard by default) and the backoff
+  /// between them (util/retry.h). The seed is mixed with the worker index,
+  /// so retry timing is deterministic per worker yet decorrelated across
+  /// workers.
+  util::RetryPolicy worker_retry = {.max_attempts = 2,
                                     .initial_backoff_ms = 50,
                                     .max_backoff_ms = 1000,
                                     .multiplier = 2.0,
@@ -92,12 +91,6 @@ struct CoordinatorOptions {
   /// Assemble a serving Matcher over the integrated table (like
   /// RunContext::build_matcher).
   bool build_matcher = false;
-  /// How shard manifests are opened. mmap-preferred: the base matrices then
-  /// serve zero-copy from the page cache across coordinator and any other
-  /// process holding the same shard.
-  util::ArtifactOpenOptions shard_open = {
-      .mapping = util::ArtifactOpenOptions::Mapping::kPrefer,
-      .verify = util::ArtifactOpenOptions::Verify::kFull};
 
   // --- Fault injection (tests/CI only) ---
   /// SIGKILL this worker right after its first fork (retry must recover).

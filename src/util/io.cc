@@ -319,10 +319,6 @@ void WriteArrayImpl(ByteWriter& out, std::span<const T> values,
   }
 }
 
-void ByteWriter::WriteU8Array(std::span<const uint8_t> values) {
-  WriteArrayImpl(*this, values, [&](uint8_t v) { WriteU8(v); });
-}
-
 void ByteWriter::WriteI8Array(std::span<const int8_t> values) {
   WriteArrayImpl(*this, values,
                  [&](int8_t v) { WriteU8(static_cast<uint8_t>(v)); });

@@ -134,7 +134,6 @@ class ByteWriter {
   void WriteBytes(const void* data, size_t size);
 
   /// Typed bulk arrays: u64 element count + the elements.
-  void WriteU8Array(std::span<const uint8_t> values);
   void WriteI8Array(std::span<const int8_t> values);
   void WriteU16Array(std::span<const uint16_t> values);
   void WriteU32Array(std::span<const uint32_t> values);
@@ -186,9 +185,6 @@ class ByteReader {
   /// Typed bulk arrays (the ByteWriter Write*Array counterparts). The
   /// element count is validated against the remaining bytes before any
   /// allocation, so a corrupted count cannot trigger an overlarge reserve.
-  Status ReadU8Array(std::vector<uint8_t>* out) { return ReadArrayInto(out); }
-  Status ReadI8Array(std::vector<int8_t>* out) { return ReadArrayInto(out); }
-  Status ReadU16Array(std::vector<uint16_t>* out) { return ReadArrayInto(out); }
   Status ReadU32Array(std::vector<uint32_t>* out) { return ReadArrayInto(out); }
   Status ReadU64Array(std::vector<uint64_t>* out) { return ReadArrayInto(out); }
   Status ReadI32Array(std::vector<int32_t>* out) { return ReadArrayInto(out); }

@@ -221,7 +221,8 @@ TEST(HnswTest, SearchEfImprovesRecall) {
       auto truth_hits = exact.Search(queries.Row(q), 10);
       std::unordered_set<size_t> truth;
       for (const auto& h : truth_hits) truth.insert(h.id);
-      for (const auto& h : hnsw.SearchEf(queries.Row(q), 10, ef)) {
+      for (const auto& h :
+           hnsw.SearchWithStats(queries.Row(q), 10, ef, nullptr)) {
         found += truth.count(h.id);
       }
     }
@@ -251,7 +252,8 @@ TEST(HnswTest, InterleavedAddSearchNeverSkipsExactMatch) {
     // Search with a beam wide enough to reach the whole layer-0 graph: the
     // only way to miss a stored vector now is a false "visited" mark.
     for (size_t i = 0; i < index.size(); i += 7) {
-      auto hits = index.SearchEf(data.Row(i), 1, index.size());
+      auto hits =
+          index.SearchWithStats(data.Row(i), 1, index.size(), nullptr);
       ASSERT_FALSE(hits.empty());
       EXPECT_EQ(hits[0].id, i);
       EXPECT_NEAR(hits[0].distance, 0.0f, 1e-6);
@@ -273,7 +275,8 @@ TEST(HnswTest, InterleavedAddSearchMatchesExactTopOne) {
     exact.Add(data.Row(i));
     if (i % 80 != 79) continue;
     for (size_t q = 0; q < queries.num_rows(); ++q) {
-      auto approx = hnsw.SearchEf(queries.Row(q), 1, hnsw.size());
+      auto approx =
+          hnsw.SearchWithStats(queries.Row(q), 1, hnsw.size(), nullptr);
       auto truth = exact.Search(queries.Row(q), 1);
       ASSERT_EQ(approx.size(), 1u);
       ASSERT_EQ(truth.size(), 1u);
@@ -366,7 +369,8 @@ TEST(HnswParallelTest, InterleavedParallelBatchesNeverSkipExactMatch) {
     index.AddBatch(batch, &pool);
     ASSERT_EQ(index.size(), (round + 1) * kPerRound);
     for (size_t i = 0; i < index.size(); i += 13) {
-      auto hits = index.SearchEf(data.Row(i), 1, index.size());
+      auto hits =
+          index.SearchWithStats(data.Row(i), 1, index.size(), nullptr);
       ASSERT_FALSE(hits.empty());
       EXPECT_EQ(hits[0].id, i);
       EXPECT_NEAR(hits[0].distance, 0.0f, 1e-6);

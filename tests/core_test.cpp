@@ -710,7 +710,7 @@ TEST(ExecuteMergePlanTest, TargetsSplitThePlan) {
   ASSERT_TRUE(ExecuteMergePlan(plan, slots, merger, {}, nullptr, &stats).ok());
   EXPECT_EQ(stats.nodes.size(), 5u);  // 6 leaves need 5 merges in total
   size_t pairs = 0;
-  for (const MergeLevelStats& level : stats.levels) {
+  for (const MergeLevelProgress& level : stats.levels) {
     pairs += level.pairs_merged;
   }
   EXPECT_EQ(pairs, 5u);

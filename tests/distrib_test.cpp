@@ -320,7 +320,7 @@ TEST(DistribBuildTest, KilledWorkerIsRetriedAndRecovered) {
   options.num_workers = 2;
   options.work_dir = TempPath("kill_recover");
   options.kill_worker = 0;
-  options.max_retries = 1;
+  options.worker_retry.max_attempts = 2;
   Coordinator coordinator(PipelineConfig(), options);
   auto distributed = coordinator.Build(tables);
   ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
@@ -339,7 +339,7 @@ TEST(DistribBuildTest, HungWorkerIsReapedAtTimeoutAndRetried) {
   options.work_dir = TempPath("hang_recover");
   options.hang_worker = 1;
   options.worker_timeout_ms = 1500;
-  options.max_retries = 1;
+  options.worker_retry.max_attempts = 2;
   Coordinator coordinator(PipelineConfig(), options);
   auto distributed = coordinator.Build(tables);
   ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
@@ -355,14 +355,14 @@ TEST(DistribBuildTest, RetriedWorkerAttemptsSurfaceInLevelStats) {
   options.num_workers = 2;
   options.work_dir = TempPath("attempts_surface");
   options.kill_worker = 0;
-  options.max_retries = 1;
+  options.worker_retry.max_attempts = 2;
   options.worker_retry.initial_backoff_ms = 1;
   Coordinator coordinator(PipelineConfig(), options);
   auto distributed = coordinator.Build(tables);
   ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
   ASSERT_GE(distributed->distrib.retries, 1u);
   size_t pairs = 0, attempts = 0;
-  for (const core::MergeLevelStats& level :
+  for (const core::MergeLevelProgress& level :
        distributed->run.merge_stats.levels) {
     pairs += level.pairs_merged;
     attempts += level.total_attempts;
@@ -501,7 +501,7 @@ TEST(DistribBuildTest, ExhaustedRetriesFailWithCleanStatus) {
   options.num_workers = 2;
   options.work_dir = TempPath("kill_fail");
   options.kill_worker = 1;
-  options.max_retries = 0;
+  options.worker_retry.max_attempts = 1;
   Coordinator coordinator(PipelineConfig(), options);
   auto distributed = coordinator.Build(tables);
   ASSERT_FALSE(distributed.ok());

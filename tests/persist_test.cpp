@@ -17,6 +17,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -983,24 +984,42 @@ TEST(PipelineArtifactTest, ResaveIsByteIdentical) {
   }
 }
 
-// Rewrites the manifest.mem of the artifact in `dir` section by section,
-// passing the config section's bytes through `edit` on the way.
-void EditManifestConfig(
-    const std::string& dir,
-    const std::function<void(std::vector<uint8_t>&)>& edit) {
+// The sections of a manifest, as (name, payload) pairs in file order.
+using ManifestSections =
+    std::vector<std::pair<std::string, std::vector<uint8_t>>>;
+
+// Rewrites the manifest.mem of the artifact in `dir` section by section:
+// `edit` receives every section and may rewrite, add or drop any; the list
+// it leaves is written back in order.
+void EditManifest(const std::string& dir,
+                  const std::function<void(ManifestSections&)>& edit) {
   const std::string manifest = dir + "/" + PipelineArtifact::kManifestFile;
   auto reader = util::ArtifactReader::FromFile(
       manifest, PipelineArtifact::kManifestMagic,
       PipelineArtifact::kManifestVersion);
   ASSERT_TRUE(reader.ok()) << reader.status();
+  ManifestSections sections;
+  for (const std::string& name : reader->SectionNames()) {
+    sections.emplace_back(name, SectionBytes(*reader, name));
+  }
+  edit(sections);
   util::ArtifactWriter writer(PipelineArtifact::kManifestMagic,
                               reader->version());
-  for (const std::string& name : reader->SectionNames()) {
-    std::vector<uint8_t> bytes = SectionBytes(*reader, name);
-    if (name == "config") edit(bytes);
+  for (const auto& [name, bytes] : sections) {
     writer.AddSection(name).WriteBytes(bytes.data(), bytes.size());
   }
   ASSERT_TRUE(writer.WriteFile(manifest).ok());
+}
+
+// EditManifest on the config section alone.
+void EditManifestConfig(
+    const std::string& dir,
+    const std::function<void(std::vector<uint8_t>&)>& edit) {
+  EditManifest(dir, [&](ManifestSections& sections) {
+    for (auto& [name, bytes] : sections) {
+      if (name == "config") edit(bytes);
+    }
+  });
 }
 
 // Sessions saved while the config had an exact-KNN flag carry it in the
@@ -1325,6 +1344,240 @@ TEST(PipelineArtifactTest, AddTableCentroidsMatchFullRecompute) {
     }
   }
   ASSERT_GT(multi_member_items, 0u);
+}
+
+// A serving session over ten records with disjoint vocabularies, so no
+// two merge at build time; brute_force keeps every answer exact, and k = 2
+// lets one ingested row bridge two items (an old-old merge that leaves a
+// tombstone).
+Matcher DisjointSession() {
+  Schema schema({"title"});
+  std::vector<Table> sources;
+  {
+    Table t("src_a", schema);
+    for (const char* row : {"silver laptop computer", "red apple fruit",
+                            "green forest tree", "loud concert music",
+                            "ancient stone castle"}) {
+      t.AppendRow({row}).CheckOk();
+    }
+    sources.push_back(std::move(t));
+  }
+  {
+    Table t("src_b", schema);
+    for (const char* row : {"fast notebook machine", "blue ocean wave",
+                            "warm desert sand", "quiet library book",
+                            "frozen winter lake"}) {
+      t.AppendRow({row}).CheckOk();
+    }
+    sources.push_back(std::move(t));
+  }
+  MultiEmConfig config;
+  config.sample_ratio = 1.0;
+  config.enable_attribute_selection = false;
+  config.enable_pruning = false;
+  config.index_name = "brute_force";
+  config.k = 2;
+  config.m = 0.72f;
+  auto result = RunWithMatcher(config, sources);
+  result.status().CheckOk();
+  Matcher matcher = std::move(*result->matcher);
+  EXPECT_EQ(matcher.num_items(), 10u);
+  return matcher;
+}
+
+// Ingests `rows` into `matcher` as one new source named `name`.
+void Ingest(Matcher& matcher, const std::string& name,
+            const std::vector<std::string>& rows) {
+  Table t(name, Schema({"title"}));
+  for (const std::string& row : rows) t.AppendRow({row}).CheckOk();
+  ASSERT_TRUE(matcher.AddTable(t).ok()) << name;
+}
+
+Table DisjointQueries() {
+  Table q("queries", Schema({"title"}));
+  for (const char* row :
+       {"silver laptop computer", "fast notebook machine", "red apple fruit",
+        "purple mountain sunrise", "frozen lake"}) {
+    q.AppendRow({row}).CheckOk();
+  }
+  return q;
+}
+
+// Whether the manifest of the artifact in `dir` carries a "slots" section.
+bool HasSlotsSection(const std::string& dir) {
+  auto reader = util::ArtifactReader::FromFile(
+      dir + "/" + PipelineArtifact::kManifestFile,
+      PipelineArtifact::kManifestMagic, PipelineArtifact::kManifestVersion);
+  EXPECT_TRUE(reader.ok()) << reader.status();
+  return reader.ok() && reader->HasSection("slots");
+}
+
+// A manifest writes "slots" only for a slot map that is not the identity
+// over the items, across every shape an epoch can take; each saved epoch
+// reloads to the same answers and re-saves to the same bytes.
+TEST(PipelineArtifactTest, SlotsSectionFollowsEpochShape) {
+  Matcher matcher = DisjointSession();
+  const Table queries = DisjointQueries();
+  std::vector<bool> has_slots;
+  auto save_and_check = [&](const std::string& name) {
+    const std::string dir = TempPath("slots_shape_" + name);
+    ASSERT_TRUE(matcher.Save(dir).ok()) << name;
+    has_slots.push_back(HasSlotsSection(dir));
+    auto reloaded = MultiEmPipeline::LoadArtifact(dir);
+    ASSERT_TRUE(reloaded.ok()) << name << ": " << reloaded.status();
+    auto want = matcher.MatchRecords(queries, 3);
+    ASSERT_TRUE(want.ok()) << want.status();
+    auto got = reloaded->MatchRecords(queries, 3);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, *want) << name;
+    EXPECT_EQ(reloaded->snapshot().dead_slots(),
+              matcher.snapshot().dead_slots())
+        << name;
+    const std::string resaved = TempPath("slots_shape_" + name + "_resave");
+    ASSERT_TRUE(reloaded->Save(resaved).ok()) << name;
+    for (const char* file :
+         {PipelineArtifact::kManifestFile, PipelineArtifact::kEncoderFile,
+          PipelineArtifact::kIndexFile}) {
+      EXPECT_EQ(ReadFileBytes(dir + "/" + file),
+                ReadFileBytes(resaved + "/" + file))
+          << name << " " << file;
+    }
+  };
+
+  ASSERT_NO_FATAL_FAILURE(save_and_check("fresh"));
+  // A novel row appends an item and retires nothing.
+  ASSERT_NO_FATAL_FAILURE(
+      Ingest(matcher, "append", {"purple mountain sunrise"}));
+  ASSERT_EQ(matcher.snapshot().dead_slots(), 0u);
+  ASSERT_NO_FATAL_FAILURE(save_and_check("append"));
+  // A duplicate merges into its item and retires that item's slot.
+  ASSERT_NO_FATAL_FAILURE(Ingest(matcher, "merge", {"red apple fruit"}));
+  ASSERT_EQ(matcher.snapshot().dead_slots(), 1u);
+  ASSERT_NO_FATAL_FAILURE(save_and_check("merge"));
+  // Three more duplicates put 4 of 15 slots out of service, past the 25%
+  // that compacts the index; without tombstones the map is the identity.
+  ASSERT_NO_FATAL_FAILURE(Ingest(
+      matcher, "compact",
+      {"green forest tree", "loud concert music", "warm desert sand"}));
+  ASSERT_EQ(matcher.snapshot().dead_slots(), 0u);
+  ASSERT_EQ(matcher.snapshot().num_tombstones(), 0u);
+  ASSERT_NO_FATAL_FAILURE(save_and_check("compact"));
+  // The bridge row joins items 0 and 5, tombstoning item 5; two more
+  // duplicates then compact the index over the live items only.
+  ASSERT_NO_FATAL_FAILURE(Ingest(
+      matcher, "bridge", {"silver laptop computer fast notebook machine"}));
+  ASSERT_EQ(matcher.snapshot().num_tombstones(), 1u);
+  ASSERT_GT(matcher.snapshot().dead_slots(), 0u);
+  ASSERT_NO_FATAL_FAILURE(Ingest(
+      matcher, "bridge_compact", {"ancient stone castle", "blue ocean wave"}));
+  ASSERT_EQ(matcher.snapshot().dead_slots(), 0u);
+  ASSERT_EQ(matcher.snapshot().num_tombstones(), 1u);
+  ASSERT_NO_FATAL_FAILURE(save_and_check("bridge_compact"));
+
+  EXPECT_EQ(has_slots, std::vector<bool>({false, false, true, false, true}));
+}
+
+// Saves `matcher` to a fresh directory, passes its manifest's slot map
+// through `edit` (an artifact without a "slots" section arrives empty) and
+// returns what LoadArtifact makes of the result. `drop` removes the section
+// instead.
+util::Status LoadWithEditedSlots(
+    const Matcher& matcher, const std::string& name,
+    const std::function<void(std::vector<uint64_t>&)>& edit,
+    bool drop = false) {
+  const std::string dir = TempPath("slots_edit_" + name);
+  EXPECT_TRUE(matcher.Save(dir).ok());
+  EditManifest(dir, [&](ManifestSections& sections) {
+    auto slots = std::find_if(sections.begin(), sections.end(),
+                              [](const auto& s) { return s.first == "slots"; });
+    if (drop) {
+      ASSERT_NE(slots, sections.end());
+      sections.erase(slots);
+      return;
+    }
+    ASSERT_NE(slots, sections.end());
+    util::ByteReader in(slots->second);
+    std::vector<uint64_t> map;
+    ASSERT_TRUE(in.ReadU64Array(&map).ok());
+    edit(map);
+    util::ByteWriter out;
+    out.WriteU64Array(map);
+    slots->second = out.bytes();
+  });
+  auto loaded = MultiEmPipeline::LoadArtifact(dir);
+  return loaded.status();
+}
+
+// Every slot map that is not a bijection between live slots and live items
+// is refused at load time, as is a table whose index or tombstones no map
+// accounts for.
+TEST(PipelineArtifactTest, RejectsInconsistentSlotMaps) {
+  static constexpr uint64_t kDead = Matcher::kDeadSlot;
+  // 11 items, 12 slots, slot 1 retired: the duplicate moved item 1.
+  Matcher grown = DisjointSession();
+  ASSERT_NO_FATAL_FAILURE(Ingest(grown, "append", {"purple mountain sunrise"}));
+  ASSERT_NO_FATAL_FAILURE(Ingest(grown, "merge", {"red apple fruit"}));
+  ASSERT_EQ(grown.num_items(), 11u);
+  ASSERT_EQ(grown.snapshot().index().size(), 12u);
+  ASSERT_TRUE(LoadWithEditedSlots(grown, "unchanged", [](auto&) {}).ok());
+
+  struct Case {
+    const char* name;
+    std::function<void(std::vector<uint64_t>&)> edit;
+  };
+  const std::vector<Case> cases = {
+      {"longer", [](auto& map) { map.push_back(kDead); }},
+      {"shorter", [](auto& map) { map.pop_back(); }},
+      {"item_out_of_range", [](auto& map) { map[0] = 11; }},
+      {"item_twice",
+       [](auto& map) {
+         ASSERT_EQ(map[1], kDead);
+         map[1] = map[0];
+       }},
+      {"live_item_without_slot", [](auto& map) { map[0] = kDead; }},
+  };
+  for (const Case& c : cases) {
+    util::Status status = LoadWithEditedSlots(grown, c.name, c.edit);
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+        << c.name << ": " << status;
+  }
+  // No "slots" section means the identity, which needs one slot per item.
+  util::Status no_map =
+      LoadWithEditedSlots(grown, "dropped", nullptr, /*drop=*/true);
+  EXPECT_EQ(no_map.code(), util::StatusCode::kInvalidArgument) << no_map;
+
+  // Bridge items 0 and 5 (item 5 becomes a tombstone), compact over the
+  // nine live items, then merge one duplicate: 10 items and 10 slots, so an
+  // identity map would fit the index and only the tombstone rules it out.
+  Matcher bridged = DisjointSession();
+  ASSERT_NO_FATAL_FAILURE(Ingest(
+      bridged, "bridge", {"silver laptop computer fast notebook machine"}));
+  core::AddTableOptions compact;
+  compact.rebuild_index = true;
+  Table duplicate("duplicate", Schema({"title"}));
+  duplicate.AppendRow({"green forest tree"}).CheckOk();
+  ASSERT_TRUE(bridged.AddTable(duplicate, compact).ok());
+  ASSERT_NO_FATAL_FAILURE(Ingest(bridged, "merge", {"red apple fruit"}));
+  const Matcher::Snapshot snap = bridged.snapshot();
+  ASSERT_EQ(snap.num_tombstones(), 1u);
+  ASSERT_TRUE(snap.item_members(5).empty());
+  ASSERT_EQ(snap.num_items(), 10u);
+  ASSERT_EQ(snap.index().size(), 10u);
+  ASSERT_TRUE(LoadWithEditedSlots(bridged, "bridged", [](auto&) {}).ok());
+
+  util::Status tombstone_slot = LoadWithEditedSlots(
+      bridged, "tombstone_slot", [](std::vector<uint64_t>& map) {
+        auto dead = std::find(map.begin(), map.end(), kDead);
+        ASSERT_NE(dead, map.end());
+        *dead = 5;
+      });
+  EXPECT_EQ(tombstone_slot.code(), util::StatusCode::kInvalidArgument)
+      << tombstone_slot;
+  util::Status tombstones_unmapped =
+      LoadWithEditedSlots(bridged, "tombstones_unmapped", nullptr,
+                          /*drop=*/true);
+  EXPECT_EQ(tombstones_unmapped.code(), util::StatusCode::kInvalidArgument)
+      << tombstones_unmapped;
 }
 
 TEST(PipelineArtifactTest, MatcherValidatesQueries) {
