@@ -18,6 +18,8 @@
 /// the AddTable workload.
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <thread>
@@ -31,6 +33,7 @@
 #include "embed/embedding.h"
 #include "embed/serialize.h"
 #include "table/table.h"
+#include "util/memory.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -38,6 +41,41 @@ namespace multiem::bench {
 namespace {
 
 namespace core = multiem::core;
+
+/// Peak resident growth of a span of work: a helper thread samples
+/// util::CurrentRssBytes() (VmRSS) every millisecond from construction
+/// until StopMb(). It only reads, so the process's VmHWM is left alone.
+class RssGrowthSampler {
+ public:
+  RssGrowthSampler()
+      : start_(util::CurrentRssBytes()), peak_(start_), thread_([this] {
+          while (!stop_.load(std::memory_order_relaxed)) {
+            Sample();
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        }) {}
+  ~RssGrowthSampler() {
+    if (thread_.joinable()) StopMb();
+  }
+  RssGrowthSampler(const RssGrowthSampler&) = delete;
+  RssGrowthSampler& operator=(const RssGrowthSampler&) = delete;
+
+  /// Stops sampling; returns the peak minus the start, in MB.
+  double StopMb() {
+    stop_.store(true, std::memory_order_relaxed);
+    thread_.join();
+    Sample();
+    return static_cast<double>(peak_ - std::min(peak_, start_)) / 1e6;
+  }
+
+ private:
+  void Sample() { peak_ = std::max(peak_, util::CurrentRssBytes()); }
+
+  const size_t start_;
+  size_t peak_;  // written by the sampler thread until it is joined
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
 
 struct FrontierPoint {
   size_t ef = 0;
@@ -318,9 +356,11 @@ int Main(int argc, char** argv) {
   core::AddTableOptions reb_options = inc_options;
   reb_options.rebuild_index = true;
 
+  RssGrowthSampler inc_rss;
   util::WallTimer inc_timer;
   inc->AddTable(ingest, inc_options).CheckOk();
   double inc_seconds = inc_timer.ElapsedSeconds();
+  const double inc_rss_growth_mb = inc_rss.StopMb();
   util::WallTimer reb_timer;
   reb->AddTable(ingest, reb_options).CheckOk();
   double reb_seconds = reb_timer.ElapsedSeconds();
@@ -341,9 +381,10 @@ int Main(int argc, char** argv) {
   std::filesystem::remove_all(art_dir);
 
   std::printf("\n# AddTable %zu rows: incremental %.3fs (recall %.3f, "
-              "%zu dead slots) vs rebuild %.3fs (recall %.3f)\n",
+              "%zu dead slots, rss +%.1f MB) vs rebuild %.3fs (recall %.3f)\n",
               ingest.num_rows(), inc_seconds, inc_recall,
-              inc_snap.dead_slots(), reb_seconds, reb_recall);
+              inc_snap.dead_slots(), inc_rss_growth_mb, reb_seconds,
+              reb_recall);
 
   if (json_path != "-") {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -387,10 +428,10 @@ int Main(int argc, char** argv) {
                  "  \"addtable\": {\"rows\": %zu, "
                  "\"incremental_seconds\": %.4f, \"rebuild_seconds\": %.4f, "
                  "\"incremental_recall\": %.4f, \"rebuild_recall\": %.4f, "
-                 "\"dead_slots\": %zu}\n"
+                 "\"dead_slots\": %zu, \"rss_growth_mb\": %.2f}\n"
                  "}\n",
                  ingest.num_rows(), inc_seconds, reb_seconds, inc_recall,
-                 reb_recall, inc_snap.dead_slots());
+                 reb_recall, inc_snap.dead_slots(), inc_rss_growth_mb);
     std::fclose(f);
     std::printf("# wrote %s\n", json_path.c_str());
   }

@@ -33,8 +33,15 @@ void BruteForceIndex::AddBatch(const embed::EmbeddingMatrix& vectors,
   if (n == 0) return;
   if (vectors.dim() != dim_) std::abort();
   const size_t base = num_vectors_;
+  // Exact room, not the vector's growth policy: a batch grows each buffer
+  // once, to its final size.
+  data_.reserve((base + n) * dim_);
   data_.resize((base + n) * dim_);
-  if (metric_ == Metric::kCosine) sq_norms_.resize(base + n);
+  if (metric_ == Metric::kCosine) {
+    sq_norms_.reserve(base + n);
+    sq_norms_.resize(base + n);
+  }
+  quant_.Reserve(base + n);
   num_vectors_ = base + n;
   // Row slots are pre-sized and disjoint, so the copies (and norm
   // computations) are embarrassingly parallel; a null pool runs inline.
@@ -138,13 +145,40 @@ std::vector<Neighbor> BruteForceIndex::SearchWithStats(
   return Search(query, k);
 }
 
-std::unique_ptr<VectorIndex> BruteForceIndex::Clone() const {
+namespace {
+
+std::vector<float> CopyWithCapacity(const std::vector<float>& from,
+                                    size_t capacity) {
+  std::vector<float> copy;
+  copy.reserve(std::max(capacity, from.size()));
+  copy.assign(from.begin(), from.end());
+  return copy;
+}
+
+}  // namespace
+
+std::unique_ptr<BruteForceIndex> BruteForceIndex::CopyWithRoom(
+    size_t rows) const {
   auto copy = std::make_unique<BruteForceIndex>(dim_, metric_, quant_.mode(),
                                                 rerank_factor_);
+  const size_t total = num_vectors_ + rows;
   copy->num_vectors_ = num_vectors_;
-  copy->data_ = data_;
-  copy->sq_norms_ = sq_norms_;
-  copy->quant_ = quant_;
+  copy->data_ = CopyWithCapacity(data_, total * dim_);
+  if (metric_ == Metric::kCosine) {
+    copy->sq_norms_ = CopyWithCapacity(sq_norms_, total);
+  }
+  copy->quant_ = quant_.CopyWithCapacity(total);
+  return copy;
+}
+
+std::unique_ptr<VectorIndex> BruteForceIndex::Clone() const {
+  return CopyWithRoom(0);
+}
+
+std::unique_ptr<VectorIndex> BruteForceIndex::CloneAndAdd(
+    const embed::EmbeddingMatrix& rows, util::ThreadPool* pool) const {
+  std::unique_ptr<BruteForceIndex> copy = CopyWithRoom(rows.num_rows());
+  copy->AddBatch(rows, pool);
   return copy;
 }
 

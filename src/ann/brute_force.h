@@ -56,6 +56,12 @@ class BruteForceIndex : public VectorIndex {
   /// Search; see the insert-under-readers contract in index.h.
   std::unique_ptr<VectorIndex> Clone() const override;
 
+  /// Clone() sized for `rows`, then AddBatch(rows, pool) into the copy:
+  /// each buffer is copied once, at its size after the batch.
+  std::unique_ptr<VectorIndex> CloneAndAdd(
+      const embed::EmbeddingMatrix& rows,
+      util::ThreadPool* pool) const override;
+
   size_t size() const override { return num_vectors_; }
   size_t dim() const override { return dim_; }
   size_t SizeBytes() const override { return MemoryUsage().total(); }
@@ -91,6 +97,10 @@ class BruteForceIndex : public VectorIndex {
   /// path). `q_sq` is the query's squared norm (cosine only).
   float ExactDistance(std::span<const float> query, float q_sq,
                       size_t i) const;
+
+  /// The copy behind Clone and CloneAndAdd: buffers with room for `rows`
+  /// more rows, each made in one allocation.
+  std::unique_ptr<BruteForceIndex> CopyWithRoom(size_t rows) const;
 
   size_t dim_;
   Metric metric_;

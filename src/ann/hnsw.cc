@@ -167,10 +167,17 @@ void HnswIndex::ReleaseScratch(SearchScratch* scratch) const {
   scratch_pool_.emplace_back(scratch);
 }
 
-int HnswIndex::DrawLevel() {
-  double u = level_rng_.UniformDouble();
+int HnswIndex::DrawLevel(util::Rng& rng) const {
+  double u = rng.UniformDouble();
   if (u <= 0.0) u = 1e-12;
   return static_cast<int>(-std::log(u) * level_lambda_);
+}
+
+size_t HnswIndex::UpperLinksAfter(size_t rows) const {
+  util::Rng rng = level_rng_;
+  size_t blocks = 0;
+  for (size_t i = 0; i < rows; ++i) blocks += size_t(DrawLevel(rng));
+  return upper_links_.size() + blocks * upper_stride_;
 }
 
 void HnswIndex::EnsureOwnedSlabs() {
@@ -180,6 +187,16 @@ void HnswIndex::EnsureOwnedSlabs() {
   upper_offset_.EnsureOwned();
   node_level_.EnsureOwned();
   quant_.EnsureOwned();
+}
+
+void HnswIndex::ReserveForInserts(size_t rows) {
+  const size_t nodes = num_nodes_ + rows;
+  vectors_.reserve(nodes * dim_);
+  level0_links_.reserve(nodes * level0_stride_);
+  upper_links_.reserve(UpperLinksAfter(rows));
+  upper_offset_.reserve(nodes);
+  node_level_.reserve(nodes);
+  quant_.Reserve(nodes);
 }
 
 uint32_t HnswIndex::RegisterNode(std::span<const float> vec) {
@@ -194,7 +211,7 @@ uint32_t HnswIndex::RegisterNode(std::span<const float> vec) {
   // Quantize-on-insert from the stored (post-normalization) row, so the
   // codes always decode toward what the fp32 plane actually holds.
   if (quant_.enabled()) quant_.Append(NodeVector(node));
-  const int level = DrawLevel();
+  const int level = DrawLevel(level_rng_);
   node_level_.push_back(level);
   upper_offset_.push_back(upper_links_.size());
   level0_links_.resize(level0_links_.size() + level0_stride_, 0);
@@ -498,7 +515,9 @@ void HnswIndex::AddBatch(const embed::EmbeddingMatrix& vectors,
                          util::ThreadPool* pool) {
   const size_t n = vectors.num_rows();
   if (n == 0) return;
-  EnsureOwnedSlabs();
+  // Room for the whole batch up front, on either path: no slab grows (and
+  // so none is copied again) while the rows go in.
+  ReserveForInserts(n);
   if (pool == nullptr || pool->num_threads() <= 1 ||
       n < config_.parallel_batch_min) {
     for (size_t i = 0; i < n; ++i) Add(vectors.Row(i));
@@ -510,10 +529,6 @@ void HnswIndex::AddBatch(const embed::EmbeddingMatrix& vectors,
   // After this, the parallel phase performs no allocation, so every block
   // and vector row has a stable address.
   const uint32_t base = static_cast<uint32_t>(num_nodes_);
-  vectors_.reserve(vectors_.size() + n * dim_);
-  level0_links_.reserve(level0_links_.size() + n * level0_stride_);
-  node_level_.reserve(node_level_.size() + n);
-  upper_offset_.reserve(upper_offset_.size() + n);
   for (size_t i = 0; i < n; ++i) RegisterNode(vectors.Row(i));
 
   size_t start = 0;
@@ -601,7 +616,7 @@ std::vector<Neighbor> HnswIndex::SearchWithStats(std::span<const float> query,
   return std::vector<Neighbor>(found.begin(), found.end());
 }
 
-std::unique_ptr<VectorIndex> HnswIndex::Clone() const {
+std::unique_ptr<HnswIndex> HnswIndex::CopyWithRoom(size_t rows) const {
   // The constructor re-derives the clamped knobs and strides from config_
   // (post-clamp, so idempotent — same reasoning as Load). Copying the RNG
   // state means the clone assigns the same levels to future inserts that
@@ -609,18 +624,36 @@ std::unique_ptr<VectorIndex> HnswIndex::Clone() const {
   auto copy = std::make_unique<HnswIndex>(dim_, metric_, config_);
   copy->level_rng_ = level_rng_;
   copy->num_nodes_ = num_nodes_;
-  copy->vectors_ = vectors_;
-  copy->level0_links_ = level0_links_;
-  copy->upper_links_ = upper_links_;
-  copy->upper_offset_ = upper_offset_;
-  copy->node_level_ = node_level_;
-  copy->quant_ = quant_;  // cheap view-share while mapped, deep copy if owned
+  const size_t nodes = num_nodes_ + rows;
+  copy->vectors_ = vectors_.CopyWithCapacity(nodes * dim_);
+  copy->level0_links_ = level0_links_.CopyWithCapacity(nodes * level0_stride_);
+  copy->upper_links_ = upper_links_.CopyWithCapacity(UpperLinksAfter(rows));
+  copy->upper_offset_ = upper_offset_.CopyWithCapacity(nodes);
+  copy->node_level_ = node_level_.CopyWithCapacity(nodes);
+  copy->quant_ = quant_.CopyWithCapacity(nodes);
   copy->entry_state_.store(entry_state_.load(std::memory_order_acquire),
                            std::memory_order_release);
   return copy;
 }
 
+std::unique_ptr<VectorIndex> HnswIndex::Clone() const {
+  return CopyWithRoom(0);
+}
+
+std::unique_ptr<VectorIndex> HnswIndex::CloneAndAdd(
+    const embed::EmbeddingMatrix& rows, util::ThreadPool* pool) const {
+  std::unique_ptr<HnswIndex> copy = CopyWithRoom(rows.num_rows());
+  copy->AddBatch(rows, pool);
+  return copy;
+}
+
 size_t HnswIndex::SizeBytes() const { return MemoryUsage().total(); }
+
+size_t HnswIndex::OwnedBytes() const {
+  return vectors_.OwnedBytes() + level0_links_.OwnedBytes() +
+         upper_links_.OwnedBytes() + upper_offset_.OwnedBytes() +
+         node_level_.OwnedBytes() + quant_.OwnedBytes();
+}
 
 MemoryBreakdown HnswIndex::MemoryUsage() const {
   MemoryBreakdown breakdown;

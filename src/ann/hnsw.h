@@ -82,11 +82,11 @@ struct HnswConfig {
 /// different (equally valid) graphs; serial builds are fully deterministic.
 ///
 /// Serving under readers: rather than weakening the no-overlap rule above,
-/// concurrent serving goes through Clone() — a deep copy that only reads
-/// (safe under concurrent Search), into which the writer inserts privately
-/// before publishing it with an atomic pointer swap. core::Matcher is the
-/// canonical user of that protocol; readers of the old graph are never
-/// raced, and the flat slabs may reallocate freely inside the clone.
+/// concurrent serving goes through CloneAndAdd() — a deep copy that only
+/// reads (safe under concurrent Search), sized for the batch, into which the
+/// writer inserts privately before publishing it with an atomic pointer
+/// swap. core::Matcher is the canonical user of that protocol; readers of
+/// the old graph are never raced.
 class HnswIndex : public VectorIndex {
  public:
   HnswIndex(size_t dim, Metric metric, HnswConfig config = {});
@@ -112,10 +112,18 @@ class HnswIndex : public VectorIndex {
 
   /// Deep copy: flat slabs, vector payload, entry word, and the level-RNG
   /// state (the clone draws the same future levels the original would).
-  /// Fresh mutexes and an empty scratch pool. Only reads this index, so it
-  /// is safe concurrently with Search — the serving layer's
-  /// insert-under-readers protocol (see index.h) builds on this.
+  /// Fresh mutexes and an empty scratch pool. Every slab of the copy is
+  /// owned, also where this index's are views of a loaded artifact. Only
+  /// reads this index, so it is safe concurrently with Search — the serving
+  /// layer's insert-under-readers protocol (see index.h) builds on this.
   std::unique_ptr<VectorIndex> Clone() const override;
+
+  /// Clone() with room for `rows`, then AddBatch(rows, pool) into the copy:
+  /// each slab is copied once, at its size after the batch. The result is
+  /// the one Clone() followed by AddBatch() gives, Save byte for Save byte.
+  std::unique_ptr<VectorIndex> CloneAndAdd(
+      const embed::EmbeddingMatrix& rows,
+      util::ThreadPool* pool) const override;
 
   size_t size() const override { return num_nodes_; }
   size_t dim() const override { return dim_; }
@@ -124,6 +132,10 @@ class HnswIndex : public VectorIndex {
   size_t SizeBytes() const override;
   /// SizeBytes() split into fp32 payload / quantized codes / graph.
   MemoryBreakdown MemoryUsage() const override;
+  /// Heap bytes the slabs own privately, by capacity: MemoryUsage().total()
+  /// when every slab is owned and exactly sized, less while slabs are views
+  /// of a loaded artifact, more while they hold room to grow.
+  size_t OwnedBytes() const;
   Metric metric() const override { return metric_; }
 
   /// The quantized code plane (empty unless config().quantization != kNone);
@@ -213,13 +225,26 @@ class HnswIndex : public VectorIndex {
     return std::span<const float>(vectors_.data() + size_t{node} * dim_, dim_);
   }
 
-  /// Draws a node's top level: floor(-ln(U) * 1/ln(M)).
-  int DrawLevel();
+  /// Draws a node's top level from `rng`: floor(-ln(U) * 1/ln(M)).
+  int DrawLevel(util::Rng& rng) const;
+
+  /// Size of upper_links_ after the next `rows` inserts: the levels they
+  /// will draw, previewed on a copy of the level generator.
+  size_t UpperLinksAfter(size_t rows) const;
 
   /// Materializes private copies of any slab still backed by a mapped
   /// artifact (see the member comment below); called by every mutating
   /// entry point before the first write.
   void EnsureOwnedSlabs();
+
+  /// Gives every growable slab room for `rows` more inserts, in one
+  /// allocation each (a view slab materializes at that capacity), so the
+  /// inserts move no slab.
+  void ReserveForInserts(size_t rows);
+
+  /// The copy behind Clone and CloneAndAdd: owned slabs with room for
+  /// `rows` more inserts, each made in one allocation.
+  std::unique_ptr<HnswIndex> CopyWithRoom(size_t rows) const;
 
   /// Appends the vector (normalized for cosine), draws the node's level, and
   /// grows the link slabs (zero-filled blocks). Single-threaded; in a

@@ -114,10 +114,25 @@ class VectorIndex {
   /// with Search on this index; the returned copy is private to the caller.
   /// This is the insert-under-readers contract of the serving layer: an
   /// index that readers hold is never mutated — the writer clones it,
-  /// inserts into the clone (AddBatch), and publishes the clone atomically
-  /// (see core::Matcher). Implementations that cannot clone force the
-  /// serving layer back to a full rebuild, which is correct but slower.
+  /// inserts into the clone (CloneAndAdd below), and publishes the clone
+  /// atomically (see core::Matcher). Implementations that cannot clone
+  /// force the serving layer back to a full rebuild, which is correct but
+  /// slower.
   virtual std::unique_ptr<VectorIndex> Clone() const { return nullptr; }
+
+  /// Clone() with every row of `rows` inserted by AddBatch(rows, pool), or
+  /// nullptr when the implementation cannot clone: the serving layer's
+  /// clone-and-insert step, in one call. Only reads this index, like
+  /// Clone. This default clones, then inserts, so a buffer the insert
+  /// grows is copied twice; implementations that can size the copy for the
+  /// batch override it (HnswIndex, BruteForceIndex) and copy each buffer
+  /// once, at its final size, with a result equal to this default's.
+  virtual std::unique_ptr<VectorIndex> CloneAndAdd(
+      const embed::EmbeddingMatrix& rows, util::ThreadPool* pool) const {
+    std::unique_ptr<VectorIndex> copy = Clone();
+    if (copy != nullptr) copy->AddBatch(rows, pool);
+    return copy;
+  }
 
   /// Number of stored vectors.
   virtual size_t size() const = 0;

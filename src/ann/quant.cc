@@ -596,6 +596,25 @@ void QuantizedStore::EnsureOwned() {
   params_.EnsureOwned();
 }
 
+void QuantizedStore::Reserve(size_t rows) {
+  if (mode_ == Quantization::kInt8) i8_codes_.reserve(rows * dim_);
+  if (mode_ == Quantization::kFp16) f16_codes_.reserve(rows * dim_);
+  if (enabled()) params_.reserve(rows * kParamStride);
+}
+
+QuantizedStore QuantizedStore::CopyWithCapacity(size_t rows) const {
+  QuantizedStore copy;
+  copy.Reset(mode_, dim_);
+  if (mode_ == Quantization::kInt8) {
+    copy.i8_codes_ = i8_codes_.CopyWithCapacity(rows * dim_);
+  }
+  if (mode_ == Quantization::kFp16) {
+    copy.f16_codes_ = f16_codes_.CopyWithCapacity(rows * dim_);
+  }
+  if (enabled()) copy.params_ = params_.CopyWithCapacity(rows * kParamStride);
+  return copy;
+}
+
 void QuantizedStore::clear() {
   i8_codes_.clear();
   f16_codes_.clear();

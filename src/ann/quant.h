@@ -175,6 +175,15 @@ class QuantizedStore {
   /// index CoW path calls this before mutating a loaded index).
   void EnsureOwned();
 
+  /// Room for `rows` rows in all, so appends up to that count move no
+  /// buffer; a view materializes once, at that capacity. No-op when
+  /// disabled.
+  void Reserve(size_t rows);
+
+  /// An owned copy with room for `rows` rows in all (at least size()), each
+  /// buffer made in one allocation, whether this store's are views or owned.
+  QuantizedStore CopyWithCapacity(size_t rows) const;
+
   void clear();
 
   /// Logical bytes of the quantized representation (codes + params),

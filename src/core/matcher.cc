@@ -351,12 +351,20 @@ util::Status Matcher::AddTable(const table::Table& table,
   // One pairwise match (Algorithm 3 step 1) between the existing entity
   // table's *live* items and the new rows — the same mutual top-K standard
   // a pipeline merge level uses. Tombstoned items are retired entries
-  // whose rows are stale; they must not attract matches.
+  // whose rows are stale; they must not attract matches. Only their ids
+  // outlive the match: the gathered rows are freed before the entity
+  // chunks and the index are copied below.
   const size_t n_old = old->entities.num_items();
-  const LiveItems live = GatherLiveItems(old->entities);
-  const std::vector<ann::MutualPair> matched_pairs = ann::MutualTopK(
-      live.rows, embeddings, *fixed_->index_factory,
-      MutualOptionsFromConfig(fixed_->config), options.pool);
+  std::vector<uint32_t> live_ids;
+  std::vector<ann::MutualPair> matched_pairs;
+  {
+    LiveItems live = GatherLiveItems(old->entities);
+    matched_pairs = ann::MutualTopK(live.rows, embeddings,
+                                    *fixed_->index_factory,
+                                    MutualOptionsFromConfig(fixed_->config),
+                                    options.pool);
+    live_ids = std::move(live.ids);
+  }
 
   auto next = std::make_shared<ServingState>();
   next->epoch = old->epoch + 1;
@@ -371,7 +379,7 @@ util::Status Matcher::AddTable(const table::Table& table,
   const size_t n_new = table.num_rows();
   cluster::UnionFind uf(n_old + n_new);
   for (const ann::MutualPair& match : matched_pairs) {
-    uf.Union(live.ids[match.left], n_old + match.right);
+    uf.Union(live_ids[match.left], n_old + match.right);
   }
 
   // Update the entity table in place. Item ids are stable across epochs by
@@ -437,20 +445,19 @@ util::Status Matcher::AddTable(const table::Table& table,
 
   // Extend the serving index. Preferred path: clone the published graph
   // (readers searching it are never raced — the insert-under-readers
-  // contract of index.h), insert only the new/changed vectors into the
-  // private clone, and retire the slots of absorbed items in the slot map.
-  // Compact with a full rebuild when retired slots would exceed 25%, the
-  // index kind cannot clone, or the caller forces the reference rebuild
-  // path.
+  // contract of index.h) with room for the new/changed vectors, insert them
+  // into the private clone, and retire the slots of absorbed items in the
+  // slot map. Compact with a full rebuild when retired slots would exceed
+  // 25%, the index kind cannot clone, or the caller forces the reference
+  // rebuild path.
   const size_t total_slots = old->slot_to_item.size() + inserted_items.size();
   const size_t dead_slots = old->dead_slots + num_retired;
   std::unique_ptr<ann::VectorIndex> clone;
   if (!options.rebuild_index && total_slots <= UINT32_MAX &&
       dead_slots * 4 <= total_slots) {
-    clone = old->index->Clone();
+    clone = old->index->CloneAndAdd(inserted, options.pool);
   }
   if (clone != nullptr) {
-    clone->AddBatch(inserted, options.pool);
     next->index = std::move(clone);
     next->slot_to_item.reserve(total_slots);
     for (uint32_t item : old->slot_to_item) {

@@ -232,14 +232,15 @@ class Matcher {
   /// Centroid updates are incremental — unchanged items keep their stored
   /// representation verbatim; only items the new source touched recompute
   /// from base embeddings — and so is the serving index: the current index
-  /// is cloned, vectors of new/changed items are inserted into the clone
-  /// (slots of absorbed items are retired via the slot map), and the new
-  /// state is published atomically, so concurrent MatchRecords readers
-  /// never block and never observe a torn table. When retired slots exceed
-  /// 25% of the index — or the index kind cannot Clone — the index is
-  /// compacted by a full rebuild instead. Unmatched rows become new
-  /// single-member items. The table must use the session's schema and a
-  /// source name not seen before. Writers serialize on an internal mutex.
+  /// is cloned with room for the vectors of new/changed items, which are
+  /// inserted into the clone (VectorIndex::CloneAndAdd; slots of absorbed
+  /// items are retired via the slot map), and the new state is published
+  /// atomically, so concurrent MatchRecords readers never block and never
+  /// observe a torn table. When retired slots exceed 25% of the index — or
+  /// the index kind cannot Clone — the index is compacted by a full rebuild
+  /// instead. Unmatched rows become new single-member items. The table must
+  /// use the session's schema and a source name not seen before. Writers
+  /// serialize on an internal mutex.
   util::Status AddTable(const table::Table& table,
                         const AddTableOptions& options);
 

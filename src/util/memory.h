@@ -1,8 +1,10 @@
 #ifndef MULTIEM_UTIL_MEMORY_H_
 #define MULTIEM_UTIL_MEMORY_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <span>
@@ -77,9 +79,17 @@ using CacheAlignedVector = std::vector<T, AlignedAllocator<T>>;
 /// and the first mutation (`EnsureOwned`, or any non-const accessor)
 /// materializes a private owned copy.
 ///
+/// Materializing allocates once, at the capacity of the write that asks for
+/// it: `reserve(n)` at n, `resize(n)` at n, `append` and `push_back` at the
+/// grown size, `EnsureOwned` and the other accessors at the view's size. A
+/// growing write on a view therefore copies each element once, never into
+/// an exact-size buffer that the growth then copies again.
+///
 /// Copying a CowSlab is cheap while it is a view (the copy shares the view
 /// and its keepalive — this is what lets consecutive serving epochs share
-/// unchanged data) and a deep copy once owned. The container is deliberately
+/// unchanged data) and a deep copy once owned. `CopyWithCapacity` is the
+/// copy for a slab about to grow: owned, in one allocation at the final
+/// capacity, whichever the source is. The container is deliberately
 /// vector-shaped (`value_type`, `resize`, `data`) so it drops into
 /// `ByteReader::ReadArrayInto` unchanged on the copying fallback path.
 template <typename T, typename Alloc = std::allocator<T>>
@@ -108,13 +118,22 @@ class CowSlab {
   const std::shared_ptr<const void>& keepalive() const { return keepalive_; }
 
   /// Materializes an owned private copy when this slab is a view; no-op when
-  /// already owned. Every mutating member calls this, so explicit calls are
-  /// only needed before raw const_cast-style writes through data().
+  /// already owned. Every mutating member materializes a view itself, so
+  /// explicit calls are only needed before raw const_cast-style writes
+  /// through data().
   void EnsureOwned() {
-    if (!is_view()) return;
-    owned_.assign(view_.begin(), view_.end());
-    view_ = {};
-    keepalive_.reset();
+    if (is_view()) Materialize(view_.size());
+  }
+
+  /// An owned copy of these elements with capacity for `capacity` of them
+  /// (at least size()), made in one allocation whether this slab is a view
+  /// or owned. The plain copy of an owned slab is sized exactly, so a copy
+  /// that is about to grow uses this instead.
+  CowSlab CopyWithCapacity(size_t capacity) const {
+    CowSlab copy;
+    copy.owned_.reserve(std::max(capacity, size()));
+    copy.owned_.insert(copy.owned_.end(), begin(), end());
+    return copy;
   }
 
   size_t size() const { return is_view() ? view_.size() : owned_.size(); }
@@ -143,24 +162,27 @@ class CowSlab {
   }
 
   void resize(size_t n) {
-    EnsureOwned();
+    if (is_view()) Materialize(n);
     owned_.resize(n);
   }
   void resize(size_t n, const T& v) {
-    EnsureOwned();
+    if (is_view()) Materialize(n);
     owned_.resize(n, v);
   }
   void reserve(size_t n) {
-    EnsureOwned();
+    if (is_view()) Materialize(std::max(n, view_.size()));
     owned_.reserve(n);
   }
   void push_back(const T& v) {
-    EnsureOwned();
+    if (is_view()) Materialize(view_.size() + 1);
     owned_.push_back(v);
   }
-  template <typename It>
+  template <std::forward_iterator It>
   void append(It first, It last) {
-    EnsureOwned();
+    if (is_view()) {
+      Materialize(view_.size() +
+                  static_cast<size_t>(std::distance(first, last)));
+    }
     owned_.insert(owned_.end(), first, last);
   }
 
@@ -169,6 +191,18 @@ class CowSlab {
   size_t OwnedBytes() const { return owned_.capacity() * sizeof(T); }
 
  private:
+  /// Turns a view into owned storage: one allocation of `capacity`
+  /// elements, holding the view's first min(capacity, size()) of them.
+  void Materialize(size_t capacity) {
+    std::vector<T, Alloc> owned;
+    owned.reserve(capacity);
+    owned.insert(owned.end(), view_.begin(),
+                 view_.begin() + std::min(capacity, view_.size()));
+    owned_ = std::move(owned);
+    view_ = {};
+    keepalive_.reset();
+  }
+
   std::vector<T, Alloc> owned_;
   std::span<const T> view_;
   std::shared_ptr<const void> keepalive_;

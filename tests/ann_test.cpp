@@ -4,17 +4,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <future>
+#include <iterator>
+#include <memory>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "ann/brute_force.h"
 #include "ann/hnsw.h"
+#include "ann/index_io.h"
 #include "ann/mutual_topk.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -395,6 +403,130 @@ TEST(BruteForceTest, ParallelAddBatchMatchesSerial) {
       EXPECT_EQ(a[i].id, b[i].id);
       EXPECT_EQ(a[i].distance, b[i].distance);  // bit-identical build
     }
+  }
+}
+
+// ------------------------------------------------------ Clone-and-insert --
+
+// The bytes `index` saves to.
+std::string SavedBytes(const VectorIndex& index) {
+  const std::string path = ::testing::TempDir() + "multiem_ann_clone.mem";
+  EXPECT_TRUE(index.Save(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::filesystem::remove(path);
+  return bytes;
+}
+
+// `index` saved and loaded back, so its slabs are views of the loaded
+// sections rather than owned buffers.
+std::unique_ptr<VectorIndex> Reloaded(const VectorIndex& index) {
+  const std::string path = ::testing::TempDir() + "multiem_ann_reload.mem";
+  EXPECT_TRUE(index.Save(path).ok());
+  auto loaded = LoadVectorIndex(path);
+  std::filesystem::remove(path);  // the loaded sections live on the heap
+  EXPECT_TRUE(loaded.ok()) << loaded.status();
+  return loaded.ok() ? std::move(*loaded) : nullptr;
+}
+
+// A pool whose workers stay parked until it is destroyed. A ParallelFor on
+// it queues its blocks, and the waiting caller runs them all itself, in
+// block order (TaskGroup::Wait helps with its own group). AddBatch still
+// takes its pooled path (sequential registration, then locked inserts),
+// but every run builds the same graph, so its bytes can be compared.
+class ParkedPool {
+ public:
+  explicit ParkedPool(size_t threads) : pool_(threads), group_(pool_) {
+    const std::shared_future<void> released = release_.get_future().share();
+    for (size_t i = 0; i < threads; ++i) {
+      pool_.Submit(group_, [this, released] {
+        parked_.fetch_add(1);
+        released.wait();
+      });
+    }
+    while (parked_.load() < threads) std::this_thread::yield();
+  }
+  ~ParkedPool() {
+    release_.set_value();
+    group_.Wait();
+  }
+  ParkedPool(const ParkedPool&) = delete;
+  ParkedPool& operator=(const ParkedPool&) = delete;
+
+  util::ThreadPool* get() { return &pool_; }
+
+ private:
+  util::ThreadPool pool_;
+  std::promise<void> release_;
+  util::TaskGroup group_;
+  std::atomic<size_t> parked_{0};
+};
+
+// The index kinds CloneAndAdd is pinned for, built over `rows` in memory.
+// parallel_batch_min is lowered so a 96-row batch takes the pooled path.
+std::vector<std::unique_ptr<VectorIndex>> CloneSources(
+    const embed::EmbeddingMatrix& rows) {
+  std::vector<std::unique_ptr<VectorIndex>> sources;
+  for (Quantization q : {Quantization::kNone, Quantization::kInt8}) {
+    HnswConfig config;
+    config.m = 8;
+    config.ef_construction = 40;
+    config.parallel_batch_min = 64;
+    config.quantization = q;
+    sources.push_back(
+        std::make_unique<HnswIndex>(rows.dim(), Metric::kCosine, config));
+    sources.push_back(
+        std::make_unique<BruteForceIndex>(rows.dim(), Metric::kCosine, q));
+  }
+  for (auto& source : sources) source->AddBatch(rows);
+  return sources;
+}
+
+TEST(CloneAndAddTest, SavesTheBytesOfCloneThenAddBatch) {
+  const auto base = RandomVectors(300, 24, 71);
+  const auto batch = RandomVectors(96, 24, 72);
+  ParkedPool parked(2);
+  for (const auto& in_memory : CloneSources(base)) {
+    const std::unique_ptr<VectorIndex> loaded = Reloaded(*in_memory);
+    ASSERT_NE(loaded, nullptr);
+    for (const VectorIndex* source : {in_memory.get(), loaded.get()}) {
+      for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr),
+                                     parked.get()}) {
+        SCOPED_TRACE(std::string(source->kind()) +
+                     (source == loaded.get() ? " loaded" : " in memory") +
+                     (pool == nullptr ? ", no pool" : ", pool"));
+        const std::string source_bytes = SavedBytes(*source);
+        std::unique_ptr<VectorIndex> two_step = source->Clone();
+        ASSERT_NE(two_step, nullptr);
+        two_step->AddBatch(batch, pool);
+        const std::unique_ptr<VectorIndex> one_step =
+            source->CloneAndAdd(batch, pool);
+        ASSERT_NE(one_step, nullptr);
+        EXPECT_EQ(one_step->size(), base.num_rows() + batch.num_rows());
+        EXPECT_EQ(SavedBytes(*one_step), SavedBytes(*two_step));
+        EXPECT_EQ(SavedBytes(*source), source_bytes);  // source untouched
+        // One copy of each HNSW slab, made at its size after the batch.
+        if (const auto* hnsw = dynamic_cast<const HnswIndex*>(one_step.get())) {
+          EXPECT_EQ(hnsw->OwnedBytes(), hnsw->MemoryUsage().total());
+        }
+      }
+    }
+  }
+}
+
+TEST(CloneAndAddTest, SerialAddBatchSizesEverySlabExactly) {
+  const auto rows = RandomVectors(300, 24, 73);
+  for (Quantization q : {Quantization::kNone, Quantization::kInt8}) {
+    HnswConfig config;
+    config.quantization = q;
+    HnswIndex index(24, Metric::kCosine, config);
+    index.AddBatch(rows);  // no pool: the serial path
+    // Capacity equals size in every slab: the vector slab holds exactly
+    // 300 * 24 floats instead of the next doubling of its growth.
+    EXPECT_EQ(index.MemoryUsage().fp32_bytes, rows.num_rows() * 24 * 4);
+    EXPECT_EQ(index.OwnedBytes(), index.MemoryUsage().total())
+        << QuantizationName(q);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -533,6 +534,144 @@ TEST(MemoryTest, RssProbesArePlausible) {
   size_t peak = PeakRssBytes();
   EXPECT_GT(rss, 1u << 20);   // more than 1 MiB resident
   EXPECT_GE(peak, rss / 2);   // peak should not be wildly below current
+}
+
+// ---------------------------------------------------------------- CowSlab --
+
+// Allocations made through CountingAllocator since the last Reset.
+struct AllocationLog {
+  static inline size_t count = 0;
+  static inline size_t last_elements = 0;  // size of the latest allocation
+  static void Reset() { count = last_elements = 0; }
+};
+
+template <typename T>
+struct CountingAllocator {
+  using value_type = T;
+  CountingAllocator() = default;
+  template <typename U>
+  CountingAllocator(const CountingAllocator<U>&) {}
+  T* allocate(size_t n) {
+    ++AllocationLog::count;
+    AllocationLog::last_elements = n;
+    return std::allocator<T>().allocate(n);
+  }
+  void deallocate(T* p, size_t n) { std::allocator<T>().deallocate(p, n); }
+  friend bool operator==(const CountingAllocator&, const CountingAllocator&) {
+    return true;
+  }
+};
+
+using CountedSlab = CowSlab<int, CountingAllocator<int>>;
+
+// {0, 1, ..., n-1}: the backing of a view, which keeps it alive.
+std::shared_ptr<const std::vector<int>> Iota(size_t n) {
+  auto backing = std::make_shared<std::vector<int>>(n);
+  for (size_t i = 0; i < n; ++i) (*backing)[i] = static_cast<int>(i);
+  return backing;
+}
+
+CountedSlab ViewOf(const std::shared_ptr<const std::vector<int>>& backing) {
+  CountedSlab slab;
+  slab.BindView(*backing, backing);
+  return slab;
+}
+
+// The slab holds 0, 1, ..., n-1 first, then `tail`.
+void ExpectIotaThen(const CountedSlab& slab, size_t n,
+                    const std::vector<int>& tail = {}) {
+  ASSERT_EQ(slab.size(), n + tail.size());
+  for (size_t i = 0; i < n; ++i) ASSERT_EQ(slab[i], static_cast<int>(i));
+  for (size_t i = 0; i < tail.size(); ++i) ASSERT_EQ(slab[n + i], tail[i]);
+}
+
+TEST(CowSlabTest, CopyOfAViewSharesTheViewAndItsKeepalive) {
+  const auto backing = Iota(10);
+  const CountedSlab view = ViewOf(backing);
+  AllocationLog::Reset();
+  const CountedSlab copy = view;
+  EXPECT_EQ(AllocationLog::count, 0u);
+  EXPECT_TRUE(copy.is_view());
+  EXPECT_EQ(copy.data(), backing->data());
+  EXPECT_EQ(copy.keepalive(), view.keepalive());
+  EXPECT_EQ(backing.use_count(), 3);  // this test, the view and its copy
+  EXPECT_EQ(copy.OwnedBytes(), 0u);
+}
+
+TEST(CowSlabTest, CopyOfAnOwnedSlabIsDeepAndEnsureOwnedDetachesAView) {
+  const auto backing = Iota(10);
+  CountedSlab slab = ViewOf(backing);
+  AllocationLog::Reset();
+  slab.EnsureOwned();
+  EXPECT_EQ(AllocationLog::count, 1u);
+  EXPECT_FALSE(slab.is_view());
+  EXPECT_EQ(slab.keepalive(), nullptr);
+  EXPECT_NE(slab.data(), backing->data());
+  EXPECT_EQ(backing.use_count(), 1);  // the view's keepalive is released
+  ExpectIotaThen(slab, 10);
+
+  CountedSlab copy = slab;
+  EXPECT_FALSE(copy.is_view());
+  EXPECT_NE(copy.data(), slab.data());
+  copy[0] = 42;
+  EXPECT_EQ(slab[0], 0);
+  EXPECT_EQ((*backing)[0], 0);
+}
+
+TEST(CowSlabTest, ReserveOnAViewAllocatesOnceAtTheFinalCapacity) {
+  CountedSlab slab = ViewOf(Iota(10));
+  AllocationLog::Reset();
+  slab.reserve(100);
+  EXPECT_EQ(AllocationLog::count, 1u);
+  EXPECT_EQ(AllocationLog::last_elements, 100u);
+  EXPECT_FALSE(slab.is_view());
+  EXPECT_EQ(slab.OwnedBytes(), 100 * sizeof(int));
+  ExpectIotaThen(slab, 10);
+}
+
+TEST(CowSlabTest, AppendOnAViewAllocatesOnceAtTheFinalCapacity) {
+  CountedSlab slab = ViewOf(Iota(10));
+  const std::vector<int> tail = {-1, -2, -3, -4, -5};
+  AllocationLog::Reset();
+  slab.append(tail.begin(), tail.end());
+  EXPECT_EQ(AllocationLog::count, 1u);
+  EXPECT_EQ(AllocationLog::last_elements, 15u);
+  EXPECT_EQ(slab.OwnedBytes(), 15 * sizeof(int));
+  ExpectIotaThen(slab, 10, tail);
+}
+
+TEST(CowSlabTest, ResizeOnAViewAllocatesOnceAtTheFinalCapacity) {
+  CountedSlab grown = ViewOf(Iota(10));
+  AllocationLog::Reset();
+  grown.resize(13, 7);
+  EXPECT_EQ(AllocationLog::count, 1u);
+  EXPECT_EQ(grown.OwnedBytes(), 13 * sizeof(int));
+  ExpectIotaThen(grown, 10, {7, 7, 7});
+
+  CountedSlab shrunk = ViewOf(Iota(10));
+  AllocationLog::Reset();
+  shrunk.resize(4);
+  EXPECT_EQ(AllocationLog::count, 1u);
+  EXPECT_EQ(shrunk.OwnedBytes(), 4 * sizeof(int));
+  ExpectIotaThen(shrunk, 4);
+}
+
+TEST(CowSlabTest, CopyWithCapacityAllocatesOnceFromAViewOrAnOwnedSlab) {
+  const auto backing = Iota(10);
+  const CountedSlab view = ViewOf(backing);
+  CountedSlab owned = ViewOf(Iota(10));
+  owned.EnsureOwned();
+  const CountedSlab* sources[] = {&view, &owned};
+  for (const CountedSlab* source : sources) {
+    AllocationLog::Reset();
+    const CountedSlab copy = source->CopyWithCapacity(64);
+    EXPECT_EQ(AllocationLog::count, 1u);
+    EXPECT_FALSE(copy.is_view());
+    EXPECT_EQ(copy.OwnedBytes(), 64 * sizeof(int));
+    ExpectIotaThen(copy, 10);
+  }
+  EXPECT_TRUE(view.is_view());  // the source is left as it was
+  EXPECT_EQ(view.data(), backing->data());
 }
 
 // ------------------------------------------------------------- MmapFile --
