@@ -28,7 +28,8 @@ struct Workload {
   std::vector<core::MergeTable> Tables() const {
     std::vector<core::MergeTable> out;
     for (size_t s = 0; s < store.num_sources(); ++s) {
-      out.push_back(core::MergeTable::FromSource(s, store.source(s)));
+      out.push_back(
+          core::MergeTable::FromSource(store, static_cast<uint32_t>(s)));
     }
     return out;
   }

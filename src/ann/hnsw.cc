@@ -897,6 +897,10 @@ util::Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(
   if (!upper_section.ok()) return upper_section.status();
   MULTIEM_RETURN_IF_ERROR(upper_section->ReadArrayCow(&index->upper_links_));
   MULTIEM_RETURN_IF_ERROR(upper_section->ExpectExhausted());
+  // Every read below goes through const references: a non-const access to
+  // a CowSlab view copies it into a private slab (and, from the verify
+  // pool, from several threads at once).
+  const auto& level0_links = index->level0_links_;
   const auto& upper_offsets = index->upper_offset_;
   const auto& upper_links = index->upper_links_;
 
@@ -944,7 +948,7 @@ util::Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(
         [&](size_t i) {
           if (bad.load(std::memory_order_relaxed)) return;
           util::Status s = ValidateLinkSlab(
-              index->level0_links_.data() + i * index->level0_stride_,
+              level0_links.data() + i * index->level0_stride_,
               /*num_blocks=*/1, index->level0_stride_, num_nodes, "layer-0");
           if (!s.ok()) {
             record(std::move(s));

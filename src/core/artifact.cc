@@ -90,6 +90,108 @@ std::string PathIn(const std::string& dir, const char* file) {
   return (std::filesystem::path(dir) / file).string();
 }
 
+// What a manifest holds for Matcher::Assemble.
+struct ManifestContents {
+  MultiEmConfig config;
+  std::vector<std::string> schema_names;
+  AttributeSelection selection;
+  std::vector<std::string> source_names;
+  EntityEmbeddingStore store;
+  ItemTable entities;
+  std::vector<uint32_t> slot_to_item;
+};
+
+util::Status ReadManifest(const std::string& path,
+                          const util::ArtifactOpenOptions& options,
+                          ManifestContents* out) {
+  auto manifest = util::ArtifactReader::FromFile(
+      path, PipelineArtifact::kManifestMagic,
+      PipelineArtifact::kManifestVersion, options);
+  if (!manifest.ok()) return manifest.status();
+
+  MultiEmConfig& config = out->config;
+  {
+    auto section = manifest->Section("config");
+    if (!section.ok()) return section.status();
+    MULTIEM_RETURN_IF_ERROR(ReadConfig(*section, &config));
+  }
+  // Optional "quant" section (absent in every unquantized manifest): the
+  // quantization knobs the AddTable rebuild factory must reproduce.
+  if (manifest->HasSection("quant")) {
+    auto section = manifest->Section("quant");
+    if (!section.ok()) return section.status();
+    uint64_t rerank_factor;
+    MULTIEM_RETURN_IF_ERROR(section->ReadString(&config.quantization));
+    MULTIEM_RETURN_IF_ERROR(section->ReadU64(&rerank_factor));
+    MULTIEM_RETURN_IF_ERROR(section->ExpectExhausted());
+    config.rerank_factor = static_cast<size_t>(rerank_factor);
+  }
+  MULTIEM_RETURN_IF_ERROR(config.ValidateValues());
+
+  {
+    auto section = manifest->Section("schema");
+    if (!section.ok()) return section.status();
+    MULTIEM_RETURN_IF_ERROR(section->ReadStringArray(&out->schema_names));
+  }
+  {
+    auto section = manifest->Section("selection");
+    if (!section.ok()) return section.status();
+    MULTIEM_RETURN_IF_ERROR(ReadSelection(*section, &out->selection));
+  }
+  {
+    auto section = manifest->Section("sources");
+    if (!section.ok()) return section.status();
+    MULTIEM_RETURN_IF_ERROR(section->ReadStringArray(&out->source_names));
+  }
+
+  // The base matrices stay views over their section (heap block or
+  // mapping): they are the session's embeddings.
+  {
+    auto section = manifest->Section("base");
+    if (!section.ok()) return section.status();
+    uint64_t num_sources;
+    MULTIEM_RETURN_IF_ERROR(section->ReadU64(&num_sources));
+    for (uint64_t s = 0; s < num_sources; ++s) {
+      embed::EmbeddingMatrix source;
+      MULTIEM_RETURN_IF_ERROR(embed::ReadMatrix(*section, &source));
+      out->store.AddSource(std::move(source));
+    }
+    MULTIEM_RETURN_IF_ERROR(section->ExpectExhausted());
+  }
+
+  // Tombstones are legal since format v3; older files never carry one, so
+  // there a zero-member item is corruption the checksums happened to miss.
+  // The "centroids" rows are checked for count and width, but only the
+  // tombstones' rows are kept: a live item's vector is derived from "base"
+  // (docs/FORMATS.md), so its saved row is never read.
+  auto entities = ItemTable::ReadSections(
+      *manifest, out->store.dim(),
+      /*allow_tombstones=*/manifest->version() >= 3);
+  if (!entities.ok()) return entities.status();
+  out->entities = std::move(*entities);
+
+  // Optional since v2: the slot->item map of an incrementally grown serving
+  // index. Absent (every v1 artifact, and identity-mapped sessions) means
+  // slot i holds item i's vector; Matcher::Assemble reads an empty map so.
+  if (manifest->HasSection("slots")) {
+    auto section = manifest->Section("slots");
+    if (!section.ok()) return section.status();
+    std::vector<uint64_t> slots;
+    MULTIEM_RETURN_IF_ERROR(section->ReadU64Array(&slots));
+    MULTIEM_RETURN_IF_ERROR(section->ExpectExhausted());
+    out->slot_to_item.reserve(slots.size());
+    for (uint64_t slot : slots) {
+      if (slot > UINT32_MAX) {
+        return util::Status::InvalidArgument(
+            "manifest slot map entry " + std::to_string(slot) +
+            " does not fit 32 bits");
+      }
+      out->slot_to_item.push_back(static_cast<uint32_t>(slot));
+    }
+  }
+  return util::Status::Ok();
+}
+
 }  // namespace
 
 util::Status PipelineArtifact::Save(const Matcher& matcher,
@@ -116,7 +218,9 @@ util::Status PipelineArtifact::Save(const Matcher& matcher,
   // Format v3: an item with zero members is a tombstone — a retired entry
   // that keeps later items' ids stable across ingest epochs. It must have
   // no live slot in the "slots" section (Matcher::Assemble enforces this).
-  state->entities.WriteSections(manifest, "centroids");
+  // The "centroids" rows are derived from the base store as they stream
+  // into the section; a tombstone's is the row it was retired with.
+  state->entities.WriteSections(manifest, state->store);
 
   util::ByteWriter& base = manifest.AddSection("base");
   base.WriteU64(state->store.num_sources());
@@ -204,93 +308,12 @@ util::Result<Matcher> PipelineArtifact::Load(const std::string& dir) {
 
 util::Result<Matcher> PipelineArtifact::Load(
     const std::string& dir, const util::ArtifactOpenOptions& options) {
-  auto manifest = util::ArtifactReader::FromFile(
-      PathIn(dir, kManifestFile), kManifestMagic, kManifestVersion, options);
-  if (!manifest.ok()) return manifest.status();
-
-  MultiEmConfig config;
-  {
-    auto section = manifest->Section("config");
-    if (!section.ok()) return section.status();
-    MULTIEM_RETURN_IF_ERROR(ReadConfig(*section, &config));
-  }
-  // Optional "quant" section (absent in every unquantized manifest): the
-  // quantization knobs the AddTable rebuild factory must reproduce.
-  if (manifest->HasSection("quant")) {
-    auto section = manifest->Section("quant");
-    if (!section.ok()) return section.status();
-    uint64_t rerank_factor;
-    MULTIEM_RETURN_IF_ERROR(section->ReadString(&config.quantization));
-    MULTIEM_RETURN_IF_ERROR(section->ReadU64(&rerank_factor));
-    MULTIEM_RETURN_IF_ERROR(section->ExpectExhausted());
-    config.rerank_factor = static_cast<size_t>(rerank_factor);
-  }
-  MULTIEM_RETURN_IF_ERROR(config.ValidateValues());
-
-  std::vector<std::string> schema_names;
-  {
-    auto section = manifest->Section("schema");
-    if (!section.ok()) return section.status();
-    MULTIEM_RETURN_IF_ERROR(section->ReadStringArray(&schema_names));
-  }
-
-  AttributeSelection selection;
-  {
-    auto section = manifest->Section("selection");
-    if (!section.ok()) return section.status();
-    MULTIEM_RETURN_IF_ERROR(ReadSelection(*section, &selection));
-  }
-
-  std::vector<std::string> source_names;
-  {
-    auto section = manifest->Section("sources");
-    if (!section.ok()) return section.status();
-    MULTIEM_RETURN_IF_ERROR(section->ReadStringArray(&source_names));
-  }
-
-  // Tombstones are legal since format v3; older files never carry one, so
-  // there a zero-member item is corruption the checksums happened to miss.
-  // The chunks alias the centroid rows in place (heap block or mapping),
-  // so a chunk AddTable never touches costs no copy, and the section is
-  // freed with the last chunk that still views it.
-  auto entities = MergeTable::ReadSections(
-      *manifest, "centroids", /*allow_tombstones=*/manifest->version() >= 3);
-  if (!entities.ok()) return entities.status();
-
-  EntityEmbeddingStore store;
-  {
-    auto section = manifest->Section("base");
-    if (!section.ok()) return section.status();
-    uint64_t num_sources;
-    MULTIEM_RETURN_IF_ERROR(section->ReadU64(&num_sources));
-    for (uint64_t s = 0; s < num_sources; ++s) {
-      embed::EmbeddingMatrix source;
-      MULTIEM_RETURN_IF_ERROR(embed::ReadMatrix(*section, &source));
-      store.AddSource(std::move(source));
-    }
-    MULTIEM_RETURN_IF_ERROR(section->ExpectExhausted());
-  }
-
-  // Optional since v2: the slot->item map of an incrementally grown serving
-  // index. Absent (every v1 artifact, and identity-mapped sessions) means
-  // slot i holds item i's vector; Matcher::Assemble reads an empty map so.
-  std::vector<uint32_t> slot_to_item;
-  if (manifest->HasSection("slots")) {
-    auto section = manifest->Section("slots");
-    if (!section.ok()) return section.status();
-    std::vector<uint64_t> slots;
-    MULTIEM_RETURN_IF_ERROR(section->ReadU64Array(&slots));
-    MULTIEM_RETURN_IF_ERROR(section->ExpectExhausted());
-    slot_to_item.reserve(slots.size());
-    for (uint64_t slot : slots) {
-      if (slot > UINT32_MAX) {
-        return util::Status::InvalidArgument(
-            "manifest slot map entry " + std::to_string(slot) +
-            " does not fit 32 bits");
-      }
-      slot_to_item.push_back(static_cast<uint32_t>(slot));
-    }
-  }
+  // The manifest's reader dies with ReadManifest, before the encoder and
+  // the index are opened: every section nothing views (the "centroids"
+  // rows among them) is freed first.
+  ManifestContents manifest;
+  MULTIEM_RETURN_IF_ERROR(
+      ReadManifest(PathIn(dir, kManifestFile), options, &manifest));
 
   auto encoder = embed::LoadTextEncoder(PathIn(dir, kEncoderFile), options);
   if (!encoder.ok()) return encoder.status();
@@ -299,18 +322,20 @@ util::Result<Matcher> PipelineArtifact::Load(
 
   // The index factory backs future AddTable rebuilds; resolve it from the
   // saved config so incremental merges use the same backend the run did.
-  auto factory = IndexFactories().Create(config.index_name, config);
+  auto factory = IndexFactories().Create(manifest.config.index_name,
+                                         manifest.config);
   if (!factory.ok()) return factory.status();
 
   // Matcher::Assemble revalidates the cross-file invariants (index size vs
   // items/slots, slot-map bijectivity, member ids vs base matrices,
   // dimensionalities).
   return Matcher::Assemble(
-      std::move(config), std::move(schema_names), std::move(selection),
-      std::move(source_names), std::move(store), std::move(*entities),
+      std::move(manifest.config), std::move(manifest.schema_names),
+      std::move(manifest.selection), std::move(manifest.source_names),
+      std::move(manifest.store), std::move(manifest.entities),
       std::shared_ptr<embed::TextEncoder>(std::move(*encoder)),
       std::shared_ptr<const ann::VectorIndexFactory>(std::move(*factory)),
-      std::move(*index), /*pool=*/nullptr, std::move(slot_to_item));
+      std::move(*index), /*pool=*/nullptr, std::move(manifest.slot_to_item));
 }
 
 }  // namespace multiem::core

@@ -15,20 +15,21 @@ namespace multiem::core {
 namespace {
 
 // The live (untombstoned) items of an entity table, in item order: their
-// ids and their rows.
+// ids and their vectors, derived from `store`.
 struct LiveItems {
   std::vector<uint32_t> ids;
   embed::EmbeddingMatrix rows;
 };
 
-LiveItems GatherLiveItems(const MergeTable& entities) {
-  LiveItems live{{}, embed::EmbeddingMatrix(0, entities.dim())};
+LiveItems GatherLiveItems(const ItemTable& entities,
+                          const EntityEmbeddingStore& store) {
+  LiveItems live{{}, embed::EmbeddingMatrix(entities.num_live_items(),
+                                            store.dim())};
   live.ids.reserve(entities.num_live_items());
-  live.rows.ReserveRows(entities.num_live_items());
   for (size_t i = 0; i < entities.num_items(); ++i) {
-    if (entities.item(i).members.empty()) continue;
+    if (entities.members(i).empty()) continue;
+    store.ItemVector(entities.members(i), live.rows.Row(live.ids.size()));
     live.ids.push_back(static_cast<uint32_t>(i));
-    live.rows.AppendRow(entities.Row(i));
   }
   return live;
 }
@@ -36,11 +37,12 @@ LiveItems GatherLiveItems(const MergeTable& entities) {
 // A fresh serving index over the live items of `entities`, slot s holding
 // item (*slot_to_item)[s]: Assemble's build and AddTable's compaction.
 std::unique_ptr<ann::VectorIndex> BuildServingIndex(
-    const ann::VectorIndexFactory& factory, const MergeTable& entities,
-    util::ThreadPool* pool, std::vector<uint32_t>* slot_to_item) {
-  LiveItems live = GatherLiveItems(entities);
+    const ann::VectorIndexFactory& factory, const ItemTable& entities,
+    const EntityEmbeddingStore& store, util::ThreadPool* pool,
+    std::vector<uint32_t>* slot_to_item) {
+  LiveItems live = GatherLiveItems(entities, store);
   std::unique_ptr<ann::VectorIndex> index =
-      factory.Create(entities.dim(), ann::Metric::kCosine);
+      factory.Create(store.dim(), ann::Metric::kCosine);
   index->AddBatch(live.rows, pool);
   *slot_to_item = std::move(live.ids);
   return index;
@@ -70,7 +72,7 @@ embed::EmbeddingMatrix EncodeTable(const embed::TextEncoder& encoder,
 util::Result<Matcher> Matcher::Assemble(
     MultiEmConfig config, std::vector<std::string> schema_names,
     AttributeSelection selection, std::vector<std::string> source_names,
-    EntityEmbeddingStore store, MergeTable entities,
+    EntityEmbeddingStore store, ItemTable entities,
     std::shared_ptr<embed::TextEncoder> encoder,
     std::shared_ptr<const ann::VectorIndexFactory> index_factory,
     std::unique_ptr<ann::VectorIndex> index, util::ThreadPool* pool,
@@ -88,15 +90,14 @@ util::Result<Matcher> Matcher::Assemble(
         " sources but " + std::to_string(source_names.size()) + " names");
   }
   const size_t dim = store.dim();
-  if (dim == 0 || encoder->dim() != dim || entities.dim() != dim) {
+  if (dim == 0 || encoder->dim() != dim) {
     return util::Status::InvalidArgument(
         "Matcher dimensionality mismatch: store " + std::to_string(dim) +
-        ", encoder " + std::to_string(encoder->dim()) + ", entity table " +
-        std::to_string(entities.dim()));
+        ", encoder " + std::to_string(encoder->dim()));
   }
   // store.dim() only reflects source 0; every source matrix must agree, or
-  // the centroid recompute in a later AddTable would walk a narrower row
-  // with the wider dim (a crafted manifest could otherwise smuggle one in).
+  // deriving an item's vector would walk a narrower row with the wider dim
+  // (a crafted manifest could otherwise smuggle one in).
   for (size_t s = 0; s < store.num_sources(); ++s) {
     if (store.source(s).dim() != dim) {
       return util::Status::InvalidArgument(
@@ -114,7 +115,7 @@ util::Result<Matcher> Matcher::Assemble(
   }
   const size_t num_items = entities.num_items();
   for (size_t i = 0; i < num_items; ++i) {
-    for (table::EntityId id : entities.item(i).members) {
+    for (table::EntityId id : entities.members(i)) {
       if (id.source() >= store.num_sources() ||
           id.row() >= store.source(id.source()).num_rows()) {
         return util::Status::InvalidArgument(
@@ -134,8 +135,8 @@ util::Result<Matcher> Matcher::Assemble(
       return util::Status::InvalidArgument(
           "a fresh serving index takes no slot map and no tombstones");
     }
-    index = BuildServingIndex(*index_factory, state->entities, pool,
-                              &slot_to_item);
+    index = BuildServingIndex(*index_factory, state->entities, state->store,
+                              pool, &slot_to_item);
   } else {
     // Artifact-load path: the persisted index is the serving index,
     // verbatim — that is what makes reloaded search results identical.
@@ -187,7 +188,7 @@ util::Result<Matcher> Matcher::Assemble(
     slot_of_item[item] = static_cast<uint32_t>(slot);
   }
   for (size_t i = 0; i < num_items; ++i) {
-    const bool tombstone = state->entities.item(i).members.empty();
+    const bool tombstone = state->entities.members(i).empty();
     if (!tombstone && slot_of_item[i] == kDeadSlot) {
       return util::Status::InvalidArgument(
           "item " + std::to_string(i) + " has no live index slot");
@@ -221,7 +222,7 @@ uint64_t Matcher::epoch() const { return state()->epoch; }
 size_t Matcher::num_items() const { return state()->entities.num_items(); }
 
 std::vector<table::EntityId> Matcher::item_members(size_t i) const {
-  return state()->entities.item(i).members;
+  return state()->entities.members(i);
 }
 
 std::vector<std::string> Matcher::source_names() const {
@@ -352,13 +353,13 @@ util::Status Matcher::AddTable(const table::Table& table,
   // table's *live* items and the new rows — the same mutual top-K standard
   // a pipeline merge level uses. Tombstoned items are retired entries
   // whose rows are stale; they must not attract matches. Only their ids
-  // outlive the match: the gathered rows are freed before the entity
+  // outlive the match: the derived rows are freed before the entity
   // chunks and the index are copied below.
   const size_t n_old = old->entities.num_items();
   std::vector<uint32_t> live_ids;
   std::vector<ann::MutualPair> matched_pairs;
   {
-    LiveItems live = GatherLiveItems(old->entities);
+    LiveItems live = GatherLiveItems(old->entities, old->store);
     matched_pairs = ann::MutualTopK(live.rows, embeddings,
                                     *fixed_->index_factory,
                                     MutualOptionsFromConfig(fixed_->config),
@@ -384,63 +385,61 @@ util::Status Matcher::AddTable(const table::Table& table,
 
   // Update the entity table in place. Item ids are stable across epochs by
   // construction: an untouched item keeps its index (and, through the
-  // copy-on-write chunks of MergeTable, is not even copied — consecutive
+  // copy-on-write chunks of ItemTable, is not even copied — consecutive
   // epochs share every chunk the ingest left alone); a merged group lands
   // at its smallest old item id with the other old participants tombstoned;
   // unmatched new rows append at the end. Every union edge crosses into the
   // new source, so a group is unchanged iff it is exactly one old item.
-  // Merged representations come from EntityEmbeddingStore::Centroid, as in
+  // Vectors come from EntityEmbeddingStore::ItemVector, as in
   // TwoTableMerger::Merge, so the two paths stay bitwise equal.
   next->entities = old->entities;  // O(num_chunks) pointer copies
   std::vector<uint32_t> inserted_items;  // items the index must (re)learn
   embed::EmbeddingMatrix inserted(0, dim);  // their vectors, in order
   std::vector<bool> retired(n_old, false);  // old items whose slots retire
   size_t num_retired = 0;
-  std::vector<float> centroid(dim);
+  std::vector<float> vector(dim);
   for (const std::vector<size_t>& group : uf.Groups()) {
     if (group.size() == 1 && group[0] < n_old) continue;  // untouched
     if (group.size() == 1) {
-      // Unmatched new row: a fresh single-member item with its own
-      // embedding (the carried representation of a FromSource item).
-      MergeItem item;
+      // Unmatched new row: a fresh single-member item, whose vector is its
+      // own embedding.
       const size_t row = group[0] - n_old;
-      item.members.push_back(table::EntityId(source, row));
       inserted_items.push_back(
           static_cast<uint32_t>(next->entities.num_items()));
-      next->entities.Append(std::move(item), fresh.Row(row));
+      next->entities.Append({table::EntityId(source, row)});
       inserted.AppendRow(fresh.Row(row));
       continue;
     }
     // A multi-node group holds at least one old item (edges are old<->new).
-    MergeItem item;
+    std::vector<table::EntityId> members;
     size_t target = n_old;
     for (size_t uf_id : group) {
       if (uf_id < n_old) {
         target = std::min(target, uf_id);
-        const std::vector<table::EntityId>& members =
-            old->entities.item(uf_id).members;
-        item.members.insert(item.members.end(), members.begin(),
-                            members.end());
+        const std::vector<table::EntityId>& old_members =
+            old->entities.members(uf_id);
+        members.insert(members.end(), old_members.begin(), old_members.end());
       } else {
-        item.members.push_back(table::EntityId(source, uf_id - n_old));
+        members.push_back(table::EntityId(source, uf_id - n_old));
       }
     }
-    std::sort(item.members.begin(), item.members.end());
-    item.members.erase(std::unique(item.members.begin(), item.members.end()),
-                       item.members.end());
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()), members.end());
     // Every old participant's slot retires: the absorbed items become
-    // tombstones, and the target's representation moved, so its recomputed
-    // vector is inserted under a fresh slot.
+    // tombstones, keeping the vectors they had, and the target's vector
+    // moved, so its new one is inserted under a fresh slot.
     for (size_t uf_id : group) {
       if (uf_id >= n_old) continue;
       retired[uf_id] = true;
       ++num_retired;
-      if (uf_id != target) next->entities.TombstoneItem(uf_id);
+      if (uf_id == target) continue;
+      old->entities.Vector(uf_id, old->store, vector);
+      next->entities.Tombstone(uf_id, vector);
     }
     inserted_items.push_back(static_cast<uint32_t>(target));
-    next->store.Centroid(item.members, centroid);
-    inserted.AppendRow(centroid);
-    next->entities.ReplaceItem(target, std::move(item), centroid);
+    next->store.ItemVector(members, vector);
+    inserted.AppendRow(vector);
+    next->entities.Replace(target, std::move(members));
   }
 
   // Extend the serving index. Preferred path: clone the published graph
@@ -471,8 +470,9 @@ util::Status Matcher::AddTable(const table::Table& table,
     // Compaction: a fresh index over the live items only. Item ids still do
     // not move — tombstones keep their (slotless) table entries; only the
     // retired index slots are dropped.
-    next->index = BuildServingIndex(*fixed_->index_factory, next->entities,
-                                    options.pool, &next->slot_to_item);
+    next->index =
+        BuildServingIndex(*fixed_->index_factory, next->entities, next->store,
+                          options.pool, &next->slot_to_item);
   }
 
   // Publish: the release store pairs with every reader's acquire load, so

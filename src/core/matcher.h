@@ -32,6 +32,7 @@
 #include "ann/index_factory.h"
 #include "core/attribute_selector.h"
 #include "core/config.h"
+#include "core/item_table.h"
 #include "core/merge_table.h"
 #include "embed/text_encoder.h"
 #include "eval/tuples.h"
@@ -184,20 +185,20 @@ class Matcher {
   Matcher& operator=(const Matcher&) = delete;
 
   /// Builds a session from a finished run's state. `index` may be null, in
-  /// which case one is created from `index_factory` over the entity table's
-  /// embeddings (`pool`, optional, parallelizes that build); the table must
-  /// then carry no tombstones and `slot_to_item` must be empty. A non-null
-  /// `index` (the artifact-load path) is taken as-is and must be under the
-  /// cosine metric; `slot_to_item` maps its slots to entity items
-  /// (kDeadSlot marks retired slots), and an empty map, from an artifact
-  /// without a "slots" section, stands for the identity. The map must be a
-  /// bijection between live slots and untombstoned items. `encoder` must be
-  /// fitted; `selection` and `schema_names` must describe the run that
-  /// produced `store`/`entities`.
+  /// which case one is created from `index_factory` over the items'
+  /// vectors, derived from `store` (`pool`, optional, parallelizes that
+  /// build); the table must then carry no tombstones and `slot_to_item`
+  /// must be empty. A non-null `index` (the artifact-load path) is taken
+  /// as-is and must be under the cosine metric; `slot_to_item` maps its
+  /// slots to entity items (kDeadSlot marks retired slots), and an empty
+  /// map, from an artifact without a "slots" section, stands for the
+  /// identity. The map must be a bijection between live slots and
+  /// untombstoned items. `encoder` must be fitted; `selection` and
+  /// `schema_names` must describe the run that produced `store`/`entities`.
   static util::Result<Matcher> Assemble(
       MultiEmConfig config, std::vector<std::string> schema_names,
       AttributeSelection selection, std::vector<std::string> source_names,
-      EntityEmbeddingStore store, MergeTable entities,
+      EntityEmbeddingStore store, ItemTable entities,
       std::shared_ptr<embed::TextEncoder> encoder,
       std::shared_ptr<const ann::VectorIndexFactory> index_factory,
       std::unique_ptr<ann::VectorIndex> index = nullptr,
@@ -229,18 +230,19 @@ class Matcher {
   /// merge level uses — by an exact scan or two indexes, chosen from the
   /// session's config and the two row counts as a pipeline merge chooses
   /// (MutualOptionsFromConfig) — and unioned into the existing items.
-  /// Centroid updates are incremental — unchanged items keep their stored
-  /// representation verbatim; only items the new source touched recompute
-  /// from base embeddings — and so is the serving index: the current index
-  /// is cloned with room for the vectors of new/changed items, which are
-  /// inserted into the clone (VectorIndex::CloneAndAdd; slots of absorbed
-  /// items are retired via the slot map), and the new state is published
-  /// atomically, so concurrent MatchRecords readers never block and never
-  /// observe a torn table. When retired slots exceed 25% of the index — or
-  /// the index kind cannot Clone — the index is compacted by a full rebuild
-  /// instead. Unmatched rows become new single-member items. The table must
-  /// use the session's schema and a source name not seen before. Writers
-  /// serialize on an internal mutex.
+  /// The session stores member lists, not vectors: an item's vector is
+  /// derived from the base store (EntityEmbeddingStore::ItemVector) where
+  /// one is needed, so an epoch copies the member lists of the chunks it
+  /// touches and never a row. The serving index grows incrementally: the
+  /// current index is cloned with room for the vectors of new/changed
+  /// items, which are inserted into the clone (VectorIndex::CloneAndAdd;
+  /// slots of absorbed items are retired via the slot map), and the new
+  /// state is published atomically, so concurrent MatchRecords readers
+  /// never block and never observe a torn table. When retired slots exceed
+  /// 25% of the index — or the index kind cannot Clone — the index is
+  /// compacted by a full rebuild instead. Unmatched rows become new
+  /// single-member items. The table must use the session's schema and a
+  /// source name not seen before. Writers serialize on an internal mutex.
   util::Status AddTable(const table::Table& table,
                         const AddTableOptions& options);
 
@@ -316,7 +318,7 @@ class Matcher {
   struct ServingState {
     std::vector<std::string> source_names;
     EntityEmbeddingStore store;  // cheap copy: shared_ptr source matrices
-    MergeTable entities;
+    ItemTable entities;          // member lists; vectors derive from `store`
     std::shared_ptr<const ann::VectorIndex> index;
     /// Index slot -> item id, one entry per slot of `index`. kDeadSlot
     /// entries are retired slots whose vectors MatchRecords filters out;
@@ -377,7 +379,7 @@ class Matcher::Snapshot {
   /// Member entities of item `i`. The reference is valid for the life of
   /// this Snapshot (which pins the epoch).
   const std::vector<table::EntityId>& item_members(size_t i) const {
-    return state_->entities.item(i).members;
+    return state_->entities.members(i);
   }
 
   /// Matched tuples (items with >= 2 members) in canonical form.
@@ -385,8 +387,8 @@ class Matcher::Snapshot {
   eval::TupleSet Tuples() const {
     std::vector<eval::Tuple> tuples;
     for (size_t i = 0; i < state_->entities.num_items(); ++i) {
-      const MergeItem& item = state_->entities.item(i);
-      if (item.members.size() >= 2) tuples.push_back(item.members);
+      const std::vector<table::EntityId>& members = state_->entities.members(i);
+      if (members.size() >= 2) tuples.push_back(members);
     }
     return eval::TupleSet(std::move(tuples));
   }
@@ -395,13 +397,14 @@ class Matcher::Snapshot {
     return state_->source_names;
   }
 
-  /// Item representations (one row per item) of this epoch gathered into a
-  /// contiguous matrix — the vectors the serving index holds for live
-  /// slots. Rows of tombstoned items (empty item_members) are stale
-  /// leftovers with no live slot; consumers must skip them. Exposed for
-  /// recall oracles (bench_serve) and the centroid regression tests.
+  /// Item representations (one row per item) of this epoch, derived from
+  /// the base store into a new matrix — the vectors the serving index holds
+  /// for live slots. Rows of tombstoned items (empty item_members) are the
+  /// stale vectors they were retired with and have no live slot; consumers
+  /// must skip them. Exposed for recall oracles (bench_serve) and the
+  /// centroid regression tests.
   embed::EmbeddingMatrix centroids() const {
-    return state_->entities.GatherEmbeddings();
+    return state_->entities.GatherVectors(state_->store);
   }
 
   const ann::VectorIndex& index() const { return *state_->index; }

@@ -2,6 +2,7 @@
 #define MULTIEM_CORE_MERGE_TABLE_H_
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -16,10 +17,8 @@
 namespace multiem::core {
 
 /// One item of a merge table: either a single entity (initial hierarchy) or
-/// a candidate tuple of entities merged so far. Members stay sorted. An item
-/// with no members is a *tombstone*: a retired serving-table entry whose
-/// index keeps later items' ids stable across ingest epochs (see
-/// Matcher::AddTable); merge tables inside the pipeline never carry them.
+/// a candidate tuple of entities merged so far. Members stay sorted. Only a
+/// serving table (ItemTable) holds items with no members: its tombstones.
 struct MergeItem {
   std::vector<table::EntityId> members;
 };
@@ -51,6 +50,11 @@ class EntityEmbeddingStore {
 
   size_t num_sources() const { return sources_.size(); }
   const embed::EmbeddingMatrix& source(size_t s) const { return *sources_[s]; }
+  /// The shared, immutable matrix of source `s`; views of it may keep it.
+  const std::shared_ptr<const embed::EmbeddingMatrix>& shared_source(
+      size_t s) const {
+    return sources_[s];
+  }
 
   /// Embedding dimensionality (0 when empty).
   size_t dim() const { return sources_.empty() ? 0 : sources_[0]->dim(); }
@@ -64,6 +68,15 @@ class EntityEmbeddingStore {
   void Centroid(std::span<const table::EntityId> members,
                 std::span<float> out) const;
 
+  /// Writes the vector of an item with sorted `members` into `out` (dim()
+  /// floats): a one-member item's own row, Centroid(members) otherwise. Every
+  /// item vector the library makes is this function of the member list —
+  /// TwoTableMerger::Merge writes it for merged items and carries it
+  /// unchanged, and a serving session (ItemTable) stores no vectors at all
+  /// but derives each one here when it needs it.
+  void ItemVector(std::span<const table::EntityId> members,
+                  std::span<float> out) const;
+
   /// Total payload bytes (memory accounting).
   size_t SizeBytes() const {
     size_t total = 0;
@@ -75,22 +88,48 @@ class EntityEmbeddingStore {
   std::vector<std::shared_ptr<const embed::EmbeddingMatrix>> sources_;
 };
 
+/// The one codec of the items/rows layout that MEMMERGT spills and serving
+/// manifests share: an "items" section (u64 item count, then per item a u64
+/// member count and the packed member ids) and a `rows_section` matrix in
+/// embed::WriteMatrix form, one `dim`-float row per item. MEMMERGT files
+/// name the rows "embeddings", the serving manifest "centroids". Item i's
+/// members come from `members(i)`; its row is what `row(i, scratch)`
+/// returns, a span of its own storage or `scratch` (dim floats) filled.
+/// Rows stream straight into the section, so no gathered matrix is made.
+void WriteItemSections(
+    util::ArtifactWriter& writer, std::string_view rows_section,
+    size_t num_items, size_t dim,
+    const std::function<std::span<const table::EntityId>(size_t)>& members,
+    const std::function<std::span<const float>(size_t, std::span<float>)>&
+        row);
+
+/// What ReadItemSections parsed: the member lists, and the rows as a view
+/// over their section where alignment allows (a copy otherwise).
+struct ItemSections {
+  std::vector<MergeItem> items;
+  embed::EmbeddingMatrix rows;
+};
+
+/// Reads what WriteItemSections wrote and checks that the rows section
+/// holds one row per item. Zero-member items (tombstones) load only with
+/// `allow_tombstones`. Every count is bounded by the bytes left before
+/// anything is reserved.
+util::Result<ItemSections> ReadItemSections(const util::ArtifactReader& reader,
+                                            std::string_view rows_section,
+                                            bool allow_tombstones);
+
 /// A table in the merging hierarchy: items plus one embedding per item
 /// (the E_i of Algorithm 2/3 after the first hierarchy level).
 ///
-/// Storage is chunked copy-on-write: items and their embedding rows live in
-/// fixed-size blocks held through shared_ptr. Copying a MergeTable is
-/// O(num_chunks) pointer copies, and a mutation clones only the one chunk it
-/// touches — consecutive serving epochs (Matcher::AddTable) share every
-/// chunk the ingest left untouched instead of duplicating the whole table.
-/// Chunks loaded from an artifact manifest keep their embedding rows as
-/// views over the loaded section (heap block or mapped pages) until first
-/// mutated.
+/// Storage is chunked: items and their embedding rows live in fixed-size
+/// blocks held through shared_ptr, so copying a MergeTable (a resident
+/// MergeSource::Materialize) is O(num_chunks) pointer copies, and an Append
+/// to a copy clones only the last chunk. The chunks of a leaf table view
+/// the store's source matrix, and those of a mapped MEMMERGT load view the
+/// mapped pages; either copies its rows only when written.
 class MergeTable {
  public:
-  /// Items per copy-on-write chunk. At dim 64 a chunk's embedding block is
-  /// 1 MiB — small enough that cloning one on a point mutation is cheap,
-  /// large enough that a million-item table is ~256 chunk pointers.
+  /// Items per chunk. At dim 64 a chunk's embedding block is 1 MiB.
   static constexpr size_t kChunkItems = 4096;
 
   /// Magic + format version of a standalone merge-table artifact file
@@ -101,22 +140,13 @@ class MergeTable {
 
   MergeTable() = default;
 
-  /// Initial merge table of one source: item i = entity (source, i), with
-  /// the entity's own embedding.
-  static MergeTable FromSource(uint32_t source,
-                               const embed::EmbeddingMatrix& embeddings);
-
-  /// Builds a table from parallel columns: item i gets `items[i]` and row i
-  /// of `embeddings` (sizes must agree). When `embeddings` is a view (the
-  /// artifact load path) the chunks alias its rows — no float is
-  /// copied. Empty-member items are accepted as tombstones.
-  static MergeTable FromParts(std::vector<MergeItem> items,
-                              const embed::EmbeddingMatrix& embeddings);
+  /// Initial merge table of source `source` of `store`: item i = entity
+  /// (source, i), whose row is a view of the store's row — no float is
+  /// copied, and the chunks keep the source matrix alive.
+  static MergeTable FromSource(const EntityEmbeddingStore& store,
+                               uint32_t source);
 
   size_t num_items() const { return num_items_; }
-  /// Items with no members (retired serving entries; see MergeItem).
-  size_t num_tombstones() const { return num_tombstones_; }
-  size_t num_live_items() const { return num_items_ - num_tombstones_; }
 
   /// Embedding dimensionality (0 until the first Append/Reserve fixes it).
   size_t dim() const { return dim_; }
@@ -125,54 +155,32 @@ class MergeTable {
     return chunks_[i / kChunkItems]->items[i % kChunkItems];
   }
 
-  /// Representation of item `i`.
+  /// Representation of item `i`. Read through a const matrix: a view
+  /// chunk's rows must not be copied by a read.
   std::span<const float> Row(size_t i) const {
-    return chunks_[i / kChunkItems]->embeddings.Row(i % kChunkItems);
+    const embed::EmbeddingMatrix& rows = chunks_[i / kChunkItems]->embeddings;
+    return rows.Row(i % kChunkItems);
   }
 
   /// Appends an item with its representation.
   void Append(MergeItem item, std::span<const float> embedding);
 
-  /// Replaces item `i`'s members and representation (clones only its chunk).
-  void ReplaceItem(size_t i, MergeItem item, std::span<const float> embedding);
-
-  /// Retires item `i`: members are cleared (the embedding row is left in
-  /// place but must no longer be served). Clones only its chunk.
-  void TombstoneItem(size_t i);
-
   /// Reserves space for `n` items of dimension `dim`.
   void Reserve(size_t n, size_t dim);
 
   /// All item representations gathered into one contiguous matrix (row i =
-  /// item i, tombstone rows included). O(num_items * dim) copy — for index
-  /// rebuilds and serialization, not per-query paths.
+  /// item i). O(num_items * dim) copy — what a merge's mutual top-K scans.
   embed::EmbeddingMatrix GatherEmbeddings() const;
 
   /// Total number of entity memberships across items.
   size_t TotalMembers() const;
 
-  /// Approximate heap bytes reachable through this table (shared chunks are
-  /// counted in full; mapped view rows count their mapped bytes).
+  /// Approximate bytes reachable through this table (shared chunks are
+  /// counted in full; view rows count the bytes they view).
   size_t SizeBytes() const;
 
-  /// The one codec of a merge table: appends the "items" section (u64 item
-  /// count, then per item a u64 member count and the packed member ids)
-  /// and the `rows_section` matrix, one row per item. MEMMERGT files name
-  /// the rows "embeddings", the serving manifest "centroids".
-  void WriteSections(util::ArtifactWriter& writer,
-                     std::string_view rows_section) const;
-
-  /// Reads what WriteSections wrote. Zero-member items (tombstones) load
-  /// only with `allow_tombstones`. Every count is bounded by the bytes left
-  /// before anything is reserved. The chunks alias the rows in place (heap
-  /// block or mapping).
-  static util::Result<MergeTable> ReadSections(
-      const util::ArtifactReader& reader, std::string_view rows_section,
-      bool allow_tombstones);
-
   /// Writes this table to `path` as a standalone MEMMERGT artifact file
-  /// (items + embeddings; docs/FORMATS.md). Tombstones are not allowed —
-  /// this is the pipeline/spill format, not the serving manifest.
+  /// (items + embeddings; docs/FORMATS.md).
   util::Status Save(const std::string& path) const;
 
   /// Loads a MEMMERGT file. With `options` mapping the file, embedding rows
@@ -186,14 +194,19 @@ class MergeTable {
     embed::EmbeddingMatrix embeddings;
   };
 
+  /// A table whose chunks hold `items` and view the matching rows of
+  /// `rows` (one per item), keeping it alive until each chunk is written.
+  static MergeTable FromParts(
+      std::vector<MergeItem> items,
+      std::shared_ptr<const embed::EmbeddingMatrix> rows);
+
   /// The chunk holding item `i`, cloned first if any other table shares it.
   Chunk* MutableChunk(size_t i);
 
-  // Only mutated through MutableChunk (copy-on-write) or while exclusively
-  // owned (the append path); shared chunks are never written.
+  // Only mutated through MutableChunk (copy-on-write); shared chunks are
+  // never written.
   std::vector<std::shared_ptr<Chunk>> chunks_;
   size_t num_items_ = 0;
-  size_t num_tombstones_ = 0;
   size_t dim_ = 0;
 };
 

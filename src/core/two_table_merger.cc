@@ -100,13 +100,13 @@ MergeTable TwoTableMerger::Merge(const MergeTable& a, const MergeTable& b,
                        item.members.end());
 
     if (group.size() == 1) {
-      // Carried over unchanged: keep its existing representation.
+      // Carried over unchanged: its row is already ItemVector(members).
       if (stats != nullptr) ++stats->carried_items;
       merged.Append(std::move(item), embedding_at(group[0]));
       continue;
     }
     if (stats != nullptr) ++stats->merged_items;
-    store_->Centroid(item.members, centroid);
+    store_->ItemVector(item.members, centroid);
     merged.Append(std::move(item), centroid);
   }
   return merged;

@@ -373,7 +373,7 @@ util::Result<DistributedBuildResult> Coordinator::Build(
     for (size_t root : assignments[w].roots) {
       if (plan.node(root).is_leaf()) {
         slots[root] = core::MergeSource::FromTable(core::MergeTable::FromSource(
-            static_cast<uint32_t>(root), store.source(root)));
+            store, static_cast<uint32_t>(root)));
       } else {
         slots[root] = core::MergeSource::FromSpill(
             shard_dirs[w] + "/" + core::SpillFileName(root),

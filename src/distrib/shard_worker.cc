@@ -102,8 +102,7 @@ util::Status RunShardWorker(const core::MultiEmConfig& config,
   std::vector<core::MergeSource> slots(plan.num_nodes());
   for (size_t s : assignment.sources) {
     slots[s] = core::MergeSource::FromTable(
-        core::MergeTable::FromSource(static_cast<uint32_t>(s),
-                                     store.source(s)));
+        core::MergeTable::FromSource(store, static_cast<uint32_t>(s)));
   }
 
   core::TwoTableMerger merger(config, &store, *components.index_factory);

@@ -309,14 +309,20 @@ void ByteWriter::WriteBytes(const void* data, size_t size) {
 // this is the fast path the save/load MB/s numbers in bench_ann_micro
 // measure. Big-endian hosts take the element loop.
 template <typename T, typename WriteOne>
-void WriteArrayImpl(ByteWriter& out, std::span<const T> values,
-                    WriteOne write_one) {
-  out.WriteU64(values.size());
+void WriteElementsImpl(ByteWriter& out, std::span<const T> values,
+                       WriteOne write_one) {
   if constexpr (std::endian::native == std::endian::little) {
     out.WriteBytes(values.data(), values.size_bytes());
   } else {
     for (const T& v : values) write_one(v);
   }
+}
+
+template <typename T, typename WriteOne>
+void WriteArrayImpl(ByteWriter& out, std::span<const T> values,
+                    WriteOne write_one) {
+  out.WriteU64(values.size());
+  WriteElementsImpl(out, values, write_one);
 }
 
 void ByteWriter::WriteI8Array(std::span<const int8_t> values) {
@@ -342,6 +348,10 @@ void ByteWriter::WriteI32Array(std::span<const int32_t> values) {
 
 void ByteWriter::WriteF32Array(std::span<const float> values) {
   WriteArrayImpl(*this, values, [&](float v) { WriteF32(v); });
+}
+
+void ByteWriter::WriteF32Elements(std::span<const float> values) {
+  WriteElementsImpl(*this, values, [&](float v) { WriteF32(v); });
 }
 
 void ByteWriter::WriteF64Array(std::span<const double> values) {

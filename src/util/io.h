@@ -142,6 +142,14 @@ class ByteWriter {
   void WriteF32Array(std::span<const float> values);
   void WriteF64Array(std::span<const double> values);
 
+  /// The elements of a WriteF32Array without its count, for a writer that
+  /// writes the count itself and then streams the array in pieces.
+  void WriteF32Elements(std::span<const float> values);
+
+  /// Makes room for `bytes` more bytes, so a writer that appends a known
+  /// amount in pieces allocates once instead of growing by doubling.
+  void Reserve(size_t bytes) { bytes_.reserve(bytes_.size() + bytes); }
+
   /// u64 element count + each element as WriteString writes it.
   void WriteStringArray(std::span<const std::string> values);
 

@@ -386,6 +386,42 @@ TEST(HnswParallelTest, InterleavedParallelBatchesNeverSkipExactMatch) {
   }
 }
 
+// A kFull load validates every link on the verify pool through const reads
+// only: each slab stays a view of its loaded section, heap block or
+// mapping, so the index owns no bytes, and no two pool threads copy one
+// slab at once (the TSan job runs this case).
+TEST(HnswParallelTest, VerifyPoolLoadKeepsEverySlabAView) {
+  constexpr size_t kDim = 8;
+  // Enough nodes that the per-node validation sweep (blocks of 4096) fans
+  // out over more than one thread.
+  auto data = RandomVectors(9000, kDim, 91);
+  HnswConfig config;
+  config.m = 4;
+  config.ef_construction = 16;
+  HnswIndex built(kDim, Metric::kCosine, config);
+  util::ThreadPool pool(4);
+  built.AddBatch(data, &pool);
+  const std::string path = ::testing::TempDir() + "multiem_ann_verify.mem";
+  ASSERT_TRUE(built.Save(path).ok());
+
+  util::ArtifactOpenOptions heap;
+  heap.verify_pool = &pool;
+  util::ArtifactOpenOptions mapped = heap;
+  mapped.mapping = util::ArtifactOpenOptions::Mapping::kPrefer;
+  for (const util::ArtifactOpenOptions& options : {heap, mapped}) {
+    ASSERT_EQ(options.verify, util::ArtifactOpenOptions::Verify::kFull);
+    auto loaded = LoadVectorIndex(path, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    const auto* hnsw = dynamic_cast<const HnswIndex*>(loaded->get());
+    ASSERT_NE(hnsw, nullptr);
+    EXPECT_EQ(hnsw->OwnedBytes(), 0u);
+    for (size_t i = 0; i < data.num_rows(); i += 997) {
+      EXPECT_EQ(hnsw->Search(data.Row(i), 5), built.Search(data.Row(i), 5));
+    }
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(BruteForceTest, ParallelAddBatchMatchesSerial) {
   auto data = RandomVectors(500, 16, 51);
   auto queries = RandomVectors(10, 16, 52);

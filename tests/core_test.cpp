@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <set>
@@ -18,6 +19,7 @@
 #include "ann/index_factory.h"
 #include "core/attribute_selector.h"
 #include "core/density_pruner.h"
+#include "core/item_table.h"
 #include "core/merge_plan.h"
 #include "core/merge_table.h"
 #include "core/registry.h"
@@ -68,67 +70,58 @@ embed::EmbeddingMatrix UnitAxisVectors(size_t n, size_t dim) {
   return m;
 }
 
-TEST(MergeTableTest, FromSourceBuildsSingletonItems) {
-  auto embeddings = UnitAxisVectors(4, 8);
-  MergeTable t = MergeTable::FromSource(2, embeddings);
+// A store with one source of `n` unit-axis rows.
+EntityEmbeddingStore AxisStore(size_t n, size_t dim) {
+  EntityEmbeddingStore store;
+  store.AddSource(UnitAxisVectors(n, dim));
+  return store;
+}
+
+TEST(MergeTableTest, FromSourceViewsTheStoreRows) {
+  EntityEmbeddingStore store;
+  store.AddSource(UnitAxisVectors(2, 8));
+  store.AddSource(UnitAxisVectors(2, 8));
+  store.AddSource(UnitAxisVectors(4, 8));
+  MergeTable t = MergeTable::FromSource(store, 2);
   EXPECT_EQ(t.num_items(), 4u);
   EXPECT_EQ(t.TotalMembers(), 4u);
   EXPECT_EQ(t.item(1).members.size(), 1u);
   EXPECT_EQ(t.item(1).members[0], EntityId(2, 1));
   EXPECT_FLOAT_EQ(t.Row(1)[1], 1.0f);
   EXPECT_GT(t.SizeBytes(), 0u);
+  // The rows are the store's own: no float was copied.
+  EXPECT_EQ(t.Row(3).data(), store.Row(EntityId(2, 3)).data());
 }
 
-// Copying a MergeTable shares its chunks; a mutation clones only the chunk
-// it touches. Observed through item addresses: a shared chunk serves the
-// same MergeItem storage to both tables.
+// Copying a MergeTable shares its chunks; an append clones only the last
+// chunk. Observed through item addresses: a shared chunk serves the same
+// MergeItem storage to both tables.
 TEST(MergeTableTest, CopySharesChunksUntilMutation) {
   const size_t n = MergeTable::kChunkItems + 10;  // two chunks
-  MergeTable original = MergeTable::FromSource(0, UnitAxisVectors(n, 4));
+  const EntityEmbeddingStore store = AxisStore(n, 4);
+  MergeTable original = MergeTable::FromSource(store, 0);
   MergeTable copy = original;
   EXPECT_EQ(&copy.item(0), &original.item(0));
   EXPECT_EQ(&copy.item(n - 1), &original.item(n - 1));
 
   // Appending to the copy touches only the last chunk; the first stays
-  // shared.
+  // shared, and the original never changes.
   std::vector<float> row = {1.0f, 0.0f, 0.0f, 0.0f};
   copy.Append(MergeItem{{EntityId(1, 0)}}, row);
   EXPECT_EQ(&copy.item(0), &original.item(0));
   EXPECT_NE(&copy.item(n - 1), &original.item(n - 1));
   EXPECT_EQ(original.num_items(), n);
   EXPECT_EQ(copy.num_items(), n + 1);
-
-  // Tombstoning in the copy clones chunk 0 and never alters the original.
-  copy.TombstoneItem(3);
-  EXPECT_NE(&copy.item(0), &original.item(0));
-  EXPECT_TRUE(copy.item(3).members.empty());
-  EXPECT_EQ(copy.num_tombstones(), 1u);
-  EXPECT_EQ(copy.num_live_items(), n);
-  EXPECT_EQ(original.item(3).members.size(), 1u);
-  EXPECT_EQ(original.num_tombstones(), 0u);
+  EXPECT_EQ(copy.Row(n - 1)[(n - 1) % 4], 1.0f);
+  EXPECT_EQ(copy.Row(n)[0], 1.0f);
 }
 
-TEST(MergeTableTest, ReplaceItemTracksTombstoneTransitions) {
-  MergeTable t = MergeTable::FromSource(0, UnitAxisVectors(3, 4));
-  std::vector<float> row = {0.0f, 1.0f, 0.0f, 0.0f};
-  t.TombstoneItem(1);
-  EXPECT_EQ(t.num_tombstones(), 1u);
-  // Reviving a tombstone and retiring a live item both adjust the count.
-  t.ReplaceItem(1, MergeItem{{EntityId(0, 1), EntityId(1, 1)}}, row);
-  EXPECT_EQ(t.num_tombstones(), 0u);
-  EXPECT_EQ(t.item(1).members.size(), 2u);
-  EXPECT_FLOAT_EQ(t.Row(1)[1], 1.0f);
-  t.ReplaceItem(2, MergeItem{}, row);
-  EXPECT_EQ(t.num_tombstones(), 1u);
-}
-
-TEST(MergeTableTest, FromPartsAndSpillRoundTrip) {
-  auto embeddings = UnitAxisVectors(5, 4);
-  std::vector<MergeItem> items;
+TEST(MergeTableTest, SpillRoundTrip) {
+  const embed::EmbeddingMatrix rows = UnitAxisVectors(5, 4);
+  MergeTable t;
   for (size_t i = 0; i < 5; ++i) {
-    items.push_back(MergeItem{{EntityId(0, i), EntityId(1, i)}});
+    t.Append(MergeItem{{EntityId(0, i), EntityId(1, i)}}, rows.Row(i));
   }
-  MergeTable t = MergeTable::FromParts(std::move(items), embeddings);
   ASSERT_EQ(t.num_items(), 5u);
   EXPECT_EQ(t.TotalMembers(), 10u);
 
@@ -136,20 +129,77 @@ TEST(MergeTableTest, FromPartsAndSpillRoundTrip) {
       ::testing::TempDir() + "multiem_core_spill.mem";
   std::filesystem::remove(path);
   ASSERT_TRUE(t.Save(path).ok());
-  auto loaded = MergeTable::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_EQ(loaded->num_items(), t.num_items());
-  EXPECT_EQ(loaded->dim(), t.dim());
-  for (size_t i = 0; i < t.num_items(); ++i) {
-    EXPECT_EQ(loaded->item(i).members, t.item(i).members);
-    for (size_t d = 0; d < t.dim(); ++d) {
-      EXPECT_EQ(loaded->Row(i)[d], t.Row(i)[d]);
+  util::ArtifactOpenOptions mapped;
+  mapped.mapping = util::ArtifactOpenOptions::Mapping::kPrefer;
+  for (const util::ArtifactOpenOptions& options :
+       {util::ArtifactOpenOptions{}, mapped}) {
+    auto loaded = MergeTable::Load(path, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    ASSERT_EQ(loaded->num_items(), t.num_items());
+    EXPECT_EQ(loaded->dim(), t.dim());
+    for (size_t i = 0; i < t.num_items(); ++i) {
+      EXPECT_EQ(loaded->item(i).members, t.item(i).members);
+      for (size_t d = 0; d < t.dim(); ++d) {
+        EXPECT_EQ(loaded->Row(i)[d], t.Row(i)[d]);
+      }
     }
   }
+  std::filesystem::remove(path);
+}
 
-  // The spill format carries pipeline tables only — never tombstones.
-  t.TombstoneItem(0);
-  EXPECT_FALSE(t.Save(path).ok());
+// ------------------------------------------------------------ ItemTable --
+
+// Copying an ItemTable shares its chunks; a mutation clones only the chunk
+// it touches, member lists only.
+TEST(ItemTableTest, CopySharesChunksUntilMutation) {
+  const size_t n = ItemTable::kChunkItems + 10;  // two chunks
+  const EntityEmbeddingStore store = AxisStore(n, 4);
+  const ItemTable original =
+      ItemTable::FromMergeTable(MergeTable::FromSource(store, 0));
+  ItemTable copy = original;
+  EXPECT_EQ(&copy.members(0), &original.members(0));
+  EXPECT_EQ(&copy.members(n - 1), &original.members(n - 1));
+
+  copy.Append({EntityId(0, 0), EntityId(0, 1)});
+  EXPECT_EQ(&copy.members(0), &original.members(0));
+  EXPECT_NE(&copy.members(n - 1), &original.members(n - 1));
+
+  // Tombstoning in the copy clones chunk 0 and never alters the original.
+  std::vector<float> stale = {0.5f, 0.5f, 0.5f, 0.5f};
+  copy.Tombstone(3, stale);
+  EXPECT_NE(&copy.members(0), &original.members(0));
+  EXPECT_TRUE(copy.members(3).empty());
+  EXPECT_EQ(copy.num_tombstones(), 1u);
+  EXPECT_EQ(copy.num_live_items(), n);
+  EXPECT_EQ(original.members(3).size(), 1u);
+  EXPECT_EQ(original.num_tombstones(), 0u);
+}
+
+// A live item's vector is derived from the store; a tombstone's is the
+// vector it was retired with, whatever the store says.
+TEST(ItemTableTest, VectorsDeriveFromTheStoreExceptTombstones) {
+  const EntityEmbeddingStore store = AxisStore(4, 4);
+  ItemTable t = ItemTable::FromMergeTable(MergeTable::FromSource(store, 0));
+  t.Replace(0, {EntityId(0, 0), EntityId(0, 1)});
+  const std::vector<float> stale2 = {0.25f, 0.0f, 0.0f, 0.75f};
+  const std::vector<float> stale1 = {0.0f, 0.5f, 0.5f, 0.0f};
+  t.Tombstone(2, stale2);  // retired out of item order
+  t.Tombstone(1, stale1);
+  ASSERT_EQ(t.num_tombstones(), 2u);
+
+  std::vector<float> want(4);
+  store.Centroid(t.members(0), want);
+  const embed::EmbeddingMatrix vectors = t.GatherVectors(store);
+  ASSERT_EQ(vectors.num_rows(), 4u);
+  EXPECT_EQ(std::vector<float>(vectors.Row(0).begin(), vectors.Row(0).end()),
+            want);
+  EXPECT_EQ(std::vector<float>(vectors.Row(1).begin(), vectors.Row(1).end()),
+            stale1);
+  EXPECT_EQ(std::vector<float>(vectors.Row(2).begin(), vectors.Row(2).end()),
+            stale2);
+  const std::span<const float> own = store.Row(EntityId(0, 3));
+  EXPECT_EQ(std::vector<float>(vectors.Row(3).begin(), vectors.Row(3).end()),
+            std::vector<float>(own.begin(), own.end()));
 }
 
 // A checksum-valid MEMMERGT file whose "items" count its section cannot
@@ -308,8 +358,8 @@ TEST(TwoTableMergerTest, MergesIdenticalRowsKeepsRest) {
   constexpr size_t kN = 6;
   constexpr size_t kDim = 16;
   EntityEmbeddingStore store = PairedStore(kN, kDim);
-  MergeTable a = MergeTable::FromSource(0, store.source(0));
-  MergeTable b = MergeTable::FromSource(1, store.source(1));
+  MergeTable a = MergeTable::FromSource(store, 0);
+  MergeTable b = MergeTable::FromSource(store, 1);
 
   MultiEmConfig config;
   config.m = 0.1f;
@@ -356,8 +406,8 @@ TEST(TwoTableMergerTest, HybridScansBelowTheRuleAndBuildsIndexesAbove) {
             kHybridScanFactor * 2.0);
   for (size_t n : {16u, 17u}) {
     EntityEmbeddingStore store = PairedStore(n, 32);
-    MergeTable a = MergeTable::FromSource(0, store.source(0));
-    MergeTable b = MergeTable::FromSource(1, store.source(1));
+    MergeTable a = MergeTable::FromSource(store, 0);
+    MergeTable b = MergeTable::FromSource(store, 1);
     CountingFactory factory;
     MergeNodeStats stats;
     TwoTableMerger(config, &store, factory).Merge(a, b, nullptr, &stats);
@@ -391,8 +441,8 @@ TEST(TwoTableMergerTest, NoMatchesCarriesEverything) {
   embed::EmbeddingMatrix other(3, 16);
   for (size_t i = 0; i < 3; ++i) other.Row(i)[8 + i] = 1.0f;
   store.AddSource(other);
-  MergeTable a = MergeTable::FromSource(0, store.source(0));
-  MergeTable b = MergeTable::FromSource(1, store.source(1));
+  MergeTable a = MergeTable::FromSource(store, 0);
+  MergeTable b = MergeTable::FromSource(store, 1);
 
   MultiEmConfig config;
   config.m = 0.1f;
@@ -408,8 +458,8 @@ TEST(TwoTableMergerTest, NoMatchesCarriesEverything) {
 
 TEST(TwoTableMergerTest, CentroidIsNormalizedMeanOfMembers) {
   EntityEmbeddingStore store = PairedStore(2, 8);
-  MergeTable a = MergeTable::FromSource(0, store.source(0));
-  MergeTable b = MergeTable::FromSource(1, store.source(1));
+  MergeTable a = MergeTable::FromSource(store, 0);
+  MergeTable b = MergeTable::FromSource(store, 1);
   MultiEmConfig config;
   config.m = 0.1f;
   config.index_name = "brute_force";
@@ -425,6 +475,76 @@ TEST(TwoTableMergerTest, CentroidIsNormalizedMeanOfMembers) {
   }
 }
 
+// Every row TwoTableMerger::Merge writes is EntityEmbeddingStore::ItemVector
+// of the item's members, bit for bit, for carried and merged items alike —
+// the invariant that lets a serving session keep member lists only and
+// derive its vectors. Four seeded sources of noisy copies of shared
+// entities (plus entities of their own) merge as a chain and as a tree, so
+// merged items meet carried multi-member items at later levels.
+TEST(TwoTableMergerTest, EveryRowIsTheItemVectorOfItsMembers) {
+  constexpr size_t kDim = 32;
+  constexpr size_t kShared = 60;
+  constexpr size_t kOwn = 20;
+  util::Rng rng(17);
+  auto unit = [&](std::span<float> v) {
+    for (float& x : v) x = static_cast<float>(rng.Normal());
+    embed::L2NormalizeInPlace(v);
+  };
+  embed::EmbeddingMatrix entities(kShared, kDim);
+  for (size_t e = 0; e < kShared; ++e) unit(entities.Row(e));
+  EntityEmbeddingStore store;
+  for (size_t s = 0; s < 4; ++s) {
+    embed::EmbeddingMatrix rows(kShared + kOwn, kDim);
+    for (size_t r = 0; r < kShared + kOwn; ++r) {
+      std::span<float> row = rows.Row(r);
+      unit(row);
+      if (r >= kShared) continue;  // an entity of this source alone
+      const std::span<const float> e = entities.Row((r * 7 + s) % kShared);
+      for (size_t d = 0; d < kDim; ++d) row[d] = e[d] + 0.2f * row[d];
+      embed::L2NormalizeInPlace(row);
+    }
+    store.AddSource(std::move(rows));
+  }
+  MultiEmConfig config;
+  config.k = 2;
+  config.m = 0.3f;
+  const auto factory = FactoryFor(config);
+  const TwoTableMerger merger(config, &store, *factory);
+
+  MergeNodeStats totals;
+  auto merge = [&](const MergeTable& a, const MergeTable& b) {
+    MergeNodeStats stats;
+    MergeTable out = merger.Merge(a, b, nullptr, &stats);
+    totals.merged_items += stats.merged_items;
+    totals.carried_items += stats.carried_items;
+    std::vector<float> want(kDim);
+    for (size_t i = 0; i < out.num_items(); ++i) {
+      store.ItemVector(out.item(i).members, want);
+      const std::span<const float> got = out.Row(i);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), kDim * sizeof(float)),
+                0)
+          << "item " << i << " of " << out.item(i).members.size();
+    }
+    return out;
+  };
+  MergeTable chain = MergeTable::FromSource(store, 0);
+  for (uint32_t s = 1; s < 4; ++s) {
+    chain = merge(chain, MergeTable::FromSource(store, s));
+  }
+  const MergeTable tree =
+      merge(merge(MergeTable::FromSource(store, 0),
+                  MergeTable::FromSource(store, 1)),
+            merge(MergeTable::FromSource(store, 2),
+                  MergeTable::FromSource(store, 3)));
+  EXPECT_GT(totals.merged_items, 0u);
+  EXPECT_GT(totals.carried_items, 0u);
+  size_t multi_member = 0;
+  for (size_t i = 0; i < tree.num_items(); ++i) {
+    multi_member += tree.item(i).members.size() >= 2 ? 1 : 0;
+  }
+  EXPECT_GT(multi_member, 0u);
+}
+
 TEST(TwoTableMergerTest, DistanceCapBlocksWeakMatches) {
   // Two sources with moderately similar (not identical) vectors.
   EntityEmbeddingStore store;
@@ -435,8 +555,8 @@ TEST(TwoTableMergerTest, DistanceCapBlocksWeakMatches) {
   sb.Row(0)[1] = 0.6f;  // cosine sim 0.8 -> distance 0.2
   store.AddSource(sa);
   store.AddSource(sb);
-  MergeTable a = MergeTable::FromSource(0, store.source(0));
-  MergeTable b = MergeTable::FromSource(1, store.source(1));
+  MergeTable a = MergeTable::FromSource(store, 0);
+  MergeTable b = MergeTable::FromSource(store, 1);
   MultiEmConfig config;
   config.index_name = "brute_force";
   config.m = 0.1f;  // cap below the 0.2 distance
@@ -465,7 +585,7 @@ std::vector<MergeSource> SourceSlots(const EntityEmbeddingStore& store) {
   std::vector<MergeSource> slots;
   for (size_t s = 0; s < store.num_sources(); ++s) {
     slots.push_back(MergeSource::FromTable(
-        MergeTable::FromSource(static_cast<uint32_t>(s), store.source(s))));
+        MergeTable::FromSource(store, static_cast<uint32_t>(s))));
   }
   return slots;
 }

@@ -206,8 +206,8 @@ TEST(MergeSourceTest, ResidentSpillAndMappedSpillAgree) {
   const core::TwoTableMerger merger(config, &store,
                                     *components.index_factory);
   const MergeTable merged =
-      merger.Merge(MergeTable::FromSource(0, store.source(0)),
-                   MergeTable::FromSource(1, store.source(1)));
+      merger.Merge(MergeTable::FromSource(store, 0),
+                   MergeTable::FromSource(store, 1));
   EXPECT_LT(merged.num_items(), tables[0].num_rows() + tables[1].num_rows());
 
   const std::string spill = TempPath("handle_spill") + ".mem";

@@ -11,6 +11,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -1475,6 +1476,97 @@ TEST(PipelineArtifactTest, SlotsSectionFollowsEpochShape) {
   ASSERT_NO_FATAL_FAILURE(save_and_check("bridge_compact"));
 
   EXPECT_EQ(has_slots, std::vector<bool>({false, false, true, false, true}));
+}
+
+// Item `i`'s row of `matrix`, as a vector (bitwise comparisons).
+std::vector<float> RowOf(const embed::EmbeddingMatrix& matrix, size_t i) {
+  const std::span<const float> row = matrix.Row(i);
+  return std::vector<float>(row.begin(), row.end());
+}
+
+// A tombstone keeps the vector it was retired with. The bridging ingest of
+// the k = 2 session retires item 5; its stale row survives Save, a heap or
+// a mapped Load, and a second Save byte for byte.
+TEST(PipelineArtifactTest, TombstoneRowRoundTripsByteIdentically) {
+  Matcher matcher = DisjointSession();
+  const std::vector<float> stale = RowOf(matcher.snapshot().centroids(), 5);
+  ASSERT_NO_FATAL_FAILURE(Ingest(
+      matcher, "bridge", {"silver laptop computer fast notebook machine"}));
+  ASSERT_EQ(matcher.snapshot().num_tombstones(), 1u);
+  ASSERT_TRUE(matcher.item_members(5).empty());
+  EXPECT_EQ(RowOf(matcher.snapshot().centroids(), 5), stale);
+
+  const std::string dir = TempPath("tombstone_row");
+  ASSERT_TRUE(matcher.Save(dir).ok());
+  util::ArtifactOpenOptions mapped;
+  mapped.mapping = util::ArtifactOpenOptions::Mapping::kPrefer;
+  for (const util::ArtifactOpenOptions& options :
+       {util::ArtifactOpenOptions{}, mapped}) {
+    const bool heap = options.mapping ==
+                      util::ArtifactOpenOptions::Mapping::kDisable;
+    auto reloaded = MultiEmPipeline::LoadArtifact(dir, options);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+    const Matcher::Snapshot snap = reloaded->snapshot();
+    ASSERT_EQ(snap.num_tombstones(), 1u);
+    EXPECT_EQ(RowOf(snap.centroids(), 5), stale) << heap;
+    const std::string resaved =
+        TempPath(heap ? "tombstone_row_heap" : "tombstone_row_mapped");
+    ASSERT_TRUE(reloaded->Save(resaved).ok());
+    for (const char* file :
+         {PipelineArtifact::kManifestFile, PipelineArtifact::kEncoderFile,
+          PipelineArtifact::kIndexFile}) {
+      EXPECT_EQ(ReadFileBytes(dir + "/" + file),
+                ReadFileBytes(resaved + "/" + file))
+          << (heap ? "heap " : "mapped ") << file;
+    }
+  }
+}
+
+// A live item's "centroids" row is a redundant copy that readers derive
+// from "base" (docs/FORMATS.md): a manifest whose live rows were edited,
+// checksums and all, loads, serves and re-saves the derived rows — the
+// original manifest, byte for byte.
+TEST(PipelineArtifactTest, LiveCentroidRowsAreDerivedNotRead) {
+  auto result = RunWithMatcher(ServingConfig(), ProductTables());
+  ASSERT_TRUE(result.ok()) << result.status();
+  const Matcher& matcher = *result->matcher;
+  const std::string dir = TempPath("derived_centroids");
+  ASSERT_TRUE(matcher.Save(dir).ok());
+  const std::vector<uint8_t> manifest =
+      ReadFileBytes(dir + "/" + PipelineArtifact::kManifestFile);
+  const size_t n = matcher.num_items();
+  ASSERT_GE(n, 2u);
+  EditManifest(dir, [&](ManifestSections& sections) {
+    for (auto& [name, bytes] : sections) {
+      if (name != "centroids") continue;
+      // u64 rows, u64 dim, u64 float count, then the rows.
+      const size_t dim = matcher.snapshot().centroids().dim();
+      ASSERT_EQ(bytes.size(), 24 + n * dim * sizeof(float));
+      const float planted = 12345.0f;
+      for (size_t item : {size_t{0}, n - 1}) {
+        std::memcpy(&bytes[24 + item * dim * sizeof(float)], &planted,
+                    sizeof(planted));
+      }
+    }
+  });
+  ASSERT_NE(ReadFileBytes(dir + "/" + PipelineArtifact::kManifestFile),
+            manifest);
+
+  auto reloaded = MultiEmPipeline::LoadArtifact(dir);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  const embed::EmbeddingMatrix want = matcher.snapshot().centroids();
+  const embed::EmbeddingMatrix got = reloaded->snapshot().centroids();
+  EXPECT_EQ(RowOf(got, 0), RowOf(want, 0));
+  EXPECT_EQ(RowOf(got, n - 1), RowOf(want, n - 1));
+  auto want_hits = matcher.MatchRecords(QueryTable(), 3);
+  auto got_hits = reloaded->MatchRecords(QueryTable(), 3);
+  ASSERT_TRUE(want_hits.ok() && got_hits.ok());
+  EXPECT_EQ(*got_hits, *want_hits);
+
+  const std::string resaved = TempPath("derived_centroids_resave");
+  ASSERT_TRUE(reloaded->Save(resaved).ok());
+  EXPECT_EQ(ReadFileBytes(resaved + "/" + PipelineArtifact::kManifestFile),
+            manifest);
 }
 
 // Saves `matcher` to a fresh directory, passes its manifest's slot map

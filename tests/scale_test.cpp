@@ -131,7 +131,7 @@ TEST(SpilledMergeTest, ResidencyIsBoundedByOnePair) {
     }
     store.AddSource(std::move(m));
     MergeTable table =
-        MergeTable::FromSource(static_cast<uint32_t>(s), store.source(s));
+        MergeTable::FromSource(store, static_cast<uint32_t>(s));
     total_bytes += table.SizeBytes();
     slots.push_back(MergeSource::FromTable(std::move(table)));
   }
