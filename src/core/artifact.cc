@@ -97,7 +97,7 @@ struct ManifestContents {
   AttributeSelection selection;
   std::vector<std::string> source_names;
   EntityEmbeddingStore store;
-  ItemTable entities;
+  MergeTable entities;
   std::vector<uint32_t> slot_to_item;
 };
 
@@ -164,8 +164,8 @@ util::Status ReadManifest(const std::string& path,
   // The "centroids" rows are checked for count and width, but only the
   // tombstones' rows are kept: a live item's vector is derived from "base"
   // (docs/FORMATS.md), so its saved row is never read.
-  auto entities = ItemTable::ReadSections(
-      *manifest, out->store.dim(),
+  auto entities = MergeTable::ReadSections(
+      *manifest, "centroids", out->store.dim(),
       /*allow_tombstones=*/manifest->version() >= 3);
   if (!entities.ok()) return entities.status();
   out->entities = std::move(*entities);
@@ -220,7 +220,7 @@ util::Status PipelineArtifact::Save(const Matcher& matcher,
   // no live slot in the "slots" section (Matcher::Assemble enforces this).
   // The "centroids" rows are derived from the base store as they stream
   // into the section; a tombstone's is the row it was retired with.
-  state->entities.WriteSections(manifest, state->store);
+  state->entities.WriteSections(manifest, "centroids", state->store);
 
   util::ByteWriter& base = manifest.AddSection("base");
   base.WriteU64(state->store.num_sources());

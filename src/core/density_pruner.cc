@@ -22,7 +22,7 @@ std::vector<eval::Tuple> DensityPruner::Prune(const MergeTable& integrated,
   // indexes a dense list.
   std::vector<size_t> candidates;
   for (size_t i = 0; i < integrated.num_items(); ++i) {
-    if (integrated.item(i).members.size() >= 2) candidates.push_back(i);
+    if (integrated.members(i).size() >= 2) candidates.push_back(i);
   }
 
   std::vector<eval::Tuple> pruned(candidates.size());
@@ -34,16 +34,17 @@ std::vector<eval::Tuple> DensityPruner::Prune(const MergeTable& integrated,
   dbscan.metric = ann::Metric::kEuclidean;
 
   auto prune_one = [&](size_t c) {
-    const MergeItem& item = integrated.item(candidates[c]);
+    const std::vector<table::EntityId>& members =
+        integrated.members(candidates[c]);
     if (!config_.enable_pruning) {
-      pruned[c] = item.members;
+      pruned[c] = members;
       return;
     }
     // Gather member embeddings into a small local matrix (tuples are
     // tiny: at most ~S entities).
-    embed::EmbeddingMatrix points(item.members.size(), ctx.store->dim());
-    for (size_t i = 0; i < item.members.size(); ++i) {
-      std::span<const float> row = ctx.store->Row(item.members[i]);
+    embed::EmbeddingMatrix points(members.size(), ctx.store->dim());
+    for (size_t i = 0; i < members.size(); ++i) {
+      std::span<const float> row = ctx.store->Row(members[i]);
       std::copy(row.begin(), row.end(), points.Row(i).begin());
     }
     std::vector<cluster::PointRole> roles =
@@ -54,7 +55,7 @@ std::vector<eval::Tuple> DensityPruner::Prune(const MergeTable& integrated,
       if (roles[i] == cluster::PointRole::kOutlier) {
         ++dropped;
       } else {
-        kept.push_back(item.members[i]);
+        kept.push_back(members[i]);
       }
     }
     outliers_removed.fetch_add(dropped, std::memory_order_relaxed);

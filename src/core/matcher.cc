@@ -21,7 +21,7 @@ struct LiveItems {
   embed::EmbeddingMatrix rows;
 };
 
-LiveItems GatherLiveItems(const ItemTable& entities,
+LiveItems GatherLiveItems(const MergeTable& entities,
                           const EntityEmbeddingStore& store) {
   LiveItems live{{}, embed::EmbeddingMatrix(entities.num_live_items(),
                                             store.dim())};
@@ -37,7 +37,7 @@ LiveItems GatherLiveItems(const ItemTable& entities,
 // A fresh serving index over the live items of `entities`, slot s holding
 // item (*slot_to_item)[s]: Assemble's build and AddTable's compaction.
 std::unique_ptr<ann::VectorIndex> BuildServingIndex(
-    const ann::VectorIndexFactory& factory, const ItemTable& entities,
+    const ann::VectorIndexFactory& factory, const MergeTable& entities,
     const EntityEmbeddingStore& store, util::ThreadPool* pool,
     std::vector<uint32_t>* slot_to_item) {
   LiveItems live = GatherLiveItems(entities, store);
@@ -72,7 +72,7 @@ embed::EmbeddingMatrix EncodeTable(const embed::TextEncoder& encoder,
 util::Result<Matcher> Matcher::Assemble(
     MultiEmConfig config, std::vector<std::string> schema_names,
     AttributeSelection selection, std::vector<std::string> source_names,
-    EntityEmbeddingStore store, ItemTable entities,
+    EntityEmbeddingStore store, MergeTable entities,
     std::shared_ptr<embed::TextEncoder> encoder,
     std::shared_ptr<const ann::VectorIndexFactory> index_factory,
     std::unique_ptr<ann::VectorIndex> index, util::ThreadPool* pool,
@@ -113,17 +113,8 @@ util::Result<Matcher> Matcher::Assemble(
           " of a " + std::to_string(schema_names.size()) + "-column schema");
     }
   }
+  MULTIEM_RETURN_IF_ERROR(entities.CheckMembers(store));
   const size_t num_items = entities.num_items();
-  for (size_t i = 0; i < num_items; ++i) {
-    for (table::EntityId id : entities.members(i)) {
-      if (id.source() >= store.num_sources() ||
-          id.row() >= store.source(id.source()).num_rows()) {
-        return util::Status::InvalidArgument(
-            "Matcher entity table references unknown entity " +
-            id.ToString());
-      }
-    }
-  }
 
   auto state = std::make_shared<ServingState>();
   state->source_names = std::move(source_names);
@@ -385,7 +376,7 @@ util::Status Matcher::AddTable(const table::Table& table,
 
   // Update the entity table in place. Item ids are stable across epochs by
   // construction: an untouched item keeps its index (and, through the
-  // copy-on-write chunks of ItemTable, is not even copied — consecutive
+  // copy-on-write chunks of MergeTable, is not even copied — consecutive
   // epochs share every chunk the ingest left alone); a merged group lands
   // at its smallest old item id with the other old participants tombstoned;
   // unmatched new rows append at the end. Every union edge crosses into the

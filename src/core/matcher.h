@@ -32,7 +32,6 @@
 #include "ann/index_factory.h"
 #include "core/attribute_selector.h"
 #include "core/config.h"
-#include "core/item_table.h"
 #include "core/merge_table.h"
 #include "embed/text_encoder.h"
 #include "eval/tuples.h"
@@ -198,7 +197,7 @@ class Matcher {
   static util::Result<Matcher> Assemble(
       MultiEmConfig config, std::vector<std::string> schema_names,
       AttributeSelection selection, std::vector<std::string> source_names,
-      EntityEmbeddingStore store, ItemTable entities,
+      EntityEmbeddingStore store, MergeTable entities,
       std::shared_ptr<embed::TextEncoder> encoder,
       std::shared_ptr<const ann::VectorIndexFactory> index_factory,
       std::unique_ptr<ann::VectorIndex> index = nullptr,
@@ -318,7 +317,7 @@ class Matcher {
   struct ServingState {
     std::vector<std::string> source_names;
     EntityEmbeddingStore store;  // cheap copy: shared_ptr source matrices
-    ItemTable entities;          // member lists; vectors derive from `store`
+    MergeTable entities;         // member lists; vectors derive from `store`
     std::shared_ptr<const ann::VectorIndex> index;
     /// Index slot -> item id, one entry per slot of `index`. kDeadSlot
     /// entries are retired slots whose vectors MatchRecords filters out;

@@ -128,12 +128,13 @@ std::string SpillPath(const MergeExecOptions& options, size_t node) {
 // handle; the table is released as soon as it is written, so spilling a
 // fully materialized corpus never holds two copies of it.
 util::Status SpillInput(std::vector<MergeSource>& slots, size_t id,
+                        const EntityEmbeddingStore& store,
                         const MergeExecOptions& options, ExecState& state) {
   const std::string path = SpillPath(options, id);
   {
-    auto table = slots[id].Acquire();
+    auto table = slots[id].Acquire(store);
     if (!table.ok()) return table.status();
-    MULTIEM_RETURN_IF_ERROR(table->Save(path));
+    MULTIEM_RETURN_IF_ERROR(table->Save(path, store));
   }
   ++state.stats->spill_files_written;
   state.stats->spill_bytes_written += FileBytes(path);
@@ -157,24 +158,29 @@ util::Status ExecuteNode(const MergePlan& plan, size_t id,
                                   " scheduled before its inputs");
   }
 
+  const EntityEmbeddingStore& store = merger.store();
   MergeNodeStats node_stats;
   node_stats.node = id;
   MergeTable merged;
   size_t resident_bytes = 0;
   {
-    auto a = left.Acquire();
+    auto a = left.Acquire(store);
     if (!a.ok()) return a.status();
-    auto b = right.Acquire();
+    auto b = right.Acquire(store);
     if (!b.ok()) return b.status();
     merged = merger.Merge(*a, *b, pool, &node_stats);
-    resident_bytes = a->SizeBytes() + b->SizeBytes() + merged.SizeBytes();
+    // The pair's member lists, its output's, and the two item-vector
+    // matrices Merge gathered from the store.
+    resident_bytes = a->SizeBytes() + b->SizeBytes() + merged.SizeBytes() +
+                     (a->num_items() + b->num_items()) * store.dim() *
+                         sizeof(float);
   }  // both inputs leave residency before the output is spilled
 
   size_t spill_bytes = 0;
   if (!options.spill_dir.empty()) {
     const std::string out = SpillPath(options, id);
     MULTIEM_FAULT_POINT("merge.node.spill");
-    MULTIEM_RETURN_IF_ERROR(merged.Save(out));
+    MULTIEM_RETURN_IF_ERROR(merged.Save(out, store));
     spill_bytes = FileBytes(out);
     merged = MergeTable();  // release before anything else loads
     slots[id] = MergeSource::FromSpill(out, {}, /*owns_file=*/true);
@@ -427,7 +433,8 @@ util::Status ExecuteMergePlan(const MergePlan& plan,
     std::sort(inputs.begin(), inputs.end());
     for (size_t id : inputs) {
       if (!slots[id].resident()) continue;
-      MULTIEM_RETURN_IF_ERROR(SpillInput(slots, id, options, state));
+      MULTIEM_RETURN_IF_ERROR(
+          SpillInput(slots, id, merger.store(), options, state));
     }
   }
 

@@ -104,7 +104,9 @@ struct MergeStats {
   std::vector<MergeNodeStats> nodes;
   size_t spill_files_written = 0;   ///< MEMMERGT files created (inputs + outputs)
   size_t spill_bytes_written = 0;   ///< total bytes of those files
-  size_t peak_resident_bytes = 0;   ///< max bytes of one pair + its output
+  /// Max bytes one pair held: both inputs' and the output's member lists
+  /// plus the two item-vector matrices the merge gathered.
+  size_t peak_resident_bytes = 0;
 };
 
 /// "merge_<node>.mem": the one name of plan node `node`'s spill file under
@@ -157,7 +159,9 @@ struct MergeExecOptions {
 /// slot is a pre-built node (the coordinator seeds its workers' outputs
 /// this way). It is resized to plan.num_nodes() and consumed as the plan
 /// executes; on success slots[t] holds each target's table — spilled or
-/// resident per `options` — and the caller Acquires it.
+/// resident per `options` — and the caller Acquires it. Every spilled slot
+/// is loaded against merger.store(): a file naming an entity the store
+/// lacks, or rows of another width, fails the run with InvalidArgument.
 ///
 /// Missing nodes under the targets run level by level in plan order (node
 /// ids are topological, so the schedule is deterministic); with resident

@@ -24,7 +24,8 @@ MergeSource MergeSource::FromSpill(std::string path,
   return source;
 }
 
-util::Result<MergeTable> MergeSource::Materialize() const {
+util::Result<MergeTable> MergeSource::Materialize(
+    const EntityEmbeddingStore& store) const {
   switch (kind_) {
     case Kind::kEmpty:
       return util::Status::FailedPrecondition(
@@ -34,17 +35,18 @@ util::Result<MergeTable> MergeSource::Materialize() const {
       // mutation of either copy clones only the touched chunk.
       return MergeTable(table_);
     case Kind::kSpill:
-      return MergeTable::Load(path_, options_);
+      return MergeTable::Load(path_, store, options_);
   }
   return util::Status::Internal("corrupt merge source kind");
 }
 
-util::Result<MergeTable> MergeSource::Acquire() {
+util::Result<MergeTable> MergeSource::Acquire(
+    const EntityEmbeddingStore& store) {
   if (kind_ == Kind::kResident) {
     kind_ = Kind::kEmpty;
     return std::move(table_);
   }
-  auto table = Materialize();
+  auto table = Materialize(store);
   if (!table.ok()) return table.status();
   kind_ = Kind::kEmpty;
   // Keep path_ and owns_file_: RemoveBackingFile stays callable after the

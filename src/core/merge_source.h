@@ -8,10 +8,11 @@
 ///
 ///   * resident — wraps an in-memory MergeTable;
 ///   * spill    — a MEMMERGT file (MergeTable::Save), opened lazily with the
-///                handle's ArtifactOpenOptions (mmap-preferred rows alias
-///                the mapped pages). Spill executions write these, and the
-///                multi-process coordinator (src/distrib/) re-enters each
-///                finished shard worker's merge roots through them.
+///                handle's ArtifactOpenOptions and checked against the
+///                store it will be derived from. Spill executions write
+///                these, and the multi-process coordinator (src/distrib/)
+///                re-enters each finished shard worker's merge roots
+///                through them.
 ///
 /// Handles are cheap to copy-construct from paths and move-only-in-spirit
 /// for resident tables (copying a resident handle would duplicate chunks;
@@ -48,14 +49,16 @@ class MergeSource {
   bool resident() const { return kind_ == Kind::kResident; }
 
   /// Non-consuming load. Resident handles copy (chunk-sharing, O(chunks));
-  /// disk handles open and parse their backing. The handle stays valid.
-  util::Result<MergeTable> Materialize() const;
+  /// disk handles open and parse their backing (MergeTable::Load over
+  /// `store`, so a file naming entities `store` lacks is InvalidArgument).
+  /// The handle stays valid.
+  util::Result<MergeTable> Materialize(const EntityEmbeddingStore& store) const;
 
   /// Consuming load: resident handles move their table out, disk handles
   /// load as Materialize. The handle is empty afterwards; an owned backing
   /// file is NOT removed (call RemoveBackingFile once the data derived from
   /// it is durable).
-  util::Result<MergeTable> Acquire();
+  util::Result<MergeTable> Acquire(const EntityEmbeddingStore& store);
 
   /// Deletes the backing file of an owned spill handle (best-effort; no-op
   /// for every other kind). Safe after Acquire — ownership survives

@@ -1,7 +1,6 @@
 #include "core/merge_table.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "embed/matrix_io.h"
 
@@ -29,135 +28,73 @@ void EntityEmbeddingStore::ItemVector(
   Centroid(members, out);
 }
 
-void WriteItemSections(
-    util::ArtifactWriter& writer, std::string_view rows_section,
-    size_t num_items, size_t dim,
-    const std::function<std::span<const table::EntityId>(size_t)>& members,
-    const std::function<std::span<const float>(size_t, std::span<float>)>&
-        row) {
-  util::ByteWriter& items = writer.AddSection("items");
-  items.WriteU64(num_items);
-  for (size_t i = 0; i < num_items; ++i) {
-    const std::span<const table::EntityId> ids = members(i);
-    items.WriteU64(ids.size());
-    for (table::EntityId id : ids) items.WriteU64(id.packed());
-  }
-  embed::WriteMatrixRows(writer.AddSection(std::string(rows_section)),
-                         num_items, dim, row);
-}
-
-util::Result<ItemSections> ReadItemSections(const util::ArtifactReader& reader,
-                                            std::string_view rows_section,
-                                            bool allow_tombstones) {
-  auto items_section = reader.Section("items");
-  if (!items_section.ok()) return items_section.status();
-  uint64_t num_items;
-  MULTIEM_RETURN_IF_ERROR(items_section->ReadU64(&num_items));
-  // Every item costs at least its u64 member count.
-  if (num_items > items_section->remaining() / 8) {
-    return util::Status::InvalidArgument(
-        "merge table claims " + std::to_string(num_items) + " items in " +
-        std::to_string(items_section->remaining()) + " section bytes");
-  }
-  ItemSections out;
-  out.items.resize(static_cast<size_t>(num_items));
-  for (size_t i = 0; i < out.items.size(); ++i) {
-    uint64_t member_count;
-    MULTIEM_RETURN_IF_ERROR(items_section->ReadU64(&member_count));
-    if ((member_count == 0 && !allow_tombstones) ||
-        member_count > items_section->remaining() / 8) {
-      return util::Status::InvalidArgument(
-          "merge table item " + std::to_string(i) + " claims " +
-          std::to_string(member_count) + " members");
-    }
-    std::vector<table::EntityId>& members = out.items[i].members;
-    members.reserve(static_cast<size_t>(member_count));
-    for (uint64_t j = 0; j < member_count; ++j) {
-      uint64_t packed;
-      MULTIEM_RETURN_IF_ERROR(items_section->ReadU64(&packed));
-      members.push_back(table::EntityId::FromPacked(packed));
-    }
-  }
-  MULTIEM_RETURN_IF_ERROR(items_section->ExpectExhausted());
-
-  auto rows = reader.Section(rows_section);
-  if (!rows.ok()) return rows.status();
-  MULTIEM_RETURN_IF_ERROR(embed::ReadMatrix(*rows, &out.rows));
-  MULTIEM_RETURN_IF_ERROR(rows->ExpectExhausted());
-  if (out.rows.num_rows() != num_items) {
-    return util::Status::InvalidArgument(
-        "merge table holds " + std::to_string(out.rows.num_rows()) +
-        " rows for " + std::to_string(num_items) + " items");
-  }
-  return out;
-}
-
 MergeTable MergeTable::FromSource(const EntityEmbeddingStore& store,
                                   uint32_t source) {
   const size_t n = store.source(source).num_rows();
-  std::vector<MergeItem> items(n);
-  for (size_t r = 0; r < n; ++r) {
-    items[r].members.push_back(table::EntityId(source, r));
-  }
-  return FromParts(std::move(items), store.shared_source(source));
+  MergeTable out;
+  out.chunks_.reserve((n + kChunkItems - 1) / kChunkItems);
+  for (size_t r = 0; r < n; ++r) out.Append({table::EntityId(source, r)});
+  return out;
 }
 
-MergeTable MergeTable::FromParts(
-    std::vector<MergeItem> items,
-    std::shared_ptr<const embed::EmbeddingMatrix> rows) {
-  MergeTable out;
-  out.dim_ = rows->dim();
-  const size_t n = items.size();
-  out.chunks_.reserve((n + kChunkItems - 1) / kChunkItems);
-  for (size_t begin = 0; begin < n; begin += kChunkItems) {
-    const size_t count = std::min(kChunkItems, n - begin);
-    auto chunk = std::make_shared<Chunk>();
-    chunk->items.assign(std::make_move_iterator(items.begin() + begin),
-                        std::make_move_iterator(items.begin() + begin + count));
-    chunk->embeddings = embed::EmbeddingMatrix::FromView(
-        out.dim_, rows->data().subspan(begin * out.dim_, count * out.dim_),
-        rows);
-    out.chunks_.push_back(std::move(chunk));
+void MergeTable::Vector(size_t i, const EntityEmbeddingStore& store,
+                        std::span<float> out) const {
+  const std::vector<table::EntityId>& ids = members(i);
+  if (!ids.empty()) {
+    store.ItemVector(ids, out);
+    return;
   }
-  out.num_items_ = n;
+  const std::vector<float>& stashed =
+      *chunks_[i / kChunkItems]->retired.at(i % kChunkItems);
+  std::copy(stashed.begin(), stashed.end(), out.begin());
+}
+
+embed::EmbeddingMatrix MergeTable::GatherVectors(
+    const EntityEmbeddingStore& store) const {
+  embed::EmbeddingMatrix out(num_items_, store.dim());
+  for (size_t i = 0; i < num_items_; ++i) Vector(i, store, out.Row(i));
   return out;
 }
 
 MergeTable::Chunk* MergeTable::MutableChunk(size_t i) {
   std::shared_ptr<Chunk>& slot = chunks_[i / kChunkItems];
+  // use_count() == 1 is a stable claim here: every copy of a table is made
+  // by the thread that mutates it (a serving session's copies by the
+  // single serializing writer, AddTable under the write mutex), and a
+  // concurrent release by a retiring epoch can only make a shared count
+  // look *higher* than it is — never lower.
   if (slot.use_count() != 1) slot = std::make_shared<Chunk>(*slot);
   return slot.get();
 }
 
-void MergeTable::Append(MergeItem item, std::span<const float> embedding) {
-  if (dim_ == 0) dim_ = embedding.size();
+void MergeTable::Append(std::vector<table::EntityId> members) {
   if (num_items_ / kChunkItems == chunks_.size()) {
     chunks_.push_back(std::make_shared<Chunk>());
   }
-  Chunk* chunk = MutableChunk(num_items_);
-  chunk->items.push_back(std::move(item));
-  chunk->embeddings.AppendRow(embedding);
+  MutableChunk(num_items_)->members.push_back(std::move(members));
   ++num_items_;
 }
 
-void MergeTable::Reserve(size_t n, size_t dim) {
-  if (dim_ == 0) dim_ = dim;
-  chunks_.reserve((n + kChunkItems - 1) / kChunkItems);
+void MergeTable::Replace(size_t i, std::vector<table::EntityId> members) {
+  MutableChunk(i)->members[i % kChunkItems] = std::move(members);
 }
 
-embed::EmbeddingMatrix MergeTable::GatherEmbeddings() const {
-  embed::EmbeddingMatrix out(0, dim_);
-  out.ReserveRows(num_items_);
-  for (const std::shared_ptr<Chunk>& chunk : chunks_) {
-    out.AppendRows(chunk->embeddings.data());
-  }
-  return out;
+void MergeTable::Tombstone(size_t i, std::span<const float> vector) {
+  Chunk* chunk = MutableChunk(i);
+  std::vector<table::EntityId>& ids = chunk->members[i % kChunkItems];
+  ids.clear();
+  ids.shrink_to_fit();
+  chunk->retired[i % kChunkItems] =
+      std::make_shared<const std::vector<float>>(vector.begin(), vector.end());
+  ++num_tombstones_;
 }
 
 size_t MergeTable::TotalMembers() const {
   size_t total = 0;
   for (const std::shared_ptr<Chunk>& chunk : chunks_) {
-    for (const MergeItem& item : chunk->items) total += item.members.size();
+    for (const std::vector<table::EntityId>& ids : chunk->members) {
+      total += ids.size();
+    }
   }
   return total;
 }
@@ -165,43 +102,121 @@ size_t MergeTable::TotalMembers() const {
 size_t MergeTable::SizeBytes() const {
   size_t bytes = 0;
   for (const std::shared_ptr<Chunk>& chunk : chunks_) {
-    bytes += chunk->embeddings.SizeBytes();
-    for (const MergeItem& item : chunk->items) {
-      bytes += sizeof(item) + item.members.capacity() * sizeof(table::EntityId);
+    for (const std::vector<table::EntityId>& ids : chunk->members) {
+      bytes += sizeof(ids) + ids.capacity() * sizeof(table::EntityId);
+    }
+    for (const auto& [offset, row] : chunk->retired) {
+      bytes += row->size() * sizeof(float);
     }
   }
   return bytes;
 }
 
-util::Status MergeTable::Save(const std::string& path) const {
+util::Status MergeTable::CheckMembers(const EntityEmbeddingStore& store) const {
+  for (const std::shared_ptr<Chunk>& chunk : chunks_) {
+    for (const std::vector<table::EntityId>& ids : chunk->members) {
+      for (table::EntityId id : ids) {
+        if (id.source() >= store.num_sources() ||
+            id.row() >= store.source(id.source()).num_rows()) {
+          return util::Status::InvalidArgument(
+              "merge table references unknown entity " + id.ToString());
+        }
+      }
+    }
+  }
+  return util::Status::Ok();
+}
+
+void MergeTable::WriteSections(util::ArtifactWriter& writer,
+                               std::string_view rows_section,
+                               const EntityEmbeddingStore& store) const {
+  util::ByteWriter& items = writer.AddSection("items");
+  items.WriteU64(num_items_);
+  for (size_t i = 0; i < num_items_; ++i) {
+    const std::vector<table::EntityId>& ids = members(i);
+    items.WriteU64(ids.size());
+    for (table::EntityId id : ids) items.WriteU64(id.packed());
+  }
+  embed::WriteMatrixRows(writer.AddSection(std::string(rows_section)),
+                         num_items_, store.dim(),
+                         [&](size_t i, std::span<float> scratch) {
+                           Vector(i, store, scratch);
+                           return std::span<const float>(scratch);
+                         });
+}
+
+util::Result<MergeTable> MergeTable::ReadSections(
+    const util::ArtifactReader& reader, std::string_view rows_section,
+    size_t dim, bool allow_tombstones) {
+  auto items = reader.Section("items");
+  if (!items.ok()) return items.status();
+  uint64_t num_items;
+  MULTIEM_RETURN_IF_ERROR(items->ReadU64(&num_items));
+  // Every item costs at least its u64 member count.
+  if (num_items > items->remaining() / 8) {
+    return util::Status::InvalidArgument(
+        "merge table claims " + std::to_string(num_items) + " items in " +
+        std::to_string(items->remaining()) + " section bytes");
+  }
+  MergeTable out;
+  out.chunks_.reserve((num_items + kChunkItems - 1) / kChunkItems);
+  std::vector<size_t> tombstones;
+  for (size_t i = 0; i < num_items; ++i) {
+    uint64_t member_count;
+    MULTIEM_RETURN_IF_ERROR(items->ReadU64(&member_count));
+    if ((member_count == 0 && !allow_tombstones) ||
+        member_count > items->remaining() / 8) {
+      return util::Status::InvalidArgument(
+          "merge table item " + std::to_string(i) + " claims " +
+          std::to_string(member_count) + " members");
+    }
+    std::vector<table::EntityId> ids;
+    ids.reserve(static_cast<size_t>(member_count));
+    for (uint64_t j = 0; j < member_count; ++j) {
+      uint64_t packed;
+      MULTIEM_RETURN_IF_ERROR(items->ReadU64(&packed));
+      ids.push_back(table::EntityId::FromPacked(packed));
+    }
+    if (ids.empty()) tombstones.push_back(i);
+    out.Append(std::move(ids));
+  }
+  MULTIEM_RETURN_IF_ERROR(items->ExpectExhausted());
+
+  // The rows are checked, not kept: a live item's row is what its members
+  // derive, so only a tombstone's is copied out of the section.
+  auto section = reader.Section(rows_section);
+  if (!section.ok()) return section.status();
+  embed::EmbeddingMatrix rows;
+  MULTIEM_RETURN_IF_ERROR(embed::ReadMatrix(*section, &rows));
+  MULTIEM_RETURN_IF_ERROR(section->ExpectExhausted());
+  if (rows.num_rows() != num_items || rows.dim() != dim) {
+    return util::Status::InvalidArgument(
+        "merge table \"" + std::string(rows_section) + "\" holds " +
+        std::to_string(rows.num_rows()) + " rows of " +
+        std::to_string(rows.dim()) + " floats for " +
+        std::to_string(num_items) + " items of " + std::to_string(dim));
+  }
+  for (size_t i : tombstones) out.Tombstone(i, rows.Row(i));
+  return out;
+}
+
+util::Status MergeTable::Save(const std::string& path,
+                              const EntityEmbeddingStore& store) const {
   util::ArtifactWriter writer(kArtifactMagic, kArtifactVersion);
-  WriteItemSections(
-      writer, "embeddings", num_items_, dim_,
-      [&](size_t i) { return std::span<const table::EntityId>(item(i).members); },
-      [&](size_t i, std::span<float>) { return Row(i); });
+  WriteSections(writer, "embeddings", store);
   return writer.WriteFile(path);
 }
 
 util::Result<MergeTable> MergeTable::Load(
-    const std::string& path, const util::ArtifactOpenOptions& options) {
+    const std::string& path, const EntityEmbeddingStore& store,
+    const util::ArtifactOpenOptions& options) {
   auto reader = util::ArtifactReader::FromFile(path, kArtifactMagic,
                                                kArtifactVersion, options);
   if (!reader.ok()) return reader.status();
-  auto sections =
-      ReadItemSections(*reader, "embeddings", /*allow_tombstones=*/false);
-  if (!sections.ok()) return sections.status();
-  MergeTable table = FromParts(
-      std::move(sections->items),
-      std::make_shared<const embed::EmbeddingMatrix>(
-          std::move(sections->rows)));
-  // A spill reload feeds the next merge, which rewrites every chunk. On a
-  // heap open give the chunks their own rows now, so the section block dies
-  // with this call instead of lingering until the last chunk is written.
-  if (!reader->mapped()) {
-    for (const std::shared_ptr<Chunk>& chunk : table.chunks_) {
-      chunk->embeddings.EnsureOwned();
-    }
-  }
+  auto table = ReadSections(*reader, "embeddings", store.dim(),
+                            /*allow_tombstones=*/false);
+  if (!table.ok()) return table.status();
+  MULTIEM_RETURN_IF_ERROR(table->CheckMembers(store));
   return table;
 }
 

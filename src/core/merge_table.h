@@ -2,8 +2,10 @@
 #define MULTIEM_CORE_MERGE_TABLE_H_
 
 #include <cstddef>
-#include <functional>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -15,13 +17,6 @@
 #include "util/status.h"
 
 namespace multiem::core {
-
-/// One item of a merge table: either a single entity (initial hierarchy) or
-/// a candidate tuple of entities merged so far. Members stay sorted. Only a
-/// serving table (ItemTable) holds items with no members: its tombstones.
-struct MergeItem {
-  std::vector<table::EntityId> members;
-};
 
 /// Read-only store of the embeddings of every original entity, indexed by
 /// EntityId (per-source matrices). Built once in the representation phase;
@@ -50,11 +45,6 @@ class EntityEmbeddingStore {
 
   size_t num_sources() const { return sources_.size(); }
   const embed::EmbeddingMatrix& source(size_t s) const { return *sources_[s]; }
-  /// The shared, immutable matrix of source `s`; views of it may keep it.
-  const std::shared_ptr<const embed::EmbeddingMatrix>& shared_source(
-      size_t s) const {
-    return sources_[s];
-  }
 
   /// Embedding dimensionality (0 when empty).
   size_t dim() const { return sources_.empty() ? 0 : sources_[0]->dim(); }
@@ -62,18 +52,16 @@ class EntityEmbeddingStore {
   /// Writes the representation of a merged item (Algorithm 3) into `out`
   /// (dim() floats): the L2-normalized mean of its members' embeddings.
   /// `members` must be sorted, so the summation order — and every bit of
-  /// the result — depends on the member set alone. TwoTableMerger::Merge
-  /// and Matcher::AddTable both call this, which keeps the pipeline's and
-  /// the serving path's merged vectors bitwise equal.
+  /// the result — depends on the member set alone. The merge phase and
+  /// Matcher::AddTable both reach it through ItemVector, which keeps the
+  /// pipeline's and the serving path's merged vectors bitwise equal.
   void Centroid(std::span<const table::EntityId> members,
                 std::span<float> out) const;
 
   /// Writes the vector of an item with sorted `members` into `out` (dim()
   /// floats): a one-member item's own row, Centroid(members) otherwise. Every
-  /// item vector the library makes is this function of the member list —
-  /// TwoTableMerger::Merge writes it for merged items and carries it
-  /// unchanged, and a serving session (ItemTable) stores no vectors at all
-  /// but derives each one here when it needs it.
+  /// item vector the library uses is this function of the member list: no
+  /// MergeTable stores one, and each is derived here where it is needed.
   void ItemVector(std::span<const table::EntityId> members,
                   std::span<float> out) const;
 
@@ -88,48 +76,31 @@ class EntityEmbeddingStore {
   std::vector<std::shared_ptr<const embed::EmbeddingMatrix>> sources_;
 };
 
-/// The one codec of the items/rows layout that MEMMERGT spills and serving
-/// manifests share: an "items" section (u64 item count, then per item a u64
-/// member count and the packed member ids) and a `rows_section` matrix in
-/// embed::WriteMatrix form, one `dim`-float row per item. MEMMERGT files
-/// name the rows "embeddings", the serving manifest "centroids". Item i's
-/// members come from `members(i)`; its row is what `row(i, scratch)`
-/// returns, a span of its own storage or `scratch` (dim floats) filled.
-/// Rows stream straight into the section, so no gathered matrix is made.
-void WriteItemSections(
-    util::ArtifactWriter& writer, std::string_view rows_section,
-    size_t num_items, size_t dim,
-    const std::function<std::span<const table::EntityId>(size_t)>& members,
-    const std::function<std::span<const float>(size_t, std::span<float>)>&
-        row);
-
-/// What ReadItemSections parsed: the member lists, and the rows as a view
-/// over their section where alignment allows (a copy otherwise).
-struct ItemSections {
-  std::vector<MergeItem> items;
-  embed::EmbeddingMatrix rows;
-};
-
-/// Reads what WriteItemSections wrote and checks that the rows section
-/// holds one row per item. Zero-member items (tombstones) load only with
-/// `allow_tombstones`. Every count is bounded by the bytes left before
-/// anything is reserved.
-util::Result<ItemSections> ReadItemSections(const util::ArtifactReader& reader,
-                                            std::string_view rows_section,
-                                            bool allow_tombstones);
-
-/// A table in the merging hierarchy: items plus one embedding per item
-/// (the E_i of Algorithm 2/3 after the first hierarchy level).
+/// The one entity table of the library: every table of the merging
+/// hierarchy (the E_i of Algorithms 2 and 3) and a serving session's
+/// integrated table (core::Matcher). Item i is a sorted member list — one
+/// entity in an initial table, a candidate tuple of entities merged so far
+/// after that — and no vector. An item's vector is a function of its
+/// members and the base store (EntityEmbeddingStore::ItemVector), derived
+/// wherever one is needed: a merge's mutual top-K (GatherVectors), a saved
+/// table's rows, AddTable's match and compaction, Snapshot::centroids().
 ///
-/// Storage is chunked: items and their embedding rows live in fixed-size
-/// blocks held through shared_ptr, so copying a MergeTable (a resident
-/// MergeSource::Materialize) is O(num_chunks) pointer copies, and an Append
-/// to a copy clones only the last chunk. The chunks of a leaf table view
-/// the store's source matrix, and those of a mapped MEMMERGT load view the
-/// mapped pages; either copies its rows only when written.
+/// Storage is chunked copy-on-write: member lists live in fixed-size blocks
+/// held through shared_ptr. Copying a MergeTable (a resident
+/// MergeSource::Materialize, a serving epoch) is O(num_chunks) pointer
+/// copies, and a mutation clones only the one chunk it touches — member
+/// lists, never a row — so consecutive serving epochs share every chunk an
+/// ingest left untouched.
+///
+/// An item with no members is a *tombstone*, which only a serving table
+/// holds: a retired entry whose id stays reserved, so later items' ids never
+/// shift across ingest epochs. It has no members to derive from, so it keeps
+/// the vector it had when it was retired (stashed by Tombstone, or read from
+/// a manifest): saved manifests carry that row, and so every saved byte is
+/// what a table that stored all its vectors would write.
 class MergeTable {
  public:
-  /// Items per chunk. At dim 64 a chunk's embedding block is 1 MiB.
+  /// Items per copy-on-write chunk.
   static constexpr size_t kChunkItems = 4096;
 
   /// Magic + format version of a standalone merge-table artifact file
@@ -141,64 +112,88 @@ class MergeTable {
   MergeTable() = default;
 
   /// Initial merge table of source `source` of `store`: item i = entity
-  /// (source, i), whose row is a view of the store's row — no float is
-  /// copied, and the chunks keep the source matrix alive.
+  /// (source, i).
   static MergeTable FromSource(const EntityEmbeddingStore& store,
                                uint32_t source);
 
   size_t num_items() const { return num_items_; }
+  /// Items with no members (retired entries; see the class comment).
+  size_t num_tombstones() const { return num_tombstones_; }
+  size_t num_live_items() const { return num_items_ - num_tombstones_; }
 
-  /// Embedding dimensionality (0 until the first Append/Reserve fixes it).
-  size_t dim() const { return dim_; }
-
-  const MergeItem& item(size_t i) const {
-    return chunks_[i / kChunkItems]->items[i % kChunkItems];
+  /// Members of item `i` (sorted; empty for a tombstone).
+  const std::vector<table::EntityId>& members(size_t i) const {
+    return chunks_[i / kChunkItems]->members[i % kChunkItems];
   }
 
-  /// Representation of item `i`. Read through a const matrix: a view
-  /// chunk's rows must not be copied by a read.
-  std::span<const float> Row(size_t i) const {
-    const embed::EmbeddingMatrix& rows = chunks_[i / kChunkItems]->embeddings;
-    return rows.Row(i % kChunkItems);
-  }
+  /// The vector of item `i`, written into `out` (store.dim() floats): the
+  /// derivation of a live item's members, a tombstone's stashed row.
+  void Vector(size_t i, const EntityEmbeddingStore& store,
+              std::span<float> out) const;
 
-  /// Appends an item with its representation.
-  void Append(MergeItem item, std::span<const float> embedding);
+  /// Every item's vector gathered into one matrix (row i = item i,
+  /// tombstones' stashed rows included) — what a merge's mutual top-K scans.
+  embed::EmbeddingMatrix GatherVectors(const EntityEmbeddingStore& store) const;
 
-  /// Reserves space for `n` items of dimension `dim`.
-  void Reserve(size_t n, size_t dim);
+  /// Appends a live item with sorted, non-empty `members`.
+  void Append(std::vector<table::EntityId> members);
 
-  /// All item representations gathered into one contiguous matrix (row i =
-  /// item i). O(num_items * dim) copy — what a merge's mutual top-K scans.
-  embed::EmbeddingMatrix GatherEmbeddings() const;
+  /// Replaces the members of live item `i` (clones only its chunk).
+  void Replace(size_t i, std::vector<table::EntityId> members);
+
+  /// Retires live item `i`: its members are cleared and `vector`, its
+  /// vector until now, is stashed for saves. Clones only its chunk.
+  void Tombstone(size_t i, std::span<const float> vector);
 
   /// Total number of entity memberships across items.
   size_t TotalMembers() const;
 
-  /// Approximate bytes reachable through this table (shared chunks are
-  /// counted in full; view rows count the bytes they view).
+  /// Approximate bytes reachable through this table: member lists and
+  /// stashed tombstone rows (shared chunks are counted in full).
   size_t SizeBytes() const;
 
-  /// Writes this table to `path` as a standalone MEMMERGT artifact file
-  /// (items + embeddings; docs/FORMATS.md).
-  util::Status Save(const std::string& path) const;
+  /// InvalidArgument unless every member names an entity of `store`, so a
+  /// table read from disk can be derived from `store` without reading past
+  /// its rows.
+  util::Status CheckMembers(const EntityEmbeddingStore& store) const;
 
-  /// Loads a MEMMERGT file. With `options` mapping the file, embedding rows
-  /// alias the mapped pages; a heap open copies them into the chunks.
+  /// Appends the two sections that MEMMERGT files and serving manifests
+  /// share: "items" (u64 item count, then per item a u64 member count and
+  /// the packed member ids) and a `rows_section` matrix in embed::WriteMatrix
+  /// form, one row per item, each derived from `store` as Vector does while
+  /// it streams into the section. MEMMERGT files name the rows "embeddings",
+  /// manifests "centroids".
+  void WriteSections(util::ArtifactWriter& writer,
+                     std::string_view rows_section,
+                     const EntityEmbeddingStore& store) const;
+
+  /// Reads what WriteSections wrote. The `rows_section` matrix must hold
+  /// one `dim`-float row per item; only the tombstones' rows are kept
+  /// (copied), a live item's row being what its members derive.
+  /// Zero-member items load only with `allow_tombstones`. Every count is
+  /// bounded by the bytes left before anything is reserved.
+  static util::Result<MergeTable> ReadSections(
+      const util::ArtifactReader& reader, std::string_view rows_section,
+      size_t dim, bool allow_tombstones);
+
+  /// Writes this table to `path` as a standalone MEMMERGT artifact file
+  /// (WriteSections; docs/FORMATS.md).
+  util::Status Save(const std::string& path,
+                    const EntityEmbeddingStore& store) const;
+
+  /// Loads a MEMMERGT file written over `store`: its rows must be
+  /// store.dim() wide, and every member must pass CheckMembers.
   static util::Result<MergeTable> Load(
-      const std::string& path, const util::ArtifactOpenOptions& options = {});
+      const std::string& path, const EntityEmbeddingStore& store,
+      const util::ArtifactOpenOptions& options = {});
 
  private:
   struct Chunk {
-    std::vector<MergeItem> items;
-    embed::EmbeddingMatrix embeddings;
+    std::vector<std::vector<table::EntityId>> members;
+    /// The stashed vectors of this chunk's tombstones, by item offset
+    /// within the chunk; shared, so a chunk copy copies no row.
+    std::map<uint32_t, std::shared_ptr<const std::vector<float>>> retired;
   };
-
-  /// A table whose chunks hold `items` and view the matching rows of
-  /// `rows` (one per item), keeping it alive until each chunk is written.
-  static MergeTable FromParts(
-      std::vector<MergeItem> items,
-      std::shared_ptr<const embed::EmbeddingMatrix> rows);
 
   /// The chunk holding item `i`, cloned first if any other table shares it.
   Chunk* MutableChunk(size_t i);
@@ -207,7 +202,7 @@ class MergeTable {
   // never written.
   std::vector<std::shared_ptr<Chunk>> chunks_;
   size_t num_items_ = 0;
-  size_t dim_ = 0;
+  size_t num_tombstones_ = 0;
 };
 
 }  // namespace multiem::core

@@ -128,13 +128,9 @@ util::Result<std::shared_ptr<Matcher>> BuildMatcher(
   std::vector<std::string> source_names;
   source_names.reserve(tables.size());
   for (const table::Table& t : tables) source_names.push_back(t.name());
-  // The session keeps the member lists only; the rows of `integrated` die
-  // here, before Assemble derives the serving index's vectors.
-  ItemTable entities = ItemTable::FromMergeTable(integrated);
-  integrated = MergeTable();
   auto matcher = Matcher::Assemble(
       config, tables[0].schema().names(), selection, std::move(source_names),
-      std::move(store), std::move(entities), components.encoder,
+      std::move(store), std::move(integrated), components.encoder,
       components.index_factory, /*index=*/nullptr, pool);
   if (!matcher.ok()) return matcher.status();
   return std::make_shared<Matcher>(std::move(*matcher));
@@ -294,8 +290,7 @@ util::Status MultiEmPipeline::Run(const std::vector<table::Table>& tables,
     for (size_t s = 0; s < tables.size(); ++s) {
       MergeTable table =
           MergeTable::FromSource(store, static_cast<uint32_t>(s));
-      // A leaf's rows are views of the store, counted once above.
-      initial_bytes += table.SizeBytes() - store.source(s).SizeBytes();
+      initial_bytes += table.SizeBytes();
       slots.push_back(MergeSource::FromTable(std::move(table)));
     }
     result->approx_peak_bytes =
@@ -320,7 +315,7 @@ util::Status MultiEmPipeline::Run(const std::vector<table::Table>& tables,
       return ctx.cancelled() ? CancelledAfter(kPhaseMerging) : merged;
     }
     MergeSource& root = slots[plan.root()];
-    auto table = root.Acquire();
+    auto table = root.Acquire(store);
     if (!table.ok()) return table.status();
     integrated = std::move(*table);
     // Under checkpointing the root's spill is the resume point for

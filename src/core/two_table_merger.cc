@@ -57,12 +57,12 @@ MergeTable TwoTableMerger::Merge(const MergeTable& a, const MergeTable& b,
                                  util::ThreadPool* pool,
                                  MergeNodeStats* stats) const {
   // Step 1 (Algorithm 3 lines 3-5): mutual top-K pairs under the cap m.
-  // MutualTopK wants contiguous matrices; the tables store their rows in
-  // copy-on-write chunks, so gather once per merge (a linear copy of each
-  // side, small next to the scan or the index builds it feeds).
-  std::vector<ann::MutualPair> matches =
-      ann::MutualTopK(a.GatherEmbeddings(), b.GatherEmbeddings(),
-                      *index_factory_, MutualOptionsFromConfig(config_), pool);
+  // The tables hold member lists only, so each side's item vectors are
+  // derived from the store into one contiguous matrix, which lives for
+  // this call alone.
+  std::vector<ann::MutualPair> matches = ann::MutualTopK(
+      a.GatherVectors(*store_), b.GatherVectors(*store_), *index_factory_,
+      MutualOptionsFromConfig(config_), pool);
 
   // Step 2 (lines 6-10): union by transitivity. Items of `a` take union-find
   // ids [0, a.num_items()); items of `b` take [a.num_items(), ...). The
@@ -74,40 +74,25 @@ MergeTable TwoTableMerger::Merge(const MergeTable& a, const MergeTable& b,
   }
   if (stats != nullptr) stats->mutual_pairs = matches.size();
 
-  auto item_at = [&](size_t uf_id) -> const MergeItem& {
-    return uf_id < a.num_items() ? a.item(uf_id)
-                                 : b.item(uf_id - a.num_items());
-  };
-  auto embedding_at = [&](size_t uf_id) {
-    return uf_id < a.num_items() ? a.Row(uf_id)
-                                 : b.Row(uf_id - a.num_items());
+  auto members_at =
+      [&](size_t uf_id) -> const std::vector<table::EntityId>& {
+    return uf_id < a.num_items() ? a.members(uf_id)
+                                 : b.members(uf_id - a.num_items());
   };
 
   MergeTable merged;
-  size_t dim = store_->dim();
-  merged.Reserve(uf.num_sets(), dim);
-  std::vector<float> centroid(dim);
-
   for (const std::vector<size_t>& group : uf.Groups()) {
-    MergeItem item;
+    std::vector<table::EntityId> members;
     for (size_t uf_id : group) {
-      const MergeItem& source_item = item_at(uf_id);
-      item.members.insert(item.members.end(), source_item.members.begin(),
-                          source_item.members.end());
+      const std::vector<table::EntityId>& source = members_at(uf_id);
+      members.insert(members.end(), source.begin(), source.end());
     }
-    std::sort(item.members.begin(), item.members.end());
-    item.members.erase(std::unique(item.members.begin(), item.members.end()),
-                       item.members.end());
-
-    if (group.size() == 1) {
-      // Carried over unchanged: its row is already ItemVector(members).
-      if (stats != nullptr) ++stats->carried_items;
-      merged.Append(std::move(item), embedding_at(group[0]));
-      continue;
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()), members.end());
+    if (stats != nullptr) {
+      ++(group.size() == 1 ? stats->carried_items : stats->merged_items);
     }
-    if (stats != nullptr) ++stats->merged_items;
-    store_->ItemVector(item.members, centroid);
-    merged.Append(std::move(item), centroid);
+    merged.Append(std::move(members));
   }
   return merged;
 }

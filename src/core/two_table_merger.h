@@ -56,13 +56,15 @@ util::Status ReadNodeStats(util::ByteReader& in, bool has_attempts,
 ///
 /// Step 1 finds mutual top-K pairs between the items of E_i and E_j under
 /// cosine distance with threshold m (an exact scan or two HNSW indexes,
-/// chosen per merge by MutualOptionsFromConfig). Step 2 unions the matched
-/// items by transitivity — each item already carries its own matched set
-/// from earlier hierarchies (MatchedPairs(E_i) in the paper) — and carries
-/// every unmatched item into the output unchanged.
+/// chosen per merge by MutualOptionsFromConfig), over item vectors derived
+/// from the store. Step 2 unions the matched items by transitivity — each
+/// item already carries its own matched set from earlier hierarchies
+/// (MatchedPairs(E_i) in the paper) — and carries every unmatched item into
+/// the output unchanged. The output holds member lists only.
 class TwoTableMerger {
  public:
-  /// `store` supplies base entity embeddings for centroid recomputation.
+  /// `store` supplies the base entity embeddings every item vector is
+  /// derived from.
   /// `index_factory` builds the two ANN indexes of each merge that does not
   /// scan exactly — typically `IndexFactories().Create(config.index_name,
   /// config)`. Both are non-owning and must outlive the merger.
@@ -81,6 +83,9 @@ class TwoTableMerger {
   MergeTable Merge(const MergeTable& a, const MergeTable& b,
                    util::ThreadPool* pool = nullptr,
                    MergeNodeStats* stats = nullptr) const;
+
+  /// The store every table this merger reads must be valid against.
+  const EntityEmbeddingStore& store() const { return *store_; }
 
  private:
   MultiEmConfig config_;

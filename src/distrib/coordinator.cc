@@ -396,7 +396,7 @@ util::Result<DistributedBuildResult> Coordinator::Build(
   core::TwoTableMerger merger(config_, &store, *components.index_factory);
   MULTIEM_RETURN_IF_ERROR(core::ExecuteMergePlan(
       plan, slots, merger, {}, pool.get(), &result.run.merge_stats));
-  auto integrated = slots[plan.root()].Acquire();
+  auto integrated = slots[plan.root()].Acquire(store);
   if (!integrated.ok()) return integrated.status();
   result.distrib.merge_seconds = merge_timer.ElapsedSeconds();
 

@@ -15,11 +15,6 @@ void EmbeddingMatrix::AppendRow(std::span<const float> row) {
   data_.append(row.begin(), row.end());
 }
 
-void EmbeddingMatrix::AppendRows(std::span<const float> rows) {
-  if (dim_ == 0 || rows.size() % dim_ != 0) std::abort();
-  data_.append(rows.begin(), rows.end());
-}
-
 float Dot(std::span<const float> a, std::span<const float> b) {
   // This is the hottest function in the library: every HNSW hop is one Dot
   // over a 384-dim embedding.

@@ -2,7 +2,6 @@
 #define MULTIEM_EMBED_EMBEDDING_H_
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -27,17 +26,6 @@ class EmbeddingMatrix {
   EmbeddingMatrix(size_t num_rows, size_t dim)
       : dim_(dim), data_(std::vector<float>(num_rows * dim, 0.0f)) {}
 
-  /// A matrix whose rows alias externally owned floats (`data.size()` must
-  /// be a multiple of `dim`). `keepalive` must keep the bytes valid for as
-  /// long as any copy of this matrix lives; see util::CowSlab.
-  static EmbeddingMatrix FromView(size_t dim, std::span<const float> data,
-                                  std::shared_ptr<const void> keepalive) {
-    EmbeddingMatrix m;
-    m.dim_ = dim;
-    m.data_.BindView(data, std::move(keepalive));
-    return m;
-  }
-
   /// Adopts `data` — owned or view — as the row-major payload of a matrix
   /// of dimension `dim` (`data.size()` must be a multiple of `dim`). This is
   /// how matrix_io.h hands a ReadArrayCow-bound slab to a matrix.
@@ -50,10 +38,6 @@ class EmbeddingMatrix {
 
   size_t num_rows() const { return dim_ == 0 ? 0 : data_.size() / dim_; }
   size_t dim() const { return dim_; }
-  bool is_view() const { return data_.is_view(); }
-
-  /// Materializes an owned copy of a view (no-op when already owned).
-  void EnsureOwned() { data_.EnsureOwned(); }
 
   /// Mutable view of row `i` (materializes an owned copy of a view).
   std::span<float> Row(size_t i) {
@@ -64,39 +48,14 @@ class EmbeddingMatrix {
     return std::span<const float>(data_.data() + i * dim_, dim_);
   }
 
-  /// A matrix over rows [row_begin, row_begin + row_count). When this matrix
-  /// is a view, the result is a sub-view sharing the same backing (no float
-  /// is copied); when owned, the rows are copied out.
-  EmbeddingMatrix RowsView(size_t row_begin, size_t row_count) const {
-    const std::span<const float> rows(data_.data() + row_begin * dim_,
-                                      row_count * dim_);
-    if (is_view()) return FromView(dim_, rows, data_.keepalive());
-    EmbeddingMatrix out;
-    out.dim_ = dim_;
-    out.data_.append(rows.begin(), rows.end());
-    return out;
-  }
-
   /// Appends a row (must have length dim; first append fixes dim when 0).
   void AppendRow(std::span<const float> row);
-
-  /// Appends whole row-major rows at once (`rows.size()` must be a multiple
-  /// of the already-fixed dim).
-  void AppendRows(std::span<const float> rows);
-
-  /// Reserves capacity for `n` rows (materializes an owned copy of a view).
-  void ReserveRows(size_t n) { data_.reserve(n * dim_); }
 
   std::span<const float> data() const { return data_.span(); }
 
   /// Bytes of embedding payload reachable through this matrix (for the
-  /// memory accounting bench). Views count their mapped bytes too; use
-  /// OwnedBytes for private-heap accounting only.
+  /// memory accounting bench). Views count their mapped bytes too.
   size_t SizeBytes() const { return data_.size() * sizeof(float); }
-
-  /// Private heap bytes (0 while a view — the bytes belong to the loaded
-  /// artifact section, shared by every view of it).
-  size_t OwnedBytes() const { return data_.OwnedBytes(); }
 
  private:
   size_t dim_;

@@ -1,7 +1,7 @@
 /// \file matrix_io.h
-/// EmbeddingMatrix <-> artifact-section serialization: the rows of every
-/// merge table (core::WriteItemSections, for MEMMERGT spills and the
-/// manifest's "centroids"), the manifest's "base" matrices
+/// EmbeddingMatrix <-> artifact-section serialization: the derived rows of
+/// every saved merge table (core::MergeTable::WriteSections, for MEMMERGT
+/// spills and the manifest's "centroids"), the manifest's "base" matrices
 /// (core/artifact.cc), and the MEMSHARD base sections
 /// (distrib/shard_worker.cc). The wire form is u64 rows, u64 dim, then the
 /// count-prefixed f32 row-major payload.

@@ -112,9 +112,8 @@ class CowSlab {
 
   bool is_view() const { return keepalive_ != nullptr; }
 
-  /// The keepalive handle of a view (null when owned). Exposed so a
-  /// container built over a CowSlab can hand out sub-views that share the
-  /// same backing (EmbeddingMatrix::RowsView).
+  /// The keepalive handle of a view (null when owned); copies of a view
+  /// share it.
   const std::shared_ptr<const void>& keepalive() const { return keepalive_; }
 
   /// Materializes an owned private copy when this slab is a view; no-op when

@@ -93,10 +93,10 @@ class KeepAllPruner : public Pruner {
     std::vector<eval::Tuple> tuples;
     size_t examined = 0;
     for (size_t i = 0; i < integrated.num_items(); ++i) {
-      const MergeItem& item = integrated.item(i);
-      if (item.members.size() < 2) continue;
+      const std::vector<table::EntityId>& members = integrated.members(i);
+      if (members.size() < 2) continue;
       ++examined;
-      tuples.push_back(item.members);
+      tuples.push_back(members);
     }
     if (stats != nullptr) stats->items_examined = examined;
     return tuples;

@@ -19,7 +19,6 @@
 #include "ann/index_factory.h"
 #include "core/attribute_selector.h"
 #include "core/density_pruner.h"
-#include "core/item_table.h"
 #include "core/merge_plan.h"
 #include "core/merge_table.h"
 #include "core/registry.h"
@@ -77,7 +76,54 @@ EntityEmbeddingStore AxisStore(size_t n, size_t dim) {
   return store;
 }
 
-TEST(MergeTableTest, FromSourceViewsTheStoreRows) {
+// Store with two sources of axis-aligned vectors; rows i of both sources
+// share direction i so they match exactly.
+EntityEmbeddingStore PairedStore(size_t n, size_t dim) {
+  EntityEmbeddingStore store;
+  store.AddSource(UnitAxisVectors(n, dim));
+  store.AddSource(UnitAxisVectors(n, dim));
+  return store;
+}
+
+// The store-derived vectors of a table, flat: what a merge scans and a save
+// writes.
+std::vector<float> DerivedVectors(const MergeTable& t,
+                                  const EntityEmbeddingStore& store) {
+  const embed::EmbeddingMatrix m = t.GatherVectors(store);
+  return std::vector<float>(m.data().begin(), m.data().end());
+}
+
+// Same member lists, and the same bytes in every store-derived vector.
+void ExpectSameTable(const MergeTable& a, const MergeTable& b,
+                     const EntityEmbeddingStore& store) {
+  ASSERT_EQ(a.num_items(), b.num_items());
+  for (size_t i = 0; i < a.num_items(); ++i) {
+    EXPECT_EQ(a.members(i), b.members(i)) << "item " << i;
+  }
+  const std::vector<float> va = DerivedVectors(a, store);
+  const std::vector<float> vb = DerivedVectors(b, store);
+  ASSERT_EQ(va.size(), vb.size());
+  EXPECT_EQ(0, std::memcmp(va.data(), vb.data(), va.size() * sizeof(float)));
+}
+
+// Writes a MEMMERGT file with the given member lists and rows, bypassing
+// MergeTable::Save — the shape a foreign or stale spill can have.
+void WriteRawSpill(const std::string& path,
+                   const std::vector<std::vector<EntityId>>& items,
+                   const embed::EmbeddingMatrix& rows) {
+  util::ArtifactWriter writer(MergeTable::kArtifactMagic,
+                              MergeTable::kArtifactVersion);
+  util::ByteWriter& section = writer.AddSection("items");
+  section.WriteU64(items.size());
+  for (const std::vector<EntityId>& ids : items) {
+    section.WriteU64(ids.size());
+    for (EntityId id : ids) section.WriteU64(id.packed());
+  }
+  embed::WriteMatrix(writer.AddSection("embeddings"), rows);
+  writer.WriteFile(path).CheckOk();
+}
+
+TEST(MergeTableTest, FromSourceHoldsOneItemPerEntity) {
   EntityEmbeddingStore store;
   store.AddSource(UnitAxisVectors(2, 8));
   store.AddSource(UnitAxisVectors(2, 8));
@@ -85,101 +131,62 @@ TEST(MergeTableTest, FromSourceViewsTheStoreRows) {
   MergeTable t = MergeTable::FromSource(store, 2);
   EXPECT_EQ(t.num_items(), 4u);
   EXPECT_EQ(t.TotalMembers(), 4u);
-  EXPECT_EQ(t.item(1).members.size(), 1u);
-  EXPECT_EQ(t.item(1).members[0], EntityId(2, 1));
-  EXPECT_FLOAT_EQ(t.Row(1)[1], 1.0f);
+  EXPECT_EQ(t.members(1), std::vector<EntityId>{EntityId(2, 1)});
   EXPECT_GT(t.SizeBytes(), 0u);
-  // The rows are the store's own: no float was copied.
-  EXPECT_EQ(t.Row(3).data(), store.Row(EntityId(2, 3)).data());
+  // A one-member item's vector is its entity's row, bit for bit.
+  const std::vector<float> vectors = DerivedVectors(t, store);
+  const std::span<const float> rows = store.source(2).data();
+  ASSERT_EQ(vectors.size(), rows.size());
+  EXPECT_EQ(0, std::memcmp(vectors.data(), rows.data(),
+                           rows.size() * sizeof(float)));
 }
 
 // Copying a MergeTable shares its chunks; an append clones only the last
-// chunk. Observed through item addresses: a shared chunk serves the same
-// MergeItem storage to both tables.
+// chunk. Observed through member-list addresses: a shared chunk serves the
+// same storage to both tables.
 TEST(MergeTableTest, CopySharesChunksUntilMutation) {
   const size_t n = MergeTable::kChunkItems + 10;  // two chunks
   const EntityEmbeddingStore store = AxisStore(n, 4);
-  MergeTable original = MergeTable::FromSource(store, 0);
+  const MergeTable original = MergeTable::FromSource(store, 0);
   MergeTable copy = original;
-  EXPECT_EQ(&copy.item(0), &original.item(0));
-  EXPECT_EQ(&copy.item(n - 1), &original.item(n - 1));
-
-  // Appending to the copy touches only the last chunk; the first stays
-  // shared, and the original never changes.
-  std::vector<float> row = {1.0f, 0.0f, 0.0f, 0.0f};
-  copy.Append(MergeItem{{EntityId(1, 0)}}, row);
-  EXPECT_EQ(&copy.item(0), &original.item(0));
-  EXPECT_NE(&copy.item(n - 1), &original.item(n - 1));
-  EXPECT_EQ(original.num_items(), n);
-  EXPECT_EQ(copy.num_items(), n + 1);
-  EXPECT_EQ(copy.Row(n - 1)[(n - 1) % 4], 1.0f);
-  EXPECT_EQ(copy.Row(n)[0], 1.0f);
-}
-
-TEST(MergeTableTest, SpillRoundTrip) {
-  const embed::EmbeddingMatrix rows = UnitAxisVectors(5, 4);
-  MergeTable t;
-  for (size_t i = 0; i < 5; ++i) {
-    t.Append(MergeItem{{EntityId(0, i), EntityId(1, i)}}, rows.Row(i));
-  }
-  ASSERT_EQ(t.num_items(), 5u);
-  EXPECT_EQ(t.TotalMembers(), 10u);
-
-  const std::string path =
-      ::testing::TempDir() + "multiem_core_spill.mem";
-  std::filesystem::remove(path);
-  ASSERT_TRUE(t.Save(path).ok());
-  util::ArtifactOpenOptions mapped;
-  mapped.mapping = util::ArtifactOpenOptions::Mapping::kPrefer;
-  for (const util::ArtifactOpenOptions& options :
-       {util::ArtifactOpenOptions{}, mapped}) {
-    auto loaded = MergeTable::Load(path, options);
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    ASSERT_EQ(loaded->num_items(), t.num_items());
-    EXPECT_EQ(loaded->dim(), t.dim());
-    for (size_t i = 0; i < t.num_items(); ++i) {
-      EXPECT_EQ(loaded->item(i).members, t.item(i).members);
-      for (size_t d = 0; d < t.dim(); ++d) {
-        EXPECT_EQ(loaded->Row(i)[d], t.Row(i)[d]);
-      }
-    }
-  }
-  std::filesystem::remove(path);
-}
-
-// ------------------------------------------------------------ ItemTable --
-
-// Copying an ItemTable shares its chunks; a mutation clones only the chunk
-// it touches, member lists only.
-TEST(ItemTableTest, CopySharesChunksUntilMutation) {
-  const size_t n = ItemTable::kChunkItems + 10;  // two chunks
-  const EntityEmbeddingStore store = AxisStore(n, 4);
-  const ItemTable original =
-      ItemTable::FromMergeTable(MergeTable::FromSource(store, 0));
-  ItemTable copy = original;
   EXPECT_EQ(&copy.members(0), &original.members(0));
   EXPECT_EQ(&copy.members(n - 1), &original.members(n - 1));
 
+  // Appending to the copy touches only the last chunk; the first stays
+  // shared, and the original never changes.
   copy.Append({EntityId(0, 0), EntityId(0, 1)});
   EXPECT_EQ(&copy.members(0), &original.members(0));
   EXPECT_NE(&copy.members(n - 1), &original.members(n - 1));
+  EXPECT_EQ(original.num_items(), n);
+  EXPECT_EQ(copy.num_items(), n + 1);
+  EXPECT_EQ(copy.members(n - 1), original.members(n - 1));
+  EXPECT_EQ(copy.members(n), (std::vector<EntityId>{EntityId(0, 0),
+                                                    EntityId(0, 1)}));
+}
 
-  // Tombstoning in the copy clones chunk 0 and never alters the original.
+// A mutation clones only the chunk it touches, member lists only:
+// tombstoning in a copy clones chunk 0 and never alters the original.
+TEST(MergeTableTest, TombstoneClonesOnlyItsChunk) {
+  const size_t n = MergeTable::kChunkItems + 10;  // two chunks
+  const EntityEmbeddingStore store = AxisStore(n, 4);
+  const MergeTable original = MergeTable::FromSource(store, 0);
+  MergeTable copy = original;
   std::vector<float> stale = {0.5f, 0.5f, 0.5f, 0.5f};
   copy.Tombstone(3, stale);
   EXPECT_NE(&copy.members(0), &original.members(0));
+  EXPECT_EQ(&copy.members(n - 1), &original.members(n - 1));
   EXPECT_TRUE(copy.members(3).empty());
   EXPECT_EQ(copy.num_tombstones(), 1u);
-  EXPECT_EQ(copy.num_live_items(), n);
+  EXPECT_EQ(copy.num_live_items(), n - 1);
   EXPECT_EQ(original.members(3).size(), 1u);
   EXPECT_EQ(original.num_tombstones(), 0u);
 }
 
 // A live item's vector is derived from the store; a tombstone's is the
 // vector it was retired with, whatever the store says.
-TEST(ItemTableTest, VectorsDeriveFromTheStoreExceptTombstones) {
+TEST(MergeTableTest, VectorsDeriveFromTheStoreExceptTombstones) {
   const EntityEmbeddingStore store = AxisStore(4, 4);
-  ItemTable t = ItemTable::FromMergeTable(MergeTable::FromSource(store, 0));
+  MergeTable t = MergeTable::FromSource(store, 0);
   t.Replace(0, {EntityId(0, 0), EntityId(0, 1)});
   const std::vector<float> stale2 = {0.25f, 0.0f, 0.0f, 0.75f};
   const std::vector<float> stale1 = {0.0f, 0.5f, 0.5f, 0.0f};
@@ -202,6 +209,43 @@ TEST(ItemTableTest, VectorsDeriveFromTheStoreExceptTombstones) {
             std::vector<float>(own.begin(), own.end()));
 }
 
+// A saved table's "embeddings" rows are its store-derived vectors, and a
+// load, heap or mapped, gives back the member lists.
+TEST(MergeTableTest, SpillRoundTrip) {
+  EntityEmbeddingStore store = PairedStore(5, 4);
+  MergeTable t;
+  for (size_t i = 0; i < 5; ++i) t.Append({EntityId(0, i), EntityId(1, i)});
+  ASSERT_EQ(t.num_items(), 5u);
+  EXPECT_EQ(t.TotalMembers(), 10u);
+
+  const std::string path =
+      ::testing::TempDir() + "multiem_core_spill.mem";
+  std::filesystem::remove(path);
+  ASSERT_TRUE(t.Save(path, store).ok());
+  {
+    auto reader = util::ArtifactReader::FromFile(
+        path, MergeTable::kArtifactMagic, MergeTable::kArtifactVersion);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    auto section = reader->Section("embeddings");
+    ASSERT_TRUE(section.ok()) << section.status();
+    embed::EmbeddingMatrix rows;
+    ASSERT_TRUE(embed::ReadMatrix(*section, &rows).ok());
+    const std::vector<float> want = DerivedVectors(t, store);
+    ASSERT_EQ(rows.data().size(), want.size());
+    EXPECT_EQ(0, std::memcmp(rows.data().data(), want.data(),
+                             want.size() * sizeof(float)));
+  }
+  util::ArtifactOpenOptions mapped;
+  mapped.mapping = util::ArtifactOpenOptions::Mapping::kPrefer;
+  for (const util::ArtifactOpenOptions& options :
+       {util::ArtifactOpenOptions{}, mapped}) {
+    auto loaded = MergeTable::Load(path, store, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    ExpectSameTable(t, *loaded, store);
+  }
+  std::filesystem::remove(path);
+}
+
 // A checksum-valid MEMMERGT file whose "items" count its section cannot
 // hold fails with a Status before anything is reserved for the items.
 TEST(MergeTableTest, RejectsItemCountBeyondItsSection) {
@@ -216,9 +260,41 @@ TEST(MergeTableTest, RejectsItemCountBeyondItsSection) {
       ::testing::TempDir() + "multiem_core_oversized_items.mem";
   ASSERT_TRUE(writer.WriteFile(path).ok());
 
-  auto loaded = MergeTable::Load(path);
+  auto loaded = MergeTable::Load(path, AxisStore(1, 4));
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
       << loaded.status();
+  std::filesystem::remove(path);
+}
+
+// A checksum-valid MEMMERGT file is checked against the store it will be
+// derived from: a member outside the store, or rows of another count or
+// width, is InvalidArgument rather than a read past the store's rows.
+TEST(MergeTableTest, LoadRejectsWhatTheStoreCannotDerive) {
+  const EntityEmbeddingStore store = AxisStore(3, 4);
+  const std::string path =
+      ::testing::TempDir() + "multiem_core_foreign_spill.mem";
+  const struct {
+    const char* what;
+    std::vector<std::vector<EntityId>> items;
+    embed::EmbeddingMatrix rows;
+  } cases[] = {
+      {"row past the source", {{EntityId(0, 0)}, {EntityId(0, 3)}},
+       UnitAxisVectors(2, 4)},
+      {"unknown source", {{EntityId(0, 0), EntityId(1, 0)}},
+       UnitAxisVectors(1, 4)},
+      {"wider rows", {{EntityId(0, 0)}}, UnitAxisVectors(1, 8)},
+      {"fewer rows", {{EntityId(0, 0)}, {EntityId(0, 1)}},
+       UnitAxisVectors(1, 4)},
+  };
+  for (const auto& c : cases) {
+    WriteRawSpill(path, c.items, c.rows);
+    auto loaded = MergeTable::Load(path, store);
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
+        << c.what << ": " << loaded.status();
+  }
+  WriteRawSpill(path, {{EntityId(0, 0), EntityId(0, 2)}},
+                UnitAxisVectors(1, 4));
+  EXPECT_TRUE(MergeTable::Load(path, store).ok());
   std::filesystem::remove(path);
 }
 
@@ -345,15 +421,6 @@ std::unique_ptr<ann::VectorIndexFactory> FactoryFor(
 
 // ------------------------------------------------------- TwoTableMerger --
 
-// Store with two sources of axis-aligned vectors; rows i of both sources
-// share direction i so they match exactly.
-EntityEmbeddingStore PairedStore(size_t n, size_t dim) {
-  EntityEmbeddingStore store;
-  store.AddSource(UnitAxisVectors(n, dim));
-  store.AddSource(UnitAxisVectors(n, dim));
-  return store;
-}
-
 TEST(TwoTableMergerTest, MergesIdenticalRowsKeepsRest) {
   constexpr size_t kN = 6;
   constexpr size_t kDim = 16;
@@ -375,10 +442,11 @@ TEST(TwoTableMergerTest, MergesIdenticalRowsKeepsRest) {
   EXPECT_EQ(stats.carried_items, 0u);
   EXPECT_EQ(merged.num_items(), kN);
   for (size_t i = 0; i < merged.num_items(); ++i) {
-    EXPECT_EQ(merged.item(i).members.size(), 2u);
-    EXPECT_EQ(merged.item(i).members[0].source(), 0u);
-    EXPECT_EQ(merged.item(i).members[1].source(), 1u);
-    EXPECT_EQ(merged.item(i).members[0].row(), merged.item(i).members[1].row());
+    const std::vector<EntityId>& members = merged.members(i);
+    ASSERT_EQ(members.size(), 2u);
+    EXPECT_EQ(members[0].source(), 0u);
+    EXPECT_EQ(members[1].source(), 1u);
+    EXPECT_EQ(members[0].row(), members[1].row());
   }
 }
 
@@ -466,23 +534,24 @@ TEST(TwoTableMergerTest, CentroidIsNormalizedMeanOfMembers) {
   const auto factory = FactoryFor(config);
   TwoTableMerger merger(config, &store, *factory);
   MergeTable merged = merger.Merge(a, b);
+  const embed::EmbeddingMatrix vectors = merged.GatherVectors(store);
+  std::vector<float> centroid(8);
   for (size_t i = 0; i < merged.num_items(); ++i) {
     // Members are identical vectors, so the centroid equals the member.
-    auto row = merged.Row(i);
+    auto row = vectors.Row(i);
     EXPECT_NEAR(embed::Norm(row), 1.0f, 1e-5);
-    auto member = store.Row(merged.item(i).members[0]);
+    auto member = store.Row(merged.members(i)[0]);
     EXPECT_NEAR(embed::CosineSimilarity(row, member), 1.0f, 1e-5);
+    ASSERT_EQ(merged.members(i).size(), 2u);
+    store.Centroid(merged.members(i), centroid);
+    EXPECT_EQ(0, std::memcmp(row.data(), centroid.data(),
+                             centroid.size() * sizeof(float)));
   }
 }
 
-// Every row TwoTableMerger::Merge writes is EntityEmbeddingStore::ItemVector
-// of the item's members, bit for bit, for carried and merged items alike —
-// the invariant that lets a serving session keep member lists only and
-// derive its vectors. Four seeded sources of noisy copies of shared
-// entities (plus entities of their own) merge as a chain and as a tree, so
-// merged items meet carried multi-member items at later levels.
-TEST(TwoTableMergerTest, EveryRowIsTheItemVectorOfItsMembers) {
-  constexpr size_t kDim = 32;
+// Four seeded sources of noisy copies of shared entities, plus entities of
+// their own: merged items meet carried multi-member items at later levels.
+EntityEmbeddingStore NoisyCopiesStore(size_t dim) {
   constexpr size_t kShared = 60;
   constexpr size_t kOwn = 20;
   util::Rng rng(17);
@@ -490,59 +559,99 @@ TEST(TwoTableMergerTest, EveryRowIsTheItemVectorOfItsMembers) {
     for (float& x : v) x = static_cast<float>(rng.Normal());
     embed::L2NormalizeInPlace(v);
   };
-  embed::EmbeddingMatrix entities(kShared, kDim);
+  embed::EmbeddingMatrix entities(kShared, dim);
   for (size_t e = 0; e < kShared; ++e) unit(entities.Row(e));
   EntityEmbeddingStore store;
   for (size_t s = 0; s < 4; ++s) {
-    embed::EmbeddingMatrix rows(kShared + kOwn, kDim);
+    embed::EmbeddingMatrix rows(kShared + kOwn, dim);
     for (size_t r = 0; r < kShared + kOwn; ++r) {
       std::span<float> row = rows.Row(r);
       unit(row);
       if (r >= kShared) continue;  // an entity of this source alone
       const std::span<const float> e = entities.Row((r * 7 + s) % kShared);
-      for (size_t d = 0; d < kDim; ++d) row[d] = e[d] + 0.2f * row[d];
+      for (size_t d = 0; d < dim; ++d) row[d] = e[d] + 0.2f * row[d];
       embed::L2NormalizeInPlace(row);
     }
     store.AddSource(std::move(rows));
   }
+  return store;
+}
+
+// A spill's "embeddings" rows are written for readers of the format and
+// never read back: a load keeps the member lists, and a merge derives every
+// vector from the store. So a spill whose rows were overwritten, with its
+// checksums rewritten, merges to the same member lists and tuples as the
+// untouched file, heap-opened or mapped.
+TEST(TwoTableMergerTest, SpillMergesFromItsMembersNotItsRows) {
+  constexpr size_t kDim = 32;
+  const EntityEmbeddingStore store = NoisyCopiesStore(kDim);
   MultiEmConfig config;
   config.k = 2;
   config.m = 0.3f;
   const auto factory = FactoryFor(config);
   const TwoTableMerger merger(config, &store, *factory);
+  const MergeTable left = merger.Merge(MergeTable::FromSource(store, 0),
+                                       MergeTable::FromSource(store, 1));
+  const MergeTable right = merger.Merge(MergeTable::FromSource(store, 2),
+                                        MergeTable::FromSource(store, 3));
 
-  MergeNodeStats totals;
-  auto merge = [&](const MergeTable& a, const MergeTable& b) {
-    MergeNodeStats stats;
-    MergeTable out = merger.Merge(a, b, nullptr, &stats);
-    totals.merged_items += stats.merged_items;
-    totals.carried_items += stats.carried_items;
-    std::vector<float> want(kDim);
-    for (size_t i = 0; i < out.num_items(); ++i) {
-      store.ItemVector(out.item(i).members, want);
-      const std::span<const float> got = out.Row(i);
-      EXPECT_EQ(std::memcmp(got.data(), want.data(), kDim * sizeof(float)),
-                0)
-          << "item " << i << " of " << out.item(i).members.size();
+  const std::string dir = ::testing::TempDir() + "multiem_core_spill_rows";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string untouched = dir + "/untouched.mem";
+  const std::string overwritten = dir + "/overwritten.mem";
+  ASSERT_TRUE(left.Save(untouched, store).ok());
+  {
+    // Every section as saved, except that each "embeddings" row becomes
+    // the first axis: were the rows read, every left item would look alike.
+    auto reader = util::ArtifactReader::FromFile(
+        untouched, MergeTable::kArtifactMagic, MergeTable::kArtifactVersion);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    util::ArtifactWriter writer(MergeTable::kArtifactMagic, reader->version());
+    for (const std::string& name : reader->SectionNames()) {
+      util::ByteWriter& out = writer.AddSection(name);
+      if (name == "embeddings") {
+        embed::EmbeddingMatrix rows(left.num_items(), kDim);
+        for (size_t i = 0; i < rows.num_rows(); ++i) rows.Row(i)[0] = 1.0f;
+        embed::WriteMatrix(out, rows);
+        continue;
+      }
+      auto section = reader->Section(name);
+      ASSERT_TRUE(section.ok()) << section.status();
+      std::vector<uint8_t> bytes(section->remaining());
+      for (uint8_t& byte : bytes) ASSERT_TRUE(section->ReadU8(&byte).ok());
+      out.WriteBytes(bytes.data(), bytes.size());
     }
-    return out;
-  };
-  MergeTable chain = MergeTable::FromSource(store, 0);
-  for (uint32_t s = 1; s < 4; ++s) {
-    chain = merge(chain, MergeTable::FromSource(store, s));
+    ASSERT_TRUE(writer.WriteFile(overwritten).ok());
   }
-  const MergeTable tree =
-      merge(merge(MergeTable::FromSource(store, 0),
-                  MergeTable::FromSource(store, 1)),
-            merge(MergeTable::FromSource(store, 2),
-                  MergeTable::FromSource(store, 3)));
-  EXPECT_GT(totals.merged_items, 0u);
-  EXPECT_GT(totals.carried_items, 0u);
+
+  const MergeTable want = merger.Merge(left, right);
+  const DensityPruner pruner(config);
+  PruneContext ctx;
+  ctx.store = &store;
+  const std::vector<eval::Tuple> want_tuples =
+      pruner.Prune(want, ctx, nullptr);
+  ASSERT_FALSE(want_tuples.empty());
   size_t multi_member = 0;
-  for (size_t i = 0; i < tree.num_items(); ++i) {
-    multi_member += tree.item(i).members.size() >= 2 ? 1 : 0;
+  for (size_t i = 0; i < left.num_items(); ++i) {
+    multi_member += left.members(i).size() >= 2 ? 1 : 0;
   }
-  EXPECT_GT(multi_member, 0u);
+  ASSERT_GT(multi_member, 0u);
+
+  util::ArtifactOpenOptions mapped;
+  mapped.mapping = util::ArtifactOpenOptions::Mapping::kPrefer;
+  for (const std::string& path : {untouched, overwritten}) {
+    for (const util::ArtifactOpenOptions& options :
+         {util::ArtifactOpenOptions{}, mapped}) {
+      auto loaded = MergeTable::Load(path, store, options);
+      ASSERT_TRUE(loaded.ok()) << path << ": " << loaded.status();
+      ExpectSameTable(left, *loaded, store);
+      const MergeTable got = merger.Merge(*loaded, right);
+      ExpectSameTable(want, got, store);
+      EXPECT_EQ(want_tuples, pruner.Prune(got, ctx, nullptr)) << path;
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TwoTableMergerTest, DistanceCapBlocksWeakMatches) {
@@ -604,20 +713,9 @@ MergeTable MergeAll(const MultiEmConfig& config,
   const TwoTableMerger merger(config, &store,
                               factory != nullptr ? *factory : *resolved);
   ExecuteMergePlan(plan, slots, merger, options, pool, stats).CheckOk();
-  auto merged = slots[plan.root()].Acquire();
+  auto merged = slots[plan.root()].Acquire(store);
   merged.status().CheckOk();
   return std::move(*merged);
-}
-
-void ExpectSameTable(const MergeTable& a, const MergeTable& b) {
-  ASSERT_EQ(a.num_items(), b.num_items());
-  for (size_t i = 0; i < a.num_items(); ++i) {
-    EXPECT_EQ(a.item(i).members, b.item(i).members) << "item " << i;
-    std::span<const float> ra = a.Row(i);
-    std::span<const float> rb = b.Row(i);
-    EXPECT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()))
-        << "item " << i;
-  }
 }
 
 TEST(ExecuteMergePlanTest, MergesAllSourcesToFullTuples) {
@@ -632,7 +730,7 @@ TEST(ExecuteMergePlanTest, MergesAllSourcesToFullTuples) {
 
   EXPECT_EQ(integrated.num_items(), kN);
   for (size_t i = 0; i < integrated.num_items(); ++i) {
-    EXPECT_EQ(integrated.item(i).members.size(), kSources);
+    EXPECT_EQ(integrated.members(i).size(), kSources);
   }
   // ceil(log2(4)) = 2 levels.
   EXPECT_EQ(stats.levels.size(), 2u);
@@ -738,7 +836,7 @@ TEST(ExecuteMergePlanTest, OddTableCountCarriesLeftover) {
   MergeTable integrated = MergeAll(config, store, {}, nullptr, &stats);
   EXPECT_EQ(integrated.num_items(), 3u);
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(integrated.item(i).members.size(), kSources);
+    EXPECT_EQ(integrated.members(i).size(), kSources);
   }
   // 5 -> 3 -> 2 -> 1: three levels.
   EXPECT_EQ(stats.levels.size(), 3u);
@@ -752,8 +850,7 @@ TEST(ExecuteMergePlanTest, NoEntityAppearsTwice) {
   MergeTable integrated = MergeAll(config, store);
   std::set<uint64_t> seen;
   for (size_t i = 0; i < integrated.num_items(); ++i) {
-    const MergeItem& item = integrated.item(i);
-    for (EntityId id : item.members) {
+    for (EntityId id : integrated.members(i)) {
       EXPECT_TRUE(seen.insert(id.packed()).second)
           << "entity " << id.ToString() << " in two items";
     }
@@ -774,7 +871,7 @@ TEST(ExecuteMergePlanTest, TrivialInputs) {
   const MergePlan plan = MergePlan::Build(1, config.seed);
   std::vector<MergeSource> one = SourceSlots(store);
   ASSERT_TRUE(ExecuteMergePlan(plan, one, merger, {}).ok());
-  auto table = one[plan.root()].Acquire();
+  auto table = one[plan.root()].Acquire(store);
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->num_items(), 3u);
 }
@@ -789,14 +886,15 @@ TEST(ExecuteMergePlanTest, OptionsDoNotChangeTheResult) {
   const MergeTable sequential = MergeAll(config, store);
 
   util::ThreadPool pool(3);
-  ExpectSameTable(sequential, MergeAll(config, store, {}, &pool));
+  ExpectSameTable(sequential, MergeAll(config, store, {}, &pool), store);
 
   const std::string dir = ::testing::TempDir() + "multiem_core_spill";
   std::filesystem::remove_all(dir);
   MergeStats stats;
-  ExpectSameTable(sequential, MergeAll(config, store,
-                                       MergeExecOptions::Spilled(dir),
-                                       nullptr, &stats));
+  ExpectSameTable(sequential,
+                  MergeAll(config, store, MergeExecOptions::Spilled(dir),
+                           nullptr, &stats),
+                  store);
   // 7 spilled inputs plus 6 spilled merge outputs.
   EXPECT_EQ(stats.spill_files_written, 13u);
   EXPECT_GT(stats.spill_bytes_written, 0u);
@@ -834,9 +932,9 @@ TEST(ExecuteMergePlanTest, TargetsSplitThePlan) {
     pairs += level.pairs_merged;
   }
   EXPECT_EQ(pairs, 5u);
-  auto table = slots[plan.root()].Acquire();
+  auto table = slots[plan.root()].Acquire(store);
   ASSERT_TRUE(table.ok());
-  ExpectSameTable(whole, *table);
+  ExpectSameTable(whole, *table, store);
 }
 
 TEST(ExecuteMergePlanTest, RejectsBadSlotsAndTargets) {
@@ -860,6 +958,46 @@ TEST(ExecuteMergePlanTest, RejectsBadSlotsAndTargets) {
   slots[0] = MergeSource();  // a leaf the plan needs but nobody supplied
   EXPECT_EQ(ExecuteMergePlan(plan, slots, merger, {}).code(),
             util::StatusCode::kFailedPrecondition);
+}
+
+// A spilled slot is loaded against the merger's store: a checksum-valid
+// MEMMERGT file naming an entity the store lacks, or holding rows of another
+// width, fails the run with InvalidArgument instead of a read past the
+// store's rows — resident or spilled execution alike.
+TEST(ExecuteMergePlanTest, RejectsSpillsTheStoreCannotDerive) {
+  EntityEmbeddingStore store = ManySourceStore(4, 3, 8);
+  MultiEmConfig config;
+  const auto factory = FactoryFor(config);
+  const TwoTableMerger merger(config, &store, *factory);
+  const MergePlan plan = MergePlan::Build(4, config.seed);
+  const std::string dir = ::testing::TempDir() + "multiem_core_foreign_leaf";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/leaf.mem";
+  const struct {
+    const char* what;
+    std::vector<std::vector<EntityId>> items;
+    embed::EmbeddingMatrix rows;
+  } cases[] = {
+      {"unknown entity",
+       {{EntityId(0, 0)}, {EntityId(0, 1), EntityId(2, 1 << 20)}},
+       UnitAxisVectors(2, 8)},
+      {"narrower rows", {{EntityId(0, 0)}}, UnitAxisVectors(1, 4)},
+  };
+  for (const auto& c : cases) {
+    for (bool spilled : {false, true}) {
+      WriteRawSpill(path, c.items, c.rows);
+      std::vector<MergeSource> slots = SourceSlots(store);
+      slots[0] = MergeSource::FromSpill(path);
+      const MergeExecOptions options =
+          spilled ? MergeExecOptions::Spilled(dir + "/spill")
+                  : MergeExecOptions{};
+      EXPECT_EQ(ExecuteMergePlan(plan, slots, merger, options).code(),
+                util::StatusCode::kInvalidArgument)
+          << c.what << (spilled ? ", spilled" : ", resident");
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ExecuteMergePlanTest, CancellationStopsBeforeTheNextLevel) {
@@ -897,9 +1035,8 @@ TEST(DensityPrunerTest, RemovesOutlierKeepsDensePart) {
   store.AddSource(m);
 
   MergeTable integrated;
-  MergeItem item;
-  for (size_t i = 0; i < 4; ++i) item.members.push_back(EntityId(0, i));
-  integrated.Append(std::move(item), store.source(0).Row(0));
+  integrated.Append(
+      {EntityId(0, 0), EntityId(0, 1), EntityId(0, 2), EntityId(0, 3)});
 
   MultiEmConfig config;
   config.eps = 1.0f;
@@ -921,9 +1058,7 @@ TEST(DensityPrunerTest, DropsItemsThatShrinkBelowTwo) {
   m.Row(1)[1] = 1.0f;  // orthogonal pair: euclidean distance sqrt(2) > eps
   store.AddSource(m);
   MergeTable integrated;
-  MergeItem item;
-  item.members = {EntityId(0, 0), EntityId(0, 1)};
-  integrated.Append(std::move(item), m.Row(0));
+  integrated.Append({EntityId(0, 0), EntityId(0, 1)});
 
   MultiEmConfig config;
   config.eps = 1.0f;
@@ -943,9 +1078,7 @@ TEST(DensityPrunerTest, DisabledPruningPassesThrough) {
   m.Row(1)[1] = 1.0f;
   store.AddSource(m);
   MergeTable integrated;
-  MergeItem item;
-  item.members = {EntityId(0, 0), EntityId(0, 1)};
-  integrated.Append(std::move(item), m.Row(0));
+  integrated.Append({EntityId(0, 0), EntityId(0, 1)});
 
   MultiEmConfig config;
   config.enable_pruning = false;
@@ -962,9 +1095,7 @@ TEST(DensityPrunerTest, SingletonItemsIgnored) {
   m.Row(0)[0] = 1.0f;
   store.AddSource(m);
   MergeTable integrated;
-  MergeItem item;
-  item.members = {EntityId(0, 0)};
-  integrated.Append(std::move(item), m.Row(0));
+  integrated.Append({EntityId(0, 0)});
   MultiEmConfig config;
   PruneContext ctx;
   ctx.store = &store;
@@ -984,9 +1115,7 @@ TEST(DensityPrunerTest, ParallelMatchesSerial) {
   store.AddSource(m);
   MergeTable integrated;
   for (size_t i = 0; i + 3 <= 60; i += 3) {
-    MergeItem item;
-    item.members = {EntityId(0, i), EntityId(0, i + 1), EntityId(0, i + 2)};
-    integrated.Append(std::move(item), m.Row(i));
+    integrated.Append({EntityId(0, i), EntityId(0, i + 1), EntityId(0, i + 2)});
   }
   MultiEmConfig config;
   config.eps = 1.0f;

@@ -28,6 +28,7 @@
 #include "datagen/scale.h"
 #include "distrib/coordinator.h"
 #include "distrib/shard_worker.h"
+#include "embed/matrix_io.h"
 #include "util/fault.h"
 #include "util/subprocess.h"
 
@@ -88,17 +89,19 @@ PipelineResult RunSingleProcess(const std::vector<table::Table>& tables,
   return result;
 }
 
-void ExpectTablesBitwise(const MergeTable& a, const MergeTable& b) {
+// Same member lists, and the same bytes in every vector derived from
+// `store`.
+void ExpectTablesBitwise(const MergeTable& a, const MergeTable& b,
+                         const core::EntityEmbeddingStore& store) {
   ASSERT_EQ(a.num_items(), b.num_items());
-  ASSERT_EQ(a.dim(), b.dim());
   for (size_t i = 0; i < a.num_items(); ++i) {
-    EXPECT_EQ(a.item(i).members, b.item(i).members) << "item " << i;
-    std::span<const float> ra = a.Row(i);
-    std::span<const float> rb = b.Row(i);
-    ASSERT_EQ(ra.size(), rb.size());
-    EXPECT_EQ(0, std::memcmp(ra.data(), rb.data(), ra.size() * sizeof(float)))
-        << "item " << i;
+    EXPECT_EQ(a.members(i), b.members(i)) << "item " << i;
   }
+  const embed::EmbeddingMatrix va = a.GatherVectors(store);
+  const embed::EmbeddingMatrix vb = b.GatherVectors(store);
+  ASSERT_EQ(va.data().size(), vb.data().size());
+  EXPECT_EQ(0, std::memcmp(va.data().data(), vb.data().data(),
+                           va.data().size() * sizeof(float)));
 }
 
 std::vector<uint64_t> Bits(const std::vector<double>& values) {
@@ -192,7 +195,7 @@ TEST(PartitionPlanTest, CoversAllSourcesExactlyOnce) {
 // Resident tables and MEMMERGT spill files, opened on the heap or mapped,
 // must materialize bitwise-identical tables.
 TEST(MergeSourceTest, ResidentSpillAndMappedSpillAgree) {
-  // A real merged table (multi-member items, centroid rows): the pipeline's
+  // A real merged table (multi-member items): the pipeline's
   // phases S and R over two sources, then one two-table merge.
   auto tables = CorpusTables(2, 50);
   const MultiEmConfig config = PipelineConfig();
@@ -211,19 +214,20 @@ TEST(MergeSourceTest, ResidentSpillAndMappedSpillAgree) {
   EXPECT_LT(merged.num_items(), tables[0].num_rows() + tables[1].num_rows());
 
   const std::string spill = TempPath("handle_spill") + ".mem";
-  merged.Save(spill).CheckOk();
+  merged.Save(spill, store).CheckOk();
   util::ArtifactOpenOptions mapped;
   mapped.mapping = util::ArtifactOpenOptions::Mapping::kPrefer;
   auto resident_table =
-      MergeSource::FromTable(MergeTable(merged)).Materialize();
-  auto spill_table = MergeSource::FromSpill(spill).Materialize();
-  auto mapped_table = MergeSource::FromSpill(spill, mapped).Materialize();
+      MergeSource::FromTable(MergeTable(merged)).Materialize(store);
+  auto spill_table = MergeSource::FromSpill(spill).Materialize(store);
+  auto mapped_table =
+      MergeSource::FromSpill(spill, mapped).Materialize(store);
   ASSERT_TRUE(resident_table.ok()) << resident_table.status().ToString();
   ASSERT_TRUE(spill_table.ok()) << spill_table.status().ToString();
   ASSERT_TRUE(mapped_table.ok()) << mapped_table.status().ToString();
-  ExpectTablesBitwise(merged, *resident_table);
-  ExpectTablesBitwise(merged, *spill_table);
-  ExpectTablesBitwise(merged, *mapped_table);
+  ExpectTablesBitwise(merged, *resident_table, store);
+  ExpectTablesBitwise(merged, *spill_table, store);
+  ExpectTablesBitwise(merged, *mapped_table, store);
 }
 
 // --------------------------------------------------- distributed building --
@@ -452,6 +456,63 @@ TEST(DistribBuildTest, StaleShardIsRebuiltNotTrusted) {
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   EXPECT_EQ(0u, built->distrib.shards_reused);
   EXPECT_EQ(single.tuples, built->run.tuples);
+}
+
+// A reused shard's merge output is loaded against the coordinator's store
+// when the top of the plan consumes it, so a checksum-valid MEMMERGT naming
+// an entity outside the corpus fails the build with InvalidArgument instead
+// of a read past the store's rows.
+TEST(DistribBuildTest, ReusedShardSpillNamingUnknownEntityIsRejected) {
+  auto tables = CorpusTables(4, 40);
+  const std::string work_dir = TempPath("foreign_spill");
+  CoordinatorOptions options;
+  options.num_workers = 2;
+  options.work_dir = work_dir;
+  {
+    Coordinator coordinator(PipelineConfig(), options);
+    auto built = coordinator.Build(tables);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+  }
+
+  // Rewrite worker 0's merge output: its rows keep their width, but one
+  // item names row 2^20 of source 0, far past the corpus.
+  std::string spill;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           work_dir + "/" + distrib::ShardDirName(0))) {
+    if (entry.path().filename().string().rfind("merge_", 0) == 0) {
+      spill = entry.path().string();
+    }
+  }
+  ASSERT_FALSE(spill.empty()) << "two workers over four sources merge";
+  size_t dim = 0;
+  {
+    auto reader = util::ArtifactReader::FromFile(
+        spill, MergeTable::kArtifactMagic, MergeTable::kArtifactVersion);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    auto section = reader->Section("embeddings");
+    ASSERT_TRUE(section.ok()) << section.status().ToString();
+    embed::EmbeddingMatrix rows;
+    ASSERT_TRUE(embed::ReadMatrix(*section, &rows).ok());
+    dim = rows.dim();
+  }
+  util::ArtifactWriter writer(MergeTable::kArtifactMagic,
+                              MergeTable::kArtifactVersion);
+  util::ByteWriter& items = writer.AddSection("items");
+  items.WriteU64(1);
+  items.WriteU64(2);
+  items.WriteU64(table::EntityId(0, 0).packed());
+  items.WriteU64(table::EntityId(0, size_t{1} << 20).packed());
+  embed::WriteMatrix(writer.AddSection("embeddings"),
+                     embed::EmbeddingMatrix(1, dim));
+  writer.WriteFile(spill).CheckOk();
+
+  Coordinator coordinator(PipelineConfig(), options);
+  auto rebuilt = coordinator.Build(tables);
+  EXPECT_EQ(util::StatusCode::kInvalidArgument, rebuilt.status().code())
+      << rebuilt.status().ToString();
+  EXPECT_NE(std::string::npos,
+            rebuilt.status().message().find("unknown entity"))
+      << rebuilt.status().ToString();
 }
 
 // Every build path resolves components as MultiEmPipeline::Run does, so

@@ -132,7 +132,9 @@ TEST(SpilledMergeTest, ResidencyIsBoundedByOnePair) {
     store.AddSource(std::move(m));
     MergeTable table =
         MergeTable::FromSource(store, static_cast<uint32_t>(s));
-    total_bytes += table.SizeBytes();
+    // What the table costs resident: its member lists plus the vectors a
+    // merge gathers for it.
+    total_bytes += table.SizeBytes() + store.source(s).SizeBytes();
     slots.push_back(MergeSource::FromTable(std::move(table)));
   }
 
@@ -145,7 +147,7 @@ TEST(SpilledMergeTest, ResidencyIsBoundedByOnePair) {
       plan, slots, merger, MergeExecOptions::Spilled(TempPath("merge_bounded")),
       nullptr, &stats);
   ASSERT_TRUE(status.ok()) << status;
-  auto integrated = slots[plan.root()].Acquire();
+  auto integrated = slots[plan.root()].Acquire(store);
   ASSERT_TRUE(integrated.ok()) << integrated.status();
 
   EXPECT_GT(stats.spill_files_written, gen.num_sources());
