@@ -45,10 +45,13 @@
 ///        --measure_speedup=1 also run serially for the merge speedup
 ///        --rss_budget_mb=0   fail (exit 1) if peak RSS exceeds this; 0 = off
 ///        --checkpoint_budget=-1  time kCheckpointPairs pairs of plain and
-///            checkpoint-journaled pipeline runs and record the median of
-///            the per-pair overhead ratios; fail (exit 1) when it exceeds
-///            this fraction (e.g. 0.05 = 5%). 0 = record only, negative =
-///            skip the pairs entirely
+///            checkpoint-journaled pipeline runs; fail (exit 1) when the
+///            time the checkpointed runs spend on their journal (appends,
+///            fsyncs and spill checksums, PipelineResult::
+///            checkpoint_seconds; median over the runs) exceeds this
+///            fraction of their wall time (e.g. 0.05 = 5%). The median of
+///            the per-pair overhead ratios is recorded, not gated. 0 =
+///            record only, negative = skip the pairs entirely
 ///        --json=PATH         output JSON path ("-" disables)
 
 #include <algorithm>
@@ -70,10 +73,11 @@ namespace {
 namespace core = multiem::core;
 namespace fs = std::filesystem;
 
-/// Plain/checkpointed run pairs behind the checkpoint-overhead gate. At
+/// Plain/checkpointed run pairs of the checkpoint-overhead measurement. At
 /// 200k rows on a 4-vCPU VM, the ratio of one ~12 s checkpointed run to one
-/// plain run swings by ±10% or more from run to run, so the gate reads the
-/// median pair's ratio.
+/// plain run swings by ±10% or more from run to run, so differencing runs
+/// cannot resolve a 5% budget: the gate reads the time each checkpointed
+/// run measures inside itself, and the pairs' median ratio is recorded.
 constexpr int kCheckpointPairs = 3;
 
 /// Pipeline knobs tuned for synthetic million-row corpora on the hashing
@@ -114,6 +118,7 @@ std::vector<table::Table> BuildCorpus(
 struct RunOutcome {
   double pipeline_seconds = 0.0;
   double merge_seconds = 0.0;
+  double checkpoint_seconds = 0.0;
   size_t num_tuples = 0;
   size_t num_items = 0;
   std::shared_ptr<core::Matcher> matcher;
@@ -135,6 +140,7 @@ RunOutcome RunPipeline(const core::MultiEmConfig& config,
   RunOutcome out;
   out.pipeline_seconds = timer.ElapsedSeconds();
   out.merge_seconds = result.timings.Get(core::kPhaseMerging);
+  out.checkpoint_seconds = result.checkpoint_seconds;
   out.num_tuples = result.tuples.size();
   out.num_items = result.matcher ? result.matcher->num_items() : 0;
   out.matcher = std::move(result.matcher);
@@ -279,30 +285,41 @@ int Main(int argc, char** argv) {
 
   // ---- checkpoint overhead: the same config and spill mode with and
   // without the crash-safe journal (RunContext::checkpoint_dir). Journal
-  // appends are one fsync per merge node and pipeline phase, so the cost
-  // must stay in the noise. The runs alternate in pairs after the first
+  // appends are one fsync per merge node and pipeline phase, and each
+  // journaled spill is checksummed, so the cost must stay small. Each
+  // checkpointed run measures that time inside itself
+  // (PipelineResult::checkpoint_seconds); the gate reads its median share
+  // of the run's wall time. The runs alternate in pairs after the first
   // plain run above (every other pair checkpointed first), so host drift
-  // falls on both sides; the gate reads the median pair's ratio, and the
-  // JSON's seconds are the median of each side.
+  // falls on both sides of the recorded pair ratio; the JSON's seconds are
+  // the median of each side.
   double baseline_seconds = 0.0;
   double checkpointed_seconds = 0.0;
   double checkpoint_overhead = 0.0;
+  double in_run_seconds = 0.0;
+  double in_run_ratio = 0.0;
   if (checkpoint_budget >= 0.0) {
     const std::string ckpt_dir = (work_dir / "ckpt").string();
-    std::vector<double> plain, checkpointed, ratios;
+    std::vector<double> plain, checkpointed, ratios, in_run, in_run_ratios;
     for (int pair = 0; pair < kCheckpointPairs; ++pair) {
       for (bool journal : {pair % 2 == 1, pair % 2 == 0}) {
         fs::remove_all(ckpt_dir);  // a fresh journal: nothing to resume
-        (journal ? checkpointed : plain)
-            .push_back(RunPipeline(ScaleConfig(dim, threads), sources,
-                                   spill_dir, true, journal ? ckpt_dir : "")
-                           .pipeline_seconds);
+        const RunOutcome run =
+            RunPipeline(ScaleConfig(dim, threads), sources, spill_dir, true,
+                        journal ? ckpt_dir : "");
+        (journal ? checkpointed : plain).push_back(run.pipeline_seconds);
+        if (journal) {
+          in_run.push_back(run.checkpoint_seconds);
+          in_run_ratios.push_back(run.checkpoint_seconds /
+                                  run.pipeline_seconds);
+        }
       }
       ratios.push_back(checkpointed.back() / plain.back() - 1.0);
       std::printf("# checkpoint pair %d: %.2fs checkpointed vs %.2fs plain "
-                  "(%+.1f%%)\n",
+                  "(%+.1f%%), %.4fs in the journal (%.2f%% of the run)\n",
                   pair, checkpointed.back(), plain.back(),
-                  ratios.back() * 100.0);
+                  ratios.back() * 100.0, in_run.back(),
+                  in_run_ratios.back() * 100.0);
     }
     auto median = [](std::vector<double> v) {
       std::sort(v.begin(), v.end());
@@ -311,8 +328,12 @@ int Main(int argc, char** argv) {
     baseline_seconds = median(plain);
     checkpointed_seconds = median(checkpointed);
     checkpoint_overhead = median(ratios);
-    std::printf("# checkpoint overhead: median %+.1f%% over %d pairs\n",
-                checkpoint_overhead * 100.0, kCheckpointPairs);
+    in_run_seconds = median(in_run);
+    in_run_ratio = median(in_run_ratios);
+    std::printf("# checkpoint overhead: %.2f%% of the run in the journal "
+                "(median), pairs differ by a median %+.1f%% over %d pairs\n",
+                in_run_ratio * 100.0, checkpoint_overhead * 100.0,
+                kCheckpointPairs);
   }
 
   // ---- serial reference for the merge speedup (fig5's method, both runs
@@ -479,10 +500,12 @@ int Main(int argc, char** argv) {
     std::fprintf(f,
                  "  \"checkpoint\": {\"baseline_seconds\": %.4f, "
                  "\"checkpointed_seconds\": %.4f, \"overhead_ratio\": %.4f, "
+                 "\"in_run_seconds\": %.6f, \"in_run_ratio\": %.6f, "
                  "\"budget_ratio\": %.4f, \"measured\": %s}\n"
                  "}\n",
                  baseline_seconds, checkpointed_seconds,
-                 checkpoint_overhead, checkpoint_budget,
+                 checkpoint_overhead, in_run_seconds, in_run_ratio,
+                 checkpoint_budget,
                  checkpoint_budget >= 0.0 ? "true" : "false");
     std::fclose(f);
     std::printf("# wrote %s\n", json_path.c_str());
@@ -498,10 +521,11 @@ int Main(int argc, char** argv) {
                  peak_rss_mb, rss_budget_mb);
     return 1;
   }
-  if (checkpoint_budget > 0.0 && checkpoint_overhead > checkpoint_budget) {
+  if (checkpoint_budget > 0.0 && in_run_ratio > checkpoint_budget) {
     std::fprintf(stderr,
-                 "FAIL: checkpoint overhead %.1f%% exceeds budget %.1f%%\n",
-                 checkpoint_overhead * 100.0, checkpoint_budget * 100.0);
+                 "FAIL: the checkpoint journal takes %.2f%% of the run, over "
+                 "the %.1f%% budget\n",
+                 in_run_ratio * 100.0, checkpoint_budget * 100.0);
     return 1;
   }
   return 0;

@@ -125,17 +125,23 @@ table::Table MakeQueryTable(const std::vector<table::Table>& sources,
 /// Exact top-k items by cosine distance over the epoch's centroids — the
 /// recall oracle. Query embeddings come from the same fitted encoder and
 /// attribute selection MatchRecords uses, so the only approximation under
-/// test is the ANN index itself.
+/// test is the ANN index itself. Tombstones (items with no members) are
+/// skipped: MatchRecords never returns one.
 std::vector<std::vector<size_t>> BruteForceTopK(
     const embed::EmbeddingMatrix& queries,
-    const embed::EmbeddingMatrix& centroids, size_t k,
-    util::ThreadPool* pool) {
+    const core::Matcher::Snapshot& snap, size_t k, util::ThreadPool* pool) {
+  const embed::EmbeddingMatrix centroids = snap.centroids();
+  std::vector<size_t> live;
+  for (size_t i = 0; i < snap.num_items(); ++i) {
+    if (!snap.item_members(i).empty()) live.push_back(i);
+  }
   std::vector<std::vector<size_t>> out(queries.num_rows());
   util::ParallelFor(pool, queries.num_rows(), [&](size_t row) {
-    std::vector<std::pair<float, size_t>> scored(centroids.num_rows());
-    for (size_t i = 0; i < centroids.num_rows(); ++i) {
-      scored[i] = {embed::CosineDistance(queries.Row(row), centroids.Row(i)),
-                   i};
+    std::vector<std::pair<float, size_t>> scored(live.size());
+    for (size_t j = 0; j < live.size(); ++j) {
+      scored[j] = {
+          embed::CosineDistance(queries.Row(row), centroids.Row(live[j])),
+          live[j]};
     }
     size_t take = std::min(k, scored.size());
     std::partial_sort(scored.begin(), scored.begin() + take, scored.end());
@@ -258,7 +264,7 @@ int Main(int argc, char** argv) {
       embed::SerializeTable(queries, matcher.selection().selected_columns),
       &setup_pool);
   std::vector<std::vector<size_t>> oracle =
-      BruteForceTopK(query_vecs, snap.centroids(), k, &setup_pool);
+      BruteForceTopK(query_vecs, snap, k, &setup_pool);
 
   // ---- sequential baseline: full-batch QPS on the calling thread, plus
   // honest per-query latency percentiles from one-row calls.
@@ -368,7 +374,7 @@ int Main(int argc, char** argv) {
   core::Matcher::Snapshot inc_snap = inc->snapshot();
   core::Matcher::Snapshot reb_snap = reb->snapshot();
   std::vector<std::vector<size_t>> post_oracle =
-      BruteForceTopK(query_vecs, inc_snap.centroids(), k, &setup_pool);
+      BruteForceTopK(query_vecs, inc_snap, k, &setup_pool);
   core::MatchOptions post_options;
   post_options.k = k;
   post_options.pool = &ingest_pool;

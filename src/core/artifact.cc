@@ -161,12 +161,12 @@ util::Status ReadManifest(const std::string& path,
 
   // Tombstones are legal since format v3; older files never carry one, so
   // there a zero-member item is corruption the checksums happened to miss.
-  // The "centroids" rows are checked for count and width, but only the
-  // tombstones' rows are kept: a live item's vector is derived from "base"
-  // (docs/FORMATS.md), so its saved row is never read.
-  auto entities = MergeTable::ReadSections(
-      *manifest, "centroids", out->store.dim(),
-      /*allow_tombstones=*/manifest->version() >= 3);
+  // Files before v4 also carry a derived "centroids" row per item, which is
+  // checked for count and width and never read: every item's vector derives
+  // from "base" (docs/FORMATS.md).
+  auto entities = MergeTable::ReadItems(
+      *manifest, manifest->version() < 4 ? "centroids" : "",
+      out->store.dim(), /*allow_tombstones=*/manifest->version() >= 3);
   if (!entities.ok()) return entities.status();
   out->entities = std::move(*entities);
 
@@ -218,9 +218,8 @@ util::Status PipelineArtifact::Save(const Matcher& matcher,
   // Format v3: an item with zero members is a tombstone — a retired entry
   // that keeps later items' ids stable across ingest epochs. It must have
   // no live slot in the "slots" section (Matcher::Assemble enforces this).
-  // The "centroids" rows are derived from the base store as they stream
-  // into the section; a tombstone's is the row it was retired with.
-  state->entities.WriteSections(manifest, "centroids", state->store);
+  // Format v4 writes no item vectors: each derives from "base".
+  state->entities.WriteItems(manifest);
 
   util::ByteWriter& base = manifest.AddSection("base");
   base.WriteU64(state->store.num_sources());
@@ -309,8 +308,8 @@ util::Result<Matcher> PipelineArtifact::Load(const std::string& dir) {
 util::Result<Matcher> PipelineArtifact::Load(
     const std::string& dir, const util::ArtifactOpenOptions& options) {
   // The manifest's reader dies with ReadManifest, before the encoder and
-  // the index are opened: every section nothing views (the "centroids"
-  // rows among them) is freed first.
+  // the index are opened: every section nothing views (an older file's
+  // "centroids" rows among them) is freed first.
   ManifestContents manifest;
   MULTIEM_RETURN_IF_ERROR(
       ReadManifest(PathIn(dir, kManifestFile), options, &manifest));

@@ -1,17 +1,18 @@
 /// \file artifact.h
 /// Persistent pipeline artifacts: one directory holding everything a fresh
 /// process needs to serve match queries against a finished run — the run
-/// configuration, the fitted encoder, the integrated entity table (members +
-/// item centroids + base entity embeddings), and the serving ANN index.
+/// configuration, the fitted encoder, the integrated entity table (member
+/// lists + base entity embeddings, from which every item vector derives),
+/// and the serving ANN index.
 ///
 /// Directory layout (each file a util/io.h container; docs/FORMATS.md has
 /// the byte-level spec):
 ///
 ///   <dir>/manifest.mem   MEMMANIF — config, schema, attribute selection,
-///                        source names, entity items, centroid and base
-///                        embedding matrices, and (format v2, only when the
-///                        serving index was grown incrementally) the
-///                        slot->item map of the index
+///                        source names, entity items, base embedding
+///                        matrices, and (format v2, only when the serving
+///                        index was grown incrementally) the slot->item map
+///                        of the index
 ///   <dir>/encoder.mem    MEMENCDR — the fitted encoder (TextEncoder::Save)
 ///   <dir>/index.mem      MEMINDEX — the serving index (VectorIndex::Save)
 ///
@@ -40,10 +41,12 @@ class PipelineArtifact {
   /// v2 added the optional "slots" section (incrementally grown serving
   /// index); v3 allows zero-member items in "items" (tombstones — retired
   /// entries that keep item ids stable across ingest epochs; they must hold
-  /// no live slot). v1/v2 artifacts still load, with the identity slot
-  /// mapping and no tombstones respectively.
+  /// no live slot); v4 drops the "centroids" section, whose rows every
+  /// reader derives from "base". v1–v3 artifacts still load (the identity
+  /// slot mapping for v1, no tombstones before v3), their "centroids" rows
+  /// checked for count and width and ignored.
   static constexpr uint64_t kManifestMagic = util::ArtifactMagic("MEMMANIF");
-  static constexpr uint32_t kManifestVersion = 3;
+  static constexpr uint32_t kManifestVersion = 4;
 
   /// File names inside the artifact directory.
   static constexpr const char* kManifestFile = "manifest.mem";

@@ -9,6 +9,7 @@
 
 #include "util/io.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace multiem::core {
 
@@ -92,6 +93,7 @@ uint64_t ComputeRunFingerprint(const MultiEmConfig& config,
 
 util::Result<std::unique_ptr<CheckpointLog>> CheckpointLog::Open(
     const std::string& dir, uint64_t fingerprint) {
+  util::WallTimer timer;
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -168,14 +170,14 @@ util::Result<std::unique_ptr<CheckpointLog>> CheckpointLog::Open(
     util::ByteWriter writer;
     writer.WriteU8(kTagFingerprint);
     writer.WriteU64(fingerprint);
-    MULTIEM_RETURN_IF_ERROR(log->journal_.Append(std::string_view(
-        reinterpret_cast<const char*>(writer.bytes().data()), writer.size())));
+    MULTIEM_RETURN_IF_ERROR(log->AppendRecord(writer));
   }
   if (log->replayed_phases_ > 0 || log->replayed_nodes_ > 0) {
     MULTIEM_LOG(kInfo) << "checkpoint '" << dir << "': resuming with "
                        << log->replayed_phases_ << " phase(s) and "
                        << log->replayed_nodes_ << " merge node(s) journaled";
   }
+  log->seconds_ = timer.ElapsedSeconds();
   return log;
 }
 
@@ -194,8 +196,7 @@ util::Status CheckpointLog::RecordPhase(std::string_view name,
   writer.WriteU8(kTagPhase);
   writer.WriteString(name);
   writer.WriteString(payload);
-  MULTIEM_RETURN_IF_ERROR(journal_.Append(std::string_view(
-      reinterpret_cast<const char*>(writer.bytes().data()), writer.size())));
+  MULTIEM_RETURN_IF_ERROR(AppendRecord(writer));
   phases_[std::string(name)] = std::string(payload);
   return util::Status::Ok();
 }
@@ -212,10 +213,24 @@ util::Status CheckpointLog::RecordNode(const NodeEntry& entry) {
   writer.WriteString(entry.spill_path);
   writer.WriteU64(entry.file_bytes);
   writer.WriteU64(entry.file_checksum);
-  MULTIEM_RETURN_IF_ERROR(journal_.Append(std::string_view(
-      reinterpret_cast<const char*>(writer.bytes().data()), writer.size())));
+  MULTIEM_RETURN_IF_ERROR(AppendRecord(writer));
   nodes_[entry.stats.node] = entry;
   return util::Status::Ok();
+}
+
+util::Status CheckpointLog::AppendRecord(const util::ByteWriter& record) {
+  util::WallTimer timer;
+  const util::Status appended = journal_.Append(std::string_view(
+      reinterpret_cast<const char*>(record.bytes().data()), record.size()));
+  seconds_ += timer.ElapsedSeconds();
+  return appended;
+}
+
+util::Result<uint64_t> CheckpointLog::HashSpill(const std::string& path) {
+  util::WallTimer timer;
+  auto checksum = HashFile(path);
+  seconds_ += timer.ElapsedSeconds();
+  return checksum;
 }
 
 bool CheckpointLog::ValidateSpill(const NodeEntry& entry) {

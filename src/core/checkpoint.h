@@ -32,6 +32,7 @@
 #include "core/config.h"
 #include "core/merge_plan.h"
 #include "table/table.h"
+#include "util/io.h"
 #include "util/journal.h"
 #include "util/status.h"
 
@@ -80,6 +81,10 @@ class CheckpointLog {
   /// Journals one executed merge node (fsynced before returning).
   util::Status RecordNode(const NodeEntry& entry);
 
+  /// HashFile of a spill this run wrote, for its NodeEntry; the time it
+  /// takes counts toward seconds().
+  util::Result<uint64_t> HashSpill(const std::string& path);
+
   /// True when the journaled spill still exists with the journaled size and
   /// checksum — the gate before any journaled node is trusted on resume.
   static bool ValidateSpill(const NodeEntry& entry);
@@ -88,6 +93,10 @@ class CheckpointLog {
   static util::Result<uint64_t> HashFile(const std::string& path);
 
   const std::string& dir() const { return dir_; }
+  /// Wall seconds this log has spent on the run's behalf: opening and
+  /// replaying the journal, every append with its fsync, and HashSpill.
+  /// What checkpointing adds to a fresh run beyond the spills themselves.
+  double seconds() const { return seconds_; }
   /// Nodes replayed from earlier attempts (before this run appended any).
   size_t replayed_nodes() const { return replayed_nodes_; }
   size_t replayed_phases() const { return replayed_phases_; }
@@ -95,12 +104,16 @@ class CheckpointLog {
  private:
   CheckpointLog() = default;
 
+  /// Appends one record to the journal (fsynced), timed into seconds_.
+  util::Status AppendRecord(const util::ByteWriter& record);
+
   std::string dir_;
   util::Journal journal_;
   std::map<std::string, std::string, std::less<>> phases_;
   std::map<size_t, NodeEntry> nodes_;
   size_t replayed_nodes_ = 0;
   size_t replayed_phases_ = 0;
+  double seconds_ = 0.0;
 };
 
 }  // namespace multiem::core

@@ -343,7 +343,7 @@ util::Status Matcher::AddTable(const table::Table& table,
   // One pairwise match (Algorithm 3 step 1) between the existing entity
   // table's *live* items and the new rows — the same mutual top-K standard
   // a pipeline merge level uses. Tombstoned items are retired entries
-  // whose rows are stale; they must not attract matches. Only their ids
+  // with nothing to match; they must not attract matches. Only their ids
   // outlive the match: the derived rows are freed before the entity
   // chunks and the index are copied below.
   const size_t n_old = old->entities.num_items();
@@ -417,15 +417,13 @@ util::Status Matcher::AddTable(const table::Table& table,
     std::sort(members.begin(), members.end());
     members.erase(std::unique(members.begin(), members.end()), members.end());
     // Every old participant's slot retires: the absorbed items become
-    // tombstones, keeping the vectors they had, and the target's vector
-    // moved, so its new one is inserted under a fresh slot.
+    // tombstones, and the target's vector moved, so its new one is inserted
+    // under a fresh slot.
     for (size_t uf_id : group) {
       if (uf_id >= n_old) continue;
       retired[uf_id] = true;
       ++num_retired;
-      if (uf_id == target) continue;
-      old->entities.Vector(uf_id, old->store, vector);
-      next->entities.Tombstone(uf_id, vector);
+      if (uf_id != target) next->entities.Tombstone(uf_id);
     }
     inserted_items.push_back(static_cast<uint32_t>(target));
     next->store.ItemVector(members, vector);

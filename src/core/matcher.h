@@ -398,10 +398,10 @@ class Matcher::Snapshot {
 
   /// Item representations (one row per item) of this epoch, derived from
   /// the base store into a new matrix — the vectors the serving index holds
-  /// for live slots. Rows of tombstoned items (empty item_members) are the
-  /// stale vectors they were retired with and have no live slot; consumers
-  /// must skip them. Exposed for recall oracles (bench_serve) and the
-  /// centroid regression tests.
+  /// for live slots. Rows of tombstoned items (empty item_members) are
+  /// zeros: a tombstone has no members to derive from and no live slot, so
+  /// consumers must skip it. Exposed for recall oracles (bench_serve) and
+  /// the centroid regression tests.
   embed::EmbeddingMatrix centroids() const {
     return state_->entities.GatherVectors(state_->store);
   }

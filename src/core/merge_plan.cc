@@ -134,7 +134,7 @@ util::Status SpillInput(std::vector<MergeSource>& slots, size_t id,
   {
     auto table = slots[id].Acquire(store);
     if (!table.ok()) return table.status();
-    MULTIEM_RETURN_IF_ERROR(table->Save(path, store));
+    MULTIEM_RETURN_IF_ERROR(table->Save(path));
   }
   ++state.stats->spill_files_written;
   state.stats->spill_bytes_written += FileBytes(path);
@@ -180,7 +180,7 @@ util::Status ExecuteNode(const MergePlan& plan, size_t id,
   if (!options.spill_dir.empty()) {
     const std::string out = SpillPath(options, id);
     MULTIEM_FAULT_POINT("merge.node.spill");
-    MULTIEM_RETURN_IF_ERROR(merged.Save(out, store));
+    MULTIEM_RETURN_IF_ERROR(merged.Save(out));
     spill_bytes = FileBytes(out);
     merged = MergeTable();  // release before anything else loads
     slots[id] = MergeSource::FromSpill(out, {}, /*owns_file=*/true);
@@ -192,7 +192,7 @@ util::Status ExecuteNode(const MergePlan& plan, size_t id,
       entry.stats = node_stats;
       entry.spill_path = out;
       entry.file_bytes = spill_bytes;
-      auto checksum = CheckpointLog::HashFile(out);
+      auto checksum = options.checkpoint->HashSpill(out);
       if (!checksum.ok()) return checksum.status();
       entry.file_checksum = *checksum;
       MULTIEM_FAULT_POINT("merge.node.commit");

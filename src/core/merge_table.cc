@@ -37,22 +37,12 @@ MergeTable MergeTable::FromSource(const EntityEmbeddingStore& store,
   return out;
 }
 
-void MergeTable::Vector(size_t i, const EntityEmbeddingStore& store,
-                        std::span<float> out) const {
-  const std::vector<table::EntityId>& ids = members(i);
-  if (!ids.empty()) {
-    store.ItemVector(ids, out);
-    return;
-  }
-  const std::vector<float>& stashed =
-      *chunks_[i / kChunkItems]->retired.at(i % kChunkItems);
-  std::copy(stashed.begin(), stashed.end(), out.begin());
-}
-
 embed::EmbeddingMatrix MergeTable::GatherVectors(
     const EntityEmbeddingStore& store) const {
-  embed::EmbeddingMatrix out(num_items_, store.dim());
-  for (size_t i = 0; i < num_items_; ++i) Vector(i, store, out.Row(i));
+  embed::EmbeddingMatrix out(num_items_, store.dim());  // zero-filled
+  for (size_t i = 0; i < num_items_; ++i) {
+    if (!members(i).empty()) store.ItemVector(members(i), out.Row(i));
+  }
   return out;
 }
 
@@ -79,13 +69,10 @@ void MergeTable::Replace(size_t i, std::vector<table::EntityId> members) {
   MutableChunk(i)->members[i % kChunkItems] = std::move(members);
 }
 
-void MergeTable::Tombstone(size_t i, std::span<const float> vector) {
-  Chunk* chunk = MutableChunk(i);
-  std::vector<table::EntityId>& ids = chunk->members[i % kChunkItems];
+void MergeTable::Tombstone(size_t i) {
+  std::vector<table::EntityId>& ids = MutableChunk(i)->members[i % kChunkItems];
   ids.clear();
   ids.shrink_to_fit();
-  chunk->retired[i % kChunkItems] =
-      std::make_shared<const std::vector<float>>(vector.begin(), vector.end());
   ++num_tombstones_;
 }
 
@@ -104,9 +91,6 @@ size_t MergeTable::SizeBytes() const {
   for (const std::shared_ptr<Chunk>& chunk : chunks_) {
     for (const std::vector<table::EntityId>& ids : chunk->members) {
       bytes += sizeof(ids) + ids.capacity() * sizeof(table::EntityId);
-    }
-    for (const auto& [offset, row] : chunk->retired) {
-      bytes += row->size() * sizeof(float);
     }
   }
   return bytes;
@@ -127,9 +111,7 @@ util::Status MergeTable::CheckMembers(const EntityEmbeddingStore& store) const {
   return util::Status::Ok();
 }
 
-void MergeTable::WriteSections(util::ArtifactWriter& writer,
-                               std::string_view rows_section,
-                               const EntityEmbeddingStore& store) const {
+void MergeTable::WriteItems(util::ArtifactWriter& writer) const {
   util::ByteWriter& items = writer.AddSection("items");
   items.WriteU64(num_items_);
   for (size_t i = 0; i < num_items_; ++i) {
@@ -137,16 +119,10 @@ void MergeTable::WriteSections(util::ArtifactWriter& writer,
     items.WriteU64(ids.size());
     for (table::EntityId id : ids) items.WriteU64(id.packed());
   }
-  embed::WriteMatrixRows(writer.AddSection(std::string(rows_section)),
-                         num_items_, store.dim(),
-                         [&](size_t i, std::span<float> scratch) {
-                           Vector(i, store, scratch);
-                           return std::span<const float>(scratch);
-                         });
 }
 
-util::Result<MergeTable> MergeTable::ReadSections(
-    const util::ArtifactReader& reader, std::string_view rows_section,
+util::Result<MergeTable> MergeTable::ReadItems(
+    const util::ArtifactReader& reader, std::string_view legacy_rows,
     size_t dim, bool allow_tombstones) {
   auto items = reader.Section("items");
   if (!items.ok()) return items.status();
@@ -160,7 +136,6 @@ util::Result<MergeTable> MergeTable::ReadSections(
   }
   MergeTable out;
   out.chunks_.reserve((num_items + kChunkItems - 1) / kChunkItems);
-  std::vector<size_t> tombstones;
   for (size_t i = 0; i < num_items; ++i) {
     uint64_t member_count;
     MULTIEM_RETURN_IF_ERROR(items->ReadU64(&member_count));
@@ -177,33 +152,31 @@ util::Result<MergeTable> MergeTable::ReadSections(
       MULTIEM_RETURN_IF_ERROR(items->ReadU64(&packed));
       ids.push_back(table::EntityId::FromPacked(packed));
     }
-    if (ids.empty()) tombstones.push_back(i);
+    if (ids.empty()) ++out.num_tombstones_;
     out.Append(std::move(ids));
   }
   MULTIEM_RETURN_IF_ERROR(items->ExpectExhausted());
+  if (legacy_rows.empty()) return out;
 
-  // The rows are checked, not kept: a live item's row is what its members
-  // derive, so only a tombstone's is copied out of the section.
-  auto section = reader.Section(rows_section);
+  // An older file's derived rows: checked, never kept.
+  auto section = reader.Section(legacy_rows);
   if (!section.ok()) return section.status();
   embed::EmbeddingMatrix rows;
   MULTIEM_RETURN_IF_ERROR(embed::ReadMatrix(*section, &rows));
   MULTIEM_RETURN_IF_ERROR(section->ExpectExhausted());
   if (rows.num_rows() != num_items || rows.dim() != dim) {
     return util::Status::InvalidArgument(
-        "merge table \"" + std::string(rows_section) + "\" holds " +
+        "merge table \"" + std::string(legacy_rows) + "\" holds " +
         std::to_string(rows.num_rows()) + " rows of " +
         std::to_string(rows.dim()) + " floats for " +
         std::to_string(num_items) + " items of " + std::to_string(dim));
   }
-  for (size_t i : tombstones) out.Tombstone(i, rows.Row(i));
   return out;
 }
 
-util::Status MergeTable::Save(const std::string& path,
-                              const EntityEmbeddingStore& store) const {
+util::Status MergeTable::Save(const std::string& path) const {
   util::ArtifactWriter writer(kArtifactMagic, kArtifactVersion);
-  WriteSections(writer, "embeddings", store);
+  WriteItems(writer);
   return writer.WriteFile(path);
 }
 
@@ -213,8 +186,8 @@ util::Result<MergeTable> MergeTable::Load(
   auto reader = util::ArtifactReader::FromFile(path, kArtifactMagic,
                                                kArtifactVersion, options);
   if (!reader.ok()) return reader.status();
-  auto table = ReadSections(*reader, "embeddings", store.dim(),
-                            /*allow_tombstones=*/false);
+  auto table = ReadItems(*reader, reader->version() < 2 ? "embeddings" : "",
+                         store.dim(), /*allow_tombstones=*/false);
   if (!table.ok()) return table.status();
   MULTIEM_RETURN_IF_ERROR(table->CheckMembers(store));
   return table;

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -82,8 +81,9 @@ class EntityEmbeddingStore {
 /// entity in an initial table, a candidate tuple of entities merged so far
 /// after that — and no vector. An item's vector is a function of its
 /// members and the base store (EntityEmbeddingStore::ItemVector), derived
-/// wherever one is needed: a merge's mutual top-K (GatherVectors), a saved
-/// table's rows, AddTable's match and compaction, Snapshot::centroids().
+/// wherever one is needed: a merge's mutual top-K (GatherVectors),
+/// AddTable's match and compaction, Snapshot::centroids(). Saved tables
+/// (MEMMERGT spills, manifests) hold the member lists alone.
 ///
 /// Storage is chunked copy-on-write: member lists live in fixed-size blocks
 /// held through shared_ptr. Copying a MergeTable (a resident
@@ -94,10 +94,8 @@ class EntityEmbeddingStore {
 ///
 /// An item with no members is a *tombstone*, which only a serving table
 /// holds: a retired entry whose id stays reserved, so later items' ids never
-/// shift across ingest epochs. It has no members to derive from, so it keeps
-/// the vector it had when it was retired (stashed by Tombstone, or read from
-/// a manifest): saved manifests carry that row, and so every saved byte is
-/// what a table that stored all its vectors would write.
+/// shift across ingest epochs. It has no members to derive from and no live
+/// index slot; its vector reads as zeros.
 class MergeTable {
  public:
   /// Items per copy-on-write chunk.
@@ -105,9 +103,10 @@ class MergeTable {
 
   /// Magic + format version of a standalone merge-table artifact file
   /// (MEMMERGT), the spill format of spilled merge execution
-  /// (MergeExecOptions::Spilled).
+  /// (MergeExecOptions::Spilled). v2 holds the "items" section alone; a v1
+  /// file's "embeddings" rows are checked for count and width and ignored.
   static constexpr uint64_t kArtifactMagic = util::ArtifactMagic("MEMMERGT");
-  static constexpr uint32_t kArtifactVersion = 1;
+  static constexpr uint32_t kArtifactVersion = 2;
 
   MergeTable() = default;
 
@@ -126,13 +125,9 @@ class MergeTable {
     return chunks_[i / kChunkItems]->members[i % kChunkItems];
   }
 
-  /// The vector of item `i`, written into `out` (store.dim() floats): the
-  /// derivation of a live item's members, a tombstone's stashed row.
-  void Vector(size_t i, const EntityEmbeddingStore& store,
-              std::span<float> out) const;
-
-  /// Every item's vector gathered into one matrix (row i = item i,
-  /// tombstones' stashed rows included) — what a merge's mutual top-K scans.
+  /// Every item's vector gathered into one matrix: row i is the derivation
+  /// of item i's members (EntityEmbeddingStore::ItemVector), zeros for a
+  /// tombstone — what a merge's mutual top-K scans.
   embed::EmbeddingMatrix GatherVectors(const EntityEmbeddingStore& store) const;
 
   /// Appends a live item with sorted, non-empty `members`.
@@ -141,15 +136,14 @@ class MergeTable {
   /// Replaces the members of live item `i` (clones only its chunk).
   void Replace(size_t i, std::vector<table::EntityId> members);
 
-  /// Retires live item `i`: its members are cleared and `vector`, its
-  /// vector until now, is stashed for saves. Clones only its chunk.
-  void Tombstone(size_t i, std::span<const float> vector);
+  /// Retires live item `i`: its members are cleared. Clones only its chunk.
+  void Tombstone(size_t i);
 
   /// Total number of entity memberships across items.
   size_t TotalMembers() const;
 
-  /// Approximate bytes reachable through this table: member lists and
-  /// stashed tombstone rows (shared chunks are counted in full).
+  /// Approximate bytes of the member lists reachable through this table
+  /// (shared chunks are counted in full).
   size_t SizeBytes() const;
 
   /// InvalidArgument unless every member names an entity of `store`, so a
@@ -157,32 +151,27 @@ class MergeTable {
   /// its rows.
   util::Status CheckMembers(const EntityEmbeddingStore& store) const;
 
-  /// Appends the two sections that MEMMERGT files and serving manifests
-  /// share: "items" (u64 item count, then per item a u64 member count and
-  /// the packed member ids) and a `rows_section` matrix in embed::WriteMatrix
-  /// form, one row per item, each derived from `store` as Vector does while
-  /// it streams into the section. MEMMERGT files name the rows "embeddings",
-  /// manifests "centroids".
-  void WriteSections(util::ArtifactWriter& writer,
-                     std::string_view rows_section,
-                     const EntityEmbeddingStore& store) const;
+  /// Appends the "items" section that MEMMERGT files and serving manifests
+  /// share: a u64 item count, then per item a u64 member count and the
+  /// packed member ids.
+  void WriteItems(util::ArtifactWriter& writer) const;
 
-  /// Reads what WriteSections wrote. The `rows_section` matrix must hold
-  /// one `dim`-float row per item; only the tombstones' rows are kept
-  /// (copied), a live item's row being what its members derive.
-  /// Zero-member items load only with `allow_tombstones`. Every count is
-  /// bounded by the bytes left before anything is reserved.
-  static util::Result<MergeTable> ReadSections(
-      const util::ArtifactReader& reader, std::string_view rows_section,
-      size_t dim, bool allow_tombstones);
+  /// Reads what WriteItems wrote. Zero-member items load only with
+  /// `allow_tombstones`. Every count is bounded by the bytes left before
+  /// anything is reserved. A file of an older version also holds one
+  /// derived row per item in `legacy_rows` ("embeddings" in MEMMERGT v1,
+  /// "centroids" in manifests v1–v3; empty for newer files): that matrix
+  /// must hold one `dim`-float row per item, and is then ignored.
+  static util::Result<MergeTable> ReadItems(const util::ArtifactReader& reader,
+                                            std::string_view legacy_rows,
+                                            size_t dim, bool allow_tombstones);
 
   /// Writes this table to `path` as a standalone MEMMERGT artifact file
-  /// (WriteSections; docs/FORMATS.md).
-  util::Status Save(const std::string& path,
-                    const EntityEmbeddingStore& store) const;
+  /// (WriteItems; docs/FORMATS.md).
+  util::Status Save(const std::string& path) const;
 
-  /// Loads a MEMMERGT file written over `store`: its rows must be
-  /// store.dim() wide, and every member must pass CheckMembers.
+  /// Loads a MEMMERGT file (v1 or v2) written over `store`: every member
+  /// must pass CheckMembers, and a v1 file's rows must be store.dim() wide.
   static util::Result<MergeTable> Load(
       const std::string& path, const EntityEmbeddingStore& store,
       const util::ArtifactOpenOptions& options = {});
@@ -190,9 +179,6 @@ class MergeTable {
  private:
   struct Chunk {
     std::vector<std::vector<table::EntityId>> members;
-    /// The stashed vectors of this chunk's tombstones, by item offset
-    /// within the chunk; shared, so a chunk copy copies no row.
-    std::map<uint32_t, std::shared_ptr<const std::vector<float>>> retired;
   };
 
   /// The chunk holding item `i`, cloned first if any other table shares it.

@@ -323,6 +323,8 @@ util::Status MultiEmPipeline::Run(const std::vector<table::Table>& tables,
     // save) — keep it; its journal entry stays valid across restarts.
     if (checkpoint == nullptr) root.RemoveBackingFile();
   }
+  // Nothing after merging journals.
+  if (checkpoint != nullptr) result->checkpoint_seconds = checkpoint->seconds();
   if (ctx.cancelled()) return CancelledAfter(kPhaseMerging);
 
   // Phase P: pruning (Algorithm 4 under the default density pruner).

@@ -127,6 +127,11 @@ struct PipelineResult {
   /// Approximate peak bytes of the pipeline-owned data structures
   /// (embeddings + merge tables); used by the Table VI bench.
   size_t approx_peak_bytes = 0;
+  /// Wall seconds the run spent on its checkpoint journal
+  /// (RunContext::checkpoint_dir; 0 without one): journal appends with
+  /// their fsyncs and the checksum of every spill it journaled
+  /// (CheckpointLog::seconds).
+  double checkpoint_seconds = 0.0;
 
   /// The run's serving session, populated only when
   /// RunContext::build_matcher was set: the fitted encoder + integrated

@@ -165,8 +165,9 @@ util::Result<DistributedBuildResult> Coordinator::Build(
                            encoder, /*pool=*/nullptr);
 
   // A shard is only adopted/accepted when the worker reached the exact
-  // deterministic decisions this process just replayed, and every merge
-  // output its manifest promises is actually present.
+  // deterministic decisions this process just replayed, embedded every row
+  // of its sources, and every merge output its manifest promises is
+  // actually present.
   auto check_shard = [&](size_t w, const ShardArtifact& shard) -> util::Status {
     if (shard.total_sources != tables.size() || shard.seed != config_.seed ||
         shard.dim != encoder->dim() ||
@@ -182,6 +183,16 @@ util::Result<DistributedBuildResult> Coordinator::Build(
           "worker " + std::to_string(w) +
           " disagrees with the coordinator on attribute selection — the "
           "fit is expected to be deterministic across processes");
+    }
+    for (size_t i = 0; i < shard.covered_sources.size(); ++i) {
+      const size_t s = static_cast<size_t>(shard.covered_sources[i]);
+      if (shard.bases[i].num_rows() != tables[s].num_rows()) {
+        return util::Status::Internal(
+            "shard " + std::to_string(w) + " holds " +
+            std::to_string(shard.bases[i].num_rows()) +
+            " embeddings for source " + std::to_string(s) + ", expected " +
+            std::to_string(tables[s].num_rows()));
+      }
     }
     for (const core::MergeNodeStats& node : shard.node_stats) {
       if (node.node >= plan.num_nodes() || plan.node(node.node).is_leaf()) {
@@ -202,9 +213,34 @@ util::Result<DistributedBuildResult> Coordinator::Build(
     return util::Status::Ok();
   };
 
-  // Validate the reuse candidates now that the fit is known. Still pre-pool:
-  // an invalid candidate is deleted and forked like any other worker, and
-  // forking must stay single-threaded.
+  // A reused shard's merge outputs come from an earlier run, so each is
+  // loaded (MEMMERGT v1 or v2) over the shard's own bases: a member outside
+  // the shard's sources or past a base's rows makes the shard unusable
+  // here, where it is rebuilt, instead of failing the merge that reads it.
+  auto check_merge_outputs = [&](size_t w,
+                                 const ShardArtifact& shard) -> util::Status {
+    core::EntityEmbeddingStore bases;  // the shard's sources; others empty
+    for (size_t s = 0; s < tables.size(); ++s) {
+      const auto covered = std::find(shard.covered_sources.begin(),
+                                     shard.covered_sources.end(), s);
+      bases.AddSource(covered == shard.covered_sources.end()
+                          ? embed::EmbeddingMatrix(0, shard.dim)
+                          : shard.bases[static_cast<size_t>(
+                                covered - shard.covered_sources.begin())]);
+    }
+    for (size_t root : assignments[w].roots) {
+      if (plan.node(root).is_leaf()) continue;
+      auto table = core::MergeTable::Load(
+          shard_dirs[w] + "/" + core::SpillFileName(root), bases, kShardOpen);
+      if (!table.ok()) return table.status();
+    }
+    return util::Status::Ok();
+  };
+
+  // Validate the reuse candidates now that the fit is known. Still pre-pool
+  // (every open joins its checksum thread before returning): an invalid
+  // candidate is deleted and forked like any other worker, and forking must
+  // stay single-threaded.
   std::vector<ShardArtifact> shards(workers);
   std::vector<bool> have_shard(workers, false);
   for (size_t w = 0; w < workers; ++w) {
@@ -213,6 +249,7 @@ util::Result<DistributedBuildResult> Coordinator::Build(
     auto shard = OpenShardArtifact(shard_dirs[w], kShardOpen);
     if (shard.ok()) {
       usable = check_shard(w, *shard);
+      if (usable.ok()) usable = check_merge_outputs(w, *shard);
     } else {
       usable = shard.status();
     }
@@ -352,13 +389,6 @@ util::Result<DistributedBuildResult> Coordinator::Build(
       if (w == kUnset) {
         return util::Status::Internal("source " + std::to_string(s) +
                                       " is covered by no shard");
-      }
-      if (shards[w].bases[i].num_rows() != tables[s].num_rows()) {
-        return util::Status::Internal(
-            "shard " + std::to_string(w) + " holds " +
-            std::to_string(shards[w].bases[i].num_rows()) +
-            " embeddings for source " + std::to_string(s) + ", expected " +
-            std::to_string(tables[s].num_rows()));
       }
       store.AddSource(std::move(shards[w].bases[i]));
     }

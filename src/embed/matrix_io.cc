@@ -2,25 +2,14 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace multiem::embed {
 
 void WriteMatrix(util::ByteWriter& out, const EmbeddingMatrix& m) {
-  WriteMatrixRows(out, m.num_rows(), m.dim(),
-                  [&](size_t r, std::span<float>) { return m.Row(r); });
-}
-
-void WriteMatrixRows(
-    util::ByteWriter& out, size_t rows, size_t dim,
-    const std::function<std::span<const float>(size_t, std::span<float>)>&
-        row) {
-  out.Reserve(3 * sizeof(uint64_t) + rows * dim * sizeof(float));
-  out.WriteU64(rows);
-  out.WriteU64(dim);
-  out.WriteU64(rows * dim);  // WriteF32Array's count word
-  std::vector<float> scratch(dim);
-  for (size_t r = 0; r < rows; ++r) out.WriteF32Elements(row(r, scratch));
+  out.Reserve(3 * sizeof(uint64_t) + m.SizeBytes());
+  out.WriteU64(m.num_rows());
+  out.WriteU64(m.dim());
+  out.WriteF32Array(m.data());
 }
 
 util::Status ReadMatrix(util::ByteReader& in, EmbeddingMatrix* out) {

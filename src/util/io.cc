@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <new>
 #include <system_error>
+#include <thread>
 #include <utility>
 
 #include "util/fault.h"
@@ -58,6 +60,57 @@ std::string MagicToTag(uint64_t magic) {
 size_t AlignUp(size_t offset, size_t align) {
   return (offset + align - 1) / align * align;
 }
+
+// A heap open with Verify::kFull of at least this much payload hashes each
+// section on a helper thread while the opening thread reads the next bytes.
+// Below it, starting the thread costs more than the overlap saves.
+constexpr size_t kVerifyWhileReadingMinBytes = size_t{1} << 20;
+
+// A heap read lands each extent in pieces of this size, publishing each to
+// the helper as it lands.
+constexpr size_t kReadChunkBytes = size_t{1} << 20;
+
+// The published byte count that tells the helper the read failed.
+constexpr size_t kReadFailed = SIZE_MAX;
+
+// The helper thread of one heap open and the count of payload bytes, in
+// file order, that the opening thread has published to it. Destroying it on
+// any return from the open marks an unfinished read failed and joins the
+// helper, so no open leaves a thread behind.
+class HashBehindRead {
+ public:
+  HashBehindRead() = default;
+  HashBehindRead(const HashBehindRead&) = delete;
+  HashBehindRead& operator=(const HashBehindRead&) = delete;
+  ~HashBehindRead() {
+    if (!thread_.joinable()) return;
+    Publish(kReadFailed);
+    thread_.join();
+  }
+
+  // Runs `hash(landed)` on the helper thread; false when none can start.
+  bool Start(const std::function<void(const std::atomic<size_t>&)>& hash) {
+    try {
+      thread_ = std::thread([this, hash] { hash(landed_); });
+    } catch (const std::system_error&) {
+      return false;
+    }
+    return true;
+  }
+
+  // The first `bytes` payload bytes are in place.
+  void Publish(size_t bytes) {
+    landed_.store(bytes, std::memory_order_release);
+    landed_.notify_one();
+  }
+
+  // Waits for the helper after a complete read.
+  void Join() { thread_.join(); }
+
+ private:
+  std::atomic<size_t> landed_{0};
+  std::thread thread_;
+};
 
 // An uninitialized kSectionAlignBytes-aligned heap block of `size` bytes:
 // the owner of one heap-read extent. No zero fill: fread writes every byte,
@@ -309,20 +362,14 @@ void ByteWriter::WriteBytes(const void* data, size_t size) {
 // this is the fast path the save/load MB/s numbers in bench_ann_micro
 // measure. Big-endian hosts take the element loop.
 template <typename T, typename WriteOne>
-void WriteElementsImpl(ByteWriter& out, std::span<const T> values,
-                       WriteOne write_one) {
+void WriteArrayImpl(ByteWriter& out, std::span<const T> values,
+                    WriteOne write_one) {
+  out.WriteU64(values.size());
   if constexpr (std::endian::native == std::endian::little) {
     out.WriteBytes(values.data(), values.size_bytes());
   } else {
     for (const T& v : values) write_one(v);
   }
-}
-
-template <typename T, typename WriteOne>
-void WriteArrayImpl(ByteWriter& out, std::span<const T> values,
-                    WriteOne write_one) {
-  out.WriteU64(values.size());
-  WriteElementsImpl(out, values, write_one);
 }
 
 void ByteWriter::WriteI8Array(std::span<const int8_t> values) {
@@ -348,10 +395,6 @@ void ByteWriter::WriteI32Array(std::span<const int32_t> values) {
 
 void ByteWriter::WriteF32Array(std::span<const float> values) {
   WriteArrayImpl(*this, values, [&](float v) { WriteF32(v); });
-}
-
-void ByteWriter::WriteF32Elements(std::span<const float> values) {
-  WriteElementsImpl(*this, values, [&](float v) { WriteF32(v); });
 }
 
 void ByteWriter::WriteF64Array(std::span<const double> values) {
@@ -631,11 +674,11 @@ Result<ArtifactReader> ArtifactReader::FromFile(
   if (mapping != nullptr) {
     status = reader.Init(
         mapping->size(),
-        [&](size_t offset, size_t, Extent* out) {
+        [&](size_t offset, size_t, Extent* out, const LandedFn&) {
           *out = {mapping->data() + offset, mapping};
           return Status::Ok();
         },
-        magic, max_version, options);
+        /*reads=*/false, magic, max_version, options);
   } else {
     std::FILE* f = std::fopen(path.c_str(), "rb");
     if (f == nullptr) {
@@ -644,25 +687,33 @@ Result<ArtifactReader> ArtifactReader::FromFile(
     size_t file_size = 0;
     status = RegularFileSize(f, path, &file_size);
     // Each fetch reads its extent into a fresh aligned block that becomes
-    // the extent's owner.
+    // the extent's owner, kReadChunkBytes at a time.
     if (status.ok()) {
       status = reader.Init(
           file_size,
-          [&](size_t offset, size_t size, Extent* out) {
+          [&](size_t offset, size_t size, Extent* out,
+              const LandedFn& landed) {
             *out = {};
             if (size == 0) return Status::Ok();
             std::shared_ptr<uint8_t> block = AlignedBlock(size);
-            if (std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0 ||
-                std::fread(block.get(), 1, size, f) != size) {
+            uint8_t* bytes = block.get();
+            *out = {bytes, std::move(block)};
+            bool read = std::fseek(f, static_cast<long>(offset), SEEK_SET) == 0;
+            for (size_t done = 0; read && done < size;) {
+              const size_t n = std::min(kReadChunkBytes, size - done);
+              read = std::fread(bytes + done, 1, n, f) == n;
+              done += n;
+              if (read && landed) landed(done);
+            }
+            if (!read) {
               return Status::InvalidArgument(
                   "cannot read " + std::to_string(size) +
                   " bytes at offset " + std::to_string(offset) +
                   " (file shrank while opening?)");
             }
-            *out = {block.get(), std::move(block)};
             return Status::Ok();
           },
-          magic, max_version, options);
+          /*reads=*/true, magic, max_version, options);
     }
     std::fclose(f);
   }
@@ -716,16 +767,16 @@ Result<ArtifactReader> ArtifactReader::FromBytes(std::vector<uint8_t> bytes,
   auto image = std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
   MULTIEM_RETURN_IF_ERROR(reader.Init(
       image->size(),
-      [&](size_t offset, size_t, Extent* out) {
+      [&](size_t offset, size_t, Extent* out, const LandedFn&) {
         *out = {image->data() + offset, image};
         return Status::Ok();
       },
-      magic, max_version, {}));
+      /*reads=*/false, magic, max_version, {}));
   return reader;
 }
 
 Status ArtifactReader::Init(size_t file_size, const FetchFn& fetch,
-                            uint64_t magic, uint32_t max_version,
+                            bool reads, uint64_t magic, uint32_t max_version,
                             const ArtifactOpenOptions& options) {
   deep_verify_ = options.verify == ArtifactOpenOptions::Verify::kFull;
   if (file_size < kHeaderBytes + 8) {
@@ -734,7 +785,7 @@ Status ArtifactReader::Init(size_t file_size, const FetchFn& fetch,
         " bytes is smaller than the minimal container");
   }
   Extent header;
-  MULTIEM_RETURN_IF_ERROR(fetch(0, kHeaderBytes, &header));
+  MULTIEM_RETURN_IF_ERROR(fetch(0, kHeaderBytes, &header, {}));
   const uint64_t file_magic = LoadLe(header.data, 8);
   if (file_magic != magic) {
     return Status::InvalidArgument("artifact magic mismatch: expected '" +
@@ -765,7 +816,8 @@ Status ArtifactReader::Init(size_t file_size, const FetchFn& fetch,
   // per-section checks rely on.
   const size_t table_size = file_size - 8 - table_offset;
   Extent table_bytes;
-  MULTIEM_RETURN_IF_ERROR(fetch(table_offset, table_size + 8, &table_bytes));
+  MULTIEM_RETURN_IF_ERROR(
+      fetch(table_offset, table_size + 8, &table_bytes, {}));
   if (Fnv1a64(table_bytes.data, table_size) !=
       LoadLe(table_bytes.data + table_size, 8)) {
     return Status::InvalidArgument(
@@ -825,7 +877,7 @@ Status ArtifactReader::Init(size_t file_size, const FetchFn& fetch,
   // fetched between the gaps, in file order.
   auto check_padding = [&](size_t begin, size_t end) -> Status {
     Extent gap;
-    MULTIEM_RETURN_IF_ERROR(fetch(begin, end - begin, &gap));
+    MULTIEM_RETURN_IF_ERROR(fetch(begin, end - begin, &gap, {}));
     for (size_t b = 0; b < end - begin; ++b) {
       if (gap.data[b] != 0) {
         return Status::InvalidArgument(
@@ -835,53 +887,101 @@ Status ArtifactReader::Init(size_t file_size, const FetchFn& fetch,
     }
     return Status::Ok();
   };
+
+  // A large heap open hashes each section on a helper thread while this
+  // thread reads the next bytes (Verify::kFull). Every read and padding
+  // error below still wins over a checksum mismatch: the helper's answer is
+  // looked at only once every byte is in.
+  const bool full = options.verify == ArtifactOpenOptions::Verify::kFull;
+  size_t payload_bytes = 0;
+  for (const SectionEntry& s : sections_) payload_bytes += s.size;
+  size_t hashed_first_bad = sections_.size();
+  HashBehindRead helper;
+  // Without a helper, the sweep below hashes the payloads once they are in.
+  const bool publish =
+      full && reads && payload_bytes >= kVerifyWhileReadingMinBytes &&
+      helper.Start([&](const std::atomic<size_t>& landed) {
+        hashed_first_bad = FirstChecksumMismatch(&landed);
+      });
+
   size_t cursor = kHeaderBytes;
+  size_t before = 0;  // payload bytes of the sections already read
   for (SectionEntry& s : sections_) {
     MULTIEM_RETURN_IF_ERROR(check_padding(cursor, s.offset));
-    MULTIEM_RETURN_IF_ERROR(fetch(s.offset, s.size, &s.bytes));
+    LandedFn on_landed;
+    if (publish) {
+      on_landed = [&helper, before](size_t bytes) {
+        helper.Publish(before + bytes);
+      };
+    }
+    MULTIEM_RETURN_IF_ERROR(fetch(s.offset, s.size, &s.bytes, on_landed));
     cursor = s.offset + s.size;
+    before += s.size;
   }
   MULTIEM_RETURN_IF_ERROR(check_padding(cursor, table_offset));
+  if (!full) return Status::Ok();
 
-  // Payload checksums last: the O(file size) part, skippable (kStructural)
-  // and parallelizable across sections — one section's FNV-1a sweep runs on
-  // one thread, but sections are independent.
-  if (options.verify == ArtifactOpenOptions::Verify::kFull) {
-    const size_t n = sections_.size();
-    auto check_one = [&](size_t i) {
-      return Fnv1a64(sections_[i].bytes.data, sections_[i].size) ==
-             sections_[i].checksum;
-    };
-    size_t first_bad = n;
-    if (options.verify_pool != nullptr && n > 1) {
-      std::atomic<size_t> bad{n};
-      ParallelFor(
-          options.verify_pool, n,
-          [&](size_t i) {
-            if (!check_one(i)) {
-              size_t cur = bad.load(std::memory_order_relaxed);
-              while (i < cur && !bad.compare_exchange_weak(
-                                    cur, i, std::memory_order_relaxed)) {
-              }
+  // Payload checksums last: the O(file size) part, skippable (kStructural).
+  // The helper has hashed them by now; without one they are hashed here,
+  // across sections on the pool when one is given — one section's FNV-1a
+  // sweep runs on one thread, but sections are independent.
+  const size_t n = sections_.size();
+  size_t first_bad = n;
+  if (publish) {
+    helper.Join();
+    first_bad = hashed_first_bad;
+  } else if (options.verify_pool != nullptr && n > 1) {
+    std::atomic<size_t> bad{n};
+    ParallelFor(
+        options.verify_pool, n,
+        [&](size_t i) {
+          if (Fnv1a64(sections_[i].bytes.data, sections_[i].size) !=
+              sections_[i].checksum) {
+            size_t cur = bad.load(std::memory_order_relaxed);
+            while (i < cur && !bad.compare_exchange_weak(
+                                  cur, i, std::memory_order_relaxed)) {
             }
-          },
-          /*min_block_size=*/1);
-      first_bad = bad.load(std::memory_order_relaxed);
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        if (!check_one(i)) {
-          first_bad = i;
-          break;
-        }
-      }
-    }
-    if (first_bad < n) {
-      return Status::InvalidArgument("artifact section '" +
-                                     sections_[first_bad].name +
-                                     "' checksum mismatch (corrupt file)");
-    }
+          }
+        },
+        /*min_block_size=*/1);
+    first_bad = bad.load(std::memory_order_relaxed);
+  } else {
+    first_bad = FirstChecksumMismatch(nullptr);
+  }
+  if (first_bad < n) {
+    return Status::InvalidArgument("artifact section '" +
+                                   sections_[first_bad].name +
+                                   "' checksum mismatch (corrupt file)");
   }
   return Status::Ok();
+}
+
+size_t ArtifactReader::FirstChecksumMismatch(
+    const std::atomic<size_t>* landed) const {
+  size_t before = 0;  // payload bytes of the sections before `i`
+  for (size_t i = 0; i < sections_.size(); ++i) {
+    const SectionEntry& s = sections_[i];
+    uint64_t state = kFnv1a64Offset;
+    for (size_t done = 0; done < s.size;) {
+      size_t end = s.size;
+      if (landed != nullptr) {
+        // Wait for bytes past `done`; every byte below the published count
+        // is in place, and so is the extent of its section.
+        size_t seen = landed->load(std::memory_order_acquire);
+        while (seen != kReadFailed && seen <= before + done) {
+          landed->wait(seen, std::memory_order_acquire);
+          seen = landed->load(std::memory_order_acquire);
+        }
+        if (seen == kReadFailed) return sections_.size();
+        end = std::min(seen - before, s.size);
+      }
+      state = Fnv1a64(s.bytes.data + done, end - done, state);
+      done = end;
+    }
+    if (state != s.checksum) return i;
+    before += s.size;
+  }
+  return sections_.size();
 }
 
 bool ArtifactReader::HasSection(std::string_view name) const {

@@ -22,6 +22,7 @@
 #ifndef MULTIEM_UTIL_IO_H_
 #define MULTIEM_UTIL_IO_H_
 
+#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -88,7 +89,13 @@ struct ArtifactOpenOptions {
   };
   enum class Verify {
     /// Validate header, bounds, the section table's checksum, and every
-    /// section payload checksum before returning. The default.
+    /// section payload checksum before returning. The default. A heap open
+    /// of at least 1 MiB of payload checks each section's checksum on one
+    /// helper thread while the next bytes are still being read, so the
+    /// sweep costs little beyond the read; it returns exactly what reading
+    /// everything first and sweeping after would (read and padding errors
+    /// before any checksum mismatch, the first mismatch in file order),
+    /// and the helper is joined before the open returns.
     kFull,
     /// Validate header, bounds, and the table checksum only, skipping the
     /// O(file size) payload sweep. For re-opening artifacts this process
@@ -100,12 +107,14 @@ struct ArtifactOpenOptions {
 
   Mapping mapping = Mapping::kDisable;
   Verify verify = Verify::kFull;
-  /// When set, payload checksums are verified in parallel across sections
-  /// on this pool. The FNV-1a sweep reads every payload byte once, at
-  /// 0.4–0.5 ns per byte with the AVX-512 kernel and 1.5–2.1 ns with the
-  /// byte loop (4-vCPU AVX-512 Xeon VM), so it pays on multi-hundred-MB
-  /// artifacts. Loaders may also use it via ArtifactReader::load_pool()
-  /// for their own validation passes.
+  /// When set, a mapped open (and a heap open of less than 1 MiB of
+  /// payload) verifies payload checksums in parallel across sections on
+  /// this pool; a larger heap open hashes behind its read instead (see
+  /// kFull). The FNV-1a sweep reads every payload byte once, at 0.4–0.5 ns
+  /// per byte with the AVX-512 kernel and 1.5–2.1 ns with the byte loop
+  /// (4-vCPU AVX-512 Xeon VM). Loaders also use it via
+  /// ArtifactReader::load_pool() for their own validation passes, such as
+  /// the HNSW link checks.
   ThreadPool* verify_pool = nullptr;
   /// Mapped opens only: first-touch every page of the image right after
   /// validation (parallel on verify_pool when set), so cold-cache page
@@ -141,10 +150,6 @@ class ByteWriter {
   void WriteI32Array(std::span<const int32_t> values);
   void WriteF32Array(std::span<const float> values);
   void WriteF64Array(std::span<const double> values);
-
-  /// The elements of a WriteF32Array without its count, for a writer that
-  /// writes the count itself and then streams the array in pieces.
-  void WriteF32Elements(std::span<const float> values);
 
   /// Makes room for `bytes` more bytes, so a writer that appends a known
   /// amount in pieces allocates once instead of growing by doubling.
@@ -417,8 +422,14 @@ class ArtifactReader {
     const uint8_t* data = nullptr;
     std::shared_ptr<const void> owner;
   };
-  /// Produces the `size` container bytes at file offset `offset`.
-  using FetchFn = std::function<Status(size_t offset, size_t size, Extent*)>;
+  /// Called by a fetch that reads its bytes in pieces, with the count of
+  /// leading bytes in place so far.
+  using LandedFn = std::function<void(size_t bytes)>;
+  /// Produces the `size` container bytes at file offset `offset`. A fetch
+  /// that reads them sets `*out` before the first byte lands and calls
+  /// `landed`, when set, after each piece.
+  using FetchFn = std::function<Status(size_t offset, size_t size, Extent*,
+                                       const LandedFn& landed)>;
 
   struct SectionEntry {
     std::string name;
@@ -433,8 +444,18 @@ class ArtifactReader {
   /// Validates the `file_size`-byte container whose bytes `fetch` produces
   /// and fills version_ and sections_. Every fetch lies inside the file
   /// and no two overlap, so a heap open allocates at most the file's size.
-  Status Init(size_t file_size, const FetchFn& fetch, uint64_t magic,
-              uint32_t max_version, const ArtifactOpenOptions& options);
+  /// `reads` says that `fetch` reads the bytes in (a heap open), so a
+  /// large kFull open can hash them as they land.
+  Status Init(size_t file_size, const FetchFn& fetch, bool reads,
+              uint64_t magic, uint32_t max_version,
+              const ArtifactOpenOptions& options);
+
+  /// The index of the first section, in file order, whose payload does not
+  /// hash to its checksum, or sections_.size(). With `landed` it hashes
+  /// only payload bytes already published there (a count over the
+  /// sections' payloads in file order), waiting for more, and gives up
+  /// (returning sections_.size()) once the read marks itself failed.
+  size_t FirstChecksumMismatch(const std::atomic<size_t>* landed) const;
 
   bool mapped_ = false;
   bool deep_verify_ = true;

@@ -568,6 +568,18 @@ TEST(CheckpointPipelineTest, CompletedRunResumesToIdenticalResults) {
   }
 }
 
+// A checkpointed run reports the time its journal cost (appends, fsyncs and
+// spill checksums); a run without a checkpoint reports none.
+TEST(CheckpointPipelineTest, RunReportsItsCheckpointSeconds) {
+  auto tables = CorpusTables(5, 30);
+  PipelineResult plain = RunPipeline(tables);
+  EXPECT_EQ(0.0, plain.checkpoint_seconds);
+  PipelineResult journaled =
+      RunPipeline(tables, TempPath("checkpoint_seconds"));
+  EXPECT_GT(journaled.checkpoint_seconds, 0.0);
+  EXPECT_EQ(plain.tuples, journaled.tuples);
+}
+
 // A journaled spill whose bytes no longer match its journaled checksum must
 // silently degrade to recompute — never corrupt output, never a hard error.
 TEST(CheckpointPipelineTest, CorruptJournaledSpillIsRecomputed) {

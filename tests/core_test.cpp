@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -106,21 +107,37 @@ void ExpectSameTable(const MergeTable& a, const MergeTable& b,
   EXPECT_EQ(0, std::memcmp(va.data(), vb.data(), va.size() * sizeof(float)));
 }
 
-// Writes a MEMMERGT file with the given member lists and rows, bypassing
-// MergeTable::Save — the shape a foreign or stale spill can have.
+// Writes a MEMMERGT file with the given member lists, bypassing
+// MergeTable::Save — the shape a foreign or stale spill can have. With
+// `rows` it is a v1 file, whose "embeddings" section holds them.
 void WriteRawSpill(const std::string& path,
                    const std::vector<std::vector<EntityId>>& items,
-                   const embed::EmbeddingMatrix& rows) {
+                   const std::optional<embed::EmbeddingMatrix>& rows = {}) {
   util::ArtifactWriter writer(MergeTable::kArtifactMagic,
-                              MergeTable::kArtifactVersion);
+                              rows ? 1 : MergeTable::kArtifactVersion);
   util::ByteWriter& section = writer.AddSection("items");
   section.WriteU64(items.size());
   for (const std::vector<EntityId>& ids : items) {
     section.WriteU64(ids.size());
     for (EntityId id : ids) section.WriteU64(id.packed());
   }
-  embed::WriteMatrix(writer.AddSection("embeddings"), rows);
+  if (rows) embed::WriteMatrix(writer.AddSection("embeddings"), *rows);
   writer.WriteFile(path).CheckOk();
+}
+
+// Every payload byte of section `name` of the MEMMERGT file at `path`.
+std::vector<uint8_t> SpillSection(const std::string& path,
+                                  const std::string& name) {
+  auto reader = util::ArtifactReader::FromFile(
+      path, MergeTable::kArtifactMagic, MergeTable::kArtifactVersion);
+  EXPECT_TRUE(reader.ok()) << reader.status();
+  if (!reader.ok()) return {};
+  auto section = reader->Section(name);
+  EXPECT_TRUE(section.ok()) << section.status();
+  if (!section.ok()) return {};
+  std::vector<uint8_t> bytes(section->remaining());
+  for (uint8_t& byte : bytes) EXPECT_TRUE(section->ReadU8(&byte).ok());
+  return bytes;
 }
 
 TEST(MergeTableTest, FromSourceHoldsOneItemPerEntity) {
@@ -171,8 +188,7 @@ TEST(MergeTableTest, TombstoneClonesOnlyItsChunk) {
   const EntityEmbeddingStore store = AxisStore(n, 4);
   const MergeTable original = MergeTable::FromSource(store, 0);
   MergeTable copy = original;
-  std::vector<float> stale = {0.5f, 0.5f, 0.5f, 0.5f};
-  copy.Tombstone(3, stale);
+  copy.Tombstone(3);
   EXPECT_NE(&copy.members(0), &original.members(0));
   EXPECT_EQ(&copy.members(n - 1), &original.members(n - 1));
   EXPECT_TRUE(copy.members(3).empty());
@@ -182,16 +198,14 @@ TEST(MergeTableTest, TombstoneClonesOnlyItsChunk) {
   EXPECT_EQ(original.num_tombstones(), 0u);
 }
 
-// A live item's vector is derived from the store; a tombstone's is the
-// vector it was retired with, whatever the store says.
+// A live item's vector is derived from the store; a tombstone has no
+// members to derive from and reads as zeros, whatever it held before.
 TEST(MergeTableTest, VectorsDeriveFromTheStoreExceptTombstones) {
   const EntityEmbeddingStore store = AxisStore(4, 4);
   MergeTable t = MergeTable::FromSource(store, 0);
   t.Replace(0, {EntityId(0, 0), EntityId(0, 1)});
-  const std::vector<float> stale2 = {0.25f, 0.0f, 0.0f, 0.75f};
-  const std::vector<float> stale1 = {0.0f, 0.5f, 0.5f, 0.0f};
-  t.Tombstone(2, stale2);  // retired out of item order
-  t.Tombstone(1, stale1);
+  t.Tombstone(2);  // retired out of item order
+  t.Tombstone(1);
   ASSERT_EQ(t.num_tombstones(), 2u);
 
   std::vector<float> want(4);
@@ -200,17 +214,18 @@ TEST(MergeTableTest, VectorsDeriveFromTheStoreExceptTombstones) {
   ASSERT_EQ(vectors.num_rows(), 4u);
   EXPECT_EQ(std::vector<float>(vectors.Row(0).begin(), vectors.Row(0).end()),
             want);
+  const std::vector<float> zeros(4, 0.0f);
   EXPECT_EQ(std::vector<float>(vectors.Row(1).begin(), vectors.Row(1).end()),
-            stale1);
+            zeros);
   EXPECT_EQ(std::vector<float>(vectors.Row(2).begin(), vectors.Row(2).end()),
-            stale2);
+            zeros);
   const std::span<const float> own = store.Row(EntityId(0, 3));
   EXPECT_EQ(std::vector<float>(vectors.Row(3).begin(), vectors.Row(3).end()),
             std::vector<float>(own.begin(), own.end()));
 }
 
-// A saved table's "embeddings" rows are its store-derived vectors, and a
-// load, heap or mapped, gives back the member lists.
+// A saved table is its member lists alone (MEMMERGT v2: one "items"
+// section, no rows), and a load, heap or mapped, gives them back.
 TEST(MergeTableTest, SpillRoundTrip) {
   EntityEmbeddingStore store = PairedStore(5, 4);
   MergeTable t;
@@ -221,19 +236,13 @@ TEST(MergeTableTest, SpillRoundTrip) {
   const std::string path =
       ::testing::TempDir() + "multiem_core_spill.mem";
   std::filesystem::remove(path);
-  ASSERT_TRUE(t.Save(path, store).ok());
+  ASSERT_TRUE(t.Save(path).ok());
   {
     auto reader = util::ArtifactReader::FromFile(
         path, MergeTable::kArtifactMagic, MergeTable::kArtifactVersion);
     ASSERT_TRUE(reader.ok()) << reader.status();
-    auto section = reader->Section("embeddings");
-    ASSERT_TRUE(section.ok()) << section.status();
-    embed::EmbeddingMatrix rows;
-    ASSERT_TRUE(embed::ReadMatrix(*section, &rows).ok());
-    const std::vector<float> want = DerivedVectors(t, store);
-    ASSERT_EQ(rows.data().size(), want.size());
-    EXPECT_EQ(0, std::memcmp(rows.data().data(), want.data(),
-                             want.size() * sizeof(float)));
+    EXPECT_EQ(reader->version(), 2u);
+    EXPECT_EQ(reader->SectionNames(), std::vector<std::string>{"items"});
   }
   util::ArtifactOpenOptions mapped;
   mapped.mapping = util::ArtifactOpenOptions::Mapping::kPrefer;
@@ -255,7 +264,6 @@ TEST(MergeTableTest, RejectsItemCountBeyondItsSection) {
   items.WriteU64(uint64_t{1} << 40);
   items.WriteU64(1);  // one member of a first item, then nothing more
   items.WriteU64(EntityId(0, 0).packed());
-  embed::WriteMatrix(writer.AddSection("embeddings"), UnitAxisVectors(1, 4));
   const std::string path =
       ::testing::TempDir() + "multiem_core_oversized_items.mem";
   ASSERT_TRUE(writer.WriteFile(path).ok());
@@ -267,8 +275,9 @@ TEST(MergeTableTest, RejectsItemCountBeyondItsSection) {
 }
 
 // A checksum-valid MEMMERGT file is checked against the store it will be
-// derived from: a member outside the store, or rows of another count or
-// width, is InvalidArgument rather than a read past the store's rows.
+// derived from: a member outside the store is InvalidArgument rather than a
+// read past the store's rows, in either version, and so are a v1 file's
+// rows of another count or width.
 TEST(MergeTableTest, LoadRejectsWhatTheStoreCannotDerive) {
   const EntityEmbeddingStore store = AxisStore(3, 4);
   const std::string path =
@@ -276,14 +285,14 @@ TEST(MergeTableTest, LoadRejectsWhatTheStoreCannotDerive) {
   const struct {
     const char* what;
     std::vector<std::vector<EntityId>> items;
-    embed::EmbeddingMatrix rows;
+    std::optional<embed::EmbeddingMatrix> rows;  // set: a v1 file
   } cases[] = {
-      {"row past the source", {{EntityId(0, 0)}, {EntityId(0, 3)}},
+      {"row past the source", {{EntityId(0, 0)}, {EntityId(0, 3)}}, {}},
+      {"unknown source", {{EntityId(0, 0), EntityId(1, 0)}}, {}},
+      {"v1 row past the source", {{EntityId(0, 0)}, {EntityId(0, 3)}},
        UnitAxisVectors(2, 4)},
-      {"unknown source", {{EntityId(0, 0), EntityId(1, 0)}},
-       UnitAxisVectors(1, 4)},
-      {"wider rows", {{EntityId(0, 0)}}, UnitAxisVectors(1, 8)},
-      {"fewer rows", {{EntityId(0, 0)}, {EntityId(0, 1)}},
+      {"v1 wider rows", {{EntityId(0, 0)}}, UnitAxisVectors(1, 8)},
+      {"v1 fewer rows", {{EntityId(0, 0)}, {EntityId(0, 1)}},
        UnitAxisVectors(1, 4)},
   };
   for (const auto& c : cases) {
@@ -292,10 +301,59 @@ TEST(MergeTableTest, LoadRejectsWhatTheStoreCannotDerive) {
     EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
         << c.what << ": " << loaded.status();
   }
+  WriteRawSpill(path, {{EntityId(0, 0), EntityId(0, 2)}});
+  EXPECT_TRUE(MergeTable::Load(path, store).ok());
   WriteRawSpill(path, {{EntityId(0, 0), EntityId(0, 2)}},
                 UnitAxisVectors(1, 4));
   EXPECT_TRUE(MergeTable::Load(path, store).ok());
   std::filesystem::remove(path);
+}
+
+#ifndef MULTIEM_GOLDEN_DIR
+#error "MULTIEM_GOLDEN_DIR must point at tests/golden (set by CMake)"
+#endif
+
+// The checked-in MEMMERGT v1 spill (tests/golden/README.md) still loads,
+// heap or mapped, over a store of its shape: two sources of 4 and 3 rows,
+// 16 floats wide. Its "embeddings" rows are checked for width (a narrower
+// store refuses the file) and ignored; a re-save writes v2 with the same
+// "items" bytes.
+TEST(MergeTableTest, CheckedInV1SpillLoads) {
+  const std::string golden =
+      std::string(MULTIEM_GOLDEN_DIR) + "/merge_table_v1.mem";
+  auto store_of_width = [](size_t dim) {
+    EntityEmbeddingStore store;
+    store.AddSource(UnitAxisVectors(4, dim));
+    store.AddSource(UnitAxisVectors(3, dim));
+    return store;
+  };
+  const EntityEmbeddingStore store = store_of_width(16);
+  const std::vector<std::vector<EntityId>> recorded = {
+      {EntityId(0, 0), EntityId(1, 2)},
+      {EntityId(0, 1)},
+      {EntityId(0, 2), EntityId(0, 3), EntityId(1, 0)},
+      {EntityId(1, 1)}};
+  util::ArtifactOpenOptions mapped;
+  mapped.mapping = util::ArtifactOpenOptions::Mapping::kPrefer;
+  for (const util::ArtifactOpenOptions& options :
+       {util::ArtifactOpenOptions{}, mapped}) {
+    auto loaded = MergeTable::Load(golden, store, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    ASSERT_EQ(loaded->num_items(), recorded.size());
+    for (size_t i = 0; i < recorded.size(); ++i) {
+      EXPECT_EQ(loaded->members(i), recorded[i]) << "item " << i;
+    }
+  }
+  EXPECT_EQ(MergeTable::Load(golden, store_of_width(8)).status().code(),
+            util::StatusCode::kInvalidArgument);
+
+  auto loaded = MergeTable::Load(golden, store);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const std::string resaved =
+      ::testing::TempDir() + "multiem_core_golden_spill_resave.mem";
+  ASSERT_TRUE(loaded->Save(resaved).ok());
+  EXPECT_EQ(SpillSection(resaved, "items"), SpillSection(golden, "items"));
+  std::filesystem::remove(resaved);
 }
 
 TEST(EntityEmbeddingStoreTest, RowLookupAcrossSources) {
@@ -577,11 +635,10 @@ EntityEmbeddingStore NoisyCopiesStore(size_t dim) {
   return store;
 }
 
-// A spill's "embeddings" rows are written for readers of the format and
-// never read back: a load keeps the member lists, and a merge derives every
-// vector from the store. So a spill whose rows were overwritten, with its
-// checksums rewritten, merges to the same member lists and tuples as the
-// untouched file, heap-opened or mapped.
+// A v1 spill's "embeddings" rows are never read back: a load keeps the
+// member lists, and a merge derives every vector from the store. So a v1
+// spill whose rows all lie on one axis merges to the same member lists and
+// tuples as the v2 spill Save writes, heap-opened or mapped.
 TEST(TwoTableMergerTest, SpillMergesFromItsMembersNotItsRows) {
   constexpr size_t kDim = 32;
   const EntityEmbeddingStore store = NoisyCopiesStore(kDim);
@@ -600,29 +657,19 @@ TEST(TwoTableMergerTest, SpillMergesFromItsMembersNotItsRows) {
   std::filesystem::create_directories(dir);
   const std::string untouched = dir + "/untouched.mem";
   const std::string overwritten = dir + "/overwritten.mem";
-  ASSERT_TRUE(left.Save(untouched, store).ok());
+  ASSERT_TRUE(left.Save(untouched).ok());
   {
-    // Every section as saved, except that each "embeddings" row becomes
-    // the first axis: were the rows read, every left item would look alike.
-    auto reader = util::ArtifactReader::FromFile(
-        untouched, MergeTable::kArtifactMagic, MergeTable::kArtifactVersion);
-    ASSERT_TRUE(reader.ok()) << reader.status();
-    util::ArtifactWriter writer(MergeTable::kArtifactMagic, reader->version());
-    for (const std::string& name : reader->SectionNames()) {
-      util::ByteWriter& out = writer.AddSection(name);
-      if (name == "embeddings") {
-        embed::EmbeddingMatrix rows(left.num_items(), kDim);
-        for (size_t i = 0; i < rows.num_rows(); ++i) rows.Row(i)[0] = 1.0f;
-        embed::WriteMatrix(out, rows);
-        continue;
-      }
-      auto section = reader->Section(name);
-      ASSERT_TRUE(section.ok()) << section.status();
-      std::vector<uint8_t> bytes(section->remaining());
-      for (uint8_t& byte : bytes) ASSERT_TRUE(section->ReadU8(&byte).ok());
-      out.WriteBytes(bytes.data(), bytes.size());
+    // The saved member lists, plus v1 rows that are each the first axis:
+    // were the rows read, every left item would look alike.
+    std::vector<std::vector<EntityId>> items;
+    for (size_t i = 0; i < left.num_items(); ++i) {
+      items.push_back(left.members(i));
     }
-    ASSERT_TRUE(writer.WriteFile(overwritten).ok());
+    embed::EmbeddingMatrix rows(left.num_items(), kDim);
+    for (size_t i = 0; i < rows.num_rows(); ++i) rows.Row(i)[0] = 1.0f;
+    WriteRawSpill(overwritten, items, rows);
+    EXPECT_EQ(SpillSection(overwritten, "items"),
+              SpillSection(untouched, "items"));
   }
 
   const MergeTable want = merger.Merge(left, right);

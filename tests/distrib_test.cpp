@@ -214,7 +214,7 @@ TEST(MergeSourceTest, ResidentSpillAndMappedSpillAgree) {
   EXPECT_LT(merged.num_items(), tables[0].num_rows() + tables[1].num_rows());
 
   const std::string spill = TempPath("handle_spill") + ".mem";
-  merged.Save(spill, store).CheckOk();
+  merged.Save(spill).CheckOk();
   util::ArtifactOpenOptions mapped;
   mapped.mapping = util::ArtifactOpenOptions::Mapping::kPrefer;
   auto resident_table =
@@ -458,12 +458,15 @@ TEST(DistribBuildTest, StaleShardIsRebuiltNotTrusted) {
   EXPECT_EQ(single.tuples, built->run.tuples);
 }
 
-// A reused shard's merge output is loaded against the coordinator's store
-// when the top of the plan consumes it, so a checksum-valid MEMMERGT naming
-// an entity outside the corpus fails the build with InvalidArgument instead
-// of a read past the store's rows.
-TEST(DistribBuildTest, ReusedShardSpillNamingUnknownEntityIsRejected) {
+// A reused shard's merge outputs are loaded over the shard's own bases
+// before anything trusts them, so a checksum-valid MEMMERGT that names an
+// entity outside the shard makes the shard unusable: it is rebuilt like a
+// stale manifest, and the build matches a fresh one. Planted: a v2 spill
+// naming a row far past source 0, a v2 spill naming a real entity of a
+// source the shard does not cover, and a v1 spill whose rows are too wide.
+TEST(DistribBuildTest, ReusedShardWithForeignSpillIsRebuilt) {
   auto tables = CorpusTables(4, 40);
+  PipelineResult single = RunSingleProcess(tables);
   const std::string work_dir = TempPath("foreign_spill");
   CoordinatorOptions options;
   options.num_workers = 2;
@@ -473,46 +476,58 @@ TEST(DistribBuildTest, ReusedShardSpillNamingUnknownEntityIsRejected) {
     auto built = coordinator.Build(tables);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
   }
+  const std::string shard0 = work_dir + "/" + distrib::ShardDirName(0);
+  auto opened = distrib::OpenShardArtifact(shard0);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const auto covered = static_cast<uint32_t>(opened->covered_sources[0]);
+  uint32_t uncovered = 0;
+  while (std::find(opened->covered_sources.begin(),
+                   opened->covered_sources.end(),
+                   uncovered) != opened->covered_sources.end()) {
+    ++uncovered;
+  }
+  const size_t dim = static_cast<size_t>(opened->dim);
 
-  // Rewrite worker 0's merge output: its rows keep their width, but one
-  // item names row 2^20 of source 0, far past the corpus.
-  std::string spill;
-  for (const auto& entry : std::filesystem::directory_iterator(
-           work_dir + "/" + distrib::ShardDirName(0))) {
-    if (entry.path().filename().string().rfind("merge_", 0) == 0) {
-      spill = entry.path().string();
+  const struct {
+    const char* what;
+    std::vector<table::EntityId> members;
+    size_t rows_dim;  // 0: a v2 file; otherwise v1 rows this wide
+  } cases[] = {
+      {"row past the source",
+       {table::EntityId(covered, 0), table::EntityId(covered, 1u << 20)},
+       0},
+      {"source of another shard",
+       {table::EntityId(covered, 0), table::EntityId(uncovered, 0)},
+       0},
+      {"v1 rows too wide", {table::EntityId(covered, 0)}, dim + 1},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::string spill;
+    for (const auto& entry : std::filesystem::directory_iterator(shard0)) {
+      if (entry.path().filename().string().rfind("merge_", 0) == 0) {
+        spill = entry.path().string();
+      }
     }
-  }
-  ASSERT_FALSE(spill.empty()) << "two workers over four sources merge";
-  size_t dim = 0;
-  {
-    auto reader = util::ArtifactReader::FromFile(
-        spill, MergeTable::kArtifactMagic, MergeTable::kArtifactVersion);
-    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    auto section = reader->Section("embeddings");
-    ASSERT_TRUE(section.ok()) << section.status().ToString();
-    embed::EmbeddingMatrix rows;
-    ASSERT_TRUE(embed::ReadMatrix(*section, &rows).ok());
-    dim = rows.dim();
-  }
-  util::ArtifactWriter writer(MergeTable::kArtifactMagic,
-                              MergeTable::kArtifactVersion);
-  util::ByteWriter& items = writer.AddSection("items");
-  items.WriteU64(1);
-  items.WriteU64(2);
-  items.WriteU64(table::EntityId(0, 0).packed());
-  items.WriteU64(table::EntityId(0, size_t{1} << 20).packed());
-  embed::WriteMatrix(writer.AddSection("embeddings"),
-                     embed::EmbeddingMatrix(1, dim));
-  writer.WriteFile(spill).CheckOk();
+    ASSERT_FALSE(spill.empty()) << "two workers over four sources merge";
+    util::ArtifactWriter writer(MergeTable::kArtifactMagic,
+                                c.rows_dim == 0 ? 2 : 1);
+    util::ByteWriter& items = writer.AddSection("items");
+    items.WriteU64(1);
+    items.WriteU64(c.members.size());
+    for (table::EntityId id : c.members) items.WriteU64(id.packed());
+    if (c.rows_dim != 0) {
+      embed::WriteMatrix(writer.AddSection("embeddings"),
+                         embed::EmbeddingMatrix(1, c.rows_dim));
+    }
+    writer.WriteFile(spill).CheckOk();
 
-  Coordinator coordinator(PipelineConfig(), options);
-  auto rebuilt = coordinator.Build(tables);
-  EXPECT_EQ(util::StatusCode::kInvalidArgument, rebuilt.status().code())
-      << rebuilt.status().ToString();
-  EXPECT_NE(std::string::npos,
-            rebuilt.status().message().find("unknown entity"))
-      << rebuilt.status().ToString();
+    Coordinator coordinator(PipelineConfig(), options);
+    auto rebuilt = coordinator.Build(tables);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+    EXPECT_EQ(1u, rebuilt->distrib.shards_reused);
+    EXPECT_EQ(single.tuples, rebuilt->run.tuples);
+  }
 }
 
 // Every build path resolves components as MultiEmPipeline::Run does, so

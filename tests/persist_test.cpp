@@ -497,6 +497,137 @@ TEST(IoTest, MultiMegabyteSectionChecksum) {
   }
 }
 
+// A heap open of at least 1 MiB of payload hashes each section on a helper
+// thread while it reads the next bytes. Whatever the input, it must return
+// exactly the Status (code and message, after FromFile's path prefix) that
+// FromBytes returns for the same image, as must a mapped open and both opens
+// given a verify pool. The 3 MiB container holds sections of one chunk
+// (1 MiB) and of more than two, one that crosses its chunk boundary by a
+// byte, small ones and an empty one; each input flips bytes of it or
+// truncates it.
+TEST(IoTest, LargeOpensRejectExactlyLikeFromBytes) {
+  const std::vector<std::pair<std::string, size_t>> layout = {
+      {"small", 8},       {"empty", 0},
+      {"big", (size_t{2} << 20) + 333}, {"mid", 100},
+      {"edge", (size_t{1} << 20) + 1},  {"chunk", size_t{1} << 20},
+      {"tail", 63}};
+  util::Rng rng(29);
+  util::ArtifactWriter writer(kTestMagic, 1);
+  std::vector<size_t> offsets;  // of each payload, then of the table
+  size_t cursor = 24;           // the header
+  for (const auto& [name, size] : layout) {
+    std::vector<uint8_t> payload(size);
+    for (uint8_t& byte : payload) byte = static_cast<uint8_t>(rng.Next());
+    writer.AddSection(name).WriteBytes(payload.data(), payload.size());
+    cursor = (cursor + 63) / 64 * 64;
+    offsets.push_back(cursor);
+    cursor += size;
+  }
+  offsets.push_back(cursor);
+  const std::vector<uint8_t> image = writer.Serialize();
+  ASSERT_GE(image.size(), size_t{3} << 20);
+
+  // Inputs: the image, then each damaged copy, labelled.
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> inputs;
+  inputs.emplace_back("intact", image);
+  auto flipped = [&](std::initializer_list<size_t> positions) {
+    std::vector<uint8_t> copy = image;
+    for (size_t pos : positions) copy[pos] ^= 0x04;
+    return copy;
+  };
+  for (size_t s = 0; s < layout.size(); ++s) {
+    const size_t size = layout[s].second;
+    if (size == 0) continue;
+    const size_t at = offsets[s];
+    for (size_t pos : {at, at + size / 2, at + size - 1}) {
+      inputs.emplace_back(layout[s].first + " byte " + std::to_string(pos),
+                          flipped({pos}));
+    }
+  }
+  std::vector<size_t> padding;  // the first padding byte of every gap
+  for (size_t s = 0; s < layout.size(); ++s) {
+    const size_t end = offsets[s] + layout[s].second;
+    const size_t next = s + 1 < layout.size() ? offsets[s + 1] : end;
+    if (end < next) padding.push_back(end);
+  }
+  ASSERT_GE(padding.size(), 3u);
+  for (size_t pos : padding) {
+    inputs.emplace_back("padding byte " + std::to_string(pos), flipped({pos}));
+  }
+  const size_t table = offsets.back();
+  for (size_t pos : {table, table + 30, image.size() - 9, image.size() - 1}) {
+    inputs.emplace_back("table byte " + std::to_string(pos), flipped({pos}));
+  }
+  // Several faults: a later padding error wins over an earlier checksum
+  // mismatch, and of two mismatches the first in file order is named.
+  inputs.emplace_back("small checksum + last padding",
+                      flipped({offsets[0] + 3, padding.back()}));
+  inputs.emplace_back("big checksum + edge padding",
+                      flipped({offsets[2] + 5, offsets[4] + layout[4].second}));
+  inputs.emplace_back("big and edge checksums",
+                      flipped({offsets[2] + (size_t{3} << 19), offsets[4]}));
+  inputs.emplace_back("chunk and tail checksums",
+                      flipped({offsets[5] + 7, offsets[6] + 62}));
+  {
+    // No writer leaves a gap between the last payload and the table; a
+    // crafted container can, and its zero fill is checked like any other.
+    const std::vector<uint8_t> payload(layout[2].second, 0x5A);
+    std::vector<uint8_t> crafted =
+        RawContainer({{"big", 64, payload}}, 64 + payload.size() + 40);
+    crafted[64 + 9] ^= 0x01;                   // the payload's checksum
+    crafted[64 + payload.size() + 20] = 0x01;  // the gap before the table
+    inputs.emplace_back("crafted: big checksum + padding before the table",
+                        std::move(crafted));
+  }
+  for (size_t len : {size_t{0}, size_t{23}, size_t{24}, size_t{100},
+                     offsets[2] + 1, offsets[3] - 1, offsets[4] + (1u << 20),
+                     table, table + 1, image.size() - 8, image.size() - 1}) {
+    inputs.emplace_back("truncated to " + std::to_string(len),
+                        std::vector<uint8_t>(image.begin(), image.begin() + len));
+  }
+
+  util::ThreadPool pool(2);
+  const std::string path = TempPath("large_open.mem");
+  for (const auto& [what, bytes] : inputs) {
+    SCOPED_TRACE(what);
+    WriteFileBytes(path, bytes);
+    const util::Status want =
+        util::ArtifactReader::FromBytes(bytes, kTestMagic, 1).status();
+    std::vector<std::pair<std::string, util::ArtifactOpenOptions>> opens;
+    opens.emplace_back("heap", util::ArtifactOpenOptions{});
+    opens.emplace_back("heap with pool",
+                       util::ArtifactOpenOptions{.verify_pool = &pool});
+    if (util::MmapFile::Supported()) {
+      const auto mapped = util::ArtifactOpenOptions::Mapping::kRequire;
+      opens.emplace_back("mapped",
+                         util::ArtifactOpenOptions{.mapping = mapped});
+      opens.emplace_back("mapped with pool",
+                         util::ArtifactOpenOptions{.mapping = mapped,
+                                                   .verify_pool = &pool});
+    }
+    for (const auto& [how, options] : opens) {
+      auto reader = util::ArtifactReader::FromFile(path, kTestMagic, 1, options);
+      if (want.ok()) {
+        ASSERT_TRUE(reader.ok()) << how << ": " << reader.status();
+        for (size_t s = 0; s < layout.size(); ++s) {
+          const std::vector<uint8_t> got = SectionBytes(*reader, layout[s].first);
+          ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                                 bytes.begin() + offsets[s],
+                                 bytes.begin() + offsets[s] + got.size()) &&
+                      got.size() == layout[s].second)
+              << how << ": section " << layout[s].first;
+        }
+        continue;
+      }
+      ASSERT_FALSE(reader.ok()) << how;
+      EXPECT_EQ(reader.status().code(), want.code()) << how;
+      EXPECT_EQ(reader.status().message(),
+                "'" + path + "': " + want.message())
+          << how;
+    }
+  }
+}
+
 #if defined(__unix__) || defined(__APPLE__)
 // Writes `writer` to `path` with the process's file-size limit at 64 KiB
 // and SIGXFSZ ignored, so the kernel refuses the write partway through any
@@ -1484,17 +1615,23 @@ std::vector<float> RowOf(const embed::EmbeddingMatrix& matrix, size_t i) {
   return std::vector<float>(row.begin(), row.end());
 }
 
-// A tombstone keeps the vector it was retired with. The bridging ingest of
-// the k = 2 session retires item 5; its stale row survives Save, a heap or
-// a mapped Load, and a second Save byte for byte.
+// A tombstone keeps its id, an empty member list and no live slot. The
+// bridging ingest of the k = 2 session retires item 5 and two index slots;
+// all of that survives Save, a heap or a mapped Load, and a second Save byte
+// for byte. A tombstone has no vector to keep: its centroids() row is zeros.
 TEST(PipelineArtifactTest, TombstoneRowRoundTripsByteIdentically) {
   Matcher matcher = DisjointSession();
-  const std::vector<float> stale = RowOf(matcher.snapshot().centroids(), 5);
   ASSERT_NO_FATAL_FAILURE(Ingest(
       matcher, "bridge", {"silver laptop computer fast notebook machine"}));
   ASSERT_EQ(matcher.snapshot().num_tombstones(), 1u);
   ASSERT_TRUE(matcher.item_members(5).empty());
-  EXPECT_EQ(RowOf(matcher.snapshot().centroids(), 5), stale);
+  const size_t dead_slots = matcher.snapshot().dead_slots();
+  ASSERT_EQ(dead_slots, 2u);
+  const embed::EmbeddingMatrix centroids = matcher.snapshot().centroids();
+  const std::vector<float> zeros(centroids.dim(), 0.0f);
+  EXPECT_EQ(RowOf(centroids, 5), zeros);
+  auto want = matcher.MatchRecords(DisjointQueries(), 3);
+  ASSERT_TRUE(want.ok()) << want.status();
 
   const std::string dir = TempPath("tombstone_row");
   ASSERT_TRUE(matcher.Save(dir).ok());
@@ -1507,8 +1644,14 @@ TEST(PipelineArtifactTest, TombstoneRowRoundTripsByteIdentically) {
     auto reloaded = MultiEmPipeline::LoadArtifact(dir, options);
     ASSERT_TRUE(reloaded.ok()) << reloaded.status();
     const Matcher::Snapshot snap = reloaded->snapshot();
+    ASSERT_EQ(snap.num_items(), matcher.num_items());
     ASSERT_EQ(snap.num_tombstones(), 1u);
-    EXPECT_EQ(RowOf(snap.centroids(), 5), stale) << heap;
+    EXPECT_TRUE(snap.item_members(5).empty()) << heap;
+    EXPECT_EQ(snap.dead_slots(), dead_slots) << heap;
+    EXPECT_EQ(RowOf(snap.centroids(), 5), zeros) << heap;
+    auto got = reloaded->MatchRecords(DisjointQueries(), 3);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, *want) << heap;
     const std::string resaved =
         TempPath(heap ? "tombstone_row_heap" : "tombstone_row_mapped");
     ASSERT_TRUE(reloaded->Save(resaved).ok());
@@ -1522,51 +1665,157 @@ TEST(PipelineArtifactTest, TombstoneRowRoundTripsByteIdentically) {
   }
 }
 
-// A live item's "centroids" row is a redundant copy that readers derive
-// from "base" (docs/FORMATS.md): a manifest whose live rows were edited,
-// checksums and all, loads, serves and re-saves the derived rows — the
-// original manifest, byte for byte.
+#ifndef MULTIEM_GOLDEN_DIR
+#error "MULTIEM_GOLDEN_DIR must point at tests/golden (set by CMake)"
+#endif
+
+// The checked-in MEMMANIF v3 session (tests/golden/README.md): the k = 2
+// session at 64 dimensions after the bridging ingest, so it holds one
+// tombstone and a "slots" section, and a "centroids" row per item.
+const std::string kGoldenSession =
+    std::string(MULTIEM_GOLDEN_DIR) + "/session_v3";
+
+// Every payload byte of manifest section `name` in the artifact at `dir`
+// (empty when the section is absent), and the manifest's version.
+std::vector<uint8_t> ManifestSection(const std::string& dir,
+                                     const std::string& name,
+                                     uint32_t* version = nullptr) {
+  auto reader = util::ArtifactReader::FromFile(
+      dir + "/" + PipelineArtifact::kManifestFile,
+      PipelineArtifact::kManifestMagic, PipelineArtifact::kManifestVersion);
+  EXPECT_TRUE(reader.ok()) << reader.status();
+  if (!reader.ok()) return {};
+  if (version != nullptr) *version = reader->version();
+  if (!reader->HasSection(name)) return {};
+  return SectionBytes(*reader, name);
+}
+
+// A v1–v3 manifest's "centroids" rows are redundant copies that readers
+// derive from "base" (docs/FORMATS.md): the checked-in v3 session with two
+// live rows edited, checksums and all, loads and serves like the untouched
+// file, and re-saves the same v4 manifest, which holds no rows at all.
 TEST(PipelineArtifactTest, LiveCentroidRowsAreDerivedNotRead) {
-  auto result = RunWithMatcher(ServingConfig(), ProductTables());
-  ASSERT_TRUE(result.ok()) << result.status();
-  const Matcher& matcher = *result->matcher;
   const std::string dir = TempPath("derived_centroids");
-  ASSERT_TRUE(matcher.Save(dir).ok());
-  const std::vector<uint8_t> manifest =
-      ReadFileBytes(dir + "/" + PipelineArtifact::kManifestFile);
-  const size_t n = matcher.num_items();
+  std::filesystem::copy(kGoldenSession, dir,
+                        std::filesystem::copy_options::recursive);
+  auto untouched = MultiEmPipeline::LoadArtifact(kGoldenSession);
+  ASSERT_TRUE(untouched.ok()) << untouched.status();
+  const size_t n = untouched->num_items();
   ASSERT_GE(n, 2u);
+  ASSERT_FALSE(untouched->item_members(0).empty());
+  ASSERT_FALSE(untouched->item_members(n - 1).empty());
   EditManifest(dir, [&](ManifestSections& sections) {
+    bool edited = false;
     for (auto& [name, bytes] : sections) {
       if (name != "centroids") continue;
       // u64 rows, u64 dim, u64 float count, then the rows.
-      const size_t dim = matcher.snapshot().centroids().dim();
+      const size_t dim = untouched->snapshot().centroids().dim();
       ASSERT_EQ(bytes.size(), 24 + n * dim * sizeof(float));
       const float planted = 12345.0f;
       for (size_t item : {size_t{0}, n - 1}) {
         std::memcpy(&bytes[24 + item * dim * sizeof(float)], &planted,
                     sizeof(planted));
       }
+      edited = true;
     }
+    ASSERT_TRUE(edited) << "a v3 manifest carries \"centroids\"";
   });
   ASSERT_NE(ReadFileBytes(dir + "/" + PipelineArtifact::kManifestFile),
-            manifest);
+            ReadFileBytes(kGoldenSession + "/" +
+                          PipelineArtifact::kManifestFile));
 
   auto reloaded = MultiEmPipeline::LoadArtifact(dir);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status();
-  const embed::EmbeddingMatrix want = matcher.snapshot().centroids();
+  const embed::EmbeddingMatrix want = untouched->snapshot().centroids();
   const embed::EmbeddingMatrix got = reloaded->snapshot().centroids();
   EXPECT_EQ(RowOf(got, 0), RowOf(want, 0));
   EXPECT_EQ(RowOf(got, n - 1), RowOf(want, n - 1));
-  auto want_hits = matcher.MatchRecords(QueryTable(), 3);
-  auto got_hits = reloaded->MatchRecords(QueryTable(), 3);
+  auto want_hits = untouched->MatchRecords(DisjointQueries(), 3);
+  auto got_hits = reloaded->MatchRecords(DisjointQueries(), 3);
   ASSERT_TRUE(want_hits.ok() && got_hits.ok());
   EXPECT_EQ(*got_hits, *want_hits);
 
   const std::string resaved = TempPath("derived_centroids_resave");
+  const std::string resaved_untouched =
+      TempPath("derived_centroids_resave_untouched");
   ASSERT_TRUE(reloaded->Save(resaved).ok());
-  EXPECT_EQ(ReadFileBytes(resaved + "/" + PipelineArtifact::kManifestFile),
-            manifest);
+  ASSERT_TRUE(untouched->Save(resaved_untouched).ok());
+  uint32_t version = 0;
+  EXPECT_TRUE(ManifestSection(resaved, "centroids", &version).empty());
+  EXPECT_EQ(version, 4u);
+  EXPECT_EQ(
+      ReadFileBytes(resaved + "/" + PipelineArtifact::kManifestFile),
+      ReadFileBytes(resaved_untouched + "/" + PipelineArtifact::kManifestFile));
+}
+
+// The checked-in v3 session loads, heap or mapped, with the member lists
+// and slot map recorded when it was written. A re-save writes v4: the same
+// sections but "centroids", each byte for byte, the same encoder and index
+// files, and a session that answers MatchRecords as the v3 load does.
+TEST(PipelineArtifactTest, CheckedInV3SessionLoadsAndResavesAsV4) {
+  using table::EntityId;
+  const std::vector<std::vector<EntityId>> members = {
+      {EntityId(0, 0), EntityId(1, 0), EntityId(2, 0)},
+      {EntityId(0, 1)}, {EntityId(0, 2)}, {EntityId(0, 3)}, {EntityId(0, 4)},
+      {},  // the tombstone
+      {EntityId(1, 1)}, {EntityId(1, 2)}, {EntityId(1, 3)}, {EntityId(1, 4)}};
+  constexpr uint64_t kDead = Matcher::kDeadSlot;
+  const std::vector<uint64_t> slots = {kDead, 1, 2, 3, 4, kDead,
+                                       6,     7, 8, 9, 0};
+  uint32_t version = 0;
+  {
+    const std::vector<uint8_t> bytes =
+        ManifestSection(kGoldenSession, "slots", &version);
+    util::ByteReader in(bytes);
+    std::vector<uint64_t> map;
+    ASSERT_TRUE(in.ReadU64Array(&map).ok());
+    EXPECT_EQ(map, slots);
+  }
+  ASSERT_EQ(version, 3u);
+  ASSERT_FALSE(ManifestSection(kGoldenSession, "centroids").empty());
+
+  util::ArtifactOpenOptions mapped;
+  mapped.mapping = util::ArtifactOpenOptions::Mapping::kPrefer;
+  for (const util::ArtifactOpenOptions& options :
+       {util::ArtifactOpenOptions{}, mapped}) {
+    const bool heap = options.mapping ==
+                      util::ArtifactOpenOptions::Mapping::kDisable;
+    SCOPED_TRACE(heap ? "heap" : "mapped");
+    auto loaded = MultiEmPipeline::LoadArtifact(kGoldenSession, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    ASSERT_EQ(loaded->num_items(), members.size());
+    for (size_t i = 0; i < members.size(); ++i) {
+      EXPECT_EQ(loaded->item_members(i), members[i]) << "item " << i;
+    }
+    EXPECT_EQ(loaded->snapshot().num_tombstones(), 1u);
+    EXPECT_EQ(loaded->snapshot().dead_slots(), 2u);
+    EXPECT_EQ(loaded->index().size(), slots.size());
+    auto want = loaded->MatchRecords(DisjointQueries(), 3);
+    ASSERT_TRUE(want.ok()) << want.status();
+
+    const std::string resaved =
+        TempPath(heap ? "golden_v3_heap" : "golden_v3_mapped");
+    ASSERT_TRUE(loaded->Save(resaved).ok());
+    for (const char* section : {"config", "schema", "selection", "sources",
+                                "items", "base", "slots"}) {
+      EXPECT_EQ(ManifestSection(resaved, section, &version),
+                ManifestSection(kGoldenSession, section))
+          << section;
+    }
+    EXPECT_EQ(version, 4u);
+    EXPECT_TRUE(ManifestSection(resaved, "centroids").empty());
+    for (const char* file :
+         {PipelineArtifact::kEncoderFile, PipelineArtifact::kIndexFile}) {
+      EXPECT_EQ(ReadFileBytes(resaved + "/" + file),
+                ReadFileBytes(kGoldenSession + "/" + file))
+          << file;
+    }
+    auto reloaded = MultiEmPipeline::LoadArtifact(resaved, options);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+    auto got = reloaded->MatchRecords(DisjointQueries(), 3);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, *want);
+  }
 }
 
 // Saves `matcher` to a fresh directory, passes its manifest's slot map
