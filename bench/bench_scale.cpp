@@ -27,7 +27,11 @@
 /// open, the heap/kStructural open and the mmap/kStructural open of the
 /// same artifact (reload.speedup, recorded only, is heap/kFull over
 /// mmap/kStructural; reload.structural_speedup, the gated one, is
-/// heap/kStructural over mmap/kStructural). A final
+/// heap/kStructural over mmap/kStructural). The reload record also holds
+/// the host's transparent-huge-page mode (reload.thp_mode) and the
+/// process's AnonHugePages with the last heap/kFull session loaded
+/// (reload.anon_huge_pages_kb), which show whether the heap open's
+/// huge-page section blocks got huge pages. A final
 /// record-only pass compares first-query latency after a plain kStructural
 /// mmap open (pages fault lazily under the query) against one with
 /// ArtifactOpenOptions::warm_pages, whose parallel first-touch pass pays
@@ -56,7 +60,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -167,13 +173,45 @@ size_t DirectoryBytes(const fs::path& dir) {
   return total;
 }
 
+/// The host's transparent-huge-page mode: the bracketed word of
+/// /sys/kernel/mm/transparent_hugepage/enabled ("always", "madvise" or
+/// "never"), or "unavailable" where the file cannot be read.
+std::string ThpMode() {
+  std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  std::getline(in, line);
+  const size_t open = line.find('[');
+  const size_t close = line.find(']', open);
+  if (open == std::string::npos || close == std::string::npos) {
+    return "unavailable";
+  }
+  return line.substr(open + 1, close - open - 1);
+}
+
+/// This process's anonymous memory in transparent huge pages, in KiB: the
+/// AnonHugePages line of /proc/self/smaps_rollup, or -1 where it cannot be
+/// read.
+long AnonHugePagesKb() {
+  std::ifstream in("/proc/self/smaps_rollup");
+  const std::string key = "AnonHugePages:";
+  for (std::string line; std::getline(in, line);) {
+    if (line.compare(0, key.size(), key) == 0) {
+      return std::strtol(line.c_str() + key.size(), nullptr, 10);
+    }
+  }
+  return -1;
+}
+
 /// Best-of-`repeat` wall time of LoadArtifact(options) + one MatchRecords
 /// batch — "reload to first query". The last run's answers are kept so the
-/// two open modes can be compared bit-for-bit.
+/// two open modes can be compared bit-for-bit, and, when
+/// `anon_huge_pages_kb` is set, the process's AnonHugePages with the last
+/// run's session still loaded.
 double TimeReload(const std::string& dir,
                   const util::ArtifactOpenOptions& options,
                   const table::Table& queries, int repeat,
-                  std::vector<std::vector<core::RecordMatch>>* answers) {
+                  std::vector<std::vector<core::RecordMatch>>* answers,
+                  long* anon_huge_pages_kb = nullptr) {
   double best = 0.0;
   for (int r = 0; r < repeat; ++r) {
     util::WallTimer timer;
@@ -185,7 +223,12 @@ double TimeReload(const std::string& dir,
     double seconds = timer.ElapsedSeconds();
     got.status().CheckOk();
     if (r == 0 || seconds < best) best = seconds;
-    if (r == repeat - 1) *answers = std::move(*got);
+    if (r == repeat - 1) {
+      *answers = std::move(*got);
+      if (anon_huge_pages_kb != nullptr) {
+        *anon_huge_pages_kb = AnonHugePagesKb();
+      }
+    }
   }
   return best;
 }
@@ -381,8 +424,13 @@ int Main(int argc, char** argv) {
 
   std::vector<std::vector<core::RecordMatch>> heap_answers,
       heap_structural_answers, mmap_answers;
-  double heap_seconds = TimeReload(artifact_dir, heap_open, queries,
-                                   reload_repeat, &heap_answers);
+  // A heap open reads each section of at least 2 MiB into huge-page
+  // blocks; how many it got depends on the host's THP mode.
+  const std::string thp_mode = ThpMode();
+  long anon_huge_pages_kb = -1;
+  double heap_seconds =
+      TimeReload(artifact_dir, heap_open, queries, reload_repeat,
+                 &heap_answers, &anon_huge_pages_kb);
   double heap_structural_seconds =
       TimeReload(artifact_dir, heap_structural_open, queries, reload_repeat,
                  &heap_structural_answers);
@@ -402,6 +450,9 @@ int Main(int argc, char** argv) {
               heap_structural_seconds, mmap_seconds, structural_speedup,
               reload_speedup, answers_identical ? "identical" : "DIFFER",
               util::Fnv1a64SimdEnabled() ? "AVX-512 kernel" : "byte loop");
+  std::printf("# transparent huge pages: %s; AnonHugePages after the heap "
+              "reload: %ld kB\n",
+              thp_mode.c_str(), anon_huge_pages_kb);
   if (save_rss_measured) {
     std::printf("# save RSS growth: %.1f MB for a %.1f MB artifact (%.2fx)\n",
                 save_rss_growth_mb, artifact_mb,
@@ -485,11 +536,13 @@ int Main(int argc, char** argv) {
                  "\"heap_structural_seconds\": %.6f, "
                  "\"mmap_seconds\": %.6f, \"speedup\": %.3f, "
                  "\"structural_speedup\": %.3f, \"queries\": %zu, "
-                 "\"answers_identical\": %s, \"checksum_simd\": %s},\n",
+                 "\"answers_identical\": %s, \"checksum_simd\": %s, "
+                 "\"thp_mode\": \"%s\", \"anon_huge_pages_kb\": %ld},\n",
                  artifact_bytes, heap_seconds, heap_structural_seconds,
                  mmap_seconds, reload_speedup, structural_speedup,
                  queries.num_rows(), answers_identical ? "true" : "false",
-                 util::Fnv1a64SimdEnabled() ? "true" : "false");
+                 util::Fnv1a64SimdEnabled() ? "true" : "false",
+                 thp_mode.c_str(), anon_huge_pages_kb);
     std::fprintf(f,
                  "  \"warm_pages\": {\"lazy_open_seconds\": %.6f, "
                  "\"lazy_first_query_ms\": %.4f, "

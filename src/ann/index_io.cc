@@ -23,15 +23,20 @@ util::Result<std::unique_ptr<VectorIndex>> LoadVectorIndex(
   auto artifact = util::ArtifactReader::FromFile(
       path, kIndexArtifactMagic, kIndexArtifactVersion, options);
   if (!artifact.ok()) return artifact.status();
-  auto meta = artifact->Section(kIndexMetaSection);
+  return LoadVectorIndex(*artifact);
+}
+
+util::Result<std::unique_ptr<VectorIndex>> LoadVectorIndex(
+    const util::ArtifactReader& artifact) {
+  auto meta = artifact.Section(kIndexMetaSection);
   if (!meta.ok()) return meta.status();
   std::string kind;
   MULTIEM_RETURN_IF_ERROR(meta->ReadString(&kind));
   if (kind == HnswIndex::kKind) {
-    return AsVectorIndex(HnswIndex::Load(*artifact));
+    return AsVectorIndex(HnswIndex::Load(artifact));
   }
   if (kind == BruteForceIndex::kKind) {
-    return AsVectorIndex(BruteForceIndex::Load(*artifact));
+    return AsVectorIndex(BruteForceIndex::Load(artifact));
   }
   return util::Status::InvalidArgument("unknown index kind '" + kind +
                                        "' (built-in: hnsw, brute_force)");

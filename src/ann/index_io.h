@@ -44,6 +44,13 @@ inline constexpr const char* kIndexMetaSection = "meta";
 util::Result<std::unique_ptr<VectorIndex>> LoadVectorIndex(
     const std::string& path, const util::ArtifactOpenOptions& options = {});
 
+/// The same over an artifact already opened (with kIndexArtifactMagic and
+/// kIndexArtifactVersion), say by util::ArtifactReader::FromFiles beside
+/// other files. The slabs the index views keep their sections alive, so
+/// `artifact` may die after the call.
+util::Result<std::unique_ptr<VectorIndex>> LoadVectorIndex(
+    const util::ArtifactReader& artifact);
+
 }  // namespace multiem::ann
 
 #endif  // MULTIEM_ANN_INDEX_IO_H_

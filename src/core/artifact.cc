@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "ann/index_io.h"
 #include "core/registry.h"
@@ -101,24 +102,21 @@ struct ManifestContents {
   std::vector<uint32_t> slot_to_item;
 };
 
-util::Status ReadManifest(const std::string& path,
-                          const util::ArtifactOpenOptions& options,
+// Parses an opened manifest. Taking the reader by value, it frees every
+// section nothing views (an older file's "centroids" rows among them) on
+// return.
+util::Status ReadManifest(util::ArtifactReader manifest,
                           ManifestContents* out) {
-  auto manifest = util::ArtifactReader::FromFile(
-      path, PipelineArtifact::kManifestMagic,
-      PipelineArtifact::kManifestVersion, options);
-  if (!manifest.ok()) return manifest.status();
-
   MultiEmConfig& config = out->config;
   {
-    auto section = manifest->Section("config");
+    auto section = manifest.Section("config");
     if (!section.ok()) return section.status();
     MULTIEM_RETURN_IF_ERROR(ReadConfig(*section, &config));
   }
   // Optional "quant" section (absent in every unquantized manifest): the
   // quantization knobs the AddTable rebuild factory must reproduce.
-  if (manifest->HasSection("quant")) {
-    auto section = manifest->Section("quant");
+  if (manifest.HasSection("quant")) {
+    auto section = manifest.Section("quant");
     if (!section.ok()) return section.status();
     uint64_t rerank_factor;
     MULTIEM_RETURN_IF_ERROR(section->ReadString(&config.quantization));
@@ -129,17 +127,17 @@ util::Status ReadManifest(const std::string& path,
   MULTIEM_RETURN_IF_ERROR(config.ValidateValues());
 
   {
-    auto section = manifest->Section("schema");
+    auto section = manifest.Section("schema");
     if (!section.ok()) return section.status();
     MULTIEM_RETURN_IF_ERROR(section->ReadStringArray(&out->schema_names));
   }
   {
-    auto section = manifest->Section("selection");
+    auto section = manifest.Section("selection");
     if (!section.ok()) return section.status();
     MULTIEM_RETURN_IF_ERROR(ReadSelection(*section, &out->selection));
   }
   {
-    auto section = manifest->Section("sources");
+    auto section = manifest.Section("sources");
     if (!section.ok()) return section.status();
     MULTIEM_RETURN_IF_ERROR(section->ReadStringArray(&out->source_names));
   }
@@ -147,7 +145,7 @@ util::Status ReadManifest(const std::string& path,
   // The base matrices stay views over their section (heap block or
   // mapping): they are the session's embeddings.
   {
-    auto section = manifest->Section("base");
+    auto section = manifest.Section("base");
     if (!section.ok()) return section.status();
     uint64_t num_sources;
     MULTIEM_RETURN_IF_ERROR(section->ReadU64(&num_sources));
@@ -165,16 +163,16 @@ util::Status ReadManifest(const std::string& path,
   // checked for count and width and never read: every item's vector derives
   // from "base" (docs/FORMATS.md).
   auto entities = MergeTable::ReadItems(
-      *manifest, manifest->version() < 4 ? "centroids" : "",
-      out->store.dim(), /*allow_tombstones=*/manifest->version() >= 3);
+      manifest, manifest.version() < 4 ? "centroids" : "",
+      out->store.dim(), /*allow_tombstones=*/manifest.version() >= 3);
   if (!entities.ok()) return entities.status();
   out->entities = std::move(*entities);
 
   // Optional since v2: the slot->item map of an incrementally grown serving
   // index. Absent (every v1 artifact, and identity-mapped sessions) means
   // slot i holds item i's vector; Matcher::Assemble reads an empty map so.
-  if (manifest->HasSection("slots")) {
-    auto section = manifest->Section("slots");
+  if (manifest.HasSection("slots")) {
+    auto section = manifest.Section("slots");
     if (!section.ok()) return section.status();
     std::vector<uint64_t> slots;
     MULTIEM_RETURN_IF_ERROR(section->ReadU64Array(&slots));
@@ -307,17 +305,29 @@ util::Result<Matcher> PipelineArtifact::Load(const std::string& dir) {
 
 util::Result<Matcher> PipelineArtifact::Load(
     const std::string& dir, const util::ArtifactOpenOptions& options) {
-  // The manifest's reader dies with ReadManifest, before the encoder and
-  // the index are opened: every section nothing views (an older file's
-  // "centroids" rows among them) is freed first.
-  ManifestContents manifest;
-  MULTIEM_RETURN_IF_ERROR(
-      ReadManifest(PathIn(dir, kManifestFile), options, &manifest));
+  // One pass reads all three files, so the index is read while the
+  // manifest is still being hashed. They are parsed in file order after,
+  // and a damaged file reports just what opening and parsing the files one
+  // at a time would: the first failure in that order.
+  const util::ArtifactFile files[] = {
+      {PathIn(dir, kManifestFile), kManifestMagic, kManifestVersion},
+      {PathIn(dir, kEncoderFile), embed::kEncoderArtifactMagic,
+       embed::kEncoderArtifactVersion},
+      {PathIn(dir, kIndexFile), ann::kIndexArtifactMagic,
+       ann::kIndexArtifactVersion}};
+  std::vector<util::Result<util::ArtifactReader>> opened =
+      util::ArtifactReader::FromFiles(files, options);
 
-  auto encoder = embed::LoadTextEncoder(PathIn(dir, kEncoderFile), options);
+  ManifestContents manifest;
+  if (!opened[0].ok()) return opened[0].status();
+  MULTIEM_RETURN_IF_ERROR(ReadManifest(std::move(*opened[0]), &manifest));
+  if (!opened[1].ok()) return opened[1].status();
+  auto encoder = embed::LoadTextEncoder(*opened[1]);
   if (!encoder.ok()) return encoder.status();
-  auto index = ann::LoadVectorIndex(PathIn(dir, kIndexFile), options);
+  if (!opened[2].ok()) return opened[2].status();
+  auto index = ann::LoadVectorIndex(*opened[2]);
   if (!index.ok()) return index.status();
+  opened.clear();  // sections nothing views are freed before Assemble
 
   // The index factory backs future AddTable rebuilds; resolve it from the
   // saved config so incremental merges use the same backend the run did.

@@ -40,6 +40,13 @@ inline constexpr const char* kEncoderMetaSection = "meta";
 util::Result<std::unique_ptr<TextEncoder>> LoadTextEncoder(
     const std::string& path, const util::ArtifactOpenOptions& options = {});
 
+/// The same over an artifact already opened (with kEncoderArtifactMagic and
+/// kEncoderArtifactVersion), say by util::ArtifactReader::FromFiles beside
+/// other files. Views the encoder binds keep their sections alive, so
+/// `artifact` may die after the call.
+util::Result<std::unique_ptr<TextEncoder>> LoadTextEncoder(
+    const util::ArtifactReader& artifact);
+
 }  // namespace multiem::embed
 
 #endif  // MULTIEM_EMBED_ENCODER_IO_H_

@@ -24,7 +24,12 @@ util::Result<std::unique_ptr<TextEncoder>> LoadTextEncoder(
   auto artifact = util::ArtifactReader::FromFile(
       path, kEncoderArtifactMagic, kEncoderArtifactVersion, options);
   if (!artifact.ok()) return artifact.status();
-  auto meta = artifact->Section(kEncoderMetaSection);
+  return LoadTextEncoder(*artifact);
+}
+
+util::Result<std::unique_ptr<TextEncoder>> LoadTextEncoder(
+    const util::ArtifactReader& artifact) {
+  auto meta = artifact.Section(kEncoderMetaSection);
   if (!meta.ok()) return meta.status();
   std::string kind;
   MULTIEM_RETURN_IF_ERROR(meta->ReadString(&kind));
@@ -32,7 +37,7 @@ util::Result<std::unique_ptr<TextEncoder>> LoadTextEncoder(
     return util::Status::InvalidArgument("unknown encoder kind '" + kind +
                                          "' (built-in: hashing)");
   }
-  auto encoder = HashingSentenceEncoder::Load(*artifact);
+  auto encoder = HashingSentenceEncoder::Load(artifact);
   if (!encoder.ok()) return encoder.status();
   return std::unique_ptr<TextEncoder>(std::move(*encoder));
 }

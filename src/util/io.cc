@@ -17,8 +17,10 @@
 #include "util/thread_pool.h"
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <sys/mman.h>
 #include <sys/stat.h>
-#define MULTIEM_IO_HAS_FSTAT 1
+#include <unistd.h>
+#define MULTIEM_IO_POSIX 1
 #endif
 
 // The blockwise checksum kernel compiles in where the build targets a CPU
@@ -73,60 +75,58 @@ constexpr size_t kReadChunkBytes = size_t{1} << 20;
 // The published byte count that tells the helper the read failed.
 constexpr size_t kReadFailed = SIZE_MAX;
 
-// The helper thread of one heap open and the count of payload bytes, in
-// file order, that the opening thread has published to it. Destroying it on
-// any return from the open marks an unfinished read failed and joins the
-// helper, so no open leaves a thread behind.
-class HashBehindRead {
- public:
-  HashBehindRead() = default;
-  HashBehindRead(const HashBehindRead&) = delete;
-  HashBehindRead& operator=(const HashBehindRead&) = delete;
-  ~HashBehindRead() {
-    if (!thread_.joinable()) return;
-    Publish(kReadFailed);
-    thread_.join();
-  }
-
-  // Runs `hash(landed)` on the helper thread; false when none can start.
-  bool Start(const std::function<void(const std::atomic<size_t>&)>& hash) {
-    try {
-      thread_ = std::thread([this, hash] { hash(landed_); });
-    } catch (const std::system_error&) {
-      return false;
-    }
-    return true;
-  }
-
-  // The first `bytes` payload bytes are in place.
-  void Publish(size_t bytes) {
-    landed_.store(bytes, std::memory_order_release);
-    landed_.notify_one();
-  }
-
-  // Waits for the helper after a complete read.
-  void Join() { thread_.join(); }
-
- private:
-  std::atomic<size_t> landed_{0};
-  std::thread thread_;
-};
-
-// An uninitialized kSectionAlignBytes-aligned heap block of `size` bytes:
-// the owner of one heap-read extent. No zero fill: fread writes every byte,
-// so each page is touched once.
-std::shared_ptr<uint8_t> AlignedBlock(size_t size) {
-  static constexpr std::align_val_t kAlign{kSectionAlignBytes};
+#if MULTIEM_IO_POSIX
+// `size` bytes of fresh anonymous pages starting on a kHugeBlockBytes
+// boundary, advised MADV_HUGEPAGE before anything touches them. It maps
+// enough to contain such a run and unmaps the slack on either side.
+std::shared_ptr<uint8_t> HugePageBlock(size_t size) {
+  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  const size_t length = AlignUp(size, page);
+  const size_t mapped = length + kHugeBlockBytes - page;
+  void* raw = ::mmap(nullptr, mapped, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  const uintptr_t start = reinterpret_cast<uintptr_t>(raw);
+  const uintptr_t aligned = AlignUp(start, kHugeBlockBytes);
+  uint8_t* block = reinterpret_cast<uint8_t*>(aligned);
+  if (aligned > start) ::munmap(raw, aligned - start);
+  const size_t tail = start + mapped - (aligned + length);
+  if (tail > 0) ::munmap(block + length, tail);
+#ifdef MADV_HUGEPAGE
+  // Best effort: EINVAL where the kernel has no transparent huge pages,
+  // and with them set to `never` the advice changes nothing.
+  ::madvise(block, length, MADV_HUGEPAGE);
+#endif
   return std::shared_ptr<uint8_t>(
-      static_cast<uint8_t*>(::operator new(size, kAlign)),
-      [](uint8_t* p) { ::operator delete(p, kAlign); });
+      block, [length](uint8_t* p) { ::munmap(p, length); });
+}
+#endif
+
+// An uninitialized heap block of `size` bytes, the owner of one heap-read
+// extent: kSectionAlignBytes-aligned, or a huge-page block for an extent of
+// at least kHugeBlockBytes (see there). No zero fill: fread writes every
+// byte, so each page is touched once.
+std::shared_ptr<uint8_t> AlignedBlock(size_t size) {
+#if MULTIEM_IO_POSIX
+  if (size >= kHugeBlockBytes) return HugePageBlock(size);
+#endif
+  const std::align_val_t align{size >= kHugeBlockBytes ? kHugeBlockBytes
+                                                       : kSectionAlignBytes};
+  return std::shared_ptr<uint8_t>(
+      static_cast<uint8_t*>(::operator new(size, align)),
+      [align](uint8_t* p) { ::operator delete(p, align); });
+}
+
+// `status`, its message prefixed with the path of the file it is about.
+Status InFile(const std::string& path, const Status& status) {
+  return Status(status.code(), "'" + path + "': " + status.message());
 }
 
 // The byte length of the open file `f` at `path`, which must be a regular
 // file: a directory opens fine and then "measures" 2^63-1 bytes through
 // fseek/ftell on ext4, which no buffer can hold.
 Status RegularFileSize(std::FILE* f, const std::string& path, size_t* size) {
-#if MULTIEM_IO_HAS_FSTAT
+#if MULTIEM_IO_POSIX
   (void)path;
   struct stat st;
   if (::fstat(fileno(f), &st) != 0) {
@@ -311,6 +311,61 @@ uint64_t Fnv1a64Groups(const uint8_t* p, size_t groups, uint64_t state) {
 #endif  // MULTIEM_FNV1A_SIMD
 
 }  // namespace
+
+// The helper thread of one heap open and the count of payload bytes, in
+// file order, that the opening thread has published to it. Stop, or
+// destroying it, marks an unfinished read failed and joins the helper, so
+// no open leaves a thread behind. The helper only hashes: it allocates
+// nothing, so it never gets a malloc arena of its own.
+class ArtifactReader::HashBehindRead {
+ public:
+  HashBehindRead() = default;
+  HashBehindRead(const HashBehindRead&) = delete;
+  HashBehindRead& operator=(const HashBehindRead&) = delete;
+  ~HashBehindRead() { Stop(); }
+
+  // Hashes `reader`'s payloads on the helper thread as they are published;
+  // false when no thread can start. `reader` must stay in place until the
+  // helper is joined.
+  bool Start(const ArtifactReader* reader) {
+    try {
+      thread_ = std::thread([this, reader] {
+        first_bad_ = reader->FirstChecksumMismatch(&landed_);
+      });
+    } catch (const std::system_error&) {
+      return false;
+    }
+    return true;
+  }
+
+  bool started() const { return thread_.joinable(); }
+
+  // The first `bytes` payload bytes are in place.
+  void Publish(size_t bytes) {
+    landed_.store(bytes, std::memory_order_release);
+    landed_.notify_one();
+  }
+
+  // Waits for the helper after a complete read and returns the index of the
+  // first section whose payload does not match its checksum, or the
+  // section count.
+  size_t Join() {
+    thread_.join();
+    return first_bad_;
+  }
+
+  // Gives up on a read that failed.
+  void Stop() {
+    if (!thread_.joinable()) return;
+    Publish(kReadFailed);
+    thread_.join();
+  }
+
+ private:
+  std::atomic<size_t> landed_{0};
+  size_t first_bad_ = 0;
+  std::thread thread_;  // last: the thread reads the members above
+};
 
 uint64_t Fnv1a64(const void* data, size_t size, uint64_t state) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
@@ -650,8 +705,47 @@ Result<ArtifactReader> ArtifactReader::FromFile(const std::string& path,
 Result<ArtifactReader> ArtifactReader::FromFile(
     const std::string& path, uint64_t magic, uint32_t max_version,
     const ArtifactOpenOptions& options) {
-  ArtifactReader reader;
-  reader.load_pool_ = options.verify_pool;
+  const ArtifactFile file{path, magic, max_version};
+  return std::move(FromFiles({&file, 1}, options).front());
+}
+
+std::vector<Result<ArtifactReader>> ArtifactReader::FromFiles(
+    std::span<const ArtifactFile> files, const ArtifactOpenOptions& options) {
+  // One slot per file, fixed in place: a helper reads its slot's reader.
+  struct Opening {
+    ArtifactReader reader;
+    Status status;
+    HashBehindRead helper;  // last, so it is joined before the reader dies
+  };
+  std::vector<Opening> opening(files.size());
+  for (size_t i = 0; i < files.size(); ++i) {
+    Opening& o = opening[i];
+    o.status = o.reader.Open(files[i], options, &o.helper);
+    if (!o.status.ok()) o.helper.Stop();
+  }
+  // The reads are all done; collect each helper's checksum verdict.
+  std::vector<Result<ArtifactReader>> readers;
+  readers.reserve(files.size());
+  for (size_t i = 0; i < files.size(); ++i) {
+    Opening& o = opening[i];
+    if (o.helper.started()) {
+      const Status checksums = o.reader.ChecksumStatus(o.helper.Join());
+      if (!checksums.ok()) o.status = InFile(files[i].path, checksums);
+    }
+    if (o.status.ok()) {
+      readers.emplace_back(std::move(o.reader));
+    } else {
+      readers.emplace_back(std::move(o.status));
+    }
+  }
+  return readers;
+}
+
+Status ArtifactReader::Open(const ArtifactFile& file,
+                            const ArtifactOpenOptions& options,
+                            HashBehindRead* helper) {
+  const std::string& path = file.path;
+  load_pool_ = options.verify_pool;
 
   std::shared_ptr<const MmapFile> mapping;
   if (options.mapping != ArtifactOpenOptions::Mapping::kDisable) {
@@ -661,24 +755,23 @@ Result<ArtifactReader> ArtifactReader::FromFile(
       // phase after it is random access over the graph.
       mapped->AdviseSequential();
       mapping = std::make_shared<const MmapFile>(std::move(*mapped));
-      reader.mapped_ = true;
+      mapped_ = true;
     } else if (options.mapping == ArtifactOpenOptions::Mapping::kRequire ||
                mapped.status().code() == StatusCode::kNotFound) {
-      return Status(mapped.status().code(),
-                    "'" + path + "': " + mapped.status().message());
+      return InFile(path, mapped.status());
     }
     // kPrefer falls through to the heap read on any other mmap failure.
   }
 
   Status status;
   if (mapping != nullptr) {
-    status = reader.Init(
+    status = Init(
         mapping->size(),
         [&](size_t offset, size_t, Extent* out, const LandedFn&) {
           *out = {mapping->data() + offset, mapping};
           return Status::Ok();
         },
-        /*reads=*/false, magic, max_version, options);
+        /*helper=*/nullptr, file.magic, file.max_version, options);
   } else {
     std::FILE* f = std::fopen(path.c_str(), "rb");
     if (f == nullptr) {
@@ -689,7 +782,7 @@ Result<ArtifactReader> ArtifactReader::FromFile(
     // Each fetch reads its extent into a fresh aligned block that becomes
     // the extent's owner, kReadChunkBytes at a time.
     if (status.ok()) {
-      status = reader.Init(
+      status = Init(
           file_size,
           [&](size_t offset, size_t size, Extent* out,
               const LandedFn& landed) {
@@ -713,14 +806,12 @@ Result<ArtifactReader> ArtifactReader::FromFile(
             }
             return Status::Ok();
           },
-          /*reads=*/true, magic, max_version, options);
+          helper, file.magic, file.max_version, options);
     }
     std::fclose(f);
   }
-  if (!status.ok()) {
-    return Status(status.code(), "'" + path + "': " + status.message());
-  }
-  if (mapping == nullptr) return reader;
+  if (!status.ok()) return InFile(path, status);
+  if (mapping == nullptr) return Status::Ok();
 
   // Init bounds every section extent against the *mapped* length, but the
   // file on disk can have been truncated since the fstat inside mmap —
@@ -757,7 +848,7 @@ Result<ArtifactReader> ArtifactReader::FromFile(
     (void)warm_sink;
   }
   mapping->AdviseRandom();
-  return reader;
+  return Status::Ok();
 }
 
 Result<ArtifactReader> ArtifactReader::FromBytes(std::vector<uint8_t> bytes,
@@ -771,12 +862,13 @@ Result<ArtifactReader> ArtifactReader::FromBytes(std::vector<uint8_t> bytes,
         *out = {image->data() + offset, image};
         return Status::Ok();
       },
-      /*reads=*/false, magic, max_version, {}));
+      /*helper=*/nullptr, magic, max_version, {}));
   return reader;
 }
 
 Status ArtifactReader::Init(size_t file_size, const FetchFn& fetch,
-                            bool reads, uint64_t magic, uint32_t max_version,
+                            HashBehindRead* helper, uint64_t magic,
+                            uint32_t max_version,
                             const ArtifactOpenOptions& options) {
   deep_verify_ = options.verify == ArtifactOpenOptions::Verify::kFull;
   if (file_size < kHeaderBytes + 8) {
@@ -891,18 +983,14 @@ Status ArtifactReader::Init(size_t file_size, const FetchFn& fetch,
   // A large heap open hashes each section on a helper thread while this
   // thread reads the next bytes (Verify::kFull). Every read and padding
   // error below still wins over a checksum mismatch: the helper's answer is
-  // looked at only once every byte is in.
+  // looked at only once every byte is in, by the caller.
   const bool full = options.verify == ArtifactOpenOptions::Verify::kFull;
   size_t payload_bytes = 0;
   for (const SectionEntry& s : sections_) payload_bytes += s.size;
-  size_t hashed_first_bad = sections_.size();
-  HashBehindRead helper;
   // Without a helper, the sweep below hashes the payloads once they are in.
-  const bool publish =
-      full && reads && payload_bytes >= kVerifyWhileReadingMinBytes &&
-      helper.Start([&](const std::atomic<size_t>& landed) {
-        hashed_first_bad = FirstChecksumMismatch(&landed);
-      });
+  const bool publish = full && helper != nullptr &&
+                       payload_bytes >= kVerifyWhileReadingMinBytes &&
+                       helper->Start(this);
 
   size_t cursor = kHeaderBytes;
   size_t before = 0;  // payload bytes of the sections already read
@@ -910,8 +998,8 @@ Status ArtifactReader::Init(size_t file_size, const FetchFn& fetch,
     MULTIEM_RETURN_IF_ERROR(check_padding(cursor, s.offset));
     LandedFn on_landed;
     if (publish) {
-      on_landed = [&helper, before](size_t bytes) {
-        helper.Publish(before + bytes);
+      on_landed = [helper, before](size_t bytes) {
+        helper->Publish(before + bytes);
       };
     }
     MULTIEM_RETURN_IF_ERROR(fetch(s.offset, s.size, &s.bytes, on_landed));
@@ -919,18 +1007,15 @@ Status ArtifactReader::Init(size_t file_size, const FetchFn& fetch,
     before += s.size;
   }
   MULTIEM_RETURN_IF_ERROR(check_padding(cursor, table_offset));
-  if (!full) return Status::Ok();
+  if (!full || publish) return Status::Ok();
 
   // Payload checksums last: the O(file size) part, skippable (kStructural).
-  // The helper has hashed them by now; without one they are hashed here,
-  // across sections on the pool when one is given — one section's FNV-1a
-  // sweep runs on one thread, but sections are independent.
+  // Without a helper they are hashed here, across sections on the pool when
+  // one is given — one section's FNV-1a sweep runs on one thread, but
+  // sections are independent.
   const size_t n = sections_.size();
   size_t first_bad = n;
-  if (publish) {
-    helper.Join();
-    first_bad = hashed_first_bad;
-  } else if (options.verify_pool != nullptr && n > 1) {
+  if (options.verify_pool != nullptr && n > 1) {
     std::atomic<size_t> bad{n};
     ParallelFor(
         options.verify_pool, n,
@@ -948,12 +1033,14 @@ Status ArtifactReader::Init(size_t file_size, const FetchFn& fetch,
   } else {
     first_bad = FirstChecksumMismatch(nullptr);
   }
-  if (first_bad < n) {
-    return Status::InvalidArgument("artifact section '" +
-                                   sections_[first_bad].name +
-                                   "' checksum mismatch (corrupt file)");
-  }
-  return Status::Ok();
+  return ChecksumStatus(first_bad);
+}
+
+Status ArtifactReader::ChecksumStatus(size_t first_bad) const {
+  if (first_bad == sections_.size()) return Status::Ok();
+  return Status::InvalidArgument("artifact section '" +
+                                 sections_[first_bad].name +
+                                 "' checksum mismatch (corrupt file)");
 }
 
 size_t ArtifactReader::FirstChecksumMismatch(

@@ -17,7 +17,9 @@
 /// returning, so corrupt or truncated files fail with a clear util::Status
 /// and never reach the typed readers. A heap open reads each section into
 /// its own aligned block, so the typed readers can alias its slabs in place
-/// exactly as they alias a mapping.
+/// exactly as they alias a mapping. ArtifactReader::FromFiles opens several
+/// files in one pass, so the checksums of one hide under the read of the
+/// next.
 
 #ifndef MULTIEM_UTIL_IO_H_
 #define MULTIEM_UTIL_IO_H_
@@ -74,11 +76,23 @@ constexpr uint64_t ArtifactMagic(const char (&tag)[9]) {
 /// makes every flat slab in an artifact directly addressable in place — the
 /// alignment guarantee the mmap zero-copy load path relies on. A heap open
 /// gets the same guarantee from the blocks it reads each section into,
-/// which are aligned to this boundary too. Pre-alignment files (any artifact
+/// which are aligned to this boundary too (to kHugeBlockBytes for a section
+/// of at least that size). Pre-alignment files (any artifact
 /// written before this padding existed) still load through the same
 /// readers; under mmap they just may fall back to copying slabs whose mapped
 /// address is misaligned for the element type.
 inline constexpr size_t kSectionAlignBytes = 64;
+
+/// A heap open reads each section of at least this many bytes (2 MiB, one
+/// x86-64 huge page) into a block of its own pages aligned to this size and
+/// advised MADV_HUGEPAGE before the first byte lands, so that where
+/// transparent huge pages are enabled (`always` or `madvise`) the read
+/// faults once per 2 MiB rather than once per 4 KiB. Where they are off, or
+/// the platform has no such advice, the block is plain 4 KiB pages, as a
+/// smaller section's block is. The tail past the last 2 MiB boundary of a
+/// block stays in 4 KiB pages, so a block never holds more memory than its
+/// section.
+inline constexpr size_t kHugeBlockBytes = size_t{2} << 20;
 
 /// How an artifact file should be opened and verified.
 struct ArtifactOpenOptions {
@@ -95,7 +109,8 @@ struct ArtifactOpenOptions {
     /// sweep costs little beyond the read; it returns exactly what reading
     /// everything first and sweeping after would (read and padding errors
     /// before any checksum mismatch, the first mismatch in file order),
-    /// and the helper is joined before the open returns.
+    /// and the helper is joined before the open returns. Under FromFiles
+    /// the helper keeps hashing while the next file is read.
     kFull,
     /// Validate header, bounds, and the table checksum only, skipping the
     /// O(file size) payload sweep. For re-opening artifacts this process
@@ -349,17 +364,26 @@ class ArtifactWriter {
   std::vector<std::pair<std::string, ByteWriter>> sections_;
 };
 
+/// One file for ArtifactReader::FromFiles: its path and the artifact kind
+/// and version range expected there (as FromFile takes them).
+struct ArtifactFile {
+  std::string path;
+  uint64_t magic = 0;
+  uint32_t max_version = 0;
+};
+
 /// Opens and fully validates one artifact: magic, version, section-table
 /// bounds and order, the table's own checksum, the zero padding, and every
 /// section checksum. After FromFile/FromBytes succeeds, Section() lookups
 /// cannot fail for any reason other than a missing name.
 ///
 /// Each section's bytes have an owner that Section() hands to its
-/// ByteReader: on a heap open, a 64-byte-aligned block holding just that
-/// section; on a mapped open, the mapping; for FromBytes, the image. A heap
-/// section is therefore freed as soon as neither this reader nor any view
-/// bound to it is left — parse-only sections with the reader, slabs with
-/// their last view.
+/// ByteReader: on a heap open, a block holding just that section (64-byte
+/// aligned, or a huge-page block for a section of at least kHugeBlockBytes);
+/// on a mapped open, the mapping; for FromBytes, the image. A heap section
+/// is therefore freed as soon as neither this reader nor any view bound to
+/// it is left — parse-only sections with the reader, slabs with their last
+/// view.
 class ArtifactReader {
  public:
   /// Reads `path` expecting artifact kind `magic` at a version in
@@ -383,6 +407,17 @@ class ArtifactReader {
   static Result<ArtifactReader> FromFile(const std::string& path,
                                          uint64_t magic, uint32_t max_version,
                                          const ArtifactOpenOptions& options);
+
+  /// Opens every file of `files` with `options`, in order, and returns one
+  /// Result per file: exactly the Result FromFile returns for that file
+  /// alone (FromFile is FromFiles over one file). The files are read one
+  /// after another on the calling thread. A heap Verify::kFull open of at
+  /// least 1 MiB of payload hashes behind its read on its own helper
+  /// thread, and that helper keeps hashing while the next files are read,
+  /// so their reads hide its checksum sweep. Every helper is joined before
+  /// FromFiles returns, and only the calling thread allocates.
+  static std::vector<Result<ArtifactReader>> FromFiles(
+      std::span<const ArtifactFile> files, const ArtifactOpenOptions& options);
 
   /// Same validation over an in-memory image (tests, transport).
   static Result<ArtifactReader> FromBytes(std::vector<uint8_t> bytes,
@@ -431,6 +466,10 @@ class ArtifactReader {
   using FetchFn = std::function<Status(size_t offset, size_t size, Extent*,
                                        const LandedFn& landed)>;
 
+  /// Hashes one heap open's payloads on a helper thread behind its read;
+  /// defined in io.cc.
+  class HashBehindRead;
+
   struct SectionEntry {
     std::string name;
     size_t offset;  ///< Payload offset in the file.
@@ -441,14 +480,26 @@ class ArtifactReader {
 
   ArtifactReader() = default;
 
+  /// Opens `file` into this reader as FromFile does, every error naming
+  /// the path. A heap open is given `helper`: when a kFull open starts it,
+  /// Ok means only that the read succeeded, and the checksum verdict is
+  /// ChecksumStatus of the helper's Join.
+  Status Open(const ArtifactFile& file, const ArtifactOpenOptions& options,
+              HashBehindRead* helper);
+
   /// Validates the `file_size`-byte container whose bytes `fetch` produces
   /// and fills version_ and sections_. Every fetch lies inside the file
   /// and no two overlap, so a heap open allocates at most the file's size.
-  /// `reads` says that `fetch` reads the bytes in (a heap open), so a
-  /// large kFull open can hash them as they land.
-  Status Init(size_t file_size, const FetchFn& fetch, bool reads,
+  /// `helper` is given when `fetch` reads the bytes in (a heap open): a
+  /// large kFull open starts it to hash them as they land, and then leaves
+  /// the checksum verdict to the caller.
+  Status Init(size_t file_size, const FetchFn& fetch, HashBehindRead* helper,
               uint64_t magic, uint32_t max_version,
               const ArtifactOpenOptions& options);
+
+  /// InvalidArgument naming section `first_bad` as corrupt, or Ok when it
+  /// is sections_.size().
+  Status ChecksumStatus(size_t first_bad) const;
 
   /// The index of the first section, in file order, whose payload does not
   /// hash to its checksum, or sections_.size(). With `landed` it hashes

@@ -52,6 +52,12 @@ Result<MmapFile> MmapFile::Open(const std::string& path) {
     ::close(fd);
     return Status::Internal("cannot stat '" + path + "': " + err);
   }
+  // A directory opens fine and then fails mmap with ENODEV; say what the
+  // heap read says of it.
+  if (!S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return Status::InvalidArgument("artifact path is not a regular file");
+  }
   MmapFile file;
   file.size_ = static_cast<size_t>(st.st_size);
   if (file.size_ > 0) {

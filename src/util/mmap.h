@@ -36,8 +36,10 @@ class MmapFile {
   static bool Supported();
 
   /// Maps `path` read-only. Fails with NotFound when the file does not
-  /// exist, Unimplemented when the platform has no mmap, and Internal for
-  /// other syscall failures. An empty file maps to an empty span.
+  /// exist, InvalidArgument when `path` is not a regular file (a
+  /// directory, say), Unimplemented when the platform has no mmap, and
+  /// Internal for other syscall failures. An empty file maps to an empty
+  /// span.
   static Result<MmapFile> Open(const std::string& path);
 
   /// The mapped bytes; valid until destruction.

@@ -628,6 +628,116 @@ TEST(IoTest, LargeOpensRejectExactlyLikeFromBytes) {
   }
 }
 
+// A heap open reads each section of at least kHugeBlockBytes into a block
+// aligned to it (advised for huge pages), and every other section into a
+// 64-byte-aligned block. A typed array sits 8 bytes into its section, and
+// ReadArrayCow views it in place, so the view's address shows the block's.
+TEST(IoTest, HeapOpenAlignsHugeSectionsToHugeBlocks) {
+  const size_t huge = util::kHugeBlockBytes;
+  const std::vector<std::pair<std::string, size_t>> layout = {
+      {"tiny", 8},           {"under", huge - 1}, {"exact", huge},
+      {"over", huge + 333},  {"mid", 100},        {"double", 2 * huge + 64}};
+  util::Rng rng(31);
+  util::ArtifactWriter writer(kTestMagic, 1);
+  for (const auto& [name, size] : layout) {
+    std::vector<int8_t> elements(size - 8);  // after the u64 count
+    for (int8_t& e : elements) e = static_cast<int8_t>(rng.Next());
+    writer.AddSection(name).WriteI8Array(elements);
+  }
+  const std::string path = TempPath("huge_blocks.mem");
+  ASSERT_TRUE(writer.WriteFile(path).ok());
+  util::ThreadPool pool(2);
+  util::ThreadPool* const pools[] = {nullptr, &pool};
+  for (const auto verify : {util::ArtifactOpenOptions::Verify::kFull,
+                            util::ArtifactOpenOptions::Verify::kStructural}) {
+    for (util::ThreadPool* verify_pool : pools) {
+      auto reader = util::ArtifactReader::FromFile(
+          path, kTestMagic, 1,
+          util::ArtifactOpenOptions{.verify = verify,
+                                    .verify_pool = verify_pool});
+      ASSERT_TRUE(reader.ok()) << reader.status();
+      for (const auto& [name, size] : layout) {
+        auto section = reader->Section(name);
+        ASSERT_TRUE(section.ok()) << section.status();
+        util::CowSlab<int8_t> slab;
+        ASSERT_TRUE(section->ReadArrayCow(&slab).ok()) << name;
+        ASSERT_TRUE(slab.is_view()) << name;
+        const uintptr_t block =
+            reinterpret_cast<uintptr_t>(std::as_const(slab).data()) - 8;
+        const size_t align = size >= huge ? huge : util::kSectionAlignBytes;
+        EXPECT_EQ(block % align, 0u) << name << " (" << size << " bytes)";
+      }
+    }
+  }
+}
+
+// FromFiles gives each file what FromFile gives it alone, whatever the
+// files around it hold: damaged large files whose helpers still hash while
+// the next files are read, good files after them, a truncated file, a
+// missing one, a directory and a wrong magic; heap and mapped.
+TEST(IoTest, FromFilesGivesEachFileItsFromFileResult) {
+  util::Rng rng(37);
+  auto container = [&](size_t bytes) {
+    util::ArtifactWriter writer(kTestMagic, 1);
+    std::vector<uint8_t> payload(bytes);
+    for (uint8_t& byte : payload) byte = static_cast<uint8_t>(rng.Next());
+    writer.AddSection("head").WriteBytes(payload.data(), 100);
+    writer.AddSection("body").WriteBytes(payload.data(), payload.size());
+    return writer.Serialize();
+  };
+  std::vector<uint8_t> big_bad = container(util::kHugeBlockBytes + 5);
+  big_bad[big_bad.size() / 2] ^= 0x08;
+  std::vector<uint8_t> mid_bad = container((size_t{3} << 19) + 7);
+  mid_bad[200] ^= 0x01;
+  const std::string dir = TempPath("from_files");
+  std::filesystem::create_directories(dir + "/directory.mem");
+  const std::vector<std::pair<std::string, std::vector<uint8_t>>> contents = {
+      {"big_bad.mem", big_bad},
+      {"good.mem", container(util::kHugeBlockBytes + 99)},
+      {"small.mem", container(4000)},
+      {"mid_bad.mem", mid_bad},
+      {"truncated.mem", std::vector<uint8_t>(big_bad.begin(),
+                                             big_bad.end() - 9)}};
+  std::vector<util::ArtifactFile> files;
+  for (const auto& [name, bytes] : contents) {
+    WriteFileBytes(dir + "/" + name, bytes);
+    files.push_back({dir + "/" + name, kTestMagic, 1});
+  }
+  files.push_back({dir + "/missing.mem", kTestMagic, 1});
+  files.push_back({dir + "/directory.mem", kTestMagic, 1});
+  files.push_back({dir + "/good.mem", util::ArtifactMagic("MEMOTHER"), 1});
+
+  std::vector<std::pair<std::string, util::ArtifactOpenOptions>> opens;
+  opens.emplace_back("heap", util::ArtifactOpenOptions{});
+  if (util::MmapFile::Supported()) {
+    opens.emplace_back(
+        "mapped", util::ArtifactOpenOptions{
+                      .mapping = util::ArtifactOpenOptions::Mapping::kRequire});
+  }
+  for (const auto& [how, options] : opens) {
+    const std::vector<util::Result<util::ArtifactReader>> opened =
+        util::ArtifactReader::FromFiles(files, options);
+    ASSERT_EQ(opened.size(), files.size()) << how;
+    for (size_t i = 0; i < files.size(); ++i) {
+      SCOPED_TRACE(how + " " + files[i].path);
+      const auto alone = util::ArtifactReader::FromFile(
+          files[i].path, files[i].magic, files[i].max_version, options);
+      ASSERT_EQ(opened[i].ok(), alone.ok()) << opened[i].status();
+      if (!alone.ok()) {
+        EXPECT_EQ(opened[i].status().code(), alone.status().code());
+        EXPECT_EQ(opened[i].status().message(), alone.status().message());
+        continue;
+      }
+      for (const char* name : {"head", "body"}) {
+        EXPECT_EQ(SectionBytes(*opened[i], name), SectionBytes(*alone, name));
+      }
+    }
+    for (size_t i = 0; i < files.size(); ++i) {
+      EXPECT_EQ(opened[i].ok(), i == 1 || i == 2) << how << " " << i;
+    }
+  }
+}
+
 #if defined(__unix__) || defined(__APPLE__)
 // Writes `writer` to `path` with the process's file-size limit at 64 KiB
 // and SIGXFSZ ignored, so the kernel refuses the write partway through any
@@ -1971,7 +2081,8 @@ TEST(PipelineArtifactTest, RejectsDamagedArtifacts) {
 
 // A directory where an artifact file belongs must fail the load with a
 // Status: fseek/ftell "measures" an ext4 directory at 2^63-1 bytes, which a
-// heap read sized that way tries to allocate.
+// heap read sized that way tries to allocate. A mapped open must say the
+// same, though open(2) takes the directory and mmap then fails with ENODEV.
 void ExpectDirectoryAtArtifactPathRejected(const std::string& file) {
   auto result = RunWithMatcher(ServingConfig(), ProductTables());
   ASSERT_TRUE(result.ok()) << result.status();
@@ -1984,6 +2095,14 @@ void ExpectDirectoryAtArtifactPathRejected(const std::string& file) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
       << loaded.status();
+  if (!util::MmapFile::Supported()) return;
+  auto mapped = MultiEmPipeline::LoadArtifact(
+      dir, util::ArtifactOpenOptions{
+               .mapping = util::ArtifactOpenOptions::Mapping::kRequire});
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), util::StatusCode::kInvalidArgument)
+      << mapped.status();
+  EXPECT_EQ(mapped.status().message(), loaded.status().message());
 }
 
 TEST(PipelineArtifactTest, RejectsDirectoryAtManifestPath) {
@@ -1996,6 +2115,216 @@ TEST(PipelineArtifactTest, RejectsDirectoryAtEncoderPath) {
 
 TEST(PipelineArtifactTest, RejectsDirectoryAtIndexPath) {
   ExpectDirectoryAtArtifactPathRejected(PipelineArtifact::kIndexFile);
+}
+
+// A session large enough for every path of a load: its manifest and its
+// index each hold well over 1 MiB of payload, so each heap kFull open hashes
+// on a helper thread, and each has a section over 2 MiB (the 1024-d base
+// rows, the index's vectors), which lands in a huge-page block. Random
+// words keep almost every row its own item.
+Matcher LargeSession() {
+  util::Rng rng(41);
+  std::vector<Table> sources;
+  for (const char* name : {"src_a", "src_b"}) {
+    Table t(name, Schema({"title"}));
+    for (int r = 0; r < 280; ++r) {
+      std::string row;
+      for (int w = 0; w < 4; ++w) {
+        row += " w" + std::to_string(rng.Next() % 100000);
+      }
+      t.AppendRow({row}).CheckOk();
+    }
+    sources.push_back(std::move(t));
+  }
+  MultiEmConfig config;
+  config.embedding_dim = 1024;
+  config.sample_ratio = 1.0;
+  config.enable_attribute_selection = false;
+  config.enable_pruning = false;
+  auto result = RunWithMatcher(config, sources);
+  result.status().CheckOk();
+  return std::move(*result->matcher);
+}
+
+// (name, payload offset, payload size) of every section of a container
+// image, in file order, from its section table.
+struct SectionExtent {
+  std::string name;
+  size_t offset;
+  size_t size;
+};
+
+std::vector<SectionExtent> SectionExtents(const std::vector<uint8_t>& image) {
+  util::ByteReader header(std::span<const uint8_t>(image).first(24));
+  uint64_t magic = 0, table = 0;
+  uint32_t version = 0, count = 0;
+  EXPECT_TRUE(header.ReadU64(&magic).ok());
+  EXPECT_TRUE(header.ReadU32(&version).ok());
+  EXPECT_TRUE(header.ReadU32(&count).ok());
+  EXPECT_TRUE(header.ReadU64(&table).ok());
+  util::ByteReader entries(std::span<const uint8_t>(image).subspan(table));
+  std::vector<SectionExtent> extents(count);
+  for (SectionExtent& e : extents) {
+    uint16_t name_len = 0;
+    uint64_t offset = 0, size = 0, checksum = 0;
+    EXPECT_TRUE(entries.ReadU16(&name_len).ok());
+    for (uint16_t c = 0; c < name_len; ++c) {
+      uint8_t byte = 0;
+      EXPECT_TRUE(entries.ReadU8(&byte).ok());
+      e.name.push_back(static_cast<char>(byte));
+    }
+    EXPECT_TRUE(entries.ReadU64(&offset).ok());
+    EXPECT_TRUE(entries.ReadU64(&size).ok());
+    EXPECT_TRUE(entries.ReadU64(&checksum).ok());
+    e.offset = offset;
+    e.size = size;
+  }
+  return extents;
+}
+
+// What a load of `dir` returned before the three files were read in one
+// pass: open each with FromFile and parse it before opening the next, and
+// report the first failure. Every damaged file below fails its kFull open,
+// so a manifest that opens holds what Save wrote and parses.
+util::Status OneFileAtATime(const std::string& dir,
+                            const util::ArtifactOpenOptions& options) {
+  auto path = [&](const char* file) {
+    return (std::filesystem::path(dir) / file).string();
+  };
+  auto manifest = util::ArtifactReader::FromFile(
+      path(PipelineArtifact::kManifestFile), PipelineArtifact::kManifestMagic,
+      PipelineArtifact::kManifestVersion, options);
+  if (!manifest.ok()) return manifest.status();
+  auto encoder = util::ArtifactReader::FromFile(
+      path(PipelineArtifact::kEncoderFile), embed::kEncoderArtifactMagic,
+      embed::kEncoderArtifactVersion, options);
+  if (!encoder.ok()) return encoder.status();
+  MULTIEM_RETURN_IF_ERROR(embed::LoadTextEncoder(*encoder).status());
+  auto index = util::ArtifactReader::FromFile(
+      path(PipelineArtifact::kIndexFile), ann::kIndexArtifactMagic,
+      ann::kIndexArtifactVersion, options);
+  if (!index.ok()) return index.status();
+  return ann::LoadVectorIndex(*index).status();
+}
+
+// One pass over the three files reports, for every damaged directory, the
+// very Status that opening and parsing them one at a time did: byte flips
+// at the start, middle and end of every section, truncations, a missing
+// file, a directory, and a wrong magic, in each file alone and in pairs of
+// files, through heap and mapped opens.
+TEST(PipelineArtifactTest, LoadReportsWhatOneFileAtATimeReported) {
+  const std::string dir = TempPath("load_parity");
+  ASSERT_TRUE(LargeSession().Save(dir).ok());
+  const char* const names[] = {PipelineArtifact::kManifestFile,
+                               PipelineArtifact::kEncoderFile,
+                               PipelineArtifact::kIndexFile};
+  std::vector<std::vector<uint8_t>> intact;
+  for (const char* name : names) {
+    intact.push_back(ReadFileBytes(dir + "/" + name));
+  }
+  for (size_t f : {size_t{0}, size_t{2}}) {
+    size_t payload = 0, largest = 0;
+    for (const SectionExtent& e : SectionExtents(intact[f])) {
+      payload += e.size;
+      largest = std::max(largest, e.size);
+    }
+    ASSERT_GE(payload, size_t{1} << 20) << names[f];
+    ASSERT_GE(largest, util::kHugeBlockBytes) << names[f];
+  }
+
+  // A damage writes file `f` of the directory from its intact bytes.
+  struct Damage {
+    std::string what;
+    std::function<void(const std::string& path,
+                       std::vector<uint8_t> bytes)> apply;
+  };
+  auto flip = [](size_t pos) {
+    return [pos](const std::string& path, std::vector<uint8_t> bytes) {
+      bytes[pos] ^= 0x40;
+      WriteFileBytes(path, bytes);
+    };
+  };
+  auto truncate = [](size_t len) {
+    return [len](const std::string& path, std::vector<uint8_t> bytes) {
+      bytes.resize(len);
+      WriteFileBytes(path, bytes);
+    };
+  };
+  auto missing = [](const std::string& path, std::vector<uint8_t>) {
+    std::filesystem::remove(path);
+  };
+  auto directory = [](const std::string& path, std::vector<uint8_t>) {
+    std::filesystem::remove(path);
+    std::filesystem::create_directory(path);
+  };
+  auto wrong_magic = flip(0);
+  std::vector<std::vector<Damage>> damages(3);  // per file
+  for (size_t f = 0; f < 3; ++f) {
+    for (const SectionExtent& e : SectionExtents(intact[f])) {
+      if (e.size == 0) continue;
+      for (size_t pos : {e.offset, e.offset + e.size / 2,
+                         e.offset + e.size - 1}) {
+        damages[f].push_back(
+            {e.name + " byte " + std::to_string(pos), flip(pos)});
+      }
+    }
+    damages[f].push_back(
+        {"truncated to half", truncate(intact[f].size() / 2)});
+    damages[f].push_back({"one byte short", truncate(intact[f].size() - 1)});
+    damages[f].push_back({"missing", missing});
+    damages[f].push_back({"a directory", directory});
+    damages[f].push_back({"wrong magic", wrong_magic});
+  }
+  // Each case damages one or two files (file index, damage).
+  std::vector<std::vector<std::pair<size_t, const Damage*>>> cases = {{}};
+  for (size_t f = 0; f < 3; ++f) {
+    for (const Damage& d : damages[f]) cases.push_back({{f, &d}});
+  }
+  // The k-th damage of file f counted from the end of its list: 0 wrong
+  // magic, 1 a directory, 2 missing, 3 one byte short, 4 truncated to half.
+  auto from_end = [&](size_t f, size_t k) {
+    return &damages[f][damages[f].size() - 1 - k];
+  };
+  for (size_t a = 0; a < 3; ++a) {
+    for (size_t b = a + 1; b < 3; ++b) {
+      const Damage* middle_flip_a = &damages[a][damages[a].size() / 2];
+      const Damage* middle_flip_b = &damages[b][damages[b].size() / 2];
+      cases.push_back({{a, middle_flip_a}, {b, from_end(b, 0)}});
+      cases.push_back({{a, from_end(a, 4)}, {b, middle_flip_b}});
+      cases.push_back({{a, from_end(a, 2)}, {b, from_end(b, 1)}});
+      cases.push_back({{a, from_end(a, 1)}, {b, from_end(b, 2)}});
+      cases.push_back({{a, &damages[a][0]}, {b, from_end(b, 3)}});
+    }
+  }
+
+  std::vector<std::pair<std::string, util::ArtifactOpenOptions>> opens;
+  opens.emplace_back("heap", util::ArtifactOpenOptions{});
+  if (util::MmapFile::Supported()) {
+    opens.emplace_back(
+        "mapped", util::ArtifactOpenOptions{
+                      .mapping = util::ArtifactOpenOptions::Mapping::kRequire});
+  }
+  for (const auto& damage : cases) {
+    std::string what = damage.empty() ? "intact" : "";
+    for (const auto& [f, d] : damage) {
+      what += std::string(what.empty() ? "" : " + ") + names[f] + " " + d->what;
+      d->apply(dir + "/" + names[f], intact[f]);
+    }
+    SCOPED_TRACE(what);
+    for (const auto& [how, options] : opens) {
+      const util::Status want = OneFileAtATime(dir, options);
+      ASSERT_EQ(want.ok(), damage.empty()) << how << ": " << want;
+      auto loaded = MultiEmPipeline::LoadArtifact(dir, options);
+      ASSERT_EQ(loaded.ok(), want.ok()) << how << ": " << loaded.status();
+      EXPECT_EQ(loaded.status().code(), want.code()) << how;
+      EXPECT_EQ(loaded.status().message(), want.message()) << how;
+    }
+    for (const auto& [f, d] : damage) {
+      const std::string path = dir + "/" + names[f];
+      std::filesystem::remove_all(path);
+      WriteFileBytes(path, intact[f]);
+    }
+  }
 }
 
 // Why LoadArtifact stays a heap read by default: a heap session holds every
