@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
                                         paths[id.source()],
                                         std::to_string(id.row())};
       for (size_t c = 0; c < tables[id.source()].num_columns(); ++c) {
-        cells.push_back(tables[id.source()].cell(id.row(), c));
+        cells.emplace_back(tables[id.source()].cell(id.row(), c));
       }
       out.AppendRow(std::move(cells)).CheckOk();
     }

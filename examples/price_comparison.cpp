@@ -61,7 +61,8 @@ int main() {
     for (auto id : tuple) {
       double price = prices[id.source()][id.row()];
       std::printf("  platform %-2u  $%6.2f  %s\n", id.source(), price,
-                  catalog.tables[id.source()].cell(id.row(), 0).c_str());
+                  std::string(catalog.tables[id.source()].cell(id.row(), 0))
+                      .c_str());
       if (price < best_price) {
         best_price = price;
         best_platform = "platform " + std::to_string(id.source());

@@ -69,7 +69,7 @@ int main() {
     std::printf("  {\n");
     for (auto id : tuple) {
       std::printf("    [%s] %s\n", tables[id.source()].name().c_str(),
-                  tables[id.source()].cell(id.row(), 0).c_str());
+                  std::string(tables[id.source()].cell(id.row(), 0)).c_str());
     }
     std::printf("  }\n");
   }

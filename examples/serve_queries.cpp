@@ -165,7 +165,7 @@ void PrintHits(const Matcher& matcher, const Matcher::Snapshot& snap,
     for (auto id : members) {
       if (id.source() < demo.size()) {
         std::printf("           [%s] %s\n", demo[id.source()].name().c_str(),
-                    demo[id.source()].cell(id.row(), 0).c_str());
+                    std::string(demo[id.source()].cell(id.row(), 0)).c_str());
       }
     }
   }

@@ -8,7 +8,7 @@ std::string SerializeEntity(const table::Table& t, size_t row,
                             const std::vector<size_t>& columns) {
   std::string out;
   for (size_t c : columns) {
-    const std::string& value = t.cell(row, c);
+    const std::string_view value = t.cell(row, c);
     if (value.empty()) continue;
     if (!out.empty()) out += ' ';
     out += value;

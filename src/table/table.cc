@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
 
 namespace multiem::table {
 
-util::Status Table::AppendRow(std::vector<std::string> cells) {
+util::Status Table::AppendRow(const std::vector<std::string>& cells) {
   if (cells.size() != schema_.num_attributes()) {
     return util::Status::InvalidArgument(
         "row width " + std::to_string(cells.size()) +
@@ -13,30 +14,35 @@ util::Status Table::AppendRow(std::vector<std::string> cells) {
         std::to_string(schema_.num_attributes()) + " in table '" + name_ +
         "'");
   }
-  rows_.push_back(std::move(cells));
+  for (const std::string& cell : cells) PushCell(cell);
+  ++num_rows_;
   return util::Status::Ok();
+}
+
+std::vector<std::string> Table::row(size_t row) const {
+  std::vector<std::string> out;
+  out.reserve(num_columns());
+  for (size_t c = 0; c < num_columns(); ++c) out.emplace_back(cell(row, c));
+  return out;
 }
 
 std::vector<std::string> Table::Column(size_t col) const {
   std::vector<std::string> out;
-  out.reserve(rows_.size());
-  for (const auto& row : rows_) out.push_back(row[col]);
+  out.reserve(num_rows_);
+  for (size_t r = 0; r < num_rows_; ++r) out.emplace_back(cell(r, col));
   return out;
 }
 
-util::Status Table::SetColumn(size_t col, std::vector<std::string> values) {
-  if (col >= schema_.num_attributes()) {
-    return util::Status::OutOfRange("column index " + std::to_string(col));
+void Table::AppendRows(const Table& t, size_t begin, size_t end) {
+  const size_t width = num_columns();
+  const size_t from = t.CellBegin(begin * width);
+  const size_t to = t.CellBegin(end * width);
+  const size_t shift = bytes_.size() - from;
+  bytes_.append(t.bytes_, from, to - from);
+  for (size_t i = begin * width; i < end * width; ++i) {
+    ends_.push_back(t.ends_[i] + shift);
   }
-  if (values.size() != rows_.size()) {
-    return util::Status::InvalidArgument(
-        "column length " + std::to_string(values.size()) +
-        " does not match row count " + std::to_string(rows_.size()));
-  }
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    rows_[i][col] = std::move(values[i]);
-  }
-  return util::Status::Ok();
+  num_rows_ += end - begin;
 }
 
 util::Result<Table> Concat(const std::vector<Table>& tables) {
@@ -51,14 +57,15 @@ util::Result<Table> Concat(const std::vector<Table>& tables) {
     }
   }
   Table out("concat", schema);
-  size_t total = 0;
-  for (const Table& t : tables) total += t.num_rows();
-  out.Reserve(total);
+  size_t bytes = 0;
+  size_t cells = 0;
   for (const Table& t : tables) {
-    for (size_t r = 0; r < t.num_rows(); ++r) {
-      out.AppendRow(t.row(r)).CheckOk();
-    }
+    bytes += t.bytes_.size();
+    cells += t.ends_.size();
   }
+  out.bytes_.reserve(bytes);
+  out.ends_.reserve(cells);
+  for (const Table& t : tables) out.AppendRows(t, 0, t.num_rows());
   return out;
 }
 
@@ -70,16 +77,26 @@ Table SampleRows(const Table& t, double ratio, util::Rng& rng) {
   std::sort(picked.begin(), picked.end());
   Table out(t.name() + "_sample", t.schema());
   out.Reserve(picked.size());
-  for (size_t idx : picked) out.AppendRow(t.row(idx)).CheckOk();
+  for (size_t idx : picked) out.AppendRows(t, idx, idx + 1);
   return out;
 }
 
 Table ShuffleColumn(const Table& t, size_t col, util::Rng& rng) {
   if (col >= t.num_columns()) std::abort();
-  Table out = t;
-  std::vector<std::string> values = t.Column(col);
-  rng.Shuffle(values);
-  out.SetColumn(col, std::move(values)).CheckOk();
+  // Shuffling row numbers makes the draws that shuffling the column's
+  // values would: row r takes the value of row order[r].
+  std::vector<size_t> order(t.num_rows());
+  std::iota(order.begin(), order.end(), size_t{0});
+  rng.Shuffle(order);
+  Table out(t.name(), t.schema());
+  out.bytes_.reserve(t.bytes_.size());
+  out.ends_.reserve(t.ends_.size());
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      out.PushCell(t.cell(c == col ? order[r] : r, c));
+    }
+  }
+  out.num_rows_ = t.num_rows();
   return out;
 }
 
@@ -93,11 +110,9 @@ Table ProjectColumns(const Table& t, const std::vector<size_t>& columns) {
   Table out(t.name(), Schema(std::move(names)));
   out.Reserve(t.num_rows());
   for (size_t r = 0; r < t.num_rows(); ++r) {
-    std::vector<std::string> cells;
-    cells.reserve(columns.size());
-    for (size_t c : columns) cells.push_back(t.cell(r, c));
-    out.AppendRow(std::move(cells)).CheckOk();
+    for (size_t c : columns) out.PushCell(t.cell(r, c));
   }
+  out.num_rows_ = t.num_rows();
   return out;
 }
 

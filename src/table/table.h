@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "table/schema.h"
@@ -15,8 +16,10 @@ namespace multiem::table {
 ///
 /// This is the E = {e_1..e_m} of the paper. Cells are strings because entity
 /// matching serializes every value to text anyway (Section II-B); numeric
-/// columns keep their textual form. Rows are stored row-major since the
-/// dominant access pattern is whole-entity serialization.
+/// columns keep their textual form. Every cell's bytes sit back to back in
+/// one buffer, row-major (the dominant access is whole-entity
+/// serialization), with one end offset per cell: a table makes a few
+/// allocations however many rows it holds.
 class Table {
  public:
   Table() = default;
@@ -30,35 +33,55 @@ class Table {
 
   const Schema& schema() const { return schema_; }
 
-  size_t num_rows() const { return rows_.size(); }
+  size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return schema_.num_attributes(); }
 
   /// Appends a row. Returns InvalidArgument if the cell count does not match
   /// the schema width.
-  util::Status AppendRow(std::vector<std::string> cells);
+  util::Status AppendRow(const std::vector<std::string>& cells);
 
-  /// Cell at (row, col); both must be in range.
-  const std::string& cell(size_t row, size_t col) const {
-    return rows_[row][col];
+  /// Cell at (row, col); both must be in range. The view is valid until the
+  /// table is next mutated or destroyed.
+  std::string_view cell(size_t row, size_t col) const {
+    const size_t i = row * num_columns() + col;
+    const size_t begin = CellBegin(i);
+    return std::string_view(bytes_.data() + begin, ends_[i] - begin);
   }
-  std::string& mutable_cell(size_t row, size_t col) { return rows_[row][col]; }
 
-  /// Whole row; `row` must be < num_rows().
-  const std::vector<std::string>& row(size_t row) const { return rows_[row]; }
+  /// Copy of row `row` (< num_rows()) as one string per cell.
+  std::vector<std::string> row(size_t row) const;
 
   /// Copy of column `col` as a vector (length num_rows()).
   std::vector<std::string> Column(size_t col) const;
 
-  /// Replaces column `col` with `values`; sizes must match.
-  util::Status SetColumn(size_t col, std::vector<std::string> values);
-
-  /// Reserves capacity for `n` rows.
-  void Reserve(size_t n) { rows_.reserve(n); }
+  /// Reserves capacity for the cell offsets of `n` rows.
+  void Reserve(size_t n) { ends_.reserve(n * num_columns()); }
 
  private:
+  friend util::Result<Table> Concat(const std::vector<Table>& tables);
+  friend Table SampleRows(const Table& t, double ratio, util::Rng& rng);
+  friend Table ShuffleColumn(const Table& t, size_t col, util::Rng& rng);
+  friend Table ProjectColumns(const Table& t,
+                              const std::vector<size_t>& columns);
+  friend class CsvReader;  // csv.cc: parses fields straight into bytes_
+
+  // Offset in bytes_ where cell i (row-major) begins.
+  size_t CellBegin(size_t i) const { return i == 0 ? 0 : ends_[i - 1]; }
+  // Appends `value` as the next cell; every num_columns() cells make a row,
+  // which the caller counts.
+  void PushCell(std::string_view value) {
+    bytes_.append(value);
+    ends_.push_back(bytes_.size());
+  }
+  // Appends rows [begin, end) of `t`, which has this table's width, as one
+  // byte-range copy.
+  void AppendRows(const Table& t, size_t begin, size_t end);
+
   std::string name_;
   Schema schema_;
-  std::vector<std::vector<std::string>> rows_;
+  std::string bytes_;          // every cell, back to back, row-major
+  std::vector<size_t> ends_;   // end offset in bytes_ of each cell
+  size_t num_rows_ = 0;        // counted apart: a table may have no columns
 };
 
 /// Concatenates tables that share a schema into one (Algorithm 1 line 1).

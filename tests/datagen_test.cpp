@@ -114,8 +114,8 @@ TEST(AssemblerTest, TruthSurvivesShuffling) {
   // Each truth tuple's cells must agree modulo the suffix we planted.
   for (const auto& tuple : b.truth.tuples()) {
     ASSERT_EQ(tuple.size(), 2u);
-    std::string v0 = b.tables[tuple[0].source()].cell(tuple[0].row(), 0);
-    std::string v1 = b.tables[tuple[1].source()].cell(tuple[1].row(), 0);
+    std::string v0(b.tables[tuple[0].source()].cell(tuple[0].row(), 0));
+    std::string v1(b.tables[tuple[1].source()].cell(tuple[1].row(), 0));
     EXPECT_EQ(v0 + "2", v1);
   }
 }
@@ -182,7 +182,7 @@ TEST(MusicTest, IdsArePerSourceNoise) {
   size_t total = 0;
   for (const auto& t : b.tables) {
     for (size_t r = 0; r < t.num_rows(); ++r) {
-      ids.insert(t.cell(r, 0));
+      ids.emplace(t.cell(r, 0));
       ++total;
     }
   }
@@ -201,7 +201,7 @@ TEST(MusicTest, AuxiliaryMetadataDisagreesAcrossSources) {
     ++tuples_total;
     std::set<std::string> lengths;
     for (auto id : tuple) {
-      lengths.insert(b.tables[id.source()].cell(id.row(), 3));
+      lengths.emplace(b.tables[id.source()].cell(id.row(), 3));
     }
     if (lengths.size() > 1) ++tuples_with_conflict;
   }
