@@ -4,8 +4,9 @@
 // (Save/Load MB/s plus reload-to-first-query latency — the restart cost a
 // serving deployment actually pays), at each requested thread count.
 // Supports the merging-phase design choice of the paper (HNSW balances
-// accuracy and efficiency; Section III-C) and tracks the flat-slab +
-// lock-striped-construction fast path.
+// accuracy and efficiency; Section III-C) and tracks the flat-slab layout
+// and the pooled insert rounds, which build the same graph on any thread
+// count.
 //
 // Besides the printed table, the run is written to a machine-readable JSON
 // file (default BENCH_ann.json; --json= to rename, --json=- to disable).
@@ -386,9 +387,9 @@ int Main(int argc, char** argv) {
         run.build_seconds > 0.0 ? static_cast<double>(n) / run.build_seconds
                                 : 0.0;
 
-    // Recall of this build (parallel graphs differ run to run, so measure
-    // each one), then single-thread QPS over the same query set until the
-    // measurement window fills.
+    // Recall of this build (every thread count builds the same graph, so
+    // every run reads the same), then single-thread QPS over the same query
+    // set until the measurement window fills.
     const SearchEval eval =
         EvalIndex(index, queries, k, truth, min_search_seconds);
     run.recall_at10 = eval.recall;

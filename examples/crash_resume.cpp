@@ -24,9 +24,9 @@
 // baseline/ and resumed/ — and CI re-checks the same files with cmp(1), so
 // the gate does not depend on this process's own verdict.
 //
-// Runs are single-threaded by default: parallel HNSW insertion is
-// order-nondeterministic (see ann/hnsw.h), and this gate is exactly about
-// bitwise reproducibility across process boundaries.
+// --threads sizes the pipeline's pool (default 1). HNSW builds insert in
+// rounds that give the same graph on any pool (see ann/hnsw.h), so the
+// bitwise gate holds at any thread count.
 
 #include <cstdio>
 #include <cstring>
@@ -56,7 +56,7 @@ struct Options {
   size_t rows = 200000;
   size_t sources = 8;
   size_t crashes = 10;  // minimum forced crashes before completion counts
-  size_t threads = 1;   // keep 1: bitwise gate (parallel HNSW is unordered)
+  size_t threads = 1;
   std::string out_dir;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <mutex>
@@ -34,16 +33,15 @@ bool AscendingDistanceThenId(const Neighbor& a, const Neighbor& b) {
   return a.id < b.id;
 }
 
-// Stripe-mutex guard that compiles away entirely on the serial path.
-template <bool kEnabled>
-struct StripedLock {
-  explicit StripedLock(std::mutex&) {}
-};
-template <>
-struct StripedLock<true> {
-  explicit StripedLock(std::mutex& mu) : guard(mu) {}
-  std::lock_guard<std::mutex> guard;
-};
+// Insert rounds (see hnsw.h): one row per round below kSequentialNodes graph
+// nodes, then at most kMaxRoundRows rows and 1/kRoundShare of the graph, so
+// the rows a round's searches cannot see stay few next to what they can.
+constexpr size_t kSequentialNodes = 1024;
+constexpr size_t kMaxRoundRows = 256;
+constexpr size_t kRoundShare = 50;
+
+// Tasks that apply a multi-row round's back edges (a power of two).
+constexpr uint64_t kReverseClasses = 16;
 
 }  // namespace
 
@@ -60,7 +58,6 @@ struct HnswIndex::SearchScratch {
   std::vector<Neighbor> prune;       // ConnectReverse candidate buffer
   std::vector<uint32_t> selected;    // forward links of the inserted node
   std::vector<uint32_t> reverse_selected;  // re-pruned neighbor links
-  std::vector<uint32_t> links;  // locked-mode snapshot of one link block
   // Quantized-search query context: when active, the traversal loops score
   // candidates against the code plane (QueryDistance); inserts and plain
   // fp32 searches leave it inactive. Every entry point that leases scratch
@@ -94,8 +91,7 @@ HnswIndex::HnswIndex(size_t dim, Metric metric, HnswConfig config)
     : dim_(dim),
       metric_(metric),
       config_(config),
-      level_rng_(config.seed),
-      link_stripes_(std::make_unique<std::mutex[]>(kLinkStripes)) {
+      level_rng_(config.seed) {
   if (dim_ == 0) std::abort();
   if (config_.m < 2) config_.m = 2;
   if (config_.m0 < config_.m) config_.m0 = 2 * config_.m;
@@ -222,26 +218,6 @@ uint32_t HnswIndex::RegisterNode(std::span<const float> vec) {
   return node;
 }
 
-template <bool kLocked>
-const uint32_t* HnswIndex::SnapshotLinks(uint32_t node, int level,
-                                         SearchScratch& scratch,
-                                         uint32_t* count) const {
-  if constexpr (kLocked) {
-    // Concurrent inserts mutate link blocks; snapshot under the stripe
-    // mutex, then let the caller compute distances lock-free on the copy.
-    std::lock_guard<std::mutex> lock(LinkMutex(node));
-    const uint32_t* block = LinkBlock(node, level);
-    *count = block[0];
-    scratch.links.assign(block + 1, block + 1 + *count);
-    return scratch.links.data();
-  } else {
-    const uint32_t* block = LinkBlock(node, level);
-    *count = block[0];
-    return block + 1;
-  }
-}
-
-template <bool kLocked>
 uint32_t HnswIndex::GreedySearchLayer(std::span<const float> query,
                                       uint32_t entry, int level,
                                       SearchScratch& scratch) const {
@@ -252,9 +228,9 @@ uint32_t HnswIndex::GreedySearchLayer(std::span<const float> query,
   while (improved) {
     improved = false;
     ++scratch.visited;
-    uint32_t count;
-    const uint32_t* ids = SnapshotLinks<kLocked>(current, level, scratch,
-                                                 &count);
+    const uint32_t* block = LinkBlock(current, level);
+    const uint32_t count = block[0];
+    const uint32_t* ids = block + 1;
     for (uint32_t j = 0; j < count; ++j) {
       if (j + 1 < count) {
         util::PrefetchRead(scratch.quant_active
@@ -273,7 +249,6 @@ uint32_t HnswIndex::GreedySearchLayer(std::span<const float> query,
   return current;
 }
 
-template <bool kLocked>
 void HnswIndex::SearchLayer(std::span<const float> query, uint32_t entry,
                             size_t ef, int level,
                             SearchScratch& scratch) const {
@@ -305,8 +280,9 @@ void HnswIndex::SearchLayer(std::span<const float> query, uint32_t entry,
 
     const uint32_t node = static_cast<uint32_t>(closest.id);
     ++scratch.visited;
-    uint32_t count;
-    const uint32_t* ids = SnapshotLinks<kLocked>(node, level, scratch, &count);
+    const uint32_t* block = LinkBlock(node, level);
+    const uint32_t count = block[0];
+    const uint32_t* ids = block + 1;
     for (uint32_t j = 0; j < count; ++j) {
       if (j + 1 < count) {
         // Hide the next hop's cache misses behind this distance computation:
@@ -389,16 +365,11 @@ void HnswIndex::SelectNeighbors(const std::vector<Neighbor>& candidates,
   }
 }
 
-template <bool kLocked>
 void HnswIndex::ConnectReverse(uint32_t neighbor, uint32_t node, int level,
                                SearchScratch& scratch) {
   const size_t cap = (level == 0) ? config_.m0 : config_.m;
-  StripedLock<kLocked> lock(LinkMutex(neighbor));
   uint32_t* block = MutableLinkBlock(neighbor, level);
   const uint32_t count = block[0];
-  for (uint32_t j = 0; j < count; ++j) {
-    if (block[1 + j] == node) return;  // concurrent insert already linked us
-  }
   if (count < cap) {
     block[1 + count] = node;
     block[0] = count + 1;
@@ -420,138 +391,128 @@ void HnswIndex::ConnectReverse(uint32_t neighbor, uint32_t node, int level,
             block + 1);
 }
 
-template <bool kLocked>
-void HnswIndex::InsertNode(uint32_t node, SearchScratch& scratch) {
+void HnswIndex::LinkForward(uint32_t node, uint32_t round_begin,
+                            uint64_t entry, SearchScratch& scratch) {
   std::span<const float> query = NodeVector(node);
   const int level = node_level_[node];
-  // Callers insert the first node serially and publish it as the entry
-  // point, so the snapshot is never empty here.
-  uint64_t snapshot = entry_state_.load(std::memory_order_acquire);
-  std::unique_lock<std::mutex> top_raise_lock;
-  if constexpr (kLocked) {
-    if (level > EntryLevel(snapshot)) {
-      // hnswlib's global serialization of top-raising inserts: were two of
-      // them to run concurrently, each would read the old top, link only up
-      // to it, and leave both nodes' new upper layers permanently edgeless.
-      // Holding entry_mu_ for the whole insertion (rare: P(level >= l)
-      // decays geometrically) makes the second raiser see the first one's
-      // layers. Non-raising inserts never touch this mutex.
-      top_raise_lock = std::unique_lock<std::mutex>(entry_mu_);
-      snapshot = entry_state_.load(std::memory_order_acquire);
-    }
-  }
-  const int top_level = EntryLevel(snapshot);
-  uint32_t current = EntryNode(snapshot);
+  const int top_level = EntryLevel(entry);
+  uint32_t current = EntryNode(entry);
 
   // Greedy descent through layers above the new node's level.
   for (int l = top_level; l > level; --l) {
-    current = GreedySearchLayer<kLocked>(query, current, l, scratch);
+    current = GreedySearchLayer(query, current, l, scratch);
   }
 
-  // Beam-search insertion on each layer the node participates in.
-  for (int l = std::min(level, top_level); l >= 0; --l) {
-    SearchLayer<kLocked>(query, current, config_.ef_construction, l, scratch);
-    // A concurrent insert may already have linked back to this node, making
-    // it discoverable by its own beam; never self-link.
-    std::erase_if(scratch.found,
-                  [node](const Neighbor& n) { return n.id == node; });
-    if (!scratch.found.empty()) {
-      current = static_cast<uint32_t>(scratch.found.front().id);
+  std::vector<Neighbor>& candidates = scratch.found;
+  for (int l = level; l >= 0; --l) {
+    candidates.clear();
+    if (l <= top_level) {
+      SearchLayer(query, current, config_.ef_construction, l, scratch);
+      // The next layer's beam starts from the graph as the round found it,
+      // never from a round row, whose blocks another task may be writing.
+      current = static_cast<uint32_t>(candidates.front().id);
     }
-    SelectNeighbors(scratch.found, config_.m, scratch.selected);
-    {
-      // Forward links. Under kLocked the block may already hold back-edges
-      // from concurrent inserts (this node became reachable the moment a
-      // higher layer linked to it), so append-with-dedup instead of
-      // overwriting; serially the block is always empty.
-      const size_t cap = (l == 0) ? config_.m0 : config_.m;
-      StripedLock<kLocked> lock(LinkMutex(node));
-      uint32_t* block = MutableLinkBlock(node, l);
-      uint32_t count = block[0];
-      for (uint32_t id : scratch.selected) {
-        if (count >= cap) break;
-        bool present = false;
-        for (uint32_t j = 0; j < count; ++j) {
-          if (block[1 + j] == id) {
-            present = true;
-            break;
-          }
-        }
-        if (!present) block[1 + count++] = id;
+    // The round's earlier rows join the beam at their exact distances; as
+    // in a beam of ef_construction, only the nearest ef_construction stay.
+    // A row no nearer than a full beam's farthest candidate cannot be among
+    // them (its id is higher than every graph node's).
+    const size_t ef = config_.ef_construction;
+    const size_t searched = candidates.size();
+    for (uint32_t row = round_begin; row < node; ++row) {
+      if (node_level_[row] < l) continue;
+      const float distance = NodeDistance(query, row);
+      if (searched < ef || distance < candidates[searched - 1].distance) {
+        candidates.push_back({row, distance});
       }
-      block[0] = count;
     }
-    for (uint32_t neighbor : scratch.selected) {
-      ConnectReverse<kLocked>(neighbor, node, l, scratch);
+    if (candidates.size() > searched) {
+      std::sort(candidates.begin(), candidates.end(), AscendingDistanceThenId);
+      if (candidates.size() > ef) candidates.resize(ef);
     }
+    SelectNeighbors(candidates, config_.m, scratch.selected);
+    uint32_t* block = MutableLinkBlock(node, l);
+    block[0] = static_cast<uint32_t>(scratch.selected.size());
+    std::copy(scratch.selected.begin(), scratch.selected.end(), block + 1);
   }
+}
 
-  // Publish as the entry point if this node topped the hierarchy. CAS loop:
-  // another insert may raise the top level concurrently.
-  const uint64_t desired = PackEntryState(level, node);
-  while (level > EntryLevel(snapshot)) {
-    if (entry_state_.compare_exchange_weak(snapshot, desired,
-                                           std::memory_order_release,
-                                           std::memory_order_acquire)) {
-      break;
+void HnswIndex::InsertRounds(uint32_t first, util::ThreadPool* pool) {
+  // A back edge as one word that sorts by (target, level, source): target
+  // in bits [32,64), level in [16,32), the source's offset in its round
+  // (below kMaxRoundRows) in [0,16).
+  std::vector<uint64_t> edges;
+  size_t rows = 0;
+  for (uint32_t round = first; round < num_nodes_; round += rows) {
+    rows = round < kSequentialNodes
+               ? 1
+               : std::min({num_nodes_ - round, kMaxRoundRows,
+                           round / kRoundShare});
+    const uint64_t entry = entry_state_;
+
+    util::ParallelFor(
+        pool, rows,
+        [&](size_t i) {
+          ScratchLease scratch(*this);
+          (*scratch).quant_active = false;  // construction always scores fp32
+          LinkForward(round + static_cast<uint32_t>(i), round, entry,
+                      *scratch);
+        },
+        /*min_block_size=*/1);
+
+    edges.clear();
+    for (uint32_t i = 0; i < rows; ++i) {
+      for (int l = 0; l <= node_level_[round + i]; ++l) {
+        const uint32_t* block = LinkBlock(round + i, l);
+        for (uint32_t j = 1; j <= block[0]; ++j) {
+          edges.push_back(uint64_t{block[j]} << 32 | uint64_t(l) << 16 | i);
+        }
+      }
+    }
+    // One task per class of receiving nodes (the low bits of the id), each
+    // applying its nodes' edges in (target, level, source) order, so every
+    // node takes its edges in the order one-row rounds would apply them.
+    const uint64_t classes = rows == 1 ? 1 : kReverseClasses;
+    util::ParallelFor(
+        pool, classes,
+        [&](size_t c) {
+          std::vector<uint64_t> owned;
+          for (uint64_t edge : edges) {
+            if ((edge >> 32 & (classes - 1)) == c) owned.push_back(edge);
+          }
+          std::sort(owned.begin(), owned.end());
+          ScratchLease scratch(*this);
+          for (uint64_t edge : owned) {
+            ConnectReverse(static_cast<uint32_t>(edge >> 32),
+                           round + static_cast<uint32_t>(edge & 0xffff),
+                           static_cast<int>(edge >> 16 & 0xffff), *scratch);
+          }
+        },
+        /*min_block_size=*/1);
+
+    for (uint32_t node = round; node < round + rows; ++node) {
+      if (node_level_[node] > EntryLevel(entry_state_)) {
+        entry_state_ = PackEntryState(node_level_[node], node);
+      }
     }
   }
 }
 
 void HnswIndex::Add(std::span<const float> vec) {
   EnsureOwnedSlabs();
-  const uint32_t node = RegisterNode(vec);
-  if (node == 0) {
-    entry_state_.store(PackEntryState(node_level_[0], 0),
-                       std::memory_order_release);
-    return;
-  }
-  ScratchLease scratch(*this);
-  (*scratch).quant_active = false;  // construction always scores fp32
-  InsertNode<false>(node, *scratch);
+  InsertRounds(RegisterNode(vec), /*pool=*/nullptr);
 }
 
 void HnswIndex::AddBatch(const embed::EmbeddingMatrix& vectors,
                          util::ThreadPool* pool) {
   const size_t n = vectors.num_rows();
   if (n == 0) return;
-  // Room for the whole batch up front, on either path: no slab grows (and
-  // so none is copied again) while the rows go in.
+  // Room for the whole batch up front: no slab grows (and so none is copied
+  // again, and no address moves) while the rows go in.
   ReserveForInserts(n);
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      n < config_.parallel_batch_min) {
-    for (size_t i = 0; i < n; ++i) Add(vectors.Row(i));
-    return;
-  }
-
-  // Sequential registration of the whole batch: vector payload, level draws
-  // (the same RNG sequence a serial build would use), and link-slab growth.
-  // After this, the parallel phase performs no allocation, so every block
-  // and vector row has a stable address.
-  const uint32_t base = static_cast<uint32_t>(num_nodes_);
+  EnsureOwnedSlabs();
+  const uint32_t first = static_cast<uint32_t>(num_nodes_);
   for (size_t i = 0; i < n; ++i) RegisterNode(vectors.Row(i));
-
-  size_t start = 0;
-  if (base == 0) {
-    // Bootstrap: the first node just becomes the entry point.
-    entry_state_.store(PackEntryState(node_level_[0], 0),
-                       std::memory_order_release);
-    start = 1;
-  }
-
-  // hnswlib-style concurrent insertion: every link-block access goes through
-  // the node's stripe mutex and the entry point is CAS-published, so inserts
-  // from all workers interleave safely. Runs under ParallelFor's TaskGroup
-  // and therefore composes with the merge scheduler (a blocked waiter helps
-  // run its own group's tasks).
-  util::ParallelFor(
-      pool, n - start,
-      [&](size_t i) {
-        ScratchLease scratch(*this);
-        (*scratch).quant_active = false;  // construction always scores fp32
-        InsertNode<true>(base + static_cast<uint32_t>(start + i), *scratch);
-      },
-      /*min_block_size=*/16);
+  InsertRounds(first, pool);
 }
 
 std::vector<Neighbor> HnswIndex::Search(std::span<const float> query,
@@ -591,12 +552,11 @@ std::vector<Neighbor> HnswIndex::SearchWithStats(std::span<const float> query,
     ef = std::max(ef, rerank * k);
   }
 
-  const uint64_t snapshot = entry_state_.load(std::memory_order_acquire);
-  uint32_t current = EntryNode(snapshot);
-  for (int l = EntryLevel(snapshot); l > 0; --l) {
-    current = GreedySearchLayer<false>(q, current, l, *scratch);
+  uint32_t current = EntryNode(entry_state_);
+  for (int l = EntryLevel(entry_state_); l > 0; --l) {
+    current = GreedySearchLayer(q, current, l, *scratch);
   }
-  SearchLayer<false>(q, current, ef, 0, *scratch);
+  SearchLayer(q, current, ef, 0, *scratch);
   std::vector<Neighbor>& found = (*scratch).found;
   if (quantized) {
     // Exact rerank: re-score the top rerank * k approximate candidates
@@ -631,8 +591,7 @@ std::unique_ptr<HnswIndex> HnswIndex::CopyWithRoom(size_t rows) const {
   copy->upper_offset_ = upper_offset_.CopyWithCapacity(nodes);
   copy->node_level_ = node_level_.CopyWithCapacity(nodes);
   copy->quant_ = quant_.CopyWithCapacity(nodes);
-  copy->entry_state_.store(entry_state_.load(std::memory_order_acquire),
-                           std::memory_order_release);
+  copy->entry_state_ = entry_state_;
   return copy;
 }
 
@@ -687,7 +646,7 @@ util::Status HnswIndex::Save(const std::string& path) const {
   meta.WriteU64(dim_);
   meta.WriteU8(static_cast<uint8_t>(metric_));
   meta.WriteU64(num_nodes_);
-  meta.WriteU64(entry_state_.load(std::memory_order_acquire));
+  meta.WriteU64(entry_state_);
 
   util::ByteWriter& config = artifact.AddSection("config");
   config.WriteU64(config_.m);
@@ -695,7 +654,7 @@ util::Status HnswIndex::Save(const std::string& path) const {
   config.WriteU64(config_.ef_construction);
   config.WriteU64(config_.ef_search);
   config.WriteU64(config_.seed);
-  config.WriteU64(config_.parallel_batch_min);
+  config.WriteU64(1024);  // a retired knob's slot, ignored on load
   if (quantized) {
     config.WriteU64(static_cast<uint64_t>(config_.quantization));
     config.WriteU64(config_.rerank_factor);
@@ -778,13 +737,13 @@ util::Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(
   auto config_section = artifact.Section("config");
   if (!config_section.ok()) return config_section.status();
   HnswConfig config;
-  uint64_t m, m0, ef_construction, ef_search, parallel_batch_min;
+  uint64_t m, m0, ef_construction, ef_search, retired;
   MULTIEM_RETURN_IF_ERROR(config_section->ReadU64(&m));
   MULTIEM_RETURN_IF_ERROR(config_section->ReadU64(&m0));
   MULTIEM_RETURN_IF_ERROR(config_section->ReadU64(&ef_construction));
   MULTIEM_RETURN_IF_ERROR(config_section->ReadU64(&ef_search));
   MULTIEM_RETURN_IF_ERROR(config_section->ReadU64(&config.seed));
-  MULTIEM_RETURN_IF_ERROR(config_section->ReadU64(&parallel_batch_min));
+  MULTIEM_RETURN_IF_ERROR(config_section->ReadU64(&retired));
   if (artifact.version() >= 2) {
     // v2 exists only for quantized indexes; an in-range mode of kNone would
     // mean a writer bug, so it is rejected like an out-of-range byte.
@@ -814,7 +773,6 @@ util::Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(
   config.m0 = m0;
   config.ef_construction = ef_construction;
   config.ef_search = ef_search;
-  config.parallel_batch_min = parallel_batch_min;
 
   // The constructor re-derives the clamped knobs and strides; Save wrote the
   // post-clamp config, so construction is idempotent and the strides below
@@ -935,56 +893,53 @@ util::Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(
   // parallelized over the open's verify pool otherwise — at millions of
   // nodes this sweep, not the I/O, dominates reload time.
   if (artifact.deep_verify()) {
-    std::atomic<bool> bad{false};
-    std::mutex err_mu;
-    util::Status first_error = util::Status::Ok();
-    auto record = [&](util::Status s) {
-      bad.store(true, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(err_mu);
-      if (first_error.ok()) first_error = std::move(s);
-    };
-    util::ParallelFor(
-        artifact.load_pool(), num_nodes,
-        [&](size_t i) {
-          if (bad.load(std::memory_order_relaxed)) return;
-          util::Status s = ValidateLinkSlab(
-              level0_links.data() + i * index->level0_stride_,
-              /*num_blocks=*/1, index->level0_stride_, num_nodes, "layer-0");
-          if (!s.ok()) {
-            record(std::move(s));
-            return;
+    auto check_node = [&](size_t i) -> util::Status {
+      MULTIEM_RETURN_IF_ERROR(ValidateLinkSlab(
+          level0_links.data() + i * index->level0_stride_,
+          /*num_blocks=*/1, index->level0_stride_, num_nodes, "layer-0"));
+      // Upper blocks carry a (node, level) identity, and a link on level l
+      // must target a node that participates in level l — GreedySearchLayer
+      // follows it at that same level, and a node with a lower top layer has
+      // no block there, so an unchecked edge would walk past its slab
+      // (ValidateLinkSlab alone cannot see this; it only knows ids exist at
+      // layer 0).
+      for (int l = 1; l <= node_levels[i]; ++l) {
+        const uint32_t* block = upper_links.data() + upper_offsets[i] +
+                                size_t(l - 1) * index->upper_stride_;
+        if (block[0] >= index->upper_stride_) {
+          return util::Status::InvalidArgument(
+              "hnsw artifact: upper block of node " + std::to_string(i) +
+              " claims " + std::to_string(block[0]) + " links, capacity is " +
+              std::to_string(index->upper_stride_ - 1));
+        }
+        for (uint32_t j = 1; j <= block[0]; ++j) {
+          if (block[j] >= num_nodes || node_levels[block[j]] < l) {
+            return util::Status::InvalidArgument(
+                "hnsw artifact: node " + std::to_string(i) +
+                " links to node " + std::to_string(block[j]) + " on level " +
+                std::to_string(l) + ", which that node does not reach");
           }
-          // Upper blocks carry a (node, level) identity, and a link on
-          // level l must target a node that participates in level l —
-          // GreedySearchLayer follows it at that same level, and a node
-          // with a lower top layer has no block there, so an unchecked
-          // edge would walk past its slab (ValidateLinkSlab alone cannot
-          // see this; it only knows ids exist at layer 0).
-          for (int l = 1; l <= node_levels[i]; ++l) {
-            const uint32_t* block = upper_links.data() + upper_offsets[i] +
-                                    size_t(l - 1) * index->upper_stride_;
-            if (block[0] >= index->upper_stride_) {
-              record(util::Status::InvalidArgument(
-                  "hnsw artifact: upper block of node " + std::to_string(i) +
-                  " claims " + std::to_string(block[0]) +
-                  " links, capacity is " +
-                  std::to_string(index->upper_stride_ - 1)));
-              return;
-            }
-            for (uint32_t j = 1; j <= block[0]; ++j) {
-              if (block[j] >= num_nodes || node_levels[block[j]] < l) {
-                record(util::Status::InvalidArgument(
-                    "hnsw artifact: node " + std::to_string(i) +
-                    " links to node " + std::to_string(block[j]) +
-                    " on level " + std::to_string(l) +
-                    ", which that node does not reach"));
-                return;
-              }
-            }
+        }
+      }
+      return util::Status::Ok();
+    };
+    // One status per span of nodes, written only by the task that checks
+    // the span, so the error reported is the first bad node's.
+    constexpr size_t kNodesPerCheck = 4096;
+    std::vector<util::Status> checks((num_nodes + kNodesPerCheck - 1) /
+                                     kNodesPerCheck);
+    util::ParallelFor(
+        artifact.load_pool(), checks.size(),
+        [&](size_t c) {
+          const size_t end = std::min<size_t>(num_nodes, (c + 1) * kNodesPerCheck);
+          for (size_t i = c * kNodesPerCheck; i < end && checks[c].ok(); ++i) {
+            checks[c] = check_node(i);
           }
         },
-        /*min_block_size=*/4096);
-    if (!first_error.ok()) return first_error;
+        /*min_block_size=*/1);
+    for (const util::Status& status : checks) {
+      MULTIEM_RETURN_IF_ERROR(status);
+    }
   }
 
   // Entry point: empty index <=> empty state; otherwise the stored node must
@@ -1015,7 +970,7 @@ util::Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(
   }
 
   index->num_nodes_ = num_nodes;
-  index->entry_state_.store(entry_state, std::memory_order_release);
+  index->entry_state_ = entry_state;
   return index;
 }
 

@@ -1,7 +1,6 @@
 #ifndef MULTIEM_ANN_HNSW_H_
 #define MULTIEM_ANN_HNSW_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -32,11 +31,6 @@ struct HnswConfig {
   size_t ef_search = 64;
   /// Seed for the level generator (layer assignment is randomized).
   uint64_t seed = 0x48435753ULL;  // "HNSW"
-  /// AddBatch(pool) inserts in parallel only for batches at least this
-  /// large; below it the per-insert locking and task overhead outweigh the
-  /// fan-out, and small builds stay serial — and therefore deterministic
-  /// (see the thread-safety notes below).
-  size_t parallel_batch_min = 1024;
   /// Vector storage for the candidate scan. kNone keeps the fp32-only
   /// behavior (and the v1 on-disk format). int8/fp16 quantize on insert and
   /// run the beam search on the codes; construction and the final rerank
@@ -72,14 +66,23 @@ struct HnswConfig {
 /// Cosine metric: vectors are L2-normalized on insert and queries normalized
 /// per call, so distance reduces to 1 - dot.
 ///
+/// Insertion: Add, AddBatch and CloneAndAdd take one path. Rows go in as
+/// rounds whose size depends only on the graph size: one row per round
+/// below 1,024 nodes (the classic sequential insert), then min(rows left,
+/// 256, nodes / 50). In a round, each new node searches the graph as the
+/// round found it, adds the round's earlier rows to its beam at exact
+/// distances (keeping the ef_construction nearest), and writes only its own
+/// forward links. The round's back edges are then applied in (target,
+/// level, source) order, each receiving node by one task, and the highest
+/// new level becomes the entry point (ties to the lowest id). A pool fans
+/// both steps out without changing the graph: no pool and a pool of any
+/// size save the same bytes. This is the batch-synchronous build of
+/// ParlayANN (Manohar et al., PPoPP 2024).
+///
 /// Thread-safety: Search is const and safe to call concurrently with other
-/// searches (per-call scratch comes from an internal pool). Add is
-/// single-threaded. AddBatch(pool) inserts batch rows concurrently using
-/// hnswlib's insertion protocol — lock-striped per-node link mutexes plus an
-/// atomic entry-point/max-level word — but must not overlap with Search or
-/// other Add/AddBatch calls on the same index. Parallel insertion order is
-/// nondeterministic, so two parallel builds of the same corpus may produce
-/// different (equally valid) graphs; serial builds are fully deterministic.
+/// searches (per-call scratch comes from an internal pool). Add, AddBatch
+/// and the other writers must not overlap with Search or with each other on
+/// the same index.
 ///
 /// Serving under readers: rather than weakening the no-overlap rule above,
 /// concurrent serving goes through CloneAndAdd() — a deep copy that only
@@ -111,11 +114,11 @@ class HnswIndex : public VectorIndex {
                                         SearchStats* stats) const override;
 
   /// Deep copy: flat slabs, vector payload, entry word, and the level-RNG
-  /// state (the clone draws the same future levels the original would).
-  /// Fresh mutexes and an empty scratch pool. Every slab of the copy is
-  /// owned, also where this index's are views of a loaded artifact. Only
-  /// reads this index, so it is safe concurrently with Search — the serving
-  /// layer's insert-under-readers protocol (see index.h) builds on this.
+  /// state (the clone draws the same future levels the original would),
+  /// with an empty scratch pool. Every slab of the copy is owned, also where
+  /// this index's are views of a loaded artifact. Only reads this index, so
+  /// it is safe concurrently with Search — the serving layer's
+  /// insert-under-readers protocol (see index.h) builds on this.
   std::unique_ptr<VectorIndex> Clone() const override;
 
   /// Clone() with room for `rows`, then AddBatch(rows, pool) into the copy:
@@ -143,9 +146,7 @@ class HnswIndex : public VectorIndex {
   const QuantizedStore& quantized_store() const { return quant_; }
 
   /// Highest layer currently in use (-1 when empty); exposed for tests.
-  int max_level() const {
-    return EntryLevel(entry_state_.load(std::memory_order_acquire));
-  }
+  int max_level() const { return EntryLevel(entry_state_); }
 
   const HnswConfig& config() const { return config_; }
 
@@ -177,8 +178,7 @@ class HnswIndex : public VectorIndex {
   struct SearchScratch;
   class ScratchLease;
 
-  /// Entry point and top level packed into one atomic word so concurrent
-  /// inserts always read a consistent (entry, level) pair:
+  /// Entry point and top level packed into one word:
   /// bits [32,64) = level + 1 (0 = empty index), bits [0,32) = node id.
   static constexpr uint64_t kEmptyEntryState = 0;
   static uint64_t PackEntryState(int level, uint32_t node) {
@@ -189,15 +189,6 @@ class HnswIndex : public VectorIndex {
   }
   static uint32_t EntryNode(uint64_t state) {
     return static_cast<uint32_t>(state);
-  }
-
-  /// Number of link-mutex stripes (node -> mutex by id modulo). 256 stripes
-  /// keep contention negligible at any practical thread count while costing
-  /// ~10 KB per index.
-  static constexpr size_t kLinkStripes = 256;
-
-  std::mutex& LinkMutex(uint32_t node) const {
-    return link_stripes_[node & (kLinkStripes - 1)];
   }
 
   /// Flat link block of `node` on `level`: block[0] = count, block[1..]
@@ -247,36 +238,31 @@ class HnswIndex : public VectorIndex {
   std::unique_ptr<HnswIndex> CopyWithRoom(size_t rows) const;
 
   /// Appends the vector (normalized for cosine), draws the node's level, and
-  /// grows the link slabs (zero-filled blocks). Single-threaded; in a
-  /// parallel AddBatch every registration happens before the concurrent
-  /// phase, so slab and vector addresses are stable while inserts run.
+  /// grows the link slabs (zero-filled blocks). AddBatch registers the whole
+  /// batch before the first round, so slab and vector addresses are stable
+  /// while rounds run.
   uint32_t RegisterNode(std::span<const float> vec);
 
-  /// Connects a registered node into the graph. kLocked selects the
-  /// concurrent protocol (stripe mutexes around every link-block access,
-  /// CAS entry-point publication) used by parallel AddBatch; the unlocked
-  /// variant is the serial Add/small-batch path.
-  template <bool kLocked>
-  void InsertNode(uint32_t node, SearchScratch& scratch);
+  /// Links the registered nodes [first, size()) into the graph, round by
+  /// round (see the class comment), fanning each round out across `pool`.
+  void InsertRounds(uint32_t first, util::ThreadPool* pool);
 
-  /// Returns `node`'s links on `level` and their count. In locked mode the
-  /// block is snapshotted into scratch.links under the node's stripe mutex
-  /// (concurrent inserts mutate blocks); unlocked it aliases the slab.
-  template <bool kLocked>
-  const uint32_t* SnapshotLinks(uint32_t node, int level,
-                                SearchScratch& scratch,
-                                uint32_t* count) const;
+  /// Writes `node`'s forward links on every level it reaches: its candidates
+  /// are the ef_construction nearest of the beam of a descent from `entry`
+  /// over the nodes below `round_begin` and of the round's rows
+  /// [round_begin, node), scored exactly. Reads no block of a round row and
+  /// writes only `node`'s.
+  void LinkForward(uint32_t node, uint32_t round_begin, uint64_t entry,
+                   SearchScratch& scratch);
 
   /// Greedy hill-climb on `level` starting at `entry`; returns the closest
   /// node found (used to descend through the upper layers).
-  template <bool kLocked>
   uint32_t GreedySearchLayer(std::span<const float> query, uint32_t entry,
                              int level, SearchScratch& scratch) const;
 
   /// Beam search on `level` with beam width `ef`; leaves up to `ef`
   /// (node, distance) pairs in scratch.found, sorted ascending by
   /// (distance, id).
-  template <bool kLocked>
   void SearchLayer(std::span<const float> query, uint32_t entry, size_t ef,
                    int level, SearchScratch& scratch) const;
 
@@ -291,7 +277,6 @@ class HnswIndex : public VectorIndex {
   /// Adds the back-edge neighbor -> node on `level`, re-pruning neighbor's
   /// block with the diversity heuristic when it is full (the old
   /// ShrinkLinks, now at fixed capacity).
-  template <bool kLocked>
   void ConnectReverse(uint32_t neighbor, uint32_t node, int level,
                       SearchScratch& scratch);
 
@@ -322,13 +307,8 @@ class HnswIndex : public VectorIndex {
   /// Quantized codes of every stored vector (encoded by RegisterNode after
   /// cosine normalization); empty when config_.quantization == kNone.
   QuantizedStore quant_;
-  std::atomic<uint64_t> entry_state_{kEmptyEntryState};
+  uint64_t entry_state_ = kEmptyEntryState;
 
-  mutable std::unique_ptr<std::mutex[]> link_stripes_;
-  /// Serializes concurrent inserts whose level exceeds the current top
-  /// (hnswlib's global lock): without it, two such inserts could each miss
-  /// the other's new layers and leave them permanently unlinked.
-  std::mutex entry_mu_;
   mutable std::mutex scratch_mu_;
   mutable std::vector<std::unique_ptr<SearchScratch>> scratch_pool_;
 };

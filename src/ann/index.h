@@ -77,9 +77,9 @@ class VectorIndex {
   }
 
   /// Inserts every row of `vectors`, fanning the work out across `pool` when
-  /// the implementation supports it (HnswIndex inserts with lock-striped
-  /// link updates, BruteForceIndex copies rows in parallel). Row i always
-  /// gets id `size-before + i` regardless of the pool. A null pool — or an
+  /// the implementation supports it (HnswIndex inserts each round's rows in
+  /// parallel, BruteForceIndex copies rows in parallel); both build the same
+  /// index on any pool. Row i always gets id `size-before + i`. A null pool — or an
   /// implementation without a parallel path, like this default — degrades to
   /// the serial row loop. Safe to call from inside a pool task (the nested
   /// work runs under its own util::TaskGroup); must not overlap with any

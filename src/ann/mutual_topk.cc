@@ -226,9 +226,8 @@ std::vector<MutualPair> MutualTopK(const embed::EmbeddingMatrix& left,
   // Index construction dominates the cost of this route (insertion beams
   // are wider than search beams), and the two sides are independent — build
   // them concurrently as one task each. The pool is also threaded into each
-  // build: for batches past HnswConfig::parallel_batch_min,
-  // HnswIndex::AddBatch inserts concurrently (lock-striped link updates), so
-  // one big side no longer pins the build phase to a single core.
+  // build: past 1,024 nodes HnswIndex::AddBatch inserts each round's rows in
+  // parallel, so one big side does not pin the build phase to one core.
   std::unique_ptr<VectorIndex> right_index;
   std::unique_ptr<VectorIndex> left_index;
   const bool parallel = pool != nullptr && pool->num_threads() > 1;

@@ -56,7 +56,7 @@ bool ScansExactly(const MutualTopKOptions& options, size_t left_rows,
 /// two top-K relations. On the index route, with a `pool`, the two index
 /// builds run concurrently (one task each) and the pool is threaded into
 /// each build's AddBatch, so large sides insert in parallel too
-/// (HnswIndex's lock-striped protocol); the queries of both directions then
+/// (HnswIndex's insert rounds); the queries of both directions then
 /// fan out under one util::TaskGroup. Safe to call from inside a pool task.
 /// Pairs are returned sorted by (left, right); each (left, right) appears at
 /// most once. Aborts (fail fast) when either side exceeds 2^32 rows — the

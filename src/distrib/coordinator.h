@@ -62,9 +62,8 @@ struct CoordinatorOptions {
   /// Directory for shard artifacts: one `shard_<w>/` per worker. Created
   /// if missing; left on disk for inspection (callers own cleanup).
   std::string work_dir;
-  /// Threads inside each worker (its private pool). Keep 1 — the default —
-  /// whenever the output must be bitwise-comparable across worker counts:
-  /// parallel HNSW construction is not thread-count invariant.
+  /// Threads inside each worker (its private pool). The merges, and so the
+  /// tuples, do not depend on it.
   size_t worker_threads = 1;
   /// Per-worker reap deadline. A worker still running when it expires is
   /// SIGKILLed and counts as a failed attempt. < 0 waits forever.

@@ -80,9 +80,8 @@ struct ShardWorkerOptions {
   /// Output directory (created if missing). Also receives the worker's
   /// intermediate spill files, which are deleted as they are consumed.
   std::string shard_dir;
-  /// Parallelism inside this worker. Keep null (serial) when the build
-  /// must be bitwise-comparable across worker counts: parallel HNSW
-  /// construction is not thread-count invariant.
+  /// Parallelism inside this worker (null runs serially). The merges, and
+  /// so the tuples, do not depend on it.
   util::ThreadPool* pool = nullptr;
 };
 

@@ -4,18 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <iterator>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -321,10 +318,10 @@ TEST(HnswFlatTest, TenThousandVectorRecallVsOracle) {
 
 // ------------------------------------------------- Parallel construction --
 
-// AddBatch(pool) runs the lock-striped concurrent insertion protocol; the
-// graph it builds must match the exact oracle just like a serial build.
-// (Also the TSan subject for concurrent inserts — the CI thread-sanitizer
-// job runs every *Parallel* test in this file.)
+// AddBatch(pool) fans each insert round out across the pool; the graph it
+// builds must match the exact oracle just like a serial build. (Also the
+// TSan subject for pooled inserts — the CI thread-sanitizer job runs every
+// *Parallel* test in this file.)
 TEST(HnswParallelTest, ParallelBuildRecallVsOracle) {
   constexpr size_t kDim = 32;
   constexpr size_t kQueries = 40;
@@ -333,7 +330,6 @@ TEST(HnswParallelTest, ParallelBuildRecallVsOracle) {
   auto queries = RandomVectors(kQueries, kDim, 42);
   HnswConfig config;
   config.ef_search = 128;
-  config.parallel_batch_min = 256;  // force the concurrent path at this size
   HnswIndex hnsw(kDim, Metric::kCosine, config);
   BruteForceIndex exact(kDim, Metric::kCosine);
   util::ThreadPool pool(4);
@@ -353,18 +349,18 @@ TEST(HnswParallelTest, ParallelBuildRecallVsOracle) {
   EXPECT_GE(recall, 0.90) << "parallel build degraded the graph";
 }
 
-// Mirror of InterleavedAddSearchNeverSkipsExactMatch for the parallel path:
-// rounds of concurrent AddBatch interleaved with exhaustive-width searches.
-// Every stored vector must be found at distance ~0 after every round — a
-// lost or torn link (or a stale visited stamp across the recycle-then-grow
-// scratch path) would break this.
+// Mirror of InterleavedAddSearchNeverSkipsExactMatch for the pooled path:
+// pooled AddBatch calls interleaved with exhaustive-width searches, most of
+// their rows in multi-row rounds (past 1,024 nodes). Every stored vector
+// must be found at distance ~0 after every batch — a lost or torn link (or
+// a stale visited stamp across the recycle-then-grow scratch path) would
+// break this.
 TEST(HnswParallelTest, InterleavedParallelBatchesNeverSkipExactMatch) {
   constexpr size_t kDim = 8;
   constexpr size_t kRounds = 4;
-  constexpr size_t kPerRound = 300;
+  constexpr size_t kPerRound = 800;
   auto data = RandomVectors(kRounds * kPerRound, kDim, 77);
   HnswConfig config;
-  config.parallel_batch_min = 64;
   HnswIndex index(kDim, Metric::kEuclidean, config);
   util::ThreadPool pool(4);
   for (size_t round = 0; round < kRounds; ++round) {
@@ -466,41 +462,7 @@ std::unique_ptr<VectorIndex> Reloaded(const VectorIndex& index) {
   return loaded.ok() ? std::move(*loaded) : nullptr;
 }
 
-// A pool whose workers stay parked until it is destroyed. A ParallelFor on
-// it queues its blocks, and the waiting caller runs them all itself, in
-// block order (TaskGroup::Wait helps with its own group). AddBatch still
-// takes its pooled path (sequential registration, then locked inserts),
-// but every run builds the same graph, so its bytes can be compared.
-class ParkedPool {
- public:
-  explicit ParkedPool(size_t threads) : pool_(threads), group_(pool_) {
-    const std::shared_future<void> released = release_.get_future().share();
-    for (size_t i = 0; i < threads; ++i) {
-      pool_.Submit(group_, [this, released] {
-        parked_.fetch_add(1);
-        released.wait();
-      });
-    }
-    while (parked_.load() < threads) std::this_thread::yield();
-  }
-  ~ParkedPool() {
-    release_.set_value();
-    group_.Wait();
-  }
-  ParkedPool(const ParkedPool&) = delete;
-  ParkedPool& operator=(const ParkedPool&) = delete;
-
-  util::ThreadPool* get() { return &pool_; }
-
- private:
-  util::ThreadPool pool_;
-  std::promise<void> release_;
-  util::TaskGroup group_;
-  std::atomic<size_t> parked_{0};
-};
-
 // The index kinds CloneAndAdd is pinned for, built over `rows` in memory.
-// parallel_batch_min is lowered so a 96-row batch takes the pooled path.
 std::vector<std::unique_ptr<VectorIndex>> CloneSources(
     const embed::EmbeddingMatrix& rows) {
   std::vector<std::unique_ptr<VectorIndex>> sources;
@@ -508,7 +470,6 @@ std::vector<std::unique_ptr<VectorIndex>> CloneSources(
     HnswConfig config;
     config.m = 8;
     config.ef_construction = 40;
-    config.parallel_batch_min = 64;
     config.quantization = q;
     sources.push_back(
         std::make_unique<HnswIndex>(rows.dim(), Metric::kCosine, config));
@@ -522,13 +483,13 @@ std::vector<std::unique_ptr<VectorIndex>> CloneSources(
 TEST(CloneAndAddTest, SavesTheBytesOfCloneThenAddBatch) {
   const auto base = RandomVectors(300, 24, 71);
   const auto batch = RandomVectors(96, 24, 72);
-  ParkedPool parked(2);
+  util::ThreadPool two_threads(2);
   for (const auto& in_memory : CloneSources(base)) {
     const std::unique_ptr<VectorIndex> loaded = Reloaded(*in_memory);
     ASSERT_NE(loaded, nullptr);
     for (const VectorIndex* source : {in_memory.get(), loaded.get()}) {
       for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr),
-                                     parked.get()}) {
+                                     &two_threads}) {
         SCOPED_TRACE(std::string(source->kind()) +
                      (source == loaded.get() ? " loaded" : " in memory") +
                      (pool == nullptr ? ", no pool" : ", pool"));
@@ -564,6 +525,94 @@ TEST(CloneAndAddTest, SerialAddBatchSizesEverySlabExactly) {
     EXPECT_EQ(index.OwnedBytes(), index.MemoryUsage().total())
         << QuantizationName(q);
   }
+}
+
+// Insert rounds depend on the graph size alone, so a build saves the same
+// bytes with no pool and with a pool of any size: under default and lean
+// knobs, fp32 and int8, for AddBatch past the sequential 1,024 nodes and for
+// CloneAndAdd of a 700-row batch onto a loaded index.
+TEST(HnswParallelTest, SameBytesOnAnyPool) {
+  constexpr size_t kDim = 16;
+  const auto rows = RandomVectors(5000, kDim, 81);
+  const auto batch = RandomVectors(700, kDim, 82);
+  util::ThreadPool one(1);
+  util::ThreadPool two(2);
+  util::ThreadPool four(4);
+  for (bool lean : {false, true}) {
+    for (Quantization q : {Quantization::kNone, Quantization::kInt8}) {
+      SCOPED_TRACE(std::string(lean ? "lean " : "default ") +
+                   std::string(QuantizationName(q)));
+      HnswConfig config;
+      if (lean) {
+        config.m = 8;
+        config.ef_construction = 40;
+      }
+      config.quantization = q;
+      HnswIndex serial(kDim, Metric::kCosine, config);
+      serial.AddBatch(rows);
+      const std::string built = SavedBytes(serial);
+      const std::unique_ptr<VectorIndex> loaded = Reloaded(serial);
+      ASSERT_NE(loaded, nullptr);
+      const std::string grown = SavedBytes(*loaded->CloneAndAdd(batch, nullptr));
+      for (util::ThreadPool* pool : {&one, &two, &four}) {
+        HnswIndex pooled(kDim, Metric::kCosine, config);
+        pooled.AddBatch(rows, pool);
+        EXPECT_TRUE(SavedBytes(pooled) == built)
+            << "AddBatch on " << pool->num_threads() << " threads";
+        EXPECT_TRUE(SavedBytes(*loaded->CloneAndAdd(batch, pool)) == grown)
+            << "CloneAndAdd on " << pool->num_threads() << " threads";
+      }
+    }
+  }
+}
+
+// Duplicate groups in row order, as near-duplicates sit in a sorted source:
+// most of a group goes in within one round, where its rows find each other
+// only among the round's earlier rows. Recall@10 at bench_scale's lean
+// knobs must hold (without those candidates it read 0.87 here).
+TEST(HnswParallelTest, AdjacentDuplicateGroupsKeepRecall) {
+  constexpr size_t kDim = 64;
+  constexpr size_t kGroupRows = 10;
+  constexpr size_t kRows = 24000;
+  constexpr size_t kQueries = 200;
+  constexpr size_t kK = 10;
+  const auto centers = RandomVectors(kRows / kGroupRows, kDim, 83);
+  util::Rng rng(84);
+  // A unit center plus half a unit of noise, normalized (cosine ~0.89).
+  auto perturbed = [&](std::span<const float> center, std::span<float> out) {
+    for (size_t d = 0; d < kDim; ++d) out[d] = static_cast<float>(rng.Normal());
+    embed::L2NormalizeInPlace(out);
+    for (size_t d = 0; d < kDim; ++d) out[d] = center[d] + 0.5f * out[d];
+    embed::L2NormalizeInPlace(out);
+  };
+  embed::EmbeddingMatrix rows(kRows, kDim);
+  for (size_t i = 0; i < kRows; ++i) {
+    perturbed(centers.Row(i / kGroupRows), rows.Row(i));
+  }
+  embed::EmbeddingMatrix queries(kQueries, kDim);
+  for (size_t q = 0; q < kQueries; ++q) {
+    perturbed(centers.Row(rng.NextBounded(centers.num_rows())),
+              queries.Row(q));
+  }
+  HnswConfig config;
+  config.m = 8;
+  config.ef_construction = 40;
+  config.ef_search = 32;
+  HnswIndex hnsw(kDim, Metric::kCosine, config);
+  BruteForceIndex exact(kDim, Metric::kCosine);
+  util::ThreadPool pool(4);
+  hnsw.AddBatch(rows, &pool);
+  exact.AddBatch(rows, &pool);
+  size_t found = 0;
+  for (size_t q = 0; q < kQueries; ++q) {
+    std::unordered_set<size_t> truth;
+    for (const auto& h : exact.Search(queries.Row(q), kK)) truth.insert(h.id);
+    for (const auto& h : hnsw.Search(queries.Row(q), kK)) {
+      found += truth.count(h.id);
+    }
+  }
+  const double recall = static_cast<double>(found) / (kQueries * kK);
+  EXPECT_GE(recall, 0.95);
 }
 
 // ----------------------------------------------------------- MutualTopK --
@@ -672,10 +721,9 @@ TEST(MutualTopKTest, EmptyInputs) {
 }
 
 TEST(MutualTopKTest, HnswParallelBuildRecoversPlanted) {
-  // Large enough that the default parallel_batch_min (1024) routes both
-  // side builds through the concurrent insertion path. The parallel graph is
-  // order-nondeterministic, so compare planted-match recovery, not pair
-  // lists.
+  // Large enough (past 1,024 rows) that both side builds insert most rows in
+  // pooled multi-row rounds. The graph does not depend on the pool, so the
+  // pairs must equal a serial build's, and recover the planted matches.
   constexpr size_t kPlanted = 300;
   auto f = PlantedMatches(1500, kPlanted, 61);
   MutualTopKOptions options;
@@ -691,6 +739,13 @@ TEST(MutualTopKTest, HnswParallelBuildRecoversPlanted) {
   EXPECT_GE(recovered, kPlanted * 9 / 10)
       << "parallel-built HNSW lost planted matches (" << recovered << "/"
       << kPlanted << ")";
+  auto serial = MutualTopK(f.left, f.right, HnswIndexFactory{}, options);
+  ASSERT_EQ(pairs.size(), serial.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(pairs[i].left, serial[i].left);
+    EXPECT_EQ(pairs[i].right, serial[i].right);
+    EXPECT_EQ(pairs[i].distance, serial[i].distance);
+  }
 }
 
 TEST(MutualTopKTest, ParallelMatchesSerial) {

@@ -808,8 +808,8 @@ TEST(HnswPersistTest, SearchIdenticalAfterReload) {
 
 TEST(HnswPersistTest, ParallelBuildRoundTrips) {
   const size_t dim = 16;
-  // Past HnswConfig::parallel_batch_min, so AddBatch takes the lock-striped
-  // concurrent path; the saved graph must still reload verbatim.
+  // Past 1,024 nodes, so AddBatch inserts in pooled multi-row rounds; the
+  // saved graph must still reload verbatim.
   embed::EmbeddingMatrix corpus = RandomVectors(1500, dim, 3);
   embed::EmbeddingMatrix queries = RandomVectors(25, dim, 4);
 

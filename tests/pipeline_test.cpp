@@ -144,6 +144,27 @@ TEST(PipelineTest, HybridParallelTuplesMatchSerialOnPerson) {
   EXPECT_EQ(per_threads[0], per_threads[2]) << "4 threads";
 }
 
+// Under "hnsw" every merge of Person x0.3 builds two graphs over sources of
+// more than 1,024 rows, and the serving index holds every item. The graphs
+// do not depend on the pool, so the tuples are identical at 1, 2 and 4
+// threads.
+TEST(PipelineTest, HnswParallelTuplesMatchSerialOnPerson) {
+  auto bench = datagen::MakeDataset("person", /*scale=*/0.3);
+  ASSERT_TRUE(bench.ok()) << bench.status();
+  MultiEmConfig config = TunedConfig();
+  config.index_name = "hnsw";
+  std::vector<std::vector<std::vector<table::EntityId>>> per_threads;
+  for (size_t threads : {1u, 2u, 4u}) {
+    config.num_threads = threads;
+    auto result = MultiEmPipeline(config).Run(bench->tables);
+    ASSERT_TRUE(result.ok()) << result.status();
+    per_threads.push_back(result->ToTupleSet().tuples());
+  }
+  ASSERT_FALSE(per_threads[0].empty());
+  EXPECT_EQ(per_threads[0], per_threads[1]) << "2 threads";
+  EXPECT_EQ(per_threads[0], per_threads[2]) << "4 threads";
+}
+
 TEST(PipelineTest, NoEntityInTwoPredictedTuples) {
   auto bench = SmallMusic();
   MultiEmPipeline pipeline(TunedConfig());

@@ -804,7 +804,7 @@ TEST(QuantArtifactTest, RejectsV2WithNoneMode) {
     config.WriteU64(32);   // ef_construction
     config.WriteU64(16);   // ef_search
     config.WriteU64(7);    // seed
-    config.WriteU64(1024); // parallel_batch_min
+    config.WriteU64(1024); // a retired slot, ignored on load
     config.WriteU64(0);    // quantization = kNone: invalid in a v2 file
     config.WriteU64(4);    // rerank_factor
     const std::string path = TempPath("v2_none_hnsw.mem");

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -417,6 +418,46 @@ TEST(ScalePipelineTest, SharedRowsMergeAcrossSources) {
     }
   }
   EXPECT_GT(multi_member_hits, 0u);
+}
+
+// bench_scale's lean knobs on sources past 3,000 rows: the "hybrid" rule
+// sends every merge to two HNSW builds, and the serving index holds every
+// item. Insert rounds do not depend on the pool, so the tuples and the
+// saved index.mem are identical at 1, 2 and 4 threads, with no
+// "brute_force" pin.
+TEST(ScalePipelineTest, LeanHnswBuildIsTheSameOnAnyThreadCount) {
+  auto tables = CorpusTables(3, 3200);
+  MultiEmConfig config;
+  config.embedding_dim = 48;
+  config.sample_ratio = 0.05;
+  config.m = 0.5f;
+  config.hnsw_m = 8;
+  config.hnsw_ef_construction = 40;
+  config.hnsw_ef_search = 32;
+  config.seed = 7;
+  std::vector<PipelineResult> results;
+  std::vector<std::string> index_bytes;
+  for (size_t threads : {1u, 2u, 4u}) {
+    config.num_threads = threads;
+    auto pipeline = PipelineBuilder(config).Build();
+    pipeline.status().CheckOk();
+    RunContext ctx;
+    ctx.build_matcher = true;
+    PipelineResult& result = results.emplace_back();
+    pipeline->Run(tables, ctx, &result).CheckOk();
+    const std::string dir = TempPath("lean_" + std::to_string(threads));
+    result.matcher->Save(dir).CheckOk();
+    std::ifstream in(dir + "/index.mem", std::ios::binary);
+    index_bytes.emplace_back(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+    std::filesystem::remove_all(dir);
+  }
+  ASSERT_FALSE(results[0].tuples.empty());
+  ASSERT_FALSE(index_bytes[0].empty());
+  for (size_t i = 1; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].tuples, results[0].tuples) << "run " << i;
+    EXPECT_TRUE(index_bytes[i] == index_bytes[0]) << "run " << i;
+  }
 }
 
 }  // namespace
